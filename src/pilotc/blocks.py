@@ -1,87 +1,65 @@
-"""Per-block coding of one spatial dimension.
+"""Batched block coding of one spatial dimension.
 
-Compression turns a signal block of m+1 samples into at most
-``max(1, ceil(m * r_ret)) - 1`` quantized AC coefficients: velocities are
-zero-centered against the block's average velocity, transformed, quantized
-with step ``eps_f``, truncated to the retention budget, and stripped of
-trailing zeros.  The DC coefficient is identically zero and never stored.
+Each row of a batch is one block of m+1 samples, m velocities.  Compression
+zero-centers the velocities against the block's average velocity,
+transforms them, quantizes with step ``eps_f``, keeps the first
+``K(m) - 1`` AC coefficients (see :meth:`~pilotc.params.Layout.budget`)
+and strips trailing zeros.  The DC coefficient is identically zero and
+never stored.  Only the K retained cosine columns are ever multiplied, so
+one (m, K-1) product codes the whole batch.
 
-Decompression is the exact mirror and anchors the block on externally
+Decompression is the exact mirror and anchors every block on externally
 supplied start and end values, so per-block errors never accumulate across
 a trajectory.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .codec import dequantize_array, quantize_array
 from .errors import CorruptionError
-from .model import EncodedBlock
-from .transform import dct_forward, dct_inverse
+from .params import Layout
+from .transform import cosine_basis
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    eps_f: float   # frequency quantization half-step
-    r_ret: float   # retained fraction of low-frequency slots
-    b_s: int       # nominal block size (velocities per full block)
-
-    def __post_init__(self) -> None:
-        if self.eps_f <= 0.0:
-            raise ValueError(f"eps_f must be positive, got {self.eps_f}")
-        if not 0.0 < self.r_ret <= 1.0:
-            raise ValueError(f"r_ret must be in (0, 1], got {self.r_ret}")
-        if self.b_s < 2:
-            raise ValueError(f"b_s must be at least 2, got {self.b_s}")
-
-
-def coeff_budget(m: int, r_ret: float) -> int:
-    """Retained slot count K; slots 1..K-1 may hold AC coefficients."""
-    return max(1, math.ceil(m * r_ret))
-
-
-def block_compress(samples, params: BlockParams) -> EncodedBlock:
-    """Encode one block; ``samples`` holds m+1 values for m velocities."""
+def encode_rows(samples, layout: Layout) -> list[tuple[int, ...]]:
+    """Quantized AC coefficients of each row of ``samples``, shape (n, m+1)."""
     s = np.asarray(samples, dtype=float)
-    m = s.shape[0] - 1
+    m = s.shape[1] - 1
     if m < 1:
-        raise ValueError("block must contain at least two samples")
-    velocities = np.diff(s)
-    v_avg = (s[-1] - s[0]) / m
-    centered = velocities - v_avg
-    # zero-centered by construction; guards the discarded-DC assumption
-    assert abs(centered.sum()) <= 1e-9 * m * np.abs(centered).max() + 1e-12
-    spectrum = dct_forward(centered)
-    budget = coeff_budget(m, params.r_ret)
-    q = quantize_array(spectrum[1:budget], params.eps_f)
-    nonzero = np.flatnonzero(q)
-    if nonzero.size:
-        q = q[: nonzero[-1] + 1]
-    else:
-        q = q[:0]
-    return EncodedBlock(q_coeffs=tuple(int(v) for v in q))
+        raise ValueError("a block must contain at least two samples")
+    centered = np.diff(s, axis=1) - ((s[:, -1] - s[:, 0]) / m)[:, None]
+    ac = cosine_basis(m, layout.budget(m))[:, 1:]
+    q = quantize_array(2.0 * (centered @ ac), layout.eps_f)
+    # one past each row's last nonzero coefficient: trailing zeros are dropped
+    kept = ((q != 0) * np.arange(1, q.shape[1] + 1)).max(axis=1, initial=0)
+    return [tuple(row[:k]) for row, k in zip(q.tolist(), kept.tolist())]
 
 
-def block_decompress(block: EncodedBlock, m: int, start_value: float,
-                     end_value: float, params: BlockParams) -> np.ndarray:
-    """Reconstruct the m+1 samples of one block between its anchor values."""
+def decode_rows(coeffs, m: int, starts, ends, layout: Layout) -> np.ndarray:
+    """Rebuild n blocks of m velocities, shape (n, m+1), from their stored
+    coefficient tuples and their anchor values ``starts`` and ``ends``."""
     if m < 1:
-        raise ValueError("block must contain at least one velocity")
-    if block.c_f >= m:
+        raise ValueError("a block must contain at least one velocity")
+    width = layout.budget(m) - 1
+    counts = np.fromiter(map(len, coeffs), np.int64, len(coeffs))
+    if counts.size and counts.max() > width:
         raise CorruptionError(
-            f"block holds {block.c_f} coefficients but only {m} velocities"
+            f"block holds {counts.max()} coefficients, the budget for {m} "
+            f"velocities is {width}"
         )
-    spectrum = np.zeros(m)
-    if block.c_f:
-        spectrum[1:1 + block.c_f] = dequantize_array(block.q_coeffs, params.eps_f)
-    centered = dct_inverse(spectrum)
-    v_avg = (end_value - start_value) / m
-    out = np.empty(m + 1)
-    out[0] = start_value
-    out[1:] = start_value + np.cumsum(centered + v_avg)
-    out[-1] = end_value  # sum of centered velocities is zero up to float dust
+    q = np.zeros((counts.size, width), dtype=np.int64)
+    q[np.arange(width) < counts[:, None]] = np.fromiter(
+        chain.from_iterable(coeffs), np.int64, int(counts.sum()))
+    ac = cosine_basis(m, width + 1)[:, 1:]
+    centered = (dequantize_array(q, layout.eps_f) @ ac.T) / m
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    out = np.empty((counts.size, m + 1))
+    out[:, 0] = starts
+    out[:, 1:] = starts[:, None] + np.cumsum(centered + ((ends - starts) / m)[:, None], axis=1)
+    out[:, -1] = ends  # sum of centered velocities is zero up to float dust
     return out

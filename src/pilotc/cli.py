@@ -91,9 +91,8 @@ def write_positions_csv(path, times, points) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(times, points):
-                fh.write(f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row) + "\n")
+            np.savetxt(fh, np.column_stack([times, points]), fmt="%.12g",
+                       delimiter=",", header=header, comments="")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

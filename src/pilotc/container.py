@@ -45,7 +45,7 @@ from .model import (
     SubTrajectorySegment,
     block_lengths,
 )
-from .params import DEFAULT_PROFILE, derive_block_size
+from .params import DEFAULT_PROFILE, Layout
 
 MAGIC = b"PLTC"
 VERSION = 1
@@ -75,7 +75,7 @@ def _read_signed(stream: BitStream, l: int) -> int:
     return enhanced_zigzag_unmap(varint_read(stream, l, omit_final_bit=(l == 1)))
 
 
-def _validate_model(model: CompressedTrajectory, b_s: int, r_ret: float) -> None:
+def _validate_model(model: CompressedTrajectory, profile) -> None:
     if not 1 <= model.dim <= 255:
         raise ValueError(f"dimension must be in 1..255, got {model.dim}")
     if not 1 <= model.chunk_bits <= 32:
@@ -97,12 +97,13 @@ def _validate_model(model: CompressedTrajectory, b_s: int, r_ret: float) -> None
             if i > 0 and e.t_index <= prev:
                 raise ValueError(f"{label} time indices must be strictly increasing")
             prev = e.t_index
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, profile)
     for si, seg in enumerate(model.segments):
         if seg.n_samples < 2:
             raise ValueError(f"segment {si} needs at least two samples")
         if len(seg.p0_q) != model.dim or len(seg.blocks) != model.dim:
             raise ValueError(f"segment {si} has wrong dimensionality")
-        sizes = block_lengths(seg.n_velocities, b_s)
+        sizes = block_lengths(seg.n_velocities, lay.b_s)
         for d, per_dim in enumerate(seg.blocks):
             if len(per_dim) != len(sizes):
                 raise ValueError(
@@ -110,7 +111,7 @@ def _validate_model(model: CompressedTrajectory, b_s: int, r_ret: float) -> None
                     f"expected {len(sizes)} for {seg.n_velocities} velocities"
                 )
             for b, (blk, m) in enumerate(zip(per_dim, sizes)):
-                limit = max(1, math.ceil(m * r_ret)) - 1
+                limit = lay.budget(m) - 1
                 if blk.c_f > limit:
                     raise ValueError(
                         f"segment {si} dim {d} block {b}: {blk.c_f} coefficients "
@@ -124,9 +125,7 @@ def _validate_model(model: CompressedTrajectory, b_s: int, r_ret: float) -> None
 
 def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     """Serialize a model; ``profile`` supplies the dataset constants a, b, c, d."""
-    b_s = derive_block_size(model.eps, profile.b, profile.c)
-    r_ret = min(1.0, profile.d / math.sqrt(model.eps))
-    _validate_model(model, b_s, r_ret)
+    _validate_model(model, profile)
     l = model.chunk_bits
     s = BitStream()
     s.write_bytes(MAGIC)
@@ -192,7 +191,7 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     for name, v in (("dt", dt), ("eps", eps), ("eps_t", eps_t), ("eps_p", eps_p)):
         if not (v > 0.0 and math.isfinite(v)):
             raise CorruptionError(f"{name} field must be positive and finite, got {v}")
-    b_s = derive_block_size(eps, profile.b, profile.c)
+    lay = Layout.derive(eps, eps_p, dim, profile)
 
     s = BitStream.from_bytes(data)
     s.seek(8 * (_HEADER_LEN + 8 * _FLOAT_FIELDS))
@@ -226,18 +225,21 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
             if n_samples < 2:
                 raise CorruptionError(f"segment sample count {n_samples} below 2")
             prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
-            sizes = block_lengths(n_samples - 1, b_s)
+            sizes = block_lengths(n_samples - 1, lay.b_s)
             per_dims = []
             for _ in range(dim):
                 blks = []
                 for m in sizes:
                     end_delta = _read_signed(s, l)
                     c_f = _read_unsigned(s, l)
-                    if c_f >= m:
+                    if c_f > lay.budget(m) - 1:
                         raise CorruptionError(
-                            f"block declares {c_f} coefficients for {m} velocities"
+                            f"block declares {c_f} coefficients, the retention "
+                            f"budget for {m} velocities is {lay.budget(m) - 1}"
                         )
                     coeffs = tuple(_read_signed(s, l) for _ in range(c_f))
+                    if c_f and coeffs[-1] == 0:
+                        raise CorruptionError("block ends in a zero coefficient")
                     blks.append(EncodedBlock(coeffs, end_delta))
                 per_dims.append(tuple(blks))
             segments.append(

@@ -7,6 +7,11 @@ in position units).  Three internal knobs derive from it:
     b_s   = round(b * eps + c)        block size, at least 2
     r_ret = min(1, d / sqrt(eps))     retained fraction of low frequencies
 
+A block of m velocities keeps K(m) = max(1, ceil(m * r_ret)) low-frequency
+slots, so at most K(m) - 1 AC coefficients.  Block end values and
+corrections use the per-dimension step eps_p / sqrt(dim), outliers the step
+eps / sqrt(dim).  :class:`Layout` is the one place these rules are written.
+
 The constants ``a, b, c, d`` are dataset-dependent; ``PROFILES`` ships the
 tuned sets.  A container must be decoded with the same constants it was
 encoded with (they are deliberately not stored in the file).
@@ -22,6 +27,35 @@ from .codec import round_half_away
 
 def derive_block_size(eps: float, b: float, c: float) -> int:
     return max(2, round_half_away(b * eps + c))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Every knob derived from eps, for one dimensionality and one set of
+    dataset constants; encoder, container and decoder all read it."""
+
+    b_s: int        # velocities per full block
+    eps_f: float    # frequency quantization half-step
+    r_ret: float    # retained fraction of low-frequency slots
+    eps_d: float    # per-dimension step of block end values and corrections
+    eps_out: float  # per-dimension step of outlier coordinates
+
+    @classmethod
+    def derive(cls, eps: float, eps_p: float, dim: int, constants) -> "Layout":
+        """``constants`` is any object carrying ``a, b, c, d`` (a
+        :class:`Profile` or :class:`CodecParams`)."""
+        return cls(
+            b_s=derive_block_size(eps, constants.b, constants.c),
+            eps_f=eps / constants.a,
+            r_ret=min(1.0, constants.d / math.sqrt(eps)),
+            eps_d=eps_p / math.sqrt(dim),
+            eps_out=eps / math.sqrt(dim),
+        )
+
+    def budget(self, m: int) -> int:
+        """Retained slot count K of a block of m velocities; slots 1..K-1
+        may hold AC coefficients, the DC slot is never stored."""
+        return max(1, math.ceil(m * self.r_ret))
 
 
 @dataclass(frozen=True)
@@ -52,17 +86,20 @@ class CodecParams:
         if not 0.0 < self.eps_p_factor <= 1.0:
             raise ValueError(f"eps_p_factor must be in (0, 1], got {self.eps_p_factor}")
 
+    def layout(self, dim: int) -> Layout:
+        return Layout.derive(self.eps, self.eps_p, dim, self)
+
     @property
     def eps_f(self) -> float:
-        return self.eps / self.a
+        return self.layout(1).eps_f
 
     @property
     def b_s(self) -> int:
-        return derive_block_size(self.eps, self.b, self.c)
+        return self.layout(1).b_s
 
     @property
     def r_ret(self) -> float:
-        return min(1.0, self.d / math.sqrt(self.eps))
+        return self.layout(1).r_ret
 
     @property
     def eps_p(self) -> float:
@@ -70,11 +107,11 @@ class CodecParams:
 
     def eps_d(self, dim: int) -> float:
         """Per-dimension correction step: the point budget split over dims."""
-        return self.eps_p / math.sqrt(dim)
+        return self.layout(dim).eps_d
 
     def eps_outlier(self, dim: int) -> float:
         """Per-dimension outlier step: the full error budget split over dims."""
-        return self.eps / math.sqrt(dim)
+        return self.layout(dim).eps_out
 
 
 @dataclass(frozen=True)

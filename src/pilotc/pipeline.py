@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import BlockParams, block_compress
+from .blocks import encode_rows
 from .codec import (
-    quantize,
-    dequantize,
+    dequantize_array,
     quantize_array,
     round_half_away,
     time_index,
@@ -71,6 +70,7 @@ def segment(traj: TrajectoryRecord, params: CodecParams,
     n = t.shape[0]
     if n == 0:
         return [], []
+    b_s = params.b_s
     boundaries = [0]
     if n > 1:
         gaps = np.diff(t)
@@ -78,7 +78,7 @@ def segment(traj: TrajectoryRecord, params: CodecParams,
         speed_split = dists > gaps * params.v_max
         # the time condition needs at least b_s * min(gap); prefilter so the
         # sequential scan only visits points that could possibly split
-        threshold = params.b_s * min(float(gaps.min()), default_dt)
+        threshold = b_s * min(float(gaps.min()), default_dt)
         candidates = np.flatnonzero(speed_split | (gaps > threshold)) + 1
         start = 0
         for j in candidates:
@@ -87,7 +87,7 @@ def segment(traj: TrajectoryRecord, params: CodecParams,
                 split = True
             else:
                 avg = default_dt if count == 1 else (t[j] - t[start]) / count
-                split = gaps[j - 1] > params.b_s * avg
+                split = gaps[j - 1] > b_s * avg
             if split:
                 boundaries.append(int(j))
                 start = int(j)
@@ -131,34 +131,30 @@ def resample(frag: Fragment, dt: float) -> UniformSeries:
 
 
 def _encode_series(series: UniformSeries, params: CodecParams) -> SubTrajectorySegment:
-    dim = series.dim
-    eps_d = params.eps_d(dim)
-    bp = BlockParams(params.eps_f, params.r_ret, params.b_s)
-    sizes = block_lengths(series.n_samples - 1, params.b_s)
-    end_pos = np.cumsum(sizes)
-    p0_q = []
-    per_dim = []
-    for d in range(dim):
-        x = series.values[:, d]
-        q0 = quantize(float(x[0]), params.eps_p)
-        p0 = dequantize(q0, params.eps_p)
-        p0_q.append(q0)
-        # block endpoints ride a cumulative index chain anchored at p0, so
-        # every endpoint's reconstruction error stays within eps_d
-        targets = quantize_array(x[end_pos] - p0, eps_d)
-        deltas = np.diff(targets, prepend=np.int64(0))
-        blks = []
-        pos = 0
-        for i, m in enumerate(sizes):
-            encoded = block_compress(x[pos:pos + m + 1], bp)
-            blks.append(EncodedBlock(encoded.q_coeffs, int(deltas[i])))
-            pos += m
-        per_dim.append(tuple(blks))
+    lay = params.layout(series.dim)
+    b_s = lay.b_s
+    x = series.values
+    sizes = block_lengths(series.n_samples - 1, b_s)
+    n_full = len(sizes) - 1  # the last block, whatever its size, is the tail
+    p0_q = quantize_array(x[0], params.eps_p)
+    p0 = dequantize_array(p0_q, params.eps_p)
+    # block endpoints ride a cumulative index chain anchored at p0, so
+    # every endpoint's reconstruction error stays within eps_d
+    deltas = np.diff(quantize_array(x[np.cumsum(sizes)] - p0, lay.eps_d), axis=0, prepend=0)
+    # full blocks of every dimension in one batch, dimension-major
+    rows = b_s * np.arange(n_full)[:, None] + np.arange(b_s + 1)
+    full = encode_rows(x.T[:, rows].reshape(-1, b_s + 1), lay)
+    tail = encode_rows(x[n_full * b_s:].T, lay)
+    blocks = tuple(
+        tuple(map(EncodedBlock, full[d * n_full:(d + 1) * n_full] + [tail[d]],
+                  deltas[:, d].tolist()))
+        for d in range(series.dim)
+    )
     return SubTrajectorySegment(
         t0_index=time_index(series.t0, params.eps_t),
-        p0_q=tuple(p0_q),
+        p0_q=tuple(p0_q.tolist()),
         n_samples=series.n_samples,
-        blocks=tuple(per_dim),
+        blocks=blocks,
     )
 
 

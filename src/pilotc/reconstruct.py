@@ -10,23 +10,15 @@ matching correction entry is added on top.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .blocks import BlockParams, block_decompress
-from .codec import dequantize, dequantize_array, time_from_index, time_index_array
+from .blocks import decode_rows
+from .codec import dequantize_array, time_from_index, time_index_array
 from .errors import QueryRangeError
 from .model import CompressedTrajectory, UniformSeries, block_lengths
-from .params import DEFAULT_PROFILE, derive_block_size
+from .params import DEFAULT_PROFILE, Layout
 
-
-def _block_params(model: CompressedTrajectory, constants) -> BlockParams:
-    return BlockParams(
-        eps_f=model.eps / constants.a,
-        r_ret=min(1.0, constants.d / math.sqrt(model.eps)),
-        b_s=derive_block_size(model.eps, constants.b, constants.c),
-    )
+_QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
 
 def decompress_uniform(model: CompressedTrajectory,
@@ -37,24 +29,28 @@ def decompress_uniform(model: CompressedTrajectory,
     (a :class:`~pilotc.params.Profile` or :class:`~pilotc.params.CodecParams`),
     matching the ones used at compression time.
     """
-    bp = _block_params(model, constants)
-    eps_d = model.eps_p / math.sqrt(model.dim)
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
+    b_s = lay.b_s
     out = []
     for seg in model.segments:
-        sizes = block_lengths(seg.n_velocities, bp.b_s)
+        sizes = block_lengths(seg.n_velocities, b_s)
+        n_full = len(sizes) - 1  # the last block, whatever its size, is the tail
+        cut = n_full * b_s
+        p0 = dequantize_array(seg.p0_q, model.eps_p)
+        # float sums are exact below 2**53 and, unlike int64, cannot wrap
+        end_deltas = np.array([[b.end_delta_q for b in per_dim] for per_dim in seg.blocks],
+                              dtype=float).T
+        ends = p0 + dequantize_array(np.cumsum(end_deltas, axis=0), lay.eps_d)
+        starts = np.vstack([p0, ends[:-1]])
+        # full blocks of every dimension in one batch, dimension-major
+        full = decode_rows([b.q_coeffs for per_dim in seg.blocks for b in per_dim[:n_full]],
+                           b_s, starts[:n_full].T.ravel(), ends[:n_full].T.ravel(), lay)
+        tail = decode_rows([per_dim[-1].q_coeffs for per_dim in seg.blocks],
+                           sizes[-1], starts[-1], ends[-1], lay)
         values = np.empty((seg.n_samples, model.dim))
-        for d in range(model.dim):
-            p0 = dequantize(seg.p0_q[d], model.eps_p)
-            values[0, d] = p0
-            start = p0
-            cum = 0
-            pos = 0
-            for blk, m in zip(seg.blocks[d], sizes):
-                cum += blk.end_delta_q
-                end = p0 + dequantize(cum, eps_d)
-                values[pos + 1: pos + m + 1, d] = block_decompress(blk, m, start, end, bp)[1:]
-                start = end
-                pos += m
+        values[0] = p0
+        values[1:cut + 1] = full[:, 1:].reshape(model.dim, cut).T
+        values[cut + 1:] = tail[:, 1:].T
         out.append(UniformSeries(time_from_index(seg.t0_index, model.eps_t),
                                  model.dt, values))
     return out
@@ -73,15 +69,14 @@ class Reconstructor:
         self._offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if len(counts) else np.zeros(0, np.int64)
         self._values = (np.concatenate([s.values for s in self.series])
                         if self.series else np.zeros((0, model.dim)))
-        eps_out = model.eps / math.sqrt(model.dim)
-        eps_d = model.eps_p / math.sqrt(model.dim)
+        lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
         self._outlier_idx = np.array([e.t_index for e in model.outliers], dtype=np.int64)
         self._outlier_pos = (dequantize_array(
-            np.array([e.coord_q for e in model.outliers], dtype=np.int64), eps_out)
+            np.array([e.coord_q for e in model.outliers], dtype=np.int64), lay.eps_out)
             if model.outliers else np.zeros((0, model.dim)))
         self._corr_idx = np.array([e.t_index for e in model.corrections], dtype=np.int64)
         self._corr_delta = (dequantize_array(
-            np.array([e.delta_q for e in model.corrections], dtype=np.int64), eps_d)
+            np.array([e.delta_q for e in model.corrections], dtype=np.int64), lay.eps_d)
             if model.corrections else np.zeros((0, model.dim)))
         extreme = float(np.abs(self._starts).max()) if len(self._starts) else 0.0
         extreme = max(extreme, float(np.abs(self._ends).max()) if len(self._ends) else 0.0)
@@ -91,10 +86,6 @@ class Reconstructor:
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""
         ts = np.atleast_1d(np.asarray(timestamps, dtype=float))
-        n = ts.shape[0]
-        out = np.empty((n, self.model.dim))
-        pending = np.ones(n, dtype=bool)
-
         try:
             q_idx = time_index_array(ts, self.model.eps_t)
         except (OverflowError, ValueError):
@@ -102,6 +93,15 @@ class Reconstructor:
             # cannot match anything
             bad = ts[~np.isfinite(ts)] if not np.all(np.isfinite(ts)) else ts
             raise QueryRangeError(float(bad[np.argmax(np.abs(bad))])) from None
+        out = np.empty((ts.shape[0], self.model.dim))
+        # long queries go in chunks, so every temporary stays cache-sized
+        for lo in range(0, ts.shape[0], _QUERY_CHUNK):
+            hi = lo + _QUERY_CHUNK
+            self._fill(out[lo:hi], ts[lo:hi], q_idx[lo:hi])
+        return out
+
+    def _fill(self, out: np.ndarray, ts: np.ndarray, q_idx: np.ndarray) -> None:
+        pending = np.ones(ts.shape[0], dtype=bool)
         if self._outlier_idx.size:
             pos = np.searchsorted(self._outlier_idx, q_idx)
             pos_c = np.minimum(pos, self._outlier_idx.size - 1)
@@ -140,8 +140,6 @@ class Reconstructor:
                 if hit.any():
                     vals[hit] += self._corr_delta[pos_c[hit]]
             out[sel] = vals
-
-        return out
 
     def query_one(self, timestamp: float) -> np.ndarray:
         return self.query([timestamp])[0]

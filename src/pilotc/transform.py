@@ -6,9 +6,9 @@ Inverse:            v_i = (1/n) * sum_k C_k * cos((2i+1) k pi / (2n)).
 
 The pair is an exact round trip only for zero-sum input (C_0 = 0), which is
 the only case the compression pipeline produces.  Both functions accept
-stacked rows of shape (..., n) and transform the last axis.  The fast path
-extends the signal symmetrically to 2n points and uses an FFT; a direct
-cosine-matrix path serves short inputs and doubles as a reference.
+stacked rows of shape (..., n) and transform the last axis as one product
+with a cached cosine basis.  The block codec keeps only the first K
+frequencies, so it multiplies by the basis's first K columns instead.
 """
 
 from __future__ import annotations
@@ -18,56 +18,32 @@ import math
 
 import numpy as np
 
-_DIRECT_MAX = 16  # below this the matrix product beats FFT call overhead
-
 
 @functools.lru_cache(maxsize=128)
-def _cos_matrix(n: int) -> np.ndarray:
-    # entry [i, k] = cos((2i+1) k pi / (2n))
+def cosine_basis(n: int, k: int) -> np.ndarray:
+    """Read-only (n, k) matrix with entry [i, j] = cos((2i+1) j pi / (2n))."""
     i = np.arange(n, dtype=float)
-    k = np.arange(n, dtype=float)
-    m = np.cos(np.outer(2.0 * i + 1.0, k) * (math.pi / (2.0 * n)))
+    j = np.arange(k, dtype=float)
+    m = np.outer(2.0 * i + 1.0, j)
+    m *= math.pi / (2.0 * n)
+    np.cos(m, out=m)
     m.setflags(write=False)
     return m
 
 
-@functools.lru_cache(maxsize=128)
-def _forward_twiddle(n: int) -> np.ndarray:
-    w = np.exp(-1j * np.pi * np.arange(n) / (2.0 * n))
-    w.setflags(write=False)
-    return w
-
-
-@functools.lru_cache(maxsize=128)
-def _inverse_twiddle(n: int) -> np.ndarray:
-    w = np.exp(1j * np.pi * np.arange(n) / (2.0 * n))
-    w.setflags(write=False)
-    return w
-
-
-def dct_forward(values, *, direct: bool = False) -> np.ndarray:
+def dct_forward(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     n = v.shape[-1]
     if n < 1:
         raise ValueError("cannot transform an empty signal")
-    if direct or n < _DIRECT_MAX:
-        c = 2.0 * (v @ _cos_matrix(n))
-    else:
-        ext = np.concatenate([v, v[..., ::-1]], axis=-1)
-        spectrum = np.fft.rfft(ext, axis=-1)[..., :n]
-        c = np.real(spectrum * _forward_twiddle(n))
+    c = 2.0 * (v @ cosine_basis(n, n))
     c[..., 0] = v.sum(axis=-1) * math.sqrt(1.0 / n)
     return c
 
 
-def dct_inverse(coeffs, *, direct: bool = False) -> np.ndarray:
+def dct_inverse(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     n = c.shape[-1]
     if n < 1:
         raise ValueError("cannot transform an empty spectrum")
-    if direct or n < _DIRECT_MAX:
-        return (c @ _cos_matrix(n).T) / n
-    spectrum = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
-    spectrum[..., :n] = c * _inverse_twiddle(n)
-    spectrum[..., 0] = 2.0 * c[..., 0]  # DC enters the sum once, AC terms twice
-    return np.fft.irfft(spectrum, 2 * n, axis=-1)[..., :n]
+    return (c @ cosine_basis(n, n).T) / n

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from codec_reference import dct_forward_ref, dct_inverse_ref
 from model_gen import random_model
 
 from pilotc import (
@@ -224,13 +225,13 @@ def test_dct_round_trip_and_path_equivalence():
         worst_rt = max(worst_rt, float(np.abs(back - v).max()) / scale)
         w = rng.normal(size=n)
         worst_fd = max(worst_fd, float(np.abs(
-            dct_forward(w) - dct_forward(w, direct=True)).max()))
+            dct_forward(w) - dct_forward_ref(w)).max()))
         worst_fd = max(worst_fd, float(np.abs(
-            dct_inverse(w) - dct_inverse(w, direct=True)).max()))
+            dct_inverse(w) - dct_inverse_ref(w)).max()))
     assert worst_rt <= 1e-9
     assert worst_fd <= 1e-8
     _report("dct tolerances",
-            f"round trip {worst_rt:.2e} <= 1e-9, fast vs direct {worst_fd:.2e} <= 1e-8")
+            f"round trip {worst_rt:.2e} <= 1e-9, library vs cosine sum {worst_fd:.2e} <= 1e-8")
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +298,20 @@ def test_linear_complexity_scaling():
     params = GEO.params(10.0, eps_t=0.01)
     compress(synthetic_trajectory(2000, dim=2, seed=1), params)  # warm caches
 
-    def timed(n):
-        traj = synthetic_trajectory(n, dim=2, seed=88)
-        t0 = time.perf_counter()
-        payload = serialize(compress(traj, params), params)
-        return time.perf_counter() - t0, len(payload)
-
-    t_small, _ = timed(100_000)
-    t_big, _ = timed(1_000_000)
+    # Best of three passes per size, the sizes interleaved.  A pass covers
+    # 10^6 points, as ten calls at 10^5 or one at 10^6: on a shared host the
+    # speed drifts over seconds, and the minimum over short passes would
+    # pick fast moments that a long pass averages away.
+    calls = {100_000: 10, 1_000_000: 1}
+    trajs = {n: synthetic_trajectory(n, dim=2, seed=88) for n in calls}
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(3):
+        for n, traj in trajs.items():
+            t0 = time.perf_counter()
+            for _ in range(calls[n]):
+                serialize(compress(traj, params), params)
+            best[n] = min(best[n], (time.perf_counter() - t0) / calls[n])
+    t_small, t_big = best[100_000], best[1_000_000]
     factor = t_big / t_small
     assert factor <= 13.0
     _report("linear complexity",

@@ -1,13 +1,31 @@
+import itertools
+
 import numpy as np
 import pytest
+from codec_reference import decode_series_ref, encode_series_ref
 
-from pilotc.blocks import BlockParams, block_compress, block_decompress, coeff_budget
+from pilotc.blocks import decode_rows, encode_rows
 from pilotc.errors import CorruptionError
-from pilotc.model import EncodedBlock
+from pilotc.model import CompressedTrajectory, UniformSeries
+from pilotc.params import PROFILES, Layout
+from pilotc.pipeline import _encode_series
+from pilotc.reconstruct import decompress_uniform
 from pilotc.transform import dct_forward
 
 
-BP = BlockParams(eps_f=0.01, r_ret=1.0, b_s=100)
+def layout(eps_f, r_ret, b_s):
+    return Layout(b_s=b_s, eps_f=eps_f, r_ret=r_ret, eps_d=1.0, eps_out=1.0)
+
+
+LAY = layout(eps_f=0.01, r_ret=1.0, b_s=100)
+
+
+def encode_one(samples, lay=LAY):
+    return encode_rows(np.asarray(samples)[None, :], lay)[0]
+
+
+def decode_one(q_coeffs, m, start, end, lay=LAY):
+    return decode_rows([q_coeffs], m, [start], [end], lay)[0]
 
 
 def test_velocity_construction_reference():
@@ -21,74 +39,67 @@ def test_velocity_construction_reference():
     assert centered.tolist() == [-1.5, -0.5, 0.5, 1.5]
     assert centered.sum() == 0.0
     # and the encoder stores that array's spectrum to within eps_f per slot
-    block = block_compress(s, BP)
+    q_coeffs = encode_one(s)
     spectrum = dct_forward(centered)
-    assert block.c_f <= 3
-    stored = np.array(block.q_coeffs) * (2 * BP.eps_f)
-    np.testing.assert_allclose(stored, spectrum[1:1 + block.c_f], atol=BP.eps_f)
+    assert len(q_coeffs) <= 3
+    stored = np.array(q_coeffs) * (2 * LAY.eps_f)
+    np.testing.assert_allclose(stored, spectrum[1:1 + len(q_coeffs)], atol=LAY.eps_f)
 
 
 def test_linear_block_stores_nothing():
     s = 3.0 + 0.7 * np.arange(41.0)
-    block = block_compress(s, BP)
-    assert block.c_f == 0
-    assert block.q_coeffs == ()
+    assert encode_one(s) == ()
 
 
 def test_coeff_budget_rule():
     # m = 100, r_ret = 0.04 keeps slots 1..3
-    assert coeff_budget(100, 0.04) == 4
-    assert coeff_budget(100, 1.0) == 100
-    assert coeff_budget(1, 0.001) == 1
-    block = block_compress(np.cumsum(np.random.default_rng(0).normal(5, 3, 101)),
-                           BlockParams(eps_f=0.01, r_ret=0.04, b_s=100))
-    assert block.c_f <= 3
+    assert layout(0.01, 0.04, 100).budget(100) == 4
+    assert layout(0.01, 1.0, 100).budget(100) == 100
+    assert layout(0.01, 0.001, 100).budget(1) == 1
+    q_coeffs = encode_one(np.cumsum(np.random.default_rng(0).normal(5, 3, 101)),
+                          layout(eps_f=0.01, r_ret=0.04, b_s=100))
+    assert len(q_coeffs) <= 3
 
 
 def test_trailing_zeros_are_stripped():
     rng = np.random.default_rng(1)
-    s = np.cumsum(rng.normal(0, 2, 51))
-    block = block_compress(s, BlockParams(eps_f=0.5, r_ret=1.0, b_s=50))
-    if block.c_f:
-        assert block.q_coeffs[-1] != 0
+    rows = np.cumsum(rng.normal(0, 2, (40, 51)), axis=1)
+    for q_coeffs in encode_rows(rows, layout(eps_f=0.5, r_ret=1.0, b_s=50)):
+        if q_coeffs:
+            assert q_coeffs[-1] != 0
 
 
 def test_round_trip_with_negligible_step():
     rng = np.random.default_rng(2)
     s = np.cumsum(rng.normal(1.0, 0.5, 33))
-    bp = BlockParams(eps_f=1e-12, r_ret=1.0, b_s=32)
-    block = block_compress(s, bp)
-    back = block_decompress(block, 32, float(s[0]), float(s[-1]), bp)
+    lay = layout(eps_f=1e-12, r_ret=1.0, b_s=32)
+    back = decode_one(encode_one(s, lay), 32, float(s[0]), float(s[-1]), lay)
     np.testing.assert_allclose(back, s, atol=1e-6)
 
 
 def test_zero_coeffs_interpolates_straight_line():
-    bp = BlockParams(eps_f=0.1, r_ret=1.0, b_s=10)
-    back = block_decompress(EncodedBlock(()), 10, 2.0, 12.0, bp)
+    lay = layout(eps_f=0.1, r_ret=1.0, b_s=10)
+    back = decode_one((), 10, 2.0, 12.0, lay)
     np.testing.assert_allclose(back, 2.0 + np.arange(11.0), atol=1e-12)
 
 
 def test_endpoints_are_exact():
     rng = np.random.default_rng(3)
-    bp = BlockParams(eps_f=0.3, r_ret=1.0, b_s=64)
+    lay = layout(eps_f=0.3, r_ret=1.0, b_s=64)
     s = np.cumsum(rng.normal(0.0, 4.0, 65))
-    block = block_compress(s, bp)
-    back = block_decompress(block, 64, -5.0, 11.25, bp)
+    back = decode_one(encode_one(s, lay), 64, -5.0, 11.25, lay)
     assert back[0] == -5.0
     assert back[-1] == pytest.approx(11.25, rel=1e-9)
 
 
 def test_quantization_error_stays_conservatively_bounded():
     rng = np.random.default_rng(4)
-    bp = BlockParams(eps_f=0.01, r_ret=1.0, b_s=100)
-    worst = 0.0
-    for _ in range(50):
-        speeds = np.convolve(rng.normal(3.0, 1.0, 120), np.ones(20) / 20, "valid")
-        s = np.cumsum(speeds)
-        block = block_compress(s, bp)
-        back = block_decompress(block, 100, float(s[0]), float(s[-1]), bp)
-        worst = max(worst, np.abs(back - s).max())
-    assert worst <= bp.eps_f * np.sqrt(100)
+    lay = layout(eps_f=0.01, r_ret=1.0, b_s=100)
+    speeds = np.stack([np.convolve(rng.normal(3.0, 1.0, 120), np.ones(20) / 20, "valid")
+                       for _ in range(50)])
+    s = np.cumsum(speeds, axis=1)
+    back = decode_rows(encode_rows(s, lay), 100, s[:, 0], s[:, -1], lay)
+    assert np.abs(back - s).max() <= lay.eps_f * np.sqrt(100)
 
 
 def test_variance_model_at_block_midpoint():
@@ -96,7 +107,6 @@ def test_variance_model_at_block_midpoint():
     # Var at sample k should follow (k*b_s - k^2) * eps_f^2 / (6 b_s^2)
     rng = np.random.default_rng(5)
     b_s, eps_f, trials = 100, 0.5, 20000
-    bp = BlockParams(eps_f=eps_f, r_ret=1.0, b_s=b_s)
     noise = rng.uniform(-eps_f, eps_f, size=(trials, b_s))
     noise[:, 0] = 0.0
     from pilotc.transform import dct_inverse
@@ -113,32 +123,59 @@ def test_truncation_monotonicity():
     s = np.cumsum(rng.normal(2.0, 1.5, 101))
     counts = []
     for r_ret in (1.0, 0.5, 0.25, 0.1, 0.05, 0.01):
-        block = block_compress(s, BlockParams(eps_f=0.05, r_ret=r_ret, b_s=100))
-        counts.append(block.c_f)
+        counts.append(len(encode_one(s, layout(eps_f=0.05, r_ret=r_ret, b_s=100))))
     assert counts == sorted(counts, reverse=True)
 
 
 def test_deterministic_encoding():
     rng = np.random.default_rng(7)
     s = np.cumsum(rng.normal(0, 3, 78))
-    bp = BlockParams(eps_f=0.02, r_ret=0.7, b_s=90)
-    assert block_compress(s, bp) == block_compress(s.copy(), bp)
+    lay = layout(eps_f=0.02, r_ret=0.7, b_s=90)
+    assert encode_one(s, lay) == encode_one(s.copy(), lay)
+    # a row codes the same alone and inside a batch
+    batch = np.stack([s[::-1], s, s + 4.0])
+    assert encode_rows(batch, lay)[1] == encode_one(s, lay)
 
 
 def test_malformed_blocks_rejected():
-    bp = BlockParams(eps_f=0.1, r_ret=1.0, b_s=10)
+    lay = layout(eps_f=0.1, r_ret=1.0, b_s=10)
     with pytest.raises(ValueError):
-        block_compress(np.array([1.0]), bp)
+        encode_rows(np.array([[1.0]]), lay)
     with pytest.raises(CorruptionError):
-        block_decompress(EncodedBlock((1, 2, 3)), 3, 0.0, 1.0, bp)
+        decode_one((1, 2, 3), 3, 0.0, 1.0, lay)
     with pytest.raises(ValueError):
-        block_decompress(EncodedBlock(()), 0, 0.0, 1.0, bp)
+        decode_one((), 0, 0.0, 1.0, lay)
 
 
 def test_block_params_validation():
-    with pytest.raises(ValueError):
-        BlockParams(eps_f=0.0, r_ret=1.0, b_s=10)
-    with pytest.raises(ValueError):
-        BlockParams(eps_f=1.0, r_ret=0.0, b_s=10)
-    with pytest.raises(ValueError):
-        BlockParams(eps_f=1.0, r_ret=1.0, b_s=1)
+    # every valid parameter set yields usable block knobs: b_s >= 2,
+    # eps_f > 0, r_ret in (0, 1] and a budget K(m) in 1..m
+    for name, prof in PROFILES.items():
+        for eps in (1e-6, 0.3, 10.0, 1e6):
+            lay = prof.params(eps).layout(2)
+            assert lay.b_s >= 2, name
+            assert lay.eps_f > 0.0
+            assert 0.0 < lay.r_ret <= 1.0
+            for m in (1, 2, lay.b_s):
+                assert 1 <= lay.budget(m) <= m
+
+
+@pytest.mark.parametrize("profile_name, eps", [("geolife", 10.0), ("mopsi", 0.3)])
+def test_batched_codec_matches_per_block_reference(profile_name, eps):
+    # every tail size 1..b_s, alone and behind two full blocks, in two dimensions
+    profile = PROFILES[profile_name]
+    params = profile.params(eps)
+    lay = params.layout(2)
+    rng = np.random.default_rng(8)
+    for n_full, tail in itertools.product((0, 2), range(1, lay.b_s + 1)):
+        n_samples = n_full * lay.b_s + tail + 1
+        values = np.cumsum(rng.normal(3.0, 2.0, (n_samples, 2)), axis=0)
+        seg = _encode_series(UniformSeries(0.0, 1.0, values), params)
+        assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p)
+
+        model = CompressedTrajectory(dim=2, dt=1.0, eps=eps, eps_t=1.0,
+                                     eps_p=params.eps_p, chunk_bits=2, segments=(seg,))
+        got = decompress_uniform(model, profile)[0].values
+        want = decode_series_ref(seg.p0_q, seg.blocks, n_samples, lay, params.eps_p)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+

@@ -35,6 +35,18 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.points, traj.points, rtol=1e-10)
 
 
+def test_csv_writer_matches_fixed_precision_text(tmp_path):
+    edge = [0.0, -0.0, 1e16, -1e16, 1e-300, 5e-324, -5e-324, 1 / 3, 2.0**53,
+            123456789.123456789]
+    times = 0.1 * np.arange(len(edge))
+    points = np.column_stack([edge, edge[::-1]])
+    path = tmp_path / "edge.csv"
+    write_positions_csv(path, times, points)
+    rows = [f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row)
+            for t, row in zip(times, points)]
+    assert path.read_text() == "\n".join(["t,x,y", *rows]) + "\n"
+
+
 def test_csv_errors_name_the_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,x,y\n0,1,2\n1,zzz,3\n")
@@ -167,3 +179,24 @@ def test_eval_empty_directory(tmp_path):
     empty.mkdir()
     assert main(["eval", "--originals", str(empty), "--compressed",
                  str(empty)]) == EXIT_DATA
+
+
+def test_readme_cli_example(tmp_path, monkeypatch):
+    # the README's CLI sequence, at a small size
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "-o", "corpus/", "--count", "2", "--points", "3000",
+                 "--kind", "mixed", "--seed", "7"]) == EXIT_OK
+    assert main(["compress", "corpus/", "-o", "compressed/", "--epsilon", "50",
+                 "--profile", "geolife", "--eps-t", "0.01"]) == EXIT_OK
+    assert main(["decompress", "compressed/mixed_000.plc", "-o", "grid.csv",
+                 "--grid"]) == EXIT_OK
+    # tail -n +2 corpus/mixed_000.csv | cut -d, -f1 > timestamps.txt
+    lines = (tmp_path / "corpus" / "mixed_000.csv").read_text().splitlines()[1:]
+    (tmp_path / "timestamps.txt").write_text(
+        "".join(line.split(",")[0] + "\n" for line in lines))
+    assert main(["decompress", "compressed/mixed_000.plc", "-o", "at.csv",
+                 "--at", "timestamps.txt"]) == EXIT_OK
+    assert main(["eval", "--originals", "corpus/", "--compressed", "compressed/",
+                 "--at-original-timestamps"]) == EXIT_OK
+    assert main(["eval", "--originals", "corpus/", "--epsilon-list", "10,20,50,100",
+                 "--eps-t", "0.01"]) == EXIT_OK

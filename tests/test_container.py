@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from model_gen import random_model
 
+from pilotc import container
 from pilotc.container import (
     MAGIC,
     pack_archive,
@@ -107,25 +108,41 @@ def test_serialize_validates_model_consistency():
         serialize(model, GEO)
 
 
-def test_serialize_rejects_budget_violation():
+def one_block_model(q_coeffs):
     # eps=10 geolife: b_s=30, r_ret=1.1/sqrt(10)=0.348 -> K-1 = 10 coefficients max
-    blocks = ((EncodedBlock(tuple(range(1, 13)), 0),),)
-    seg = SubTrajectorySegment(0, (0,), 31, blocks)
-    model = CompressedTrajectory(
+    seg = SubTrajectorySegment(0, (0,), 31, ((EncodedBlock(q_coeffs, 0),),))
+    return CompressedTrajectory(
         dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
         segments=(seg,))
+
+
+def unchecked_bytes(model, monkeypatch):
+    """The bytes serialize would write if it skipped its model checks."""
+    monkeypatch.setattr(container, "_validate_model", lambda *args: None)
+    return serialize(model, GEO)
+
+
+def test_serialize_rejects_budget_violation():
     with pytest.raises(ValueError):
-        serialize(model, GEO)
+        serialize(one_block_model(tuple(range(1, 13))), GEO)
 
 
 def test_serialize_rejects_trailing_zero_coefficient():
-    blocks = ((EncodedBlock((5, 0), 0),),)
-    seg = SubTrajectorySegment(0, (0,), 31, blocks)
-    model = CompressedTrajectory(
-        dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-        segments=(seg,))
     with pytest.raises(ValueError):
-        serialize(model, GEO)
+        serialize(one_block_model((5, 0)), GEO)
+
+
+def test_parse_rejects_budget_violation(monkeypatch):
+    # 12 coefficients fit under the old c_f < m rule but not under the budget
+    payload = unchecked_bytes(one_block_model(tuple(range(1, 13))), monkeypatch)
+    with pytest.raises(CorruptionError, match="budget"):
+        parse(payload, GEO)
+
+
+def test_parse_rejects_trailing_zero_coefficient(monkeypatch):
+    payload = unchecked_bytes(one_block_model((5, 0)), monkeypatch)
+    with pytest.raises(CorruptionError, match="zero coefficient"):
+        parse(payload, GEO)
 
 
 def test_serialize_rejects_negative_first_time_index():

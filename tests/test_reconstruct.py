@@ -4,7 +4,10 @@ import pytest
 from pilotc import (
     PROFILES,
     CodecParams,
+    CompressedTrajectory,
+    EncodedBlock,
     Reconstructor,
+    SubTrajectorySegment,
     compress,
     decompress_uniform,
     parse,
@@ -141,3 +144,13 @@ def test_scalar_and_single_queries(compressed):
     one = rec.query_one(float(traj.times[5]))
     assert one.shape == (2,)
     np.testing.assert_array_equal(one, rec.query(traj.times[5:6])[0])
+
+
+def test_end_delta_chain_beyond_int64_keeps_its_sign():
+    # two end deltas of 2**62 sum past the int64 range; the chain must not wrap
+    blocks = ((EncodedBlock((), 2**62), EncodedBlock((), 2**62)),)
+    model = CompressedTrajectory(
+        dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=4,
+        segments=(SubTrajectorySegment(0, (0,), 61, blocks),))
+    values = decompress_uniform(parse(serialize(model, GEO), GEO), GEO)[0].values
+    assert values[-1, 0] == pytest.approx(2.0**63 * 2.0 * 5.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
+from codec_reference import dct_forward_ref, dct_inverse_ref
 
 from pilotc.transform import dct_forward, dct_inverse
 
@@ -38,11 +39,9 @@ def test_round_trip_zero_sum(n):
 def test_fast_path_matches_direct(n):
     rng = np.random.default_rng(n + 1)
     v = rng.normal(size=n)
-    np.testing.assert_allclose(
-        dct_forward(v), dct_forward(v, direct=True), atol=1e-8)
+    np.testing.assert_allclose(dct_forward(v), dct_forward_ref(v), atol=1e-8)
     c = rng.normal(size=n)
-    np.testing.assert_allclose(
-        dct_inverse(c), dct_inverse(c, direct=True), atol=1e-8)
+    np.testing.assert_allclose(dct_inverse(c), dct_inverse_ref(c), atol=1e-8)
 
 
 def test_forward_matches_orthonormal_oracle():
