@@ -43,7 +43,7 @@ from .model import (
 )
 from .params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile
 from .pipeline import choose_dt, compress, resample, segment, validate_and_correct
-from .reconstruct import Reconstructor, decompress_uniform, query
+from .reconstruct import Reconstructor, decompress_uniform
 from .synth import synthetic_trajectory
 
 __version__ = "0.1.0"
@@ -78,7 +78,6 @@ __all__ = [
     "parse",
     "predicted_exceedance",
     "predicted_mean_error",
-    "query",
     "raw_size_bytes",
     "resample",
     "segment",

@@ -1,4 +1,4 @@
-"""Bit-level coding primitives: quantization, Zigzag mappings, Varint, bitstreams.
+"""Bit-level coding primitives: quantization, the enhanced Zigzag mapping, Varint.
 
 The Varint here is bit-oriented rather than byte-oriented.  A value is split
 into ``chunk_bits``-bit payload chunks, least-significant chunk first.  Each
@@ -7,14 +7,17 @@ chunk) followed by its payload bits, most-significant bit first.  Trailing
 all-zero chunks are never emitted, so the final chunk is the highest nonzero
 one (or a single zero chunk for the value 0).
 
-When the payload domain is the enhanced Zigzag mapping (every code >= 1) and
-``chunk_bits == 1``, the final chunk's payload bit is provably 1 and may be
-omitted from storage; the reader restores it when the final flag is seen.
+A signed field stores its enhanced Zigzag code (every code >= 1).  At
+``chunk_bits == 1`` the final chunk's payload bit of such a code is provably
+1 and is omitted from storage; the reader restores it when the final flag is
+seen.  :func:`pack_varints` writes a whole sequence of codes with array
+operations; :class:`VarintReader` reads them back one at a time.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .errors import CorruptionError, TruncationError
 
 _U64_LIMIT = 1 << 64
 _EXACT_FLOAT = float(1 << 53)  # largest range where float64 holds exact integers
+_PACK_BATCH = 1 << 12  # codes per pass of pack_varints, to keep its temporaries small
 
 
 def round_half_away(v: float) -> int:
@@ -92,22 +96,8 @@ def time_index_array(t, eps_t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# signed <-> unsigned mappings
+# signed -> unsigned mapping
 # ---------------------------------------------------------------------------
-
-def zigzag_map(n: int) -> int:
-    """n >= 0 -> 2n, n < 0 -> 2|n| - 1."""
-    u = 2 * n if n >= 0 else 2 * (-n) - 1
-    if u >= _U64_LIMIT:
-        raise OverflowError(f"zigzag code for {n} exceeds 64 bits")
-    return u
-
-
-def zigzag_unmap(u: int) -> int:
-    if u < 0:
-        raise ValueError(f"zigzag code must be non-negative, got {u}")
-    return u // 2 if u % 2 == 0 else -((u + 1) // 2)
-
 
 def enhanced_zigzag_map(n: int) -> int:
     """n >= 0 -> 2n + 1, n < 0 -> 2|n|; the result is always >= 1."""
@@ -124,178 +114,99 @@ def enhanced_zigzag_unmap(u: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# delta indexing
-# ---------------------------------------------------------------------------
-
-def delta_encode(values) -> np.ndarray:
-    """First element kept, every later one replaced by its delta."""
-    v = np.asarray(values, dtype=np.int64)
-    if v.size == 0:
-        return v.copy()
-    out = np.empty_like(v)
-    out[0] = v[0]
-    np.subtract(v[1:], v[:-1], out=out[1:])
-    return out
-
-
-def delta_decode(deltas) -> np.ndarray:
-    d = np.asarray(deltas, dtype=np.int64)
-    return np.cumsum(d, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# bitstream
-# ---------------------------------------------------------------------------
-
-class BitStream:
-    """Append-only bit buffer with an independent read cursor.
-
-    Bits map to bytes most-significant-bit first: the first bit written
-    becomes the MSB of byte 0.  ``to_bytes`` pads the final partial byte
-    with zero bits.  Single writer, single reader; not thread-safe.
-    """
-
-    __slots__ = ("_buf", "_acc", "_nacc", "_cursor")
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0  # pending bits not yet flushed to _buf
-        self._nacc = 0
-        self._cursor = 0
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitStream":
-        s = cls()
-        s._buf = bytearray(data)
-        return s
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._buf) + self._nacc
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
-    @property
-    def remaining_bits(self) -> int:
-        return self.bit_length - self._cursor
-
-    def seek(self, bit_position: int) -> None:
-        if not 0 <= bit_position <= self.bit_length:
-            raise ValueError(f"cannot seek to bit {bit_position} of {self.bit_length}")
-        self._cursor = bit_position
-
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(bit, 1)
-
-    def write_bits(self, value: int, count: int) -> None:
-        if count < 0 or value < 0 or value >> count:
-            raise ValueError(f"value {value} does not fit in {count} bits")
-        acc = (self._acc << count) | value
-        nacc = self._nacc + count
-        buf = self._buf
-        while nacc >= 8:
-            nacc -= 8
-            buf.append((acc >> nacc) & 0xFF)
-        self._acc = acc & ((1 << nacc) - 1)
-        self._nacc = nacc
-
-    def write_bytes(self, data: bytes) -> None:
-        if self._nacc == 0:
-            self._buf.extend(data)
-        else:
-            for b in data:
-                self.write_bits(b, 8)
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)
-
-    def read_bits(self, count: int) -> int:
-        start = self._cursor
-        end = start + count
-        if end > self.bit_length:
-            raise TruncationError(
-                f"bitstream exhausted: wanted {count} bits at {start}, "
-                f"have {self.bit_length}"
-            )
-        self._cursor = end
-        packed = 8 * len(self._buf)
-        if end <= packed:
-            first = start >> 3
-            last = (end + 7) >> 3
-            window = int.from_bytes(self._buf[first:last], "big")
-            return (window >> (8 * last - end)) & ((1 << count) - 1)
-        # request crosses into the unflushed tail; rare and small
-        result = 0
-        for i in range(start, end):
-            if i < packed:
-                bit = (self._buf[i >> 3] >> (7 - (i & 7))) & 1
-            else:
-                j = i - packed
-                bit = (self._acc >> (self._nacc - 1 - j)) & 1
-            result = (result << 1) | bit
-        return result
-
-    def read_bytes(self, count: int) -> bytes:
-        start = self._cursor
-        if start % 8 == 0 and start + 8 * count <= 8 * len(self._buf):
-            self._cursor = start + 8 * count
-            off = start >> 3
-            return bytes(self._buf[off:off + count])
-        return bytes(self.read_bits(8) for _ in range(count))
-
-    def to_bytes(self) -> bytes:
-        out = bytes(self._buf)
-        if self._nacc:
-            out += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return out
-
-
-# ---------------------------------------------------------------------------
 # varint
 # ---------------------------------------------------------------------------
 
-def varint_write(stream: BitStream, value: int, chunk_bits: int,
-                 omit_final_bit: bool = False) -> None:
-    """Write ``value`` as flag-prefixed chunks of ``chunk_bits`` payload bits."""
+def _check_chunk_bits(chunk_bits: int) -> None:
     if not 1 <= chunk_bits <= 32:
         raise ValueError(f"chunk length must be in 1..32, got {chunk_bits}")
-    if value < 0:
-        raise ValueError(f"varint value must be non-negative, got {value}")
-    if value >= _U64_LIMIT:
-        raise OverflowError(f"varint value {value} exceeds 64 bits")
-    if omit_final_bit and (chunk_bits != 1 or value < 1):
-        raise ValueError("final-bit omission requires chunk length 1 and value >= 1")
-    mask = (1 << chunk_bits) - 1
-    chunks = [value & mask]
-    value >>= chunk_bits
-    while value:
-        chunks.append(value & mask)
-        value >>= chunk_bits
-    flag = 1 << chunk_bits
-    for c in chunks[:-1]:
-        stream.write_bits(flag | c, chunk_bits + 1)
-    if omit_final_bit:
-        stream.write_bit(0)  # final payload is provably 1, not stored
-    else:
-        stream.write_bits(chunks[-1], chunk_bits + 1)
 
 
-def varint_read(stream: BitStream, chunk_bits: int, omit_final_bit: bool = False) -> int:
-    if not 1 <= chunk_bits <= 32:
-        raise ValueError(f"chunk length must be in 1..32, got {chunk_bits}")
-    result = 0
-    shift = 0
-    while True:
-        flag = stream.read_bit()
-        if flag == 0 and omit_final_bit:
-            payload = 1
-        else:
-            payload = stream.read_bits(chunk_bits)
-        result |= payload << shift
-        if flag == 0:
-            return result
-        shift += chunk_bits
-        if shift > 64:
+def pack_varints(codes, signed, chunk_bits: int) -> bytes:
+    """Write a sequence of codes as consecutive varints, zero-padded to bytes.
+
+    ``codes`` holds ints in 0..2**64-1.  ``signed`` is a boolean per code that
+    marks enhanced-zigzag codes, which must be >= 1; at chunk length 1 their
+    final payload bit is therefore 1 and is not stored.
+    """
+    _check_chunk_bits(chunk_bits)
+    signed = np.asarray(signed, dtype=bool)
+    parts = [_varint_bits(codes[i:i + _PACK_BATCH], signed[i:i + _PACK_BATCH], chunk_bits)
+             for i in range(0, len(codes), _PACK_BATCH)]
+    return np.packbits(np.concatenate(parts)).tobytes() if parts else b""
+
+
+def _varint_bits(codes, signed: np.ndarray, l: int) -> np.ndarray:
+    """The stored bits of a nonempty batch of codes, one uint8 per bit."""
+    try:
+        u = np.array(codes, dtype=np.uint64)
+    except OverflowError:
+        if min(codes) < 0:
+            raise ValueError("varint codes must be non-negative") from None
+        raise OverflowError("varint code exceeds 64 bits") from None
+    if (u[signed] == 0).any():
+        raise ValueError("a signed field needs an enhanced zigzag code >= 1")
+    # n chunks hold the codes in 2**(l*(n-1)) .. 2**(l*n) - 1
+    steps = np.left_shift(np.uint64(1), np.arange(l, 64, l, dtype=np.uint64))
+    n_chunks = 1 + np.searchsorted(steps, u, side="right")
+    last = np.cumsum(n_chunks) - 1  # chunk index of each code's final chunk
+    shift = l * (np.arange(last[-1] + 1) - np.repeat(last + 1 - n_chunks, n_chunks))
+    mask = (1 << l) - 1
+    word = ((np.repeat(u, n_chunks) >> shift.astype(np.uint64)) & mask) | (1 << l)
+    word[last] &= mask  # the final chunk's flag is 0
+    # one row per chunk: the flag, then the payload MSB first
+    rows = np.empty((word.size, l + 1), dtype=np.uint8)
+    for t in range(l + 1):
+        rows[:, t] = (word >> (l - t)) & 1
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[last[signed & (l == 1)], l] = False
+    return rows[keep]
+
+
+class VarintReader:
+    """Reads, in order, the varints that :func:`pack_varints` wrote.
+
+    The bits are held as a ``b"0"``/``b"1"`` string.  A read finds the
+    code's final flag with one regular-expression scan and parses the
+    payloads from slices.  It raises :class:`TruncationError` when the bits
+    run out, and :class:`CorruptionError` past 64 // l continuation chunks or
+    for a code of 2**64 or more, which no writer produces.
+    """
+
+    def __init__(self, data: bytes, chunk_bits: int) -> None:
+        l = chunk_bits
+        _check_chunk_bits(l)
+        self._bits = (np.unpackbits(np.frombuffer(data, dtype=np.uint8)) + ord("0")).tobytes()
+        self._flagged = re.compile(rb"(?:1[01]{%d}){0,%d}" % (l, 64 // l + 1))
+        self._payload = re.compile(rb"1([01]{%d})" % l)
+        self._max_flagged_bits = (64 // l) * (l + 1)
+        self._l = l
+        self._signed_final = 0 if l == 1 else l  # stored final payload bits
+        self.pos = 0
+
+    @property
+    def remaining_bits(self) -> int:
+        return len(self._bits) - self.pos
+
+    def unsigned(self) -> int:
+        return self._read(self._l)
+
+    def signed(self) -> int:
+        return enhanced_zigzag_unmap(self._read(self._signed_final))
+
+    def _read(self, final_bits: int) -> int:
+        bits, pos = self._bits, self.pos
+        end = self._flagged.match(bits, pos).end()
+        if end - pos > self._max_flagged_bits:
             raise CorruptionError("varint longer than any encodable value")
+        stop = end + 1 + final_bits
+        if stop > len(bits) or bits[end] != ord("0"):
+            raise TruncationError(f"bitstream exhausted inside the varint at bit {pos}")
+        chunks = self._payload.findall(bits, pos, end)
+        chunks.reverse()
+        # an implied final payload (final_bits == 0) is the bit 1
+        code = int((bits[end + 1:stop] or b"1") + b"".join(chunks), 2)
+        if code >> 64:
+            raise CorruptionError(f"varint code {code} exceeds 64 bits")
+        self.pos = stop
+        return code

@@ -17,10 +17,25 @@ Layout, version 1:
                  count, that many enhanced-zigzag varint coefficients
     zero padding to a byte boundary
 
-All varints use the header's chunk length.  The block partition is derived
-from the sample count and the block size, which in turn derives from eps
-and the dataset constants; a container therefore decodes correctly only
-with the constants it was encoded with.
+All varints use the header's chunk length l, so after the 40-byte header
+the body is one flat run of chunked varints (see ``codec``).  ``serialize``
+flattens the model into one list of field codes and writes it with a single
+:func:`~pilotc.codec.pack_varints` call; ``parse`` walks the same field
+order through one :class:`~pilotc.codec.VarintReader`.  At l = 1 a signed
+field's final payload bit is implied, so field boundaries depend on field
+types and the body cannot be split into fields without walking it.
+
+The block partition is derived from the sample count and the block size,
+which in turn derives from eps and the dataset constants; a container
+therefore decodes correctly only with the constants it was encoded with.
+
+``parse`` raises :class:`TruncationError` when the bits run out, including
+when a segment declares more blocks than the remaining bits can hold, and
+:class:`CorruptionError` for inconsistent content: a varint of more than
+64 // l continuation chunks or of value 2**64 or more, a zero code in a
+signed field, a block size or segment end index that overflows, a broken
+retention budget or a trailing zero coefficient, unread bytes or nonzero
+padding.
 """
 
 from __future__ import annotations
@@ -28,13 +43,13 @@ from __future__ import annotations
 import math
 import struct
 
+import numpy as np
+
 from .codec import (
-    BitStream,
+    VarintReader,
     enhanced_zigzag_map,
-    enhanced_zigzag_unmap,
+    pack_varints,
     round_half_away,
-    varint_read,
-    varint_write,
 )
 from .errors import CorruptionError, FormatError, TruncationError
 from .model import (
@@ -57,22 +72,6 @@ _ARCHIVE_CHUNK_BITS = 7  # framing varints are byte-oriented
 def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) -> int:
     """Grid-end time index of a segment, computable on both codec sides."""
     return t0_index + round_half_away((n_samples - 1) * dt / eps_t)
-
-
-def _write_unsigned(stream: BitStream, value: int, l: int) -> None:
-    varint_write(stream, value, l)
-
-
-def _write_signed(stream: BitStream, value: int, l: int) -> None:
-    varint_write(stream, enhanced_zigzag_map(value), l, omit_final_bit=(l == 1))
-
-
-def _read_unsigned(stream: BitStream, l: int) -> int:
-    return varint_read(stream, l)
-
-
-def _read_signed(stream: BitStream, l: int) -> int:
-    return enhanced_zigzag_unmap(varint_read(stream, l, omit_final_bit=(l == 1)))
 
 
 def _validate_model(model: CompressedTrajectory, profile) -> None:
@@ -126,48 +125,51 @@ def _validate_model(model: CompressedTrajectory, profile) -> None:
 def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     """Serialize a model; ``profile`` supplies the dataset constants a, b, c, d."""
     _validate_model(model, profile)
-    l = model.chunk_bits
-    s = BitStream()
-    s.write_bytes(MAGIC)
-    s.write_bits(VERSION, 8)
-    s.write_bits(model.dim, 8)
-    s.write_bits(0, 8)  # flags, reserved
-    s.write_bits(l, 8)
-    s.write_bytes(struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p))
-    _write_unsigned(s, len(model.segments), l)
-    _write_unsigned(s, len(model.outliers), l)
-    _write_unsigned(s, len(model.corrections), l)
+    # every field as one code, in container order; signed fields are
+    # enhanced-zigzag mapped, and the positions of the others are recorded
+    codes: list[int] = []
+    unsigned_at: list[int] = []
+
+    def unsigned(value: int) -> None:
+        unsigned_at.append(len(codes))
+        codes.append(value)
+
+    def signed(values) -> None:
+        codes.extend(map(enhanced_zigzag_map, values))
+
+    unsigned(len(model.segments))
+    unsigned(len(model.outliers))
+    unsigned(len(model.corrections))
 
     prev_t = 0
-    prev_coord = [0] * model.dim
+    prev_coord = (0,) * model.dim
     for e in model.outliers:
-        _write_unsigned(s, e.t_index - prev_t, l)
-        prev_t = e.t_index
-        for d in range(model.dim):
-            _write_signed(s, e.coord_q[d] - prev_coord[d], l)
-            prev_coord[d] = e.coord_q[d]
+        unsigned(e.t_index - prev_t)
+        signed(c - p for c, p in zip(e.coord_q, prev_coord))
+        prev_t, prev_coord = e.t_index, e.coord_q
 
     prev_t = 0
     for e in model.corrections:
-        _write_unsigned(s, e.t_index - prev_t, l)
+        unsigned(e.t_index - prev_t)
         prev_t = e.t_index
-        for v in e.delta_q:
-            _write_signed(s, v, l)
+        signed(e.delta_q)
 
     prev_end = 0
     for seg in model.segments:
-        _write_signed(s, seg.t0_index - prev_end, l)
+        signed((seg.t0_index - prev_end, *seg.p0_q))
         prev_end = segment_end_index(seg.t0_index, seg.n_samples, model.dt, model.eps_t)
-        for v in seg.p0_q:
-            _write_signed(s, v, l)
-        _write_unsigned(s, seg.n_samples, l)
+        unsigned(seg.n_samples)
         for per_dim in seg.blocks:
             for blk in per_dim:
-                _write_signed(s, blk.end_delta_q, l)
-                _write_unsigned(s, blk.c_f, l)
-                for q in blk.q_coeffs:
-                    _write_signed(s, q, l)
-    return s.to_bytes()
+                signed((blk.end_delta_q,))
+                unsigned(blk.c_f)
+                signed(blk.q_coeffs)
+
+    is_signed = np.ones(len(codes), dtype=bool)
+    is_signed[unsigned_at] = False
+    return (MAGIC + bytes((VERSION, model.dim, 0, model.chunk_bits))  # flags reserved
+            + struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p)
+            + pack_varints(codes, is_signed, model.chunk_bits))
 
 
 def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
@@ -191,53 +193,61 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     for name, v in (("dt", dt), ("eps", eps), ("eps_t", eps_t), ("eps_p", eps_p)):
         if not (v > 0.0 and math.isfinite(v)):
             raise CorruptionError(f"{name} field must be positive and finite, got {v}")
-    lay = Layout.derive(eps, eps_p, dim, profile)
+    # a block stores at least a signed end delta and an unsigned count of one
+    # chunk each; at l = 1 the end delta's final payload bit is implied
+    min_block_bits = 2 * (l + 1) - (l == 1)
 
-    s = BitStream.from_bytes(data)
-    s.seek(8 * (_HEADER_LEN + 8 * _FLOAT_FIELDS))
+    r = VarintReader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
     try:
-        n_segments = _read_unsigned(s, l)
-        n_outliers = _read_unsigned(s, l)
-        n_corrections = _read_unsigned(s, l)
+        lay = Layout.derive(eps, eps_p, dim, profile)
+        n_segments = r.unsigned()
+        n_outliers = r.unsigned()
+        n_corrections = r.unsigned()
 
         outliers = []
         t_idx = 0
         coord = [0] * dim
         for _ in range(n_outliers):
-            t_idx += _read_unsigned(s, l)
+            t_idx += r.unsigned()
             for d in range(dim):
-                coord[d] += _read_signed(s, l)
+                coord[d] += r.signed()
             outliers.append(OutlierEntry(t_idx, tuple(coord)))
 
         corrections = []
         t_idx = 0
         for _ in range(n_corrections):
-            t_idx += _read_unsigned(s, l)
-            deltas = tuple(_read_signed(s, l) for _ in range(dim))
+            t_idx += r.unsigned()
+            deltas = tuple(r.signed() for _ in range(dim))
             corrections.append(CorrectionEntry(t_idx, deltas))
 
         segments = []
         prev_end = 0
         for _ in range(n_segments):
-            t0_index = prev_end + _read_signed(s, l)
-            p0_q = tuple(_read_signed(s, l) for _ in range(dim))
-            n_samples = _read_unsigned(s, l)
+            t0_index = prev_end + r.signed()
+            p0_q = tuple(r.signed() for _ in range(dim))
+            n_samples = r.unsigned()
             if n_samples < 2:
                 raise CorruptionError(f"segment sample count {n_samples} below 2")
             prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
+            n_blocks = -(-(n_samples - 1) // lay.b_s)
+            if dim * n_blocks * min_block_bits > r.remaining_bits:
+                raise TruncationError(
+                    f"segment declares {n_blocks} blocks per dimension, more than "
+                    f"the {r.remaining_bits} remaining bits can hold"
+                )
             sizes = block_lengths(n_samples - 1, lay.b_s)
             per_dims = []
             for _ in range(dim):
                 blks = []
                 for m in sizes:
-                    end_delta = _read_signed(s, l)
-                    c_f = _read_unsigned(s, l)
+                    end_delta = r.signed()
+                    c_f = r.unsigned()
                     if c_f > lay.budget(m) - 1:
                         raise CorruptionError(
                             f"block declares {c_f} coefficients, the retention "
                             f"budget for {m} velocities is {lay.budget(m) - 1}"
                         )
-                    coeffs = tuple(_read_signed(s, l) for _ in range(c_f))
+                    coeffs = tuple(r.signed() for _ in range(c_f))
                     if c_f and coeffs[-1] == 0:
                         raise CorruptionError("block ends in a zero coefficient")
                     blks.append(EncodedBlock(coeffs, end_delta))
@@ -247,10 +257,12 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
             )
     except ValueError as exc:  # signed decode of a zero code, bad counts, ...
         raise CorruptionError(str(exc)) from exc
+    except OverflowError as exc:  # b * eps + c or (n - 1) * dt / eps_t is inf
+        raise CorruptionError(f"block size or segment end out of range: {exc}") from exc
 
-    if s.remaining_bits >= 8:
-        raise CorruptionError(f"{s.remaining_bits} unread bits after the payload")
-    if s.remaining_bits and s.read_bits(s.remaining_bits) != 0:
+    if r.remaining_bits >= 8:
+        raise CorruptionError(f"{r.remaining_bits} unread bits after the payload")
+    if data[-1] & ((1 << r.remaining_bits) - 1):
         raise CorruptionError("nonzero padding bits at end of container")
 
     return CompressedTrajectory(
@@ -262,21 +274,26 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
 
 def pack_archive(containers: list[bytes]) -> bytes:
     """Concatenate containers, each prefixed with its varint byte length."""
-    s = BitStream()
+    out = bytearray()
     for payload in containers:
-        varint_write(s, len(payload), _ARCHIVE_CHUNK_BITS)
-        s.write_bytes(payload)
-    return s.to_bytes()
+        out += pack_varints([len(payload)], [False], _ARCHIVE_CHUNK_BITS)
+        out += payload
+    return bytes(out)
 
 
 def unpack_archive(data: bytes) -> list[bytes]:
-    s = BitStream.from_bytes(data)
     out = []
-    while s.remaining_bits >= 8:
-        length = varint_read(s, _ARCHIVE_CHUNK_BITS)
-        if length * 8 > s.remaining_bits:
+    off = 0
+    while off < len(data):
+        # a prefix is at most 64 // 7 continuation bytes and a final one
+        prefix = VarintReader(data[off:off + 64 // _ARCHIVE_CHUNK_BITS + 1],
+                              _ARCHIVE_CHUNK_BITS)
+        length = prefix.unsigned()
+        off += prefix.pos // 8
+        if off + length > len(data):
             raise TruncationError(
-                f"archive entry claims {length} bytes, {s.remaining_bits // 8} remain"
+                f"archive entry claims {length} bytes, {len(data) - off} remain"
             )
-        out.append(s.read_bytes(length))
+        out.append(data[off:off + length])
+        off += length
     return out

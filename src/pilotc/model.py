@@ -131,10 +131,6 @@ class CompressedTrajectory:
             for per_dim in seg.blocks:
                 yield from per_dim
 
-    @property
-    def n_uniform_samples(self) -> int:
-        return sum(seg.n_samples for seg in self.segments)
-
 
 def block_lengths(n_velocities: int, b_s: int) -> list[int]:
     """Velocity counts per block: full blocks of b_s plus one partial tail."""

@@ -140,12 +140,3 @@ class Reconstructor:
                 if hit.any():
                     vals[hit] += self._corr_delta[pos_c[hit]]
             out[sel] = vals
-
-    def query_one(self, timestamp: float) -> np.ndarray:
-        return self.query([timestamp])[0]
-
-
-def query(model: CompressedTrajectory, timestamps,
-          constants=DEFAULT_PROFILE) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`Reconstructor`."""
-    return Reconstructor(model, constants).query(timestamps)

@@ -4,28 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotc.codec import (
-    BitStream,
-    delta_decode,
-    delta_encode,
+    VarintReader,
     dequantize,
     dequantize_array,
     enhanced_zigzag_map,
     enhanced_zigzag_unmap,
+    pack_varints,
     quantize,
     quantize_array,
     time_from_index,
     time_index,
-    varint_read,
-    varint_write,
-    zigzag_map,
-    zigzag_unmap,
 )
 from pilotc.errors import CorruptionError, TruncationError
 
 
-def bits_of(stream: BitStream) -> str:
-    stream.seek(0)
-    return "".join(str(stream.read_bit()) for _ in range(stream.bit_length))
+def bits_of(data: bytes) -> str:
+    return "".join(f"{b:08b}" for b in data)
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +73,8 @@ def test_time_index_uses_single_step():
 
 
 # ---------------------------------------------------------------------------
-# zigzag mappings
+# zigzag mapping
 # ---------------------------------------------------------------------------
-
-def test_zigzag_reference_values():
-    assert zigzag_map(227) == 454
-    assert zigzag_map(0) == 0
-    assert zigzag_map(-3) == 5
-
 
 def test_enhanced_zigzag_reference_values():
     assert enhanced_zigzag_map(227) == 455
@@ -109,155 +97,144 @@ def test_enhanced_zigzag_never_zero_and_bijective():
 
 
 def test_zigzag_inverse_and_errors():
-    for n in range(-500, 501):
-        assert zigzag_unmap(zigzag_map(n)) == n
+    for n in (2**63 - 1, -(2**63 - 1)):
+        assert enhanced_zigzag_unmap(enhanced_zigzag_map(n)) == n
     with pytest.raises(ValueError):
         enhanced_zigzag_unmap(0)
     with pytest.raises(OverflowError):
-        zigzag_map(1 << 63)
+        enhanced_zigzag_map(1 << 63)
     with pytest.raises(OverflowError):
         enhanced_zigzag_map(-(1 << 63) - 1)
 
 
 # ---------------------------------------------------------------------------
-# delta indexing
+# varint writer and reader
 # ---------------------------------------------------------------------------
-
-def test_delta_reference_values():
-    assert delta_encode([64, 66, 65]).tolist() == [64, 2, -1]
-    assert delta_encode([5]).tolist() == [5]
-    assert delta_encode([]).tolist() == []
-
-
-@given(st.lists(st.integers(-(2**40), 2**40), max_size=60))
-def test_delta_round_trip(values):
-    assert delta_decode(delta_encode(values)).tolist() == values
-
-
-# ---------------------------------------------------------------------------
-# bitstream
-# ---------------------------------------------------------------------------
-
-def test_bitstream_write_then_read_same_cursor():
-    s = BitStream()
-    s.write_bits(0b1011, 4)
-    s.write_bits(0b0, 1)
-    s.write_bits(0xABCD, 16)
-    assert s.bit_length == 21
-    assert s.read_bits(4) == 0b1011
-    assert s.read_bit() == 0
-    assert s.read_bits(16) == 0xABCD
-
 
 def test_bitstream_byte_padding_is_zero():
-    s = BitStream()
-    s.write_bits(0b101, 3)
-    data = s.to_bytes()
-    assert data == bytes([0b10100000])
-    back = BitStream.from_bytes(data)
-    assert back.bit_length == 8
-    assert back.read_bits(3) == 0b101
-    assert back.read_bits(5) == 0
+    # 5 at l = 2: chunks 01 (flagged) and 01 (final), then two zero pad bits
+    data = pack_varints([5], [False], 2)
+    assert data == bytes([0b10100100])
+    r = VarintReader(data, 2)
+    assert r.unsigned() == 5
+    assert r.remaining_bits == 2
 
 
 def test_bitstream_exhaustion_raises_truncation():
-    s = BitStream.from_bytes(b"\xff")
-    s.read_bits(8)
+    data = pack_varints([3], [False], 7)
+    r = VarintReader(data, 7)
+    assert r.unsigned() == 3
     with pytest.raises(TruncationError):
-        s.read_bit()
+        r.unsigned()
+    with pytest.raises(TruncationError):
+        VarintReader(b"\x80", 7).unsigned()  # a flagged chunk, then nothing
+    r = VarintReader(b"\x01", 1)
+    assert [r.signed() for _ in range(7)] == [0] * 7  # bare final flags, implied 1
+    with pytest.raises(TruncationError):
+        r.signed()  # a flag 1 with its payload bit missing
 
 
 def test_bitstream_rejects_out_of_range_values():
-    s = BitStream()
     with pytest.raises(ValueError):
-        s.write_bits(4, 2)
-    with pytest.raises(ValueError):
-        s.write_bits(-1, 4)
+        pack_varints([3, -1], [False, False], 7)
+    with pytest.raises(OverflowError):
+        pack_varints([1 << 64], [False], 7)
+    for l in (0, 33):
+        with pytest.raises(ValueError):
+            pack_varints([1], [False], l)
+        with pytest.raises(ValueError):
+            VarintReader(b"\x00", l)
 
 
-@given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(1, 24)), max_size=40))
-def test_bitstream_mixed_round_trip(items):
-    s = BitStream()
-    for value, width in items:
-        s.write_bits(value & ((1 << width) - 1), width)
-    for value, width in items:
-        assert s.read_bits(width) == value & ((1 << width) - 1)
+_FIELD = st.one_of(
+    st.tuples(st.just(False), st.integers(0, 2**64 - 1)),
+    st.tuples(st.just(True), st.integers(-(2**63 - 1), 2**63 - 1)),
+)
 
 
-# ---------------------------------------------------------------------------
-# varint
-# ---------------------------------------------------------------------------
+@given(st.lists(_FIELD, max_size=40), st.integers(1, 32))
+def test_bitstream_mixed_round_trip(fields, l):
+    signed = [s for s, _ in fields]
+    codes = [enhanced_zigzag_map(v) if s else v for s, v in fields]
+    r = VarintReader(pack_varints(codes, signed, l), l)
+    assert [r.signed() if s else r.unsigned() for s in signed] == [v for _, v in fields]
+    assert r.remaining_bits < 8
+
 
 def test_varint_227_bit_pattern():
     # 227 -> low chunk 1100011 (99) flagged, high chunk 0000001 final
-    s = BitStream()
-    varint_write(s, 227, 7)
-    assert bits_of(s) == "11100011" + "00000001"
-    s.seek(0)
-    assert varint_read(s, 7) == 227
+    data = pack_varints([227], [False], 7)
+    assert bits_of(data) == "11100011" + "00000001"
+    assert VarintReader(data, 7).unsigned() == 227
 
 
 def test_varint_zero_single_chunk():
-    s = BitStream()
-    varint_write(s, 0, 7)
-    assert bits_of(s) == "00000000"
-    s.seek(0)
-    assert varint_read(s, 7) == 0
+    data = pack_varints([0], [False], 7)
+    assert bits_of(data) == "00000000"
+    assert VarintReader(data, 7).unsigned() == 0
 
 
 def test_varint_455_omitted_final_bit():
-    # 455 = 111000111; eight flagged 1-bit chunks then a bare final flag
-    s = BitStream()
-    varint_write(s, 455, 1, omit_final_bit=True)
-    assert s.bit_length == 17
-    assert bits_of(s) == "11" * 3 + "10" * 3 + "11" * 2 + "0"
-    s.seek(0)
-    assert varint_read(s, 1, omit_final_bit=True) == 455
+    # 455 = 111000111, the enhanced zigzag code of 227; eight flagged 1-bit
+    # chunks then a bare final flag, then seven zero pad bits
+    data = pack_varints([455], [True], 1)
+    assert bits_of(data) == "11" * 3 + "10" * 3 + "11" * 2 + "0" + "0" * 7
+    r = VarintReader(data, 1)
+    assert r.signed() == 227
+    assert r.pos == 17
 
 
 def test_varint_omission_preconditions():
-    s = BitStream()
-    with pytest.raises(ValueError):
-        varint_write(s, 0, 1, omit_final_bit=True)
-    with pytest.raises(ValueError):
-        varint_write(s, 5, 2, omit_final_bit=True)
-    with pytest.raises(ValueError):
-        varint_write(s, -1, 7)
-    with pytest.raises(OverflowError):
-        varint_write(s, 1 << 64, 7)
+    # a signed field holds an enhanced zigzag code, never 0
+    for l in (1, 2):
+        with pytest.raises(ValueError):
+            pack_varints([0], [True], l)
+    # only chunk length 1 omits the final payload bit
+    assert pack_varints([5], [True], 2) == pack_varints([5], [False], 2)
+    assert pack_varints([5], [True], 1) != pack_varints([5], [False], 1)
 
 
 def test_varint_omitted_round_trip_dense():
-    s = BitStream()
-    for u in range(1, 2**12):
-        varint_write(s, u, 1, omit_final_bit=True)
-    for u in range(1, 2**12):
-        assert varint_read(s, 1, omit_final_bit=True) == u
+    codes = range(1, 2**12)
+    r = VarintReader(pack_varints(codes, [True] * len(codes), 1), 1)
+    for u in codes:
+        assert r.signed() == enhanced_zigzag_unmap(u)
 
 
 def test_varint_bit_length_formula_and_monotonicity():
     for l in range(1, 9):
         prev = 0
         for u in (0, 1, 2, 3, 7, 8, 127, 128, 255, 1023, 2**16, 2**32 - 1):
-            s = BitStream()
-            varint_write(s, u, l)
+            data = pack_varints([u], [False], l)
+            r = VarintReader(data, l)
+            assert r.unsigned() == u
             chunks = max(1, -(-u.bit_length() // l))
-            assert s.bit_length == (l + 1) * chunks
-            assert s.bit_length >= prev
-            prev = s.bit_length
+            assert r.pos == (l + 1) * chunks
+            assert len(data) == -(-r.pos // 8)
+            assert r.pos >= prev
+            prev = r.pos
 
 
 def test_varint_corrupt_unterminated_flags():
-    s = BitStream.from_bytes(b"\xff" * 40)
     with pytest.raises(CorruptionError):
-        varint_read(s, 1)
+        VarintReader(b"\xff" * 40, 1).unsigned()
+
+
+def test_varint_code_beyond_64_bits_is_corrupt():
+    # 64 // l continuation chunks are allowed, but no code reaches 2**64
+    for l in (1, 7, 32):
+        n_flagged = 64 // l
+        bits = ("1" + "0" * l) * n_flagged + "0" + "1" * l
+        bits += "0" * (-len(bits) % 8)
+        data = int(bits, 2).to_bytes(len(bits) // 8, "big")
+        with pytest.raises(CorruptionError):
+            VarintReader(data, l).unsigned()
+    assert VarintReader(pack_varints([2**64 - 1], [False], 1), 1).unsigned() == 2**64 - 1
 
 
 @settings(max_examples=300)
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(1, 8))
 def test_signed_varint_round_trip_property(n, l):
-    s = BitStream()
-    varint_write(s, zigzag_map(n), l)
-    varint_write(s, enhanced_zigzag_map(n), l, omit_final_bit=(l == 1))
-    assert zigzag_unmap(varint_read(s, l)) == n
-    assert enhanced_zigzag_unmap(varint_read(s, l, omit_final_bit=(l == 1))) == n
+    r = VarintReader(pack_varints([abs(n), enhanced_zigzag_map(n)], [False, True], l), l)
+    assert r.unsigned() == abs(n)
+    assert r.signed() == n

@@ -1,10 +1,19 @@
+import json
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from model_gen import random_model
 
+import pilotc
 from pilotc import container
+from pilotc.codec import enhanced_zigzag_map, pack_varints
 from pilotc.container import (
     MAGIC,
+    VERSION,
     pack_archive,
     parse,
     serialize,
@@ -91,7 +100,6 @@ def test_trailing_garbage_rejected():
 
 
 def test_corrupt_float_fields_rejected():
-    import struct
     payload = bytearray(serialize(empty_model(), GEO))
     payload[8:16] = struct.pack("<d", float("nan"))
     with pytest.raises(CorruptionError):
@@ -178,3 +186,90 @@ def test_archive_round_trip():
     assert unpack_archive(b"") == []
     with pytest.raises(TruncationError):
         unpack_archive(packed[:-1])
+
+
+def crafted(fields, dt=1.0, eps=10.0, chunk_bits=2):
+    """A 1-D container with the given header floats and body fields, where
+    each field is ("u", value) or ("s", value) for an unsigned or signed one."""
+    codes = [enhanced_zigzag_map(v) if kind == "s" else v for kind, v in fields]
+    return (MAGIC + bytes((VERSION, 1, 0, chunk_bits))
+            + struct.pack("<dddd", dt, eps, 1.0, 5.0)
+            + pack_varints(codes, [kind == "s" for kind, _ in fields], chunk_bits))
+
+
+def one_segment(n_samples):
+    # counts (1 segment, no outliers or corrections), t0 delta, p0, sample
+    # count, then one block: end delta and an empty coefficient list
+    return [("u", 1), ("u", 0), ("u", 0), ("s", 0), ("s", 0), ("u", n_samples),
+            ("s", 0), ("u", 0)]
+
+
+def test_parse_rejects_more_blocks_than_bits_before_allocating():
+    valid = crafted(one_segment(11))
+    assert serialize(parse(valid, GEO), GEO) == valid
+    # 2**62 samples at b_s = 30 would allocate ~1.5e17 block lengths
+    payload = crafted(one_segment(2**62))
+    with pytest.raises(TruncationError, match="blocks"):
+        parse(payload, GEO)
+
+
+def test_parse_maps_segment_end_overflow_to_corruption():
+    # (n_samples - 1) * dt / eps_t is inf for dt = 1e308
+    payload = crafted(one_segment(3), dt=1e308)
+    with pytest.raises(CorruptionError, match="out of range"):
+        parse(payload, GEO)
+
+
+def test_parse_maps_block_size_overflow_to_corruption():
+    # b * eps + c is inf for nuplan's b = 20 at eps = 1e308
+    payload = crafted(one_segment(3), eps=1e308)
+    with pytest.raises(CorruptionError, match="out of range"):
+        parse(payload, PROFILES["nuplan"])
+
+
+_FUZZ = """
+import json, resource, sys
+sys.path[:0] = {paths!r}
+from model_gen import random_model
+import numpy as np
+from pilotc import PROFILES, parse, serialize
+from pilotc.errors import PilotCError
+
+# cap the address space 512 MiB above what the imports mapped
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (512 << 20),) * 2)
+geo = PROFILES["geolife"]
+escapes = []
+for chunk_bits in (1, 2):
+    # seed 36 gives two segments, outliers and corrections in under 200 bytes
+    model = random_model(np.random.default_rng(36), dim=2, eps=50.0, chunk_bits=chunk_bits)
+    payload = serialize(model, geo)
+    cases = [payload[:cut] for cut in range(len(payload))]
+    for bit in range(8 * len(payload)):
+        flipped = bytearray(payload)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        cases.append(bytes(flipped))
+    for case in cases:
+        try:
+            parse(case, geo)
+        except PilotCError:
+            pass
+        except Exception as exc:
+            escapes.append(f"l={{chunk_bits}}, {{len(case)}} bytes: {{exc!r}}")
+print(json.dumps(escapes[:10]))
+"""
+
+
+def test_parse_fuzz_bit_flips_and_truncations():
+    # every truncation and every single-bit flip of a small container at
+    # l = 1 and at l = 2 must parse or raise a PilotCError; the child
+    # process caps its own address space, so a huge allocation fails fast
+    pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("needs /proc/self/statm to size the address-space cap")
+    paths = [str(Path(pilotc.__file__).parents[1]), str(Path(__file__).parent)]
+    proc = subprocess.run([sys.executable, "-c", _FUZZ.format(paths=paths)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -11,7 +11,6 @@ from pilotc import (
     compress,
     decompress_uniform,
     parse,
-    query,
     serialize,
     synthetic_trajectory,
 )
@@ -131,17 +130,10 @@ def test_corrected_query_applies_residual():
     assert sed.max() <= params.eps_p + 1e-9
 
 
-def test_query_convenience_wrapper(compressed):
-    traj, params, model = compressed
-    np.testing.assert_array_equal(
-        query(model, traj.times[:10], params),
-        Reconstructor(model, params).query(traj.times[:10]))
-
-
 def test_scalar_and_single_queries(compressed):
     traj, params, model = compressed
     rec = Reconstructor(model, params)
-    one = rec.query_one(float(traj.times[5]))
+    one = rec.query([float(traj.times[5])])[0]
     assert one.shape == (2,)
     np.testing.assert_array_equal(one, rec.query(traj.times[5:6])[0])
 
