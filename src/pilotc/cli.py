@@ -83,16 +83,24 @@ def _raise_with_line_number(path: Path):
     raise DataError(f"{path}: malformed CSV")
 
 
+_CSV_BLOCK_ROWS = 1 << 14  # rows per formatting pass, to bound the text held at once
+
+
 def write_positions_csv(path, times, points) -> None:
     """Atomic CSV write: temp file in the target directory, then rename."""
     path = Path(path)
     points = np.asarray(points)
     header = "t," + ",".join("xyz"[d] if d < 3 else f"c{d}" for d in range(points.shape[1]))
+    table = np.column_stack([times, points])
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            np.savetxt(fh, np.column_stack([times, points]), fmt="%.12g",
-                       delimiter=",", header=header, comments="")
+            fh.write(header + "\n")
+            # one % operation formats a whole block of rows
+            for i in range(0, len(table), _CSV_BLOCK_ROWS):
+                block = table[i:i + _CSV_BLOCK_ROWS]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

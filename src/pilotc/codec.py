@@ -11,7 +11,11 @@ A signed field stores its enhanced Zigzag code (every code >= 1).  At
 ``chunk_bits == 1`` the final chunk's payload bit of such a code is provably
 1 and is omitted from storage; the reader restores it when the final flag is
 seen.  :func:`pack_varints` writes a whole sequence of codes with array
-operations; :class:`VarintReader` reads them back one at a time.
+operations.  :func:`varint_reader` picks the reader for a body: at
+``chunk_bits >= 2`` every chunk is ``chunk_bits + 1`` bits, so
+:class:`ColumnarReader` splits the whole body into fields up front; at
+``chunk_bits == 1`` a field's length depends on its type, and
+:class:`VarintReader` finds each field's end when it is read.
 """
 
 from __future__ import annotations
@@ -194,6 +198,9 @@ class VarintReader:
     def signed(self) -> int:
         return enhanced_zigzag_unmap(self._read(self._signed_final))
 
+    def signeds(self, n: int) -> tuple[int, ...]:
+        return tuple([self.signed() for _ in range(n)])
+
     def _read(self, final_bits: int) -> int:
         bits, pos = self._bits, self.pos
         end = self._flagged.match(bits, pos).end()
@@ -210,3 +217,112 @@ class VarintReader:
             raise CorruptionError(f"varint code {code} exceeds 64 bits")
         self.pos = stop
         return code
+
+
+class ColumnarReader:
+    """Reads, in order, the varints of a body written at chunk length >= 2.
+
+    Every chunk is l + 1 bits there, so a field ends at each chunk whose flag
+    is 0 whatever the field's type.  The whole body is tokenized when the
+    reader is built: each field's code and its enhanced-zigzag value come
+    from array operations, and reads take them by index or by slice.  Errors
+    stay lazy: a read raises what :class:`VarintReader` raises on the same
+    bits, and only when it reaches the first field that cannot be read.
+    """
+
+    def __init__(self, data: bytes, chunk_bits: int) -> None:
+        l = chunk_bits
+        if not 2 <= l <= 32:
+            raise ValueError(f"columnar chunk length must be in 2..32, got {l}")
+        width = l + 1
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        rows = bits[:bits.size - bits.size % width].reshape(-1, width)
+        final = np.flatnonzero(rows[:, 0] == 0)  # each field's final chunk
+        n_chunks = int(final[-1]) + 1 if final.size else 0
+        payload = np.zeros(n_chunks, dtype=np.uint64)
+        for t in range(1, width):
+            payload <<= np.uint64(1)
+            payload |= rows[:n_chunks, t]
+        first = np.zeros_like(final)  # each field's first chunk
+        first[1:] = final[:-1] + 1
+        # chunk k of a field holds the code's bits l*k .. l*k + l - 1
+        shift = l * (np.arange(n_chunks) - np.repeat(first, final + 1 - first))
+        max_flagged = 64 // l
+        top = shift[final]
+        too_long = top > l * max_flagged
+        # only a final chunk can reach bit 64; at l = 2, 4, 8, 16 and 32 its
+        # shift can be 64 itself, which numpy's shift does not define
+        high = ~too_long & (top > 64 - l)
+        rest = np.clip(64 - top, 0, 63).astype(np.uint64)
+        over = high & ((payload[final] >> rest) != 0)
+        payload <<= np.minimum(shift, 63).astype(np.uint64)
+        codes = np.add.reduceat(payload, first)
+        del payload, shift
+
+        bad = too_long | over
+        # flagged chunks after the last final flag, where the bits run out
+        tail_flagged = rows.shape[0] - n_chunks
+        self._good = int(bad.argmax()) if bad.any() else final.size  # first bad field
+        self._too_long = (bool(too_long[self._good]) if self._good < final.size
+                          else tail_flagged > max_flagged)
+        half = (codes >> np.uint64(1)).astype(np.int64)
+        values = np.where(codes & np.uint64(1), half, -half).tolist()
+        for i in np.flatnonzero(codes == 0).tolist():
+            values[i] = None  # no enhanced zigzag code is 0
+        self._codes = codes.tolist()
+        self._values = values
+        self._bit_end = (final + 1) * width
+        self._n_bits = bits.size
+        self._next = 0
+
+    @property
+    def pos(self) -> int:
+        return int(self._bit_end[self._next - 1]) if self._next else 0
+
+    @property
+    def remaining_bits(self) -> int:
+        return self._n_bits - self.pos
+
+    def unsigned(self) -> int:
+        i = self._next
+        if i >= self._good:
+            self._fail(i)
+        self._next = i + 1
+        return self._codes[i]
+
+    def signed(self) -> int:
+        i = self._next
+        v = self._values[i] if i < self._good else None
+        if v is None:
+            self._fail(i)
+        self._next = i + 1
+        return v
+
+    def signeds(self, n: int) -> tuple[int, ...]:
+        i = self._next
+        values = self._values[i:i + n]
+        if i + n > self._good or None in values:
+            for k, v in enumerate(values[:self._good - i]):
+                if v is None:
+                    self._fail(i + k)
+            self._fail(self._good)
+        self._next = i + n
+        return tuple(values)
+
+    def _fail(self, i: int) -> None:
+        """Raise the error of reading field ``i``, the first that fails."""
+        if i < self._good:
+            raise ValueError("enhanced zigzag code must be >= 1, got 0")
+        if self._too_long:
+            raise CorruptionError("varint longer than any encodable value")
+        if i < len(self._codes):
+            raise CorruptionError("varint code exceeds 64 bits")
+        self._next = i
+        raise TruncationError(f"bitstream exhausted inside the varint at bit {self.pos}")
+
+
+def varint_reader(data: bytes, chunk_bits: int) -> VarintReader | ColumnarReader:
+    """The reader for a container body of the given chunk length."""
+    if chunk_bits == 1:
+        return VarintReader(data, chunk_bits)
+    return ColumnarReader(data, chunk_bits)

@@ -21,9 +21,12 @@ All varints use the header's chunk length l, so after the 40-byte header
 the body is one flat run of chunked varints (see ``codec``).  ``serialize``
 flattens the model into one list of field codes and writes it with a single
 :func:`~pilotc.codec.pack_varints` call; ``parse`` walks the same field
-order through one :class:`~pilotc.codec.VarintReader`.  At l = 1 a signed
-field's final payload bit is implied, so field boundaries depend on field
-types and the body cannot be split into fields without walking it.
+order through the reader :func:`~pilotc.codec.varint_reader` picks.  At
+l >= 2 every chunk is l + 1 bits, so that reader has already split the
+whole body into fields with array operations, and the walk only takes them
+in order.  At l = 1 a signed field's final payload bit is implied, so field
+boundaries depend on field types; only there does the walk find where each
+field ends.
 
 The block partition is derived from the sample count and the block size,
 which in turn derives from eps and the dataset constants; a container
@@ -50,6 +53,7 @@ from .codec import (
     enhanced_zigzag_map,
     pack_varints,
     round_half_away,
+    varint_reader,
 )
 from .errors import CorruptionError, FormatError, TruncationError
 from .model import (
@@ -197,35 +201,35 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     # chunk each; at l = 1 the end delta's final payload bit is implied
     min_block_bits = 2 * (l + 1) - (l == 1)
 
-    r = VarintReader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
+    r = varint_reader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
+    unsigned, signed, signeds = r.unsigned, r.signed, r.signeds
     try:
         lay = Layout.derive(eps, eps_p, dim, profile)
-        n_segments = r.unsigned()
-        n_outliers = r.unsigned()
-        n_corrections = r.unsigned()
+        full_limit = lay.budget(lay.b_s) - 1
+        n_segments = unsigned()
+        n_outliers = unsigned()
+        n_corrections = unsigned()
 
         outliers = []
         t_idx = 0
-        coord = [0] * dim
+        coord = (0,) * dim
         for _ in range(n_outliers):
-            t_idx += r.unsigned()
-            for d in range(dim):
-                coord[d] += r.signed()
-            outliers.append(OutlierEntry(t_idx, tuple(coord)))
+            t_idx += unsigned()
+            coord = tuple([c + d for c, d in zip(coord, signeds(dim))])
+            outliers.append(OutlierEntry(t_idx, coord))
 
         corrections = []
         t_idx = 0
         for _ in range(n_corrections):
-            t_idx += r.unsigned()
-            deltas = tuple(r.signed() for _ in range(dim))
-            corrections.append(CorrectionEntry(t_idx, deltas))
+            t_idx += unsigned()
+            corrections.append(CorrectionEntry(t_idx, signeds(dim)))
 
         segments = []
         prev_end = 0
         for _ in range(n_segments):
-            t0_index = prev_end + r.signed()
-            p0_q = tuple(r.signed() for _ in range(dim))
-            n_samples = r.unsigned()
+            t0_index = prev_end + signed()
+            p0_q = signeds(dim)
+            n_samples = unsigned()
             if n_samples < 2:
                 raise CorruptionError(f"segment sample count {n_samples} below 2")
             prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
@@ -235,19 +239,21 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
                     f"segment declares {n_blocks} blocks per dimension, more than "
                     f"the {r.remaining_bits} remaining bits can hold"
                 )
+            # every block but the tail holds b_s velocities
             sizes = block_lengths(n_samples - 1, lay.b_s)
+            limits = [full_limit] * (n_blocks - 1) + [lay.budget(sizes[-1]) - 1]
             per_dims = []
             for _ in range(dim):
                 blks = []
-                for m in sizes:
-                    end_delta = r.signed()
-                    c_f = r.unsigned()
-                    if c_f > lay.budget(m) - 1:
+                for m, limit in zip(sizes, limits):
+                    end_delta = signed()
+                    c_f = unsigned()
+                    if c_f > limit:
                         raise CorruptionError(
                             f"block declares {c_f} coefficients, the retention "
-                            f"budget for {m} velocities is {lay.budget(m) - 1}"
+                            f"budget for {m} velocities is {limit}"
                         )
-                    coeffs = tuple(r.signed() for _ in range(c_f))
+                    coeffs = signeds(c_f)
                     if c_f and coeffs[-1] == 0:
                         raise CorruptionError("block ends in a zero coefficient")
                     blks.append(EncodedBlock(coeffs, end_delta))

@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from pilotc import synthetic_trajectory
+from pilotc import cli, synthetic_trajectory
 from pilotc.cli import (
     EXIT_DATA,
     EXIT_FORMAT,
@@ -45,6 +47,21 @@ def test_csv_writer_matches_fixed_precision_text(tmp_path):
     rows = [f"{t:.12g}," + ",".join(f"{v:.12g}" for v in row)
             for t, row in zip(times, points)]
     assert path.read_text() == "\n".join(["t,x,y", *rows]) + "\n"
+
+
+def test_csv_writer_spans_formatting_blocks(tmp_path):
+    # rows are formatted in blocks; a table across block boundaries, and an
+    # empty one, read as np.savetxt writes them
+    rng = np.random.default_rng(4)
+    for n_rows in (0, cli._CSV_BLOCK_ROWS, 2 * cli._CSV_BLOCK_ROWS + 3):
+        times = np.cumsum(rng.uniform(0.0, 2.0, n_rows))
+        points = rng.normal(0.0, 1e4, (n_rows, 4))
+        path = tmp_path / "blocks.csv"
+        write_positions_csv(path, times, points)
+        expected = io.StringIO()
+        np.savetxt(expected, np.column_stack([times, points]), fmt="%.12g",
+                   delimiter=",", header="t,x,y,z,c3", comments="")
+        assert path.read_text() == expected.getvalue()
 
 
 def test_csv_errors_name_the_line(tmp_path):

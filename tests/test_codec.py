@@ -1,9 +1,12 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pilotc.codec import (
+    ColumnarReader,
     VarintReader,
     dequantize,
     dequantize_array,
@@ -14,6 +17,7 @@ from pilotc.codec import (
     quantize_array,
     time_from_index,
     time_index,
+    varint_reader,
 )
 from pilotc.errors import CorruptionError, TruncationError
 
@@ -154,11 +158,22 @@ _FIELD = st.one_of(
 
 @given(st.lists(_FIELD, max_size=40), st.integers(1, 32))
 def test_bitstream_mixed_round_trip(fields, l):
+    # through the per-field reader and through the reader a container body
+    # gets (the columnar one at l >= 2), field by field and in signed runs
     signed = [s for s, _ in fields]
     codes = [enhanced_zigzag_map(v) if s else v for s, v in fields]
-    r = VarintReader(pack_varints(codes, signed, l), l)
-    assert [r.signed() if s else r.unsigned() for s in signed] == [v for _, v in fields]
-    assert r.remaining_bits < 8
+    data = pack_varints(codes, signed, l)
+    for reader in (VarintReader, varint_reader):
+        r = reader(data, l)
+        assert [r.signed() if s else r.unsigned() for s in signed] == [v for _, v in fields]
+        assert r.remaining_bits < 8
+        r = reader(data, l)
+        values = []
+        for s, run in groupby(signed):
+            n = len(list(run))
+            values.extend(r.signeds(n) if s else [r.unsigned() for _ in range(n)])
+        assert values == [v for _, v in fields]
+        assert r.remaining_bits < 8
 
 
 def test_varint_227_bit_pattern():
@@ -230,6 +245,62 @@ def test_varint_code_beyond_64_bits_is_corrupt():
         with pytest.raises(CorruptionError):
             VarintReader(data, l).unsigned()
     assert VarintReader(pack_varints([2**64 - 1], [False], 1), 1).unsigned() == 2**64 - 1
+
+
+def bits_to_bytes(bits: str) -> bytes:
+    """Pack a bit string, filled up to a byte with 1 bits: every complete
+    chunk the fill makes is flagged, so it never ends a field."""
+    bits += "1" * (-len(bits) % 8)
+    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+
+
+def read_outcome(reader, data, l):
+    try:
+        return reader(data, l).unsigned()
+    except (CorruptionError, TruncationError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("l", [2, 4, 32])
+def test_columnar_reader_64_bit_edges(l):
+    max_flagged = 64 // l
+    flagged_zero = "1" + "0" * l
+
+    def expect(data, outcome):
+        assert read_outcome(ColumnarReader, data, l) == outcome
+        assert read_outcome(VarintReader, data, l) == outcome
+
+    expect(pack_varints([2**64 - 1, 0], [False, False], l), 2**64 - 1)
+    # a final chunk at bit 64: a nonzero payload reaches 2**64, a zero one adds nothing
+    top = flagged_zero * max_flagged + "0"
+    expect(bits_to_bytes(top + "0" * (l - 1) + "1" + "0" * (l + 1)), CorruptionError)
+    expect(bits_to_bytes(top + "0" * l + "0" * (l + 1)), 0)
+    # the most continuation chunks, then one more
+    expect(bits_to_bytes(flagged_zero * (max_flagged + 1) + "0" * (l + 1)), CorruptionError)
+    # an unterminated tail is truncated until it has too many flagged chunks
+    for n in (0, 1, max_flagged - 1, max_flagged, max_flagged + 1):
+        data = bits_to_bytes(flagged_zero * n)
+        n_flagged = 8 * len(data) // (l + 1)
+        expect(data, TruncationError if n_flagged <= max_flagged else CorruptionError)
+
+
+def test_columnar_reader_errors_are_lazy():
+    # fields before a bad one read normally, a zero code fails only as a
+    # signed field, and the reader stops in front of the bad field
+    data = pack_varints([8, 0, 5], [False, False, False], 2)
+    r = ColumnarReader(data, 2)
+    assert r.signed() == -4
+    assert r.unsigned() == 0
+    with pytest.raises(ValueError):
+        ColumnarReader(data, 2).signeds(3)
+    # 8 is "100" "010" at l = 2; then more flagged chunks than any code has
+    r = ColumnarReader(bits_to_bytes("100010" + "1" * 120), 2)
+    assert r.signeds(1) == (-4,)
+    with pytest.raises(CorruptionError):
+        r.signeds(2)
+    assert r.pos == 6
+    with pytest.raises(ValueError):
+        ColumnarReader(b"\x00", 1)
 
 
 @settings(max_examples=300)

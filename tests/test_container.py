@@ -10,7 +10,7 @@ from model_gen import random_model
 
 import pilotc
 from pilotc import container
-from pilotc.codec import enhanced_zigzag_map, pack_varints
+from pilotc.codec import VarintReader, enhanced_zigzag_map, pack_varints
 from pilotc.container import (
     MAGIC,
     VERSION,
@@ -19,7 +19,7 @@ from pilotc.container import (
     serialize,
     unpack_archive,
 )
-from pilotc.errors import CorruptionError, FormatError, TruncationError
+from pilotc.errors import CorruptionError, FormatError, PilotCError, TruncationError
 from pilotc.model import (
     CompressedTrajectory,
     EncodedBlock,
@@ -188,12 +188,12 @@ def test_archive_round_trip():
         unpack_archive(packed[:-1])
 
 
-def crafted(fields, dt=1.0, eps=10.0, chunk_bits=2):
-    """A 1-D container with the given header floats and body fields, where
-    each field is ("u", value) or ("s", value) for an unsigned or signed one."""
+def crafted(fields, dt=1.0, eps=10.0, chunk_bits=2, dim=1, eps_t=1.0, eps_p=5.0):
+    """A container with the given header and body fields, where each field
+    is ("u", value) or ("s", value) for an unsigned or signed one."""
     codes = [enhanced_zigzag_map(v) if kind == "s" else v for kind, v in fields]
-    return (MAGIC + bytes((VERSION, 1, 0, chunk_bits))
-            + struct.pack("<dddd", dt, eps, 1.0, 5.0)
+    return (MAGIC + bytes((VERSION, dim, 0, chunk_bits))
+            + struct.pack("<dddd", dt, eps, eps_t, eps_p)
             + pack_varints(codes, [kind == "s" for kind, _ in fields], chunk_bits))
 
 
@@ -227,7 +227,45 @@ def test_parse_maps_block_size_overflow_to_corruption():
         parse(payload, PROFILES["nuplan"])
 
 
-_FUZZ = """
+def flips_and_truncations(payload):
+    """Every strict prefix and every single-bit flip of ``payload``."""
+    cases = [payload[:cut] for cut in range(len(payload))]
+    for bit in range(8 * len(payload)):
+        flipped = bytearray(payload)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        cases.append(bytes(flipped))
+    return cases
+
+
+def parse_outcome(case):
+    try:
+        return parse(case, GEO)
+    except PilotCError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 3, 4, 7, 8, 16, 32])
+def test_columnar_parse_matches_per_field_reader(chunk_bits, monkeypatch):
+    # the columnar reader must give the same model, or the same error class,
+    # as the per-field reader on every damaged copy of two containers
+    for seed in (36, 5):
+        model = random_model(np.random.default_rng(seed), dim=2, eps=50.0,
+                             chunk_bits=chunk_bits)
+        payload = serialize(model, GEO)
+        cases = [payload, *flips_and_truncations(payload)]
+        columnar = [parse_outcome(case) for case in cases]
+        with monkeypatch.context() as m:
+            m.setattr(container, "varint_reader", VarintReader)
+            per_field = [parse_outcome(case) for case in cases]
+        assert columnar[0] == model
+        assert columnar == per_field
+
+
+# Run in a child process that caps its own address space 512 MiB above what
+# the imports mapped, so a huge allocation fails fast; the body prints, as
+# its last line, a JSON list of the exceptions that escaped parse, or exits
+# nonzero
+_CAPPED = """
 import json, resource, sys
 sys.path[:0] = {paths!r}
 from model_gen import random_model
@@ -235,41 +273,80 @@ import numpy as np
 from pilotc import PROFILES, parse, serialize
 from pilotc.errors import PilotCError
 
-# cap the address space 512 MiB above what the imports mapped
 with open("/proc/self/statm") as f:
     mapped = int(f.read().split()[0]) * resource.getpagesize()
 resource.setrlimit(resource.RLIMIT_AS, (mapped + (512 << 20),) * 2)
 geo = PROFILES["geolife"]
+"""
+
+
+def run_capped(body):
+    pytest.importorskip("resource")
+    if not Path("/proc/self/statm").exists():
+        pytest.skip("needs /proc/self/statm to size the address-space cap")
+    paths = [str(Path(pilotc.__file__).parents[1]), str(Path(__file__).parent)]
+    proc = subprocess.run([sys.executable, "-c", _CAPPED.format(paths=paths) + body],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_FLIP_FUZZ = """
+from test_container import flips_and_truncations
 escapes = []
 for chunk_bits in (1, 2):
     # seed 36 gives two segments, outliers and corrections in under 200 bytes
     model = random_model(np.random.default_rng(36), dim=2, eps=50.0, chunk_bits=chunk_bits)
-    payload = serialize(model, geo)
-    cases = [payload[:cut] for cut in range(len(payload))]
-    for bit in range(8 * len(payload)):
-        flipped = bytearray(payload)
-        flipped[bit // 8] ^= 0x80 >> (bit % 8)
-        cases.append(bytes(flipped))
-    for case in cases:
+    for case in flips_and_truncations(serialize(model, geo)):
         try:
             parse(case, geo)
         except PilotCError:
             pass
         except Exception as exc:
-            escapes.append(f"l={{chunk_bits}}, {{len(case)}} bytes: {{exc!r}}")
+            escapes.append(f"l={chunk_bits}, {len(case)} bytes: {exc!r}")
 print(json.dumps(escapes[:10]))
 """
 
 
 def test_parse_fuzz_bit_flips_and_truncations():
     # every truncation and every single-bit flip of a small container at
-    # l = 1 and at l = 2 must parse or raise a PilotCError; the child
-    # process caps its own address space, so a huge allocation fails fast
-    pytest.importorskip("resource")
-    if not Path("/proc/self/statm").exists():
-        pytest.skip("needs /proc/self/statm to size the address-space cap")
-    paths = [str(Path(pilotc.__file__).parents[1]), str(Path(__file__).parent)]
-    proc = subprocess.run([sys.executable, "-c", _FUZZ.format(paths=paths)],
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    # l = 1 and at l = 2 must parse or raise a PilotCError
+    assert run_capped(_FLIP_FUZZ) == []
+
+
+_HEADER_FUZZ = """
+from hypothesis import given, settings, strategies as st
+from test_container import crafted
+
+special = st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e-308, 1e308, -1e308,
+                           1.7976931348623157e308, float("nan"), float("inf"),
+                           float("-inf"), 1.0, 10.0])
+positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+# mostly positive and finite, so that most headers pass and the body is read
+header_float = st.one_of(positive, positive, positive, special, st.floats())
+count = st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1))
+field = st.one_of(st.tuples(st.just("u"), count),
+                  st.tuples(st.just("s"), st.integers(-(2**63 - 1), 2**63 - 1)))
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.integers(1, 3), st.sampled_from([1, 2]), st.lists(header_float, min_size=4,
+       max_size=4), st.lists(count, min_size=3, max_size=3), st.lists(field, max_size=40),
+       st.binary(max_size=16))
+def fuzz(dim, chunk_bits, floats, counts, fields, tail):
+    dt, eps, eps_t, eps_p = floats
+    payload = crafted([("u", c) for c in counts] + fields, dt=dt, eps=eps,
+                      chunk_bits=chunk_bits, dim=dim, eps_t=eps_t, eps_p=eps_p) + tail
+    try:
+        parse(payload, geo)
+    except PilotCError:
+        pass
+
+fuzz()
+print(json.dumps([]))
+"""
+
+
+def test_parse_fuzz_header_floats_and_counts():
+    # header floats from the edges of float64 and random leading counts, at
+    # l = 1 and l = 2: parse returns a model or raises a PilotCError
+    assert run_capped(_HEADER_FUZZ) == []
