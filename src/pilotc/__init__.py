@@ -24,7 +24,6 @@ from .errors import (
 )
 from .metrics import (
     EvalReport,
-    compression_ratio,
     max_sed,
     mean_sed,
     predicted_exceedance,
@@ -70,7 +69,6 @@ __all__ = [
     "UniformSeries",
     "choose_dt",
     "compress",
-    "compression_ratio",
     "decompress_uniform",
     "max_sed",
     "mean_sed",

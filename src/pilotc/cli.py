@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
 from .model import TrajectoryRecord
 from .params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile
 from .pipeline import compress
-from .reconstruct import Reconstructor
+from .reconstruct import Reconstructor, decompress_uniform
 from .synth import synthetic_trajectory
 
 EXIT_OK = 0
@@ -147,19 +148,16 @@ def _profile_from_args(args) -> Profile:
         v = getattr(args, attr)
         if v is not None:
             overrides[field] = v
-    if not overrides:
-        return base
-    from dataclasses import replace
-    return replace(base, **overrides)
+    return replace(base, **overrides) if overrides else base
 
 
-def _params_from_args(args) -> CodecParams:
+def _params_from_args(args, profile: Profile) -> CodecParams:
     if args.epsilon is None:
         raise _Usage("--epsilon is required")
     if args.epsilon <= 0:
         raise _Usage(f"--epsilon must be positive, got {args.epsilon}")
     try:
-        return _profile_from_args(args).params(args.epsilon)
+        return profile.params(args.epsilon)
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
 
@@ -173,8 +171,8 @@ class _Usage(Exception):
 # ---------------------------------------------------------------------------
 
 def _cmd_compress(args) -> int:
-    params = _params_from_args(args)
     profile = _profile_from_args(args)
+    params = _params_from_args(args, profile)
     src = Path(args.input)
     dst = Path(args.output)
     if src.is_dir():
@@ -201,14 +199,14 @@ def _cmd_decompress(args) -> int:
     profile = _profile_from_args(args)
     data = Path(args.input).read_bytes()
     model = container.parse(data, profile)
-    rec = Reconstructor(model, profile)
     if args.grid:
-        times = np.concatenate([s.grid_times() for s in rec.series]) if rec.series else np.zeros(0)
-        points = (np.concatenate([s.values for s in rec.series])
-                  if rec.series else np.zeros((0, model.dim)))
+        series = decompress_uniform(model, profile)
+        times = np.concatenate([s.grid_times() for s in series]) if series else np.zeros(0)
+        points = (np.concatenate([s.values for s in series])
+                  if series else np.zeros((0, model.dim)))
     else:
         times = _read_timestamps(Path(args.at))
-        points = rec.query(times)
+        points = Reconstructor(model, profile).query(times)
     write_positions_csv(args.output, times, points)
     print(f"{args.output}: {len(times)} rows")
     return EXIT_OK

@@ -44,21 +44,9 @@ def round_half_away(v: float) -> int:
 # so the reconstruction error never exceeds step
 # ---------------------------------------------------------------------------
 
-def quantize(x: float, step: float) -> int:
-    """Map ``x`` to the index of the nearest multiple of ``2 * step``."""
-    if step <= 0.0 or not math.isfinite(step):
-        raise ValueError(f"quantization step must be positive and finite, got {step}")
-    if not math.isfinite(x):
-        raise ValueError(f"cannot quantize non-finite value {x}")
-    return round_half_away(x / (2.0 * step))
-
-
-def dequantize(q: int, step: float) -> float:
-    return q * (2.0 * step)
-
-
 def quantize_array(x, step: float) -> np.ndarray:
-    """Vectorized :func:`quantize`; returns int64 indices."""
+    """Map each value to the index of the nearest multiple of ``2 * step``,
+    ties away from zero; returns int64 indices."""
     if step <= 0.0 or not math.isfinite(step):
         raise ValueError(f"quantization step must be positive and finite, got {step}")
     v = np.asarray(x, dtype=float)
@@ -79,24 +67,19 @@ def dequantize_array(q, step: float) -> np.ndarray:
 # reconstruction error is at most eps_t / 2
 # ---------------------------------------------------------------------------
 
-def time_index(t: float, eps_t: float) -> int:
-    if eps_t <= 0.0:
-        raise ValueError(f"time precision must be positive, got {eps_t}")
-    return round_half_away(t / eps_t)
-
-
-def time_from_index(idx: int, eps_t: float) -> float:
-    return idx * eps_t
-
-
 def time_index_array(t, eps_t: float) -> np.ndarray:
+    """Index of the nearest multiple of ``eps_t``, ties away from zero;
+    index ``i`` stands for the time ``i * eps_t``."""
     if eps_t <= 0.0:
         raise ValueError(f"time precision must be positive, got {eps_t}")
-    v = np.asarray(t, dtype=float) / eps_t
-    scaled = np.abs(v) + 0.5
-    if v.size and scaled.max() >= _EXACT_FLOAT:
+    t = np.asarray(t, dtype=float)
+    if t.size and not np.all(np.isfinite(t)):
+        raise ValueError("cannot quantize non-finite times")
+    # checked in Python floats, so a huge time cannot overflow in numpy
+    if t.size and float(np.abs(t).max()) / eps_t + 0.5 >= _EXACT_FLOAT:
         raise OverflowError("time index exceeds the exact integer range of float64")
-    return (np.sign(v) * np.floor(scaled)).astype(np.int64)
+    v = t / eps_t
+    return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ therefore decodes correctly only with the constants it was encoded with.
 when a segment declares more blocks than the remaining bits can hold, and
 :class:`CorruptionError` for inconsistent content: a varint of more than
 64 // l continuation chunks or of value 2**64 or more, a zero code in a
-signed field, a block size or segment end index that overflows, a broken
-retention budget or a trailing zero coefficient, unread bytes or nonzero
-padding.
+signed field, a block size or segment end index that overflows, a segment
+whose start or end time is not a finite float, a broken retention budget or
+a trailing zero coefficient, unread bytes or nonzero padding.
 """
 
 from __future__ import annotations
@@ -233,6 +233,8 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
             if n_samples < 2:
                 raise CorruptionError(f"segment sample count {n_samples} below 2")
             prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
+            if not math.isfinite(max(-t0_index, prev_end) * eps_t):
+                raise CorruptionError("segment time span out of range of float64")
             n_blocks = -(-(n_samples - 1) // lay.b_s)
             if dim * n_blocks * min_block_bits > r.remaining_bits:
                 raise TruncationError(

@@ -53,26 +53,6 @@ def raw_size_bytes(n_points: int, dim: int) -> int:
     return BYTES_PER_VALUE * (dim + 1) * n_points
 
 
-def compression_ratio(originals, payloads) -> float:
-    """Total compressed bytes over total raw bytes for matched sets.
-
-    ``originals`` holds trajectory records (or (n_points, dim) pairs) and
-    ``payloads`` the corresponding serialized containers.
-    """
-    originals = list(originals)
-    payloads = list(payloads)
-    if not originals or len(originals) != len(payloads):
-        raise ValueError("originals and payloads must be non-empty matched sets")
-    raw = 0
-    for o in originals:
-        if isinstance(o, tuple):
-            n, dim = o
-        else:
-            n, dim = o.n_points, o.dim
-        raw += raw_size_bytes(n, dim)
-    return sum(len(p) for p in payloads) / raw
-
-
 def _paired_distances(original, reconstructed) -> np.ndarray:
     a = np.asarray(original, dtype=float)
     b = np.asarray(reconstructed, dtype=float)

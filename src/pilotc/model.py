@@ -9,7 +9,6 @@ applies delta chains on top (see ``container``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -125,11 +124,6 @@ class CompressedTrajectory:
     segments: tuple[SubTrajectorySegment, ...] = ()
     outliers: tuple[OutlierEntry, ...] = ()
     corrections: tuple[CorrectionEntry, ...] = ()
-
-    def iter_blocks(self) -> Iterator[EncodedBlock]:
-        for seg in self.segments:
-            for per_dim in seg.blocks:
-                yield from per_dim
 
 
 def block_lengths(n_velocities: int, b_s: int) -> list[int]:

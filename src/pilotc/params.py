@@ -25,10 +25,6 @@ from dataclasses import dataclass, replace
 from .codec import round_half_away
 
 
-def derive_block_size(eps: float, b: float, c: float) -> int:
-    return max(2, round_half_away(b * eps + c))
-
-
 @dataclass(frozen=True)
 class Layout:
     """Every knob derived from eps, for one dimensionality and one set of
@@ -45,7 +41,7 @@ class Layout:
         """``constants`` is any object carrying ``a, b, c, d`` (a
         :class:`Profile` or :class:`CodecParams`)."""
         return cls(
-            b_s=derive_block_size(eps, constants.b, constants.c),
+            b_s=max(2, round_half_away(constants.b * eps + constants.c)),
             eps_f=eps / constants.a,
             r_ret=min(1.0, constants.d / math.sqrt(eps)),
             eps_d=eps_p / math.sqrt(dim),
@@ -90,28 +86,8 @@ class CodecParams:
         return Layout.derive(self.eps, self.eps_p, dim, self)
 
     @property
-    def eps_f(self) -> float:
-        return self.layout(1).eps_f
-
-    @property
-    def b_s(self) -> int:
-        return self.layout(1).b_s
-
-    @property
-    def r_ret(self) -> float:
-        return self.layout(1).r_ret
-
-    @property
     def eps_p(self) -> float:
         return self.eps_p_factor * self.eps
-
-    def eps_d(self, dim: int) -> float:
-        """Per-dimension correction step: the point budget split over dims."""
-        return self.layout(dim).eps_d
-
-    def eps_outlier(self, dim: int) -> float:
-        """Per-dimension outlier step: the full error budget split over dims."""
-        return self.layout(dim).eps_out
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .codec import (
     dequantize_array,
     quantize_array,
     round_half_away,
-    time_index,
     time_index_array,
 )
 from .errors import DataError
@@ -70,7 +69,7 @@ def segment(traj: TrajectoryRecord, params: CodecParams,
     n = t.shape[0]
     if n == 0:
         return [], []
-    b_s = params.b_s
+    b_s = params.layout(traj.dim).b_s
     boundaries = [0]
     if n > 1:
         gaps = np.diff(t)
@@ -130,7 +129,8 @@ def resample(frag: Fragment, dt: float) -> UniformSeries:
     return UniformSeries(frag.t0, dt, values)
 
 
-def _encode_series(series: UniformSeries, params: CodecParams) -> SubTrajectorySegment:
+def _encode_series(series: UniformSeries, t0_index: int,
+                   params: CodecParams) -> SubTrajectorySegment:
     lay = params.layout(series.dim)
     b_s = lay.b_s
     x = series.values
@@ -151,7 +151,7 @@ def _encode_series(series: UniformSeries, params: CodecParams) -> SubTrajectoryS
         for d in range(series.dim)
     )
     return SubTrajectorySegment(
-        t0_index=time_index(series.t0, params.eps_t),
+        t0_index=t0_index,
         p0_q=tuple(p0_q.tolist()),
         n_samples=series.n_samples,
         blocks=blocks,
@@ -169,9 +169,8 @@ def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
     mask = err > model.eps
     if not mask.any():
         return replace(model, corrections=())
-    eps_d = params.eps_d(model.dim)
     idxs = time_index_array(traj.times[mask], model.eps_t)
-    rows = quantize_array(diffs[mask], eps_d)
+    rows = quantize_array(diffs[mask], params.layout(model.dim).eps_d)
     entries = tuple(
         CorrectionEntry(int(i), tuple(int(v) for v in row))
         for i, row in zip(idxs, rows)
@@ -201,15 +200,14 @@ def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajector
     else:
         dt = max(1, round_half_away(default_dt / params.eps_t)) * params.eps_t
 
+    t0_indices = time_index_array([f.t0 for f in fragments], params.eps_t).tolist()
     segments = tuple(
-        _encode_series(resample(f, dt), params) for f in fragments
+        _encode_series(resample(f, dt), t0, params) for f, t0 in zip(fragments, t0_indices)
     )
-    eps_out = params.eps_outlier(traj.dim)
-    outliers = tuple(
-        OutlierEntry(time_index(t, params.eps_t),
-                     tuple(int(v) for v in quantize_array(p, eps_out)))
-        for t, p in outlier_points
-    )
+    out_idx = time_index_array([t for t, _ in outlier_points], params.eps_t)
+    out_q = quantize_array(np.reshape([p for _, p in outlier_points], (-1, traj.dim)),
+                           params.layout(traj.dim).eps_out)
+    outliers = tuple(map(OutlierEntry, out_idx.tolist(), map(tuple, out_q.tolist())))
     model = CompressedTrajectory(
         dim=traj.dim, dt=dt, eps=params.eps, eps_t=params.eps_t,
         eps_p=params.eps_p, chunk_bits=params.chunk_bits,

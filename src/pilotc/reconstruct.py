@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import decode_rows
-from .codec import dequantize_array, time_from_index, time_index_array
+from .codec import dequantize_array, time_index_array
 from .errors import QueryRangeError
 from .model import CompressedTrajectory, UniformSeries, block_lengths
 from .params import DEFAULT_PROFILE, Layout
@@ -51,8 +51,7 @@ def decompress_uniform(model: CompressedTrajectory,
         values[0] = p0
         values[1:cut + 1] = full[:, 1:].reshape(model.dim, cut).T
         values[cut + 1:] = tail[:, 1:].T
-        out.append(UniformSeries(time_from_index(seg.t0_index, model.eps_t),
-                                 model.dt, values))
+        out.append(UniformSeries(seg.t0_index * model.eps_t, model.dt, values))
     return out
 
 
@@ -61,14 +60,14 @@ class Reconstructor:
 
     def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
         self.model = model
-        self.series = decompress_uniform(model, constants)
-        self._starts = np.array([s.t0 for s in self.series])
-        self._ends = np.array([s.t_end for s in self.series])
-        counts = np.array([s.n_samples for s in self.series], dtype=np.int64)
+        series = decompress_uniform(model, constants)
+        self._starts = np.array([s.t0 for s in series])
+        self._ends = np.array([s.t_end for s in series])
+        counts = np.array([s.n_samples for s in series], dtype=np.int64)
         self._counts = counts
         self._offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if len(counts) else np.zeros(0, np.int64)
-        self._values = (np.concatenate([s.values for s in self.series])
-                        if self.series else np.zeros((0, model.dim)))
+        self._values = (np.concatenate([s.values for s in series])
+                        if series else np.zeros((0, model.dim)))
         lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
         self._outlier_idx = np.array([e.t_index for e in model.outliers], dtype=np.int64)
         self._outlier_pos = (dequantize_array(

@@ -92,7 +92,7 @@ def _aggregate_mean_ratio(dim: int, n_traj: int, seed0: int) -> float:
     eps = 10.0
     params = CodecParams(eps=eps, a=0.6, b=0.5, c=25.0, d=10.0,
                          eps_t=1.0, chunk_bits=2, eps_p_factor=0.5)
-    assert params.r_ret == 1.0
+    assert params.layout(dim).r_ret == 1.0
     sed_sum, n_sum = 0.0, 0
     for i in range(n_traj):
         traj = synthetic_trajectory(4000, dim=dim, seed=seed0 + i)

@@ -170,7 +170,7 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
     for n_full, tail in itertools.product((0, 2), range(1, lay.b_s + 1)):
         n_samples = n_full * lay.b_s + tail + 1
         values = np.cumsum(rng.normal(3.0, 2.0, (n_samples, 2)), axis=0)
-        seg = _encode_series(UniformSeries(0.0, 1.0, values), params)
+        seg = _encode_series(UniformSeries(0.0, 1.0, values), 0, params)
         assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p)
 
         model = CompressedTrajectory(dim=2, dt=1.0, eps=eps, eps_t=1.0,

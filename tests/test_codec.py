@@ -1,3 +1,4 @@
+import warnings
 from itertools import groupby
 
 import numpy as np
@@ -8,15 +9,13 @@ from hypothesis import strategies as st
 from pilotc.codec import (
     ColumnarReader,
     VarintReader,
-    dequantize,
     dequantize_array,
     enhanced_zigzag_map,
     enhanced_zigzag_unmap,
     pack_varints,
-    quantize,
     quantize_array,
-    time_from_index,
-    time_index,
+    round_half_away,
+    time_index_array,
     varint_reader,
 )
 from pilotc.errors import CorruptionError, TruncationError
@@ -31,24 +30,24 @@ def bits_of(data: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 def test_quantize_reference_value():
-    assert quantize(3.824, 0.03) == 64
-    assert dequantize(64, 0.03) == pytest.approx(3.84)
-    assert abs(3.824 - dequantize(quantize(3.824, 0.03), 0.03)) <= 0.03
+    assert quantize_array(3.824, 0.03) == 64
+    assert dequantize_array(64, 0.03) == pytest.approx(3.84)
+    assert abs(3.824 - dequantize_array(quantize_array(3.824, 0.03), 0.03)) <= 0.03
 
 
 def test_quantize_zero_and_sign_symmetry():
-    assert quantize(0.0, 0.5) == 0
-    assert quantize(-3.824, 0.03) == -64
-    assert dequantize(-64, 0.03) == pytest.approx(-3.84)
-    assert dequantize(0, 123.0) == 0.0
+    assert quantize_array(0.0, 0.5) == 0
+    assert quantize_array(-3.824, 0.03) == -64
+    assert dequantize_array(-64, 0.03) == pytest.approx(-3.84)
+    assert dequantize_array(0, 123.0) == 0.0
 
 
 def test_quantize_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            quantize(bad, 1.0)
+            quantize_array(bad, 1.0)
     with pytest.raises(ValueError):
-        quantize(1.0, 0.0)
+        quantize_array(1.0, 0.0)
     with pytest.raises(ValueError):
         quantize_array([1.0, float("nan")], 1.0)
 
@@ -58,7 +57,8 @@ def test_quantize_array_matches_scalar():
     xs = rng.uniform(-1e4, 1e4, 5000)
     step = 0.37
     qa = quantize_array(xs, step)
-    assert [quantize(float(x), step) for x in xs] == qa.tolist()
+    # the scalar rule: nearest multiple of 2*step, ties away from zero
+    assert [round_half_away(float(x) / (2.0 * step)) for x in xs] == qa.tolist()
     err = np.abs(xs - dequantize_array(qa, step))
     assert err.max() <= step
 
@@ -66,14 +66,25 @@ def test_quantize_array_matches_scalar():
 @given(st.floats(-1e6, 1e6), st.floats(1e-3, 1e3))
 def test_quantize_error_bound_property(x, step):
     # allowance for division rounding when x/(2*step) lands on a tie
-    assert abs(x - dequantize(quantize(x, step), step)) <= step * (1.0 + 1e-6)
+    assert abs(x - dequantize_array(quantize_array(x, step), step)) <= step * (1.0 + 1e-6)
 
 
 def test_time_index_uses_single_step():
     # time quantization uses step eps_t, not 2*eps_t: error at most eps_t/2
-    assert time_index(10.26, 0.1) == 103
-    assert time_from_index(103, 0.1) == pytest.approx(10.3)
-    assert abs(10.26 - time_from_index(time_index(10.26, 0.1), 0.1)) <= 0.05 + 1e-12
+    assert time_index_array(10.26, 0.1) == 103
+    assert time_index_array(10.26, 0.1) * 0.1 == pytest.approx(10.3)
+    assert abs(10.26 - time_index_array(10.26, 0.1) * 0.1) <= 0.05 + 1e-12
+
+
+def test_time_index_rejects_non_finite_and_huge_times_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                time_index_array([1.0, bad], 0.1)
+        # the quotient overflows to inf before the range check sees it
+        with pytest.raises(OverflowError):
+            time_index_array(1e306, 1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,11 @@ def test_parse_maps_segment_end_overflow_to_corruption():
     payload = crafted(one_segment(3), dt=1e308)
     with pytest.raises(CorruptionError, match="out of range"):
         parse(payload, GEO)
+    # the index fits, but its time 2 * eps_t is inf for eps_t = 1e308
+    fields = one_segment(3)
+    fields[3] = ("s", 2)
+    with pytest.raises(CorruptionError, match="out of range"):
+        parse(crafted(fields, eps_t=1e308), GEO)
 
 
 def test_parse_maps_block_size_overflow_to_corruption():
@@ -292,25 +297,35 @@ def run_capped(body):
 
 
 _FLIP_FUZZ = """
+import warnings
+from pilotc import Reconstructor
 from test_container import flips_and_truncations
+warnings.simplefilter("error")
 escapes = []
-for chunk_bits in (1, 2):
-    # seed 36 gives two segments, outliers and corrections in under 200 bytes
-    model = random_model(np.random.default_rng(36), dim=2, eps=50.0, chunk_bits=chunk_bits)
+# seed 36 gives two segments, outliers and corrections in under 200 bytes
+for seed, chunk_bits in [(s, l) for s in (36, 5) for l in (1, 2)]:
+    model = random_model(np.random.default_rng(seed), dim=2, eps=50.0, chunk_bits=chunk_bits)
     for case in flips_and_truncations(serialize(model, geo)):
         try:
-            parse(case, geo)
+            back = parse(case, geo)
+            times = [seg.t0_index * back.eps_t for seg in back.segments]
+            times += [e.t_index * back.eps_t for e in back.outliers]
+            rec = Reconstructor(back, geo)
+            for t in times:
+                rec.query([t])
         except PilotCError:
             pass
         except Exception as exc:
-            escapes.append(f"l={chunk_bits}, {len(case)} bytes: {exc!r}")
+            escapes.append(f"seed {seed}, l={chunk_bits}, {len(case)} bytes: {exc!r}")
 print(json.dumps(escapes[:10]))
 """
 
 
 def test_parse_fuzz_bit_flips_and_truncations():
-    # every truncation and every single-bit flip of a small container at
-    # l = 1 and at l = 2 must parse or raise a PilotCError
+    # every truncation and every single-bit flip of two small containers at
+    # l = 1 and at l = 2 must parse or raise a PilotCError, and so must
+    # building a Reconstructor on what parses and querying each segment start
+    # and outlier time; numpy warnings count as escapes
     assert run_capped(_FLIP_FUZZ) == []
 
 

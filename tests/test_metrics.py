@@ -5,7 +5,6 @@ import pytest
 
 from pilotc.metrics import (
     EvalReport,
-    compression_ratio,
     max_sed,
     mean_sed,
     predicted_exceedance,
@@ -18,16 +17,6 @@ from pilotc.metrics import (
 def test_raw_size_charges_coordinates_plus_timestamp():
     assert raw_size_bytes(1000, 2) == 24000
     assert raw_size_bytes(1000, 3) == 32000
-
-
-def test_compression_ratio_identity_and_aggregation():
-    assert compression_ratio([(1000, 2)], [b"x" * 24000]) == 1.0
-    ratio = compression_ratio([(1000, 2), (500, 2)], [b"x" * 2400, b"y" * 1200])
-    assert ratio == pytest.approx(3600 / 36000)
-    with pytest.raises(ValueError):
-        compression_ratio([], [])
-    with pytest.raises(ValueError):
-        compression_ratio([(10, 2)], [])
 
 
 def test_sed_metrics():

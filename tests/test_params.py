@@ -2,14 +2,15 @@ import math
 
 import pytest
 
-from pilotc.params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile, derive_block_size
+from pilotc.params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile
 
 
 def test_nuplan_derivation_at_eps_5():
     p = PROFILES["nuplan"].params(5.0)
-    assert p.eps_f == pytest.approx(8.333333333, rel=1e-9)
-    assert p.b_s == 200
-    assert p.r_ret == pytest.approx(0.04 / math.sqrt(5.0), rel=1e-12)
+    lay = p.layout(2)
+    assert lay.eps_f == pytest.approx(8.333333333, rel=1e-9)
+    assert lay.b_s == 200
+    assert lay.r_ret == pytest.approx(0.04 / math.sqrt(5.0), rel=1e-12)
     assert p.eps_p == pytest.approx(2.5)
 
 
@@ -30,20 +31,20 @@ def test_profile_constants_table():
 
 def test_retention_saturates_at_one():
     p = PROFILES["geolife"].params(1.0)
-    assert p.r_ret == 1.0
+    assert p.layout(2).r_ret == 1.0
     p = PROFILES["geolife"].params(100.0)
-    assert p.r_ret == pytest.approx(0.11)
+    assert p.layout(2).r_ret == pytest.approx(0.11)
 
 
 def test_block_size_floor():
-    assert derive_block_size(0.001, 0.5, 0.0005) == 2
-    assert derive_block_size(10.0, 0.5, 25.0) == 30
+    assert CodecParams(eps=0.001, b=0.5, c=0.0005).layout(1).b_s == 2
+    assert CodecParams(eps=10.0, b=0.5, c=25.0).layout(1).b_s == 30
 
 
 def test_eps_split_over_dimensions():
     p = PROFILES["geolife"].params(10.0)
-    assert p.eps_d(2) == pytest.approx(5.0 / math.sqrt(2.0))
-    assert p.eps_outlier(3) == pytest.approx(10.0 / math.sqrt(3.0))
+    assert p.layout(2).eps_d == pytest.approx(5.0 / math.sqrt(2.0))
+    assert p.layout(3).eps_out == pytest.approx(10.0 / math.sqrt(3.0))
 
 
 def test_overrides_via_profile():
@@ -72,6 +73,6 @@ def test_invalid_params_rejected(kwargs):
 
 def test_custom_profile():
     prof = Profile("custom", a=0.8, b=2.0, c=10.0, d=0.5, eps_t=0.5)
-    p = prof.params(4.0)
-    assert p.b_s == 18
-    assert p.eps_f == pytest.approx(5.0)
+    lay = prof.params(4.0).layout(2)
+    assert lay.b_s == 18
+    assert lay.eps_f == pytest.approx(5.0)

@@ -123,7 +123,7 @@ def test_stationary_trajectory():
     assert len(model.segments) == 1
     assert sed.mean() <= params.eps_p
     # a stationary signal has no AC content at all
-    assert all(b.c_f == 0 for b in model.iter_blocks())
+    assert all(b.c_f == 0 for seg in model.segments for per_dim in seg.blocks for b in per_dim)
 
 
 def test_synthetic_profile_bound_and_size(smooth_2d):
@@ -139,14 +139,14 @@ def test_synthetic_profile_bound_and_size(smooth_2d):
 def test_lossless_settings_need_no_corrections(smooth_2d):
     params = CodecParams(eps=10.0, a=1e13, b=GEO.b, c=GEO.c, d=10.0, eps_t=1.0)
     # a huge keeps eps_f microscopic; d >= sqrt(eps) keeps every coefficient
-    assert params.r_ret == 1.0
+    assert params.layout(2).r_ret == 1.0
     model = compress(smooth_2d, params)
     assert model.corrections == ()
 
 
 def test_forced_truncation_needs_corrections(smooth_2d):
     params = CodecParams(eps=2.0, a=0.6, b=GEO.b, c=GEO.c, d=2**-7 * np.sqrt(2.0))
-    assert params.r_ret == pytest.approx(2**-7)
+    assert params.layout(2).r_ret == pytest.approx(2**-7)
     model = compress(smooth_2d, params)
     assert len(model.corrections) > 0
     approx = Reconstructor(model, params).query(smooth_2d.times)
@@ -206,7 +206,7 @@ def test_nonuniform_sampling_with_gaps_and_teleports():
 def test_correction_fraction_small_on_smooth_data(smooth_2d):
     # with eps_f = eps/0.6 and full retention, few points need correction
     params = CodecParams(eps=10.0, a=0.6, b=GEO.b, c=GEO.c, d=10.0, eps_t=1.0)
-    assert params.r_ret == 1.0
+    assert params.layout(2).r_ret == 1.0
     model = compress(smooth_2d, params)
     assert len(model.corrections) / smooth_2d.n_points <= 0.04
 

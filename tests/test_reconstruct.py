@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,7 +48,7 @@ def test_linear_trajectory_reconstructs_linearly(linear_2d):
 def test_query_at_grid_points_returns_samples(compressed):
     _, params, model = compressed
     rec = Reconstructor(model, params)
-    s = rec.series[0]
+    s = decompress_uniform(model, params)[0]
     ts = s.grid_times()[:50]
     np.testing.assert_allclose(rec.query(ts), s.values[:50], atol=1e-9)
 
@@ -53,7 +56,7 @@ def test_query_at_grid_points_returns_samples(compressed):
 def test_query_midway_is_arithmetic_mean(compressed):
     _, params, model = compressed
     rec = Reconstructor(model, params)
-    s = rec.series[0]
+    s = decompress_uniform(model, params)[0]
     mid = s.t0 + s.dt * (np.arange(20) + 0.5)
     expected = 0.5 * (s.values[:20] + s.values[1:21])
     np.testing.assert_allclose(rec.query(mid), expected, atol=1e-9)
@@ -78,14 +81,20 @@ def test_query_out_of_range_identifies_timestamp(compressed):
     assert exc.value.timestamp == bad
     with pytest.raises(QueryRangeError):
         rec.query([traj.times[0] - 1e6])
+    # a NaN fails as out of range before numpy would warn about its cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QueryRangeError) as exc:
+            rec.query([traj.times[0], float("nan")])
+    assert math.isnan(exc.value.timestamp)
 
 
 def test_decompress_matches_pipeline_reconstruction(compressed):
     traj, params, model = compressed
     back = parse(serialize(model, params), params)
-    a = Reconstructor(model, params)
-    b = Reconstructor(back, params)
-    for sa, sb in zip(a.series, b.series):
+    a = decompress_uniform(model, params)
+    b = decompress_uniform(back, params)
+    for sa, sb in zip(a, b):
         np.testing.assert_array_equal(sa.values, sb.values)
         assert sa.t0 == sb.t0 and sa.dt == sb.dt
 
@@ -93,11 +102,11 @@ def test_decompress_matches_pipeline_reconstruction(compressed):
 def test_zero_coefficients_give_piecewise_linear_series(linear_2d):
     params = GEO.params(10.0)
     model = compress(linear_2d, params)
-    assert all(b.c_f == 0 for b in model.iter_blocks())
+    assert all(b.c_f == 0 for seg in model.segments for per_dim in seg.blocks for b in per_dim)
     s = decompress_uniform(model, params)[0]
     second_diff = np.diff(s.values, n=2, axis=0)
     # piecewise linear through block endpoints: curvature only at block joints
-    b_s = params.b_s
+    b_s = params.layout(2).b_s
     interior = np.ones(second_diff.shape[0], dtype=bool)
     interior[b_s - 1 :: b_s] = False
     assert np.abs(second_diff[interior]).max() < 1e-9
