@@ -13,7 +13,7 @@ Every reconstructed position at an original timestamp is guaranteed to lie
 within ``eps`` (Euclidean) of the original point.
 """
 
-from .container import pack_archive, parse, serialize, unpack_archive
+from .container import parse, serialize
 from .errors import (
     CorruptionError,
     DataError,
@@ -72,7 +72,6 @@ __all__ = [
     "decompress_uniform",
     "max_sed",
     "mean_sed",
-    "pack_archive",
     "parse",
     "predicted_exceedance",
     "predicted_mean_error",
@@ -81,7 +80,6 @@ __all__ = [
     "segment",
     "serialize",
     "synthetic_trajectory",
-    "unpack_archive",
     "validate_and_correct",
     "var_delta_s",
 ]

@@ -148,7 +148,10 @@ def _profile_from_args(args) -> Profile:
         v = getattr(args, attr)
         if v is not None:
             overrides[field] = v
-    return replace(base, **overrides) if overrides else base
+    try:
+        return replace(base, **overrides) if overrides else base
+    except ValueError as exc:
+        raise _Usage(str(exc)) from exc
 
 
 def _params_from_args(args, profile: Profile) -> CodecParams:

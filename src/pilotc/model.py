@@ -125,12 +125,3 @@ class CompressedTrajectory:
     outliers: tuple[OutlierEntry, ...] = ()
     corrections: tuple[CorrectionEntry, ...] = ()
 
-
-def block_lengths(n_velocities: int, b_s: int) -> list[int]:
-    """Velocity counts per block: full blocks of b_s plus one partial tail."""
-    if n_velocities < 1:
-        raise ValueError("a sub-trajectory needs at least one velocity")
-    n_blocks = -(-n_velocities // b_s)
-    sizes = [b_s] * (n_blocks - 1)
-    sizes.append(n_velocities - b_s * (n_blocks - 1))
-    return sizes

@@ -53,6 +53,21 @@ class Layout:
         may hold AC coefficients, the DC slot is never stored."""
         return max(1, math.ceil(m * self.r_ret))
 
+    def partition(self, n_velocities: int) -> tuple[int, int]:
+        """The count of full blocks of b_s velocities, and the length of
+        the tail block after them, which always exists and holds 1..b_s."""
+        if n_velocities < 1:
+            raise ValueError("a block partition needs at least one velocity")
+        n_full = (n_velocities - 1) // self.b_s
+        return n_full, n_velocities - n_full * self.b_s
+
+
+def _check_constants(k) -> None:
+    if not (0.0 < k.a < math.inf and 0.0 < k.d < math.inf
+            and math.isfinite(k.b) and math.isfinite(k.c)):
+        raise ValueError("constants a and d must be positive and finite, b and c finite; "
+                         f"got a={k.a}, b={k.b}, c={k.c}, d={k.d}")
+
 
 @dataclass(frozen=True)
 class CodecParams:
@@ -71,8 +86,7 @@ class CodecParams:
     def __post_init__(self) -> None:
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.a <= 0.0 or self.d <= 0.0:
-            raise ValueError("constants a and d must be positive")
+        _check_constants(self)
         if self.v_max <= 0.0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
         if self.eps_t <= 0.0:
@@ -103,6 +117,9 @@ class Profile:
     eps_t: float = 1.0
     chunk_bits: int = 2
     eps_p_factor: float = 0.5
+
+    def __post_init__(self) -> None:
+        _check_constants(self)
 
     def params(self, eps: float, **overrides) -> CodecParams:
         base = CodecParams(

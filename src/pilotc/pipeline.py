@@ -31,7 +31,6 @@ from .model import (
     SubTrajectorySegment,
     TrajectoryRecord,
     UniformSeries,
-    block_lengths,
 )
 from .params import CodecParams
 from .reconstruct import Reconstructor
@@ -134,13 +133,13 @@ def _encode_series(series: UniformSeries, t0_index: int,
     lay = params.layout(series.dim)
     b_s = lay.b_s
     x = series.values
-    sizes = block_lengths(series.n_samples - 1, b_s)
-    n_full = len(sizes) - 1  # the last block, whatever its size, is the tail
+    n_full, _ = lay.partition(series.n_samples - 1)
     p0_q = quantize_array(x[0], params.eps_p)
     p0 = dequantize_array(p0_q, params.eps_p)
     # block endpoints ride a cumulative index chain anchored at p0, so
     # every endpoint's reconstruction error stays within eps_d
-    deltas = np.diff(quantize_array(x[np.cumsum(sizes)] - p0, lay.eps_d), axis=0, prepend=0)
+    ends = np.minimum(b_s * np.arange(1, n_full + 2), series.n_samples - 1)
+    deltas = np.diff(quantize_array(x[ends] - p0, lay.eps_d), axis=0, prepend=0)
     # full blocks of every dimension in one batch, dimension-major
     rows = b_s * np.arange(n_full)[:, None] + np.arange(b_s + 1)
     full = encode_rows(x.T[:, rows].reshape(-1, b_s + 1), lay)
@@ -182,6 +181,16 @@ def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajector
     traj.validate()
     if traj.times[0] < 0.0:
         raise DataError("timestamps must be non-negative; shift the time origin")
+    # quantization raises OverflowError for a coordinate or a time beyond the
+    # exact integer range of float64 at the chosen eps or eps_t
+    try:
+        return validate_and_correct(traj, _uncorrected_model(traj, params), params)
+    except OverflowError as exc:
+        raise DataError(f"coordinates or timestamps too large for eps={params.eps} "
+                        f"and eps_t={params.eps_t}: {exc}") from exc
+
+
+def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajectory:
     q_t = time_index_array(traj.times, params.eps_t)
     if traj.n_points > 1 and not np.all(np.diff(q_t) > 0):
         raise DataError(
@@ -208,9 +217,8 @@ def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajector
     out_q = quantize_array(np.reshape([p for _, p in outlier_points], (-1, traj.dim)),
                            params.layout(traj.dim).eps_out)
     outliers = tuple(map(OutlierEntry, out_idx.tolist(), map(tuple, out_q.tolist())))
-    model = CompressedTrajectory(
+    return CompressedTrajectory(
         dim=traj.dim, dt=dt, eps=params.eps, eps_t=params.eps_t,
         eps_p=params.eps_p, chunk_bits=params.chunk_bits,
         segments=segments, outliers=outliers,
     )
-    return validate_and_correct(traj, model, params)

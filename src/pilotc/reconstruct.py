@@ -15,7 +15,7 @@ import numpy as np
 from .blocks import decode_rows
 from .codec import dequantize_array, time_index_array
 from .errors import QueryRangeError
-from .model import CompressedTrajectory, UniformSeries, block_lengths
+from .model import CompressedTrajectory, UniformSeries
 from .params import DEFAULT_PROFILE, Layout
 
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
@@ -33,8 +33,7 @@ def decompress_uniform(model: CompressedTrajectory,
     b_s = lay.b_s
     out = []
     for seg in model.segments:
-        sizes = block_lengths(seg.n_velocities, b_s)
-        n_full = len(sizes) - 1  # the last block, whatever its size, is the tail
+        n_full, m_tail = lay.partition(seg.n_velocities)
         cut = n_full * b_s
         p0 = dequantize_array(seg.p0_q, model.eps_p)
         # float sums are exact below 2**53 and, unlike int64, cannot wrap
@@ -46,7 +45,7 @@ def decompress_uniform(model: CompressedTrajectory,
         full = decode_rows([b.q_coeffs for per_dim in seg.blocks for b in per_dim[:n_full]],
                            b_s, starts[:n_full].T.ravel(), ends[:n_full].T.ravel(), lay)
         tail = decode_rows([per_dim[-1].q_coeffs for per_dim in seg.blocks],
-                           sizes[-1], starts[-1], ends[-1], lay)
+                           m_tail, starts[-1], ends[-1], lay)
         values = np.empty((seg.n_samples, model.dim))
         values[0] = p0
         values[1:cut + 1] = full[:, 1:].reshape(model.dim, cut).T
@@ -125,8 +124,11 @@ class Reconstructor:
                 raise QueryRangeError(float(t[np.argmin(resolved)]))
             seg = np.where(use_next, nxt, seg_c)
 
-            u = (t - self._starts[seg]) / self.model.dt
-            j = np.clip(np.floor(u).astype(np.int64), 0, self._counts[seg] - 2)
+            # a tiny dt can put u beyond int64, or make it infinite, at a
+            # query inside the tolerance; both clip to the segment's ends
+            with np.errstate(over="ignore"):
+                u = (t - self._starts[seg]) / self.model.dt
+            j = np.clip(np.floor(u), 0, self._counts[seg] - 2).astype(np.int64)
             frac = np.clip(u - j, 0.0, 1.0)[:, None]
             base = self._offsets[seg] + j
             vals = self._values[base] * (1.0 - frac) + self._values[base + 1] * frac

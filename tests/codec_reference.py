@@ -11,7 +11,13 @@ import math
 import numpy as np
 
 from pilotc.codec import dequantize_array, quantize_array
-from pilotc.model import EncodedBlock, block_lengths
+from pilotc.model import EncodedBlock
+
+
+def _block_sizes(n_velocities: int, b_s: int) -> list[int]:
+    """Velocities per block: full blocks of b_s, then a tail of 1..b_s."""
+    sizes = [b_s] * ((n_velocities - 1) // b_s)
+    return sizes + [n_velocities - sum(sizes)]
 
 
 def _cosines(n: int) -> np.ndarray:
@@ -60,7 +66,7 @@ def block_decompress_ref(q_coeffs, m: int, start: float, end: float, layout) -> 
 
 def encode_series_ref(values, layout, eps_p: float):
     """Per-block encoding of a uniform series: (p0_q, blocks[dim][block])."""
-    sizes = block_lengths(values.shape[0] - 1, layout.b_s)
+    sizes = _block_sizes(values.shape[0] - 1, layout.b_s)
     ends = np.cumsum(sizes)
     p0_q, per_dim = [], []
     for x in values.T:
@@ -78,7 +84,7 @@ def encode_series_ref(values, layout, eps_p: float):
 
 def decode_series_ref(p0_q, blocks, n_samples: int, layout, eps_p: float) -> np.ndarray:
     """Per-block decoding of one segment's uniform samples, (n_samples, dim)."""
-    sizes = block_lengths(n_samples - 1, layout.b_s)
+    sizes = _block_sizes(n_samples - 1, layout.b_s)
     values = np.empty((n_samples, len(p0_q)))
     for d, (q0, blks) in enumerate(zip(p0_q, blocks)):
         start = p0 = float(dequantize_array(q0, eps_p))

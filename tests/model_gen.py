@@ -1,7 +1,5 @@
 """Shared test helper: randomized, internally consistent compressed models."""
 
-import math
-
 import numpy as np
 
 from pilotc.container import segment_end_index
@@ -11,9 +9,8 @@ from pilotc.model import (
     EncodedBlock,
     OutlierEntry,
     SubTrajectorySegment,
-    block_lengths,
 )
-from pilotc.params import PROFILES
+from pilotc.params import PROFILES, Layout
 
 GEO = PROFILES["geolife"]
 
@@ -21,16 +18,15 @@ GEO = PROFILES["geolife"]
 def random_model(rng, dim=None, eps=None, chunk_bits=None):
     dim = dim or int(rng.integers(1, 4))
     eps = eps or float(rng.choice([1.0, 5.0, 10.0, 50.0]))
-    b_s = max(2, round(GEO.b * eps + GEO.c))
-    r_ret = min(1.0, GEO.d / math.sqrt(eps))
+    lay = Layout.derive(eps, 0.5 * eps, dim, GEO)
 
     def random_blocks(n_samples):
-        sizes = block_lengths(n_samples - 1, b_s)
+        n_full, tail = lay.partition(n_samples - 1)
         per_dim = []
         for _ in range(dim):
             blks = []
-            for m in sizes:
-                limit = max(1, math.ceil(m * r_ret)) - 1
+            for m in [lay.b_s] * n_full + [tail]:
+                limit = lay.budget(m) - 1
                 c_f = int(rng.integers(0, limit + 1))
                 coeffs = [int(v) for v in rng.integers(-5000, 5000, c_f)]
                 if c_f and coeffs[-1] == 0:

@@ -164,6 +164,31 @@ def test_truncated_container_is_format_error(tmp_path, capsys):
     assert main(["decompress", str(plc), "-o", str(out), "--grid"]) == EXIT_FORMAT
 
 
+@pytest.mark.parametrize("a", ["0", "nan"])
+def test_decompress_rejects_bad_constant_as_usage(tmp_path, capsys, a):
+    src = tmp_path / "s.csv"
+    traj = synthetic_trajectory(300, dim=2, seed=5)
+    write_positions_csv(src, traj.times, traj.points)
+    plc = tmp_path / "s.plc"
+    assert main(["compress", str(src), "-o", str(plc), "--epsilon", "10"]) == EXIT_OK
+    out = tmp_path / "o.csv"
+    assert main(["decompress", str(plc), "-o", str(out), "--grid", "--a", a]) == EXIT_USAGE
+    assert "constants a and d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["0,1e300,0\n1,1e300,0\n2,1e300,0",
+                                  "0,0,0\n1,1,0\n1e300,2,0"], ids=["x", "t"])
+def test_compress_out_of_range_input_is_data_error(tmp_path, capsys, rows):
+    # x = 1e300 at eps = 1, or t = 1e300 at eps_t = 1, has no exact index
+    src = tmp_path / "big.csv"
+    src.write_text("t,x,y\n" + rows + "\n")
+    out = tmp_path / "big.plc"
+    assert main(["compress", str(src), "-o", str(out), "--epsilon", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: coordinates or timestamps too large")
+    assert not out.exists()
+
+
 def test_decompress_requires_exactly_one_mode(tmp_path):
     assert main(["decompress", "x.plc", "-o", "y.csv"]) == EXIT_USAGE
 

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,19 +10,13 @@ import pytest
 from model_gen import random_model
 
 import pilotc
-from pilotc import container
+from pilotc import Reconstructor, container
 from pilotc.codec import VarintReader, enhanced_zigzag_map, pack_varints
-from pilotc.container import (
-    MAGIC,
-    VERSION,
-    pack_archive,
-    parse,
-    serialize,
-    unpack_archive,
-)
+from pilotc.container import MAGIC, VERSION, parse, serialize
 from pilotc.errors import CorruptionError, FormatError, PilotCError, TruncationError
 from pilotc.model import (
     CompressedTrajectory,
+    CorrectionEntry,
     EncodedBlock,
     OutlierEntry,
     SubTrajectorySegment,
@@ -124,12 +119,6 @@ def one_block_model(q_coeffs):
         segments=(seg,))
 
 
-def unchecked_bytes(model, monkeypatch):
-    """The bytes serialize would write if it skipped its model checks."""
-    monkeypatch.setattr(container, "_validate_model", lambda *args: None)
-    return serialize(model, GEO)
-
-
 def test_serialize_rejects_budget_violation():
     with pytest.raises(ValueError):
         serialize(one_block_model(tuple(range(1, 13))), GEO)
@@ -140,15 +129,26 @@ def test_serialize_rejects_trailing_zero_coefficient():
         serialize(one_block_model((5, 0)), GEO)
 
 
-def test_parse_rejects_budget_violation(monkeypatch):
+def one_block_payload(q_coeffs):
+    """The bytes of ``one_block_model(q_coeffs)``, written field by field so
+    that no model check stands in the way."""
+    fields = one_segment(31)[:-1] + [("u", len(q_coeffs))]
+    return crafted(fields + [("s", c) for c in q_coeffs])
+
+
+def test_one_block_payload_matches_serialize():
+    assert one_block_payload((5, -2)) == serialize(one_block_model((5, -2)), GEO)
+
+
+def test_parse_rejects_budget_violation():
     # 12 coefficients fit under the old c_f < m rule but not under the budget
-    payload = unchecked_bytes(one_block_model(tuple(range(1, 13))), monkeypatch)
+    payload = one_block_payload(tuple(range(1, 13)))
     with pytest.raises(CorruptionError, match="budget"):
         parse(payload, GEO)
 
 
-def test_parse_rejects_trailing_zero_coefficient(monkeypatch):
-    payload = unchecked_bytes(one_block_model((5, 0)), monkeypatch)
+def test_parse_rejects_trailing_zero_coefficient():
+    payload = one_block_payload((5, 0))
     with pytest.raises(CorruptionError, match="zero coefficient"):
         parse(payload, GEO)
 
@@ -158,6 +158,63 @@ def test_serialize_rejects_negative_first_time_index():
         dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
         outliers=(OutlierEntry(-3, (0,)),))
     with pytest.raises(ValueError):
+        serialize(model, GEO)
+
+
+def one_d_segment(n_samples=31, n_blocks=1, p0_q=(0,)):
+    return SubTrajectorySegment(0, p0_q, n_samples, ((EncodedBlock((), 0),) * n_blocks,))
+
+
+# one model per rule serialize enforces, each breaking that rule alone
+_BROKEN = {
+    "dim 0": dict(dim=0),
+    "dim 256": dict(dim=256),
+    "chunk length 0": dict(chunk_bits=0),
+    "chunk length 33": dict(chunk_bits=33),
+    "dt zero": dict(dt=0.0),
+    "eps negative": dict(eps=-1.0),
+    "eps_t nan": dict(eps_t=float("nan")),
+    "eps_p inf": dict(eps_p=float("inf")),
+    "outlier width": dict(outliers=(OutlierEntry(1, (0, 0)),)),
+    "correction width": dict(corrections=(CorrectionEntry(1, ()),)),
+    "p0_q width": dict(segments=(one_d_segment(p0_q=(0, 0)),)),
+    "negative first outlier": dict(outliers=(OutlierEntry(-3, (0,)),)),
+    "negative first correction": dict(corrections=(CorrectionEntry(-1, (0,)),)),
+    "repeated outlier index": dict(outliers=(OutlierEntry(4, (0,)), OutlierEntry(4, (1,)))),
+    "falling correction index": dict(
+        corrections=(CorrectionEntry(4, (0,)), CorrectionEntry(2, (0,)))),
+    "one sample": dict(segments=(one_d_segment(n_samples=1),)),
+    "block count": dict(segments=(one_d_segment(n_blocks=2),)),
+    "over budget": dict(segments=one_block_model(tuple(range(1, 12))).segments),
+    "trailing zero": dict(segments=one_block_model((5, 0)).segments),
+}
+
+
+@pytest.mark.parametrize("broken", _BROKEN.values(), ids=_BROKEN.keys())
+def test_serialize_enforces_every_model_rule(broken):
+    fields = dict(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
+    valid = CompressedTrajectory(**fields, segments=(one_d_segment(),))
+    assert parse(serialize(valid, GEO), GEO) == valid
+    with pytest.raises(ValueError):
+        serialize(CompressedTrajectory(**{**fields, **broken}), GEO)
+
+
+@pytest.mark.parametrize("entries", ["outliers", "corrections"])
+def test_parse_rejects_repeated_entry_time_index(entries):
+    # counts, then two entries of time-index deltas 5 and 0, one coordinate each
+    counts = [("u", 0), ("u", 2), ("u", 0)] if entries == "outliers" else [
+        ("u", 0), ("u", 0), ("u", 2)]
+    payload = crafted(counts + [("u", 5), ("s", 1), ("u", 0), ("s", 2)])
+    with pytest.raises(CorruptionError, match="strictly increasing"):
+        parse(payload, GEO)
+
+
+def test_serialize_rejects_segment_time_out_of_float_range():
+    # the index is small, but its time 1000 * eps_t is inf for eps_t = 1e306
+    seg = SubTrajectorySegment(1000, (0,), 31, ((EncodedBlock((), 0),),))
+    model = CompressedTrajectory(dim=1, dt=1.0, eps=10.0, eps_t=1e306, eps_p=5.0,
+                                 chunk_bits=2, segments=(seg,))
+    with pytest.raises(ValueError, match="out of range"):
         serialize(model, GEO)
 
 
@@ -176,16 +233,6 @@ def test_parse_needs_matching_constants():
         assert back != model
     except (CorruptionError, TruncationError):
         pass
-
-
-def test_archive_round_trip():
-    rng = np.random.default_rng(11)
-    payloads = [serialize(random_model(rng), GEO) for _ in range(5)]
-    packed = pack_archive(payloads)
-    assert unpack_archive(packed) == payloads
-    assert unpack_archive(b"") == []
-    with pytest.raises(TruncationError):
-        unpack_archive(packed[:-1])
 
 
 def crafted(fields, dt=1.0, eps=10.0, chunk_bits=2, dim=1, eps_t=1.0, eps_p=5.0):
@@ -247,6 +294,29 @@ def parse_outcome(case):
         return parse(case, GEO)
     except PilotCError as exc:
         return type(exc)
+
+
+@pytest.mark.parametrize("seed, chunk_bits", [(s, l) for s in (36, 5) for l in (1, 2)])
+def test_every_parsed_flip_round_trips(seed, chunk_bits):
+    # parse and serialize apply the same rules, so whatever parse accepts,
+    # serialize writes back, and the bytes parse to the same model
+    model = random_model(np.random.default_rng(seed), dim=2, eps=50.0, chunk_bits=chunk_bits)
+    for case in flips_and_truncations(serialize(model, GEO)):
+        back = parse_outcome(case)
+        if isinstance(back, CompressedTrajectory):
+            assert parse(serialize(back, GEO), GEO) == back
+
+
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_query_before_a_tiny_dt_segment_is_warning_free(dt):
+    # a query 0.1 before the start, inside the start tolerance, lies
+    # -0.1 / dt samples into the segment: beyond int64, or beyond float64
+    fields = one_segment(3)
+    fields[3] = ("s", 5)  # the segment starts at time 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = Reconstructor(parse(crafted(fields, dt=dt), GEO), GEO)
+        assert rec.query([4.9]).tolist() == [[0.0]]
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 3, 4, 7, 8, 16, 32])

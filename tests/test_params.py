@@ -65,6 +65,10 @@ def test_overrides_via_profile():
     dict(eps=1.0, eps_p_factor=0.0),
     dict(eps=1.0, eps_p_factor=1.5),
     dict(eps=1.0, v_max=-5.0),
+    dict(eps=1.0, a=float("nan")),
+    dict(eps=1.0, d=float("inf")),
+    dict(eps=1.0, b=float("nan")),
+    dict(eps=1.0, c=float("-inf")),
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -76,3 +80,13 @@ def test_custom_profile():
     lay = prof.params(4.0).layout(2)
     assert lay.b_s == 18
     assert lay.eps_f == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("constants", [
+    dict(a=0.0), dict(a=float("nan")), dict(d=-1.0), dict(d=float("inf")),
+    dict(b=float("nan")), dict(c=float("inf")),
+])
+def test_invalid_profile_constants_rejected(constants):
+    fields = dict(a=0.6, b=0.5, c=25.0, d=1.1)
+    with pytest.raises(ValueError, match="constants"):
+        Profile("bad", **{**fields, **constants})
