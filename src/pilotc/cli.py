@@ -22,7 +22,6 @@ from .errors import (
     DataError,
     FormatError,
     PilotCError,
-    QueryRangeError,
     TruncationError,
 )
 from .model import TrajectoryRecord
@@ -88,33 +87,30 @@ _CSV_BLOCK_ROWS = 1 << 14  # rows per formatting pass, to bound the text held at
 
 
 def write_positions_csv(path, times, points) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
-    path = Path(path)
+    """Atomic CSV write of a 't,x,y[,z]' table at 12 significant digits."""
     points = np.asarray(points)
     header = "t," + ",".join("xyz"[d] if d < 3 else f"c{d}" for d in range(points.shape[1]))
     table = np.column_stack([times, points])
     row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            # one % operation formats a whole block of rows
-            for i in range(0, len(table), _CSV_BLOCK_ROWS):
-                block = table[i:i + _CSV_BLOCK_ROWS]
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    def text():
+        yield (header + "\n").encode()
+        # one % operation formats a whole block of rows
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[i:i + _CSV_BLOCK_ROWS]
+            yield (row * len(block) % tuple(block.ravel().tolist())).encode()
+
+    _write_atomic(path, text())
 
 
-def _write_bytes_atomic(path, payload: bytes) -> None:
+def _write_atomic(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to a temp file in the target
+    directory, then rename it over ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -154,13 +150,13 @@ def _profile_from_args(args) -> Profile:
         raise _Usage(str(exc)) from exc
 
 
-def _params_from_args(args, profile: Profile) -> CodecParams:
-    if args.epsilon is None:
+def _params(profile: Profile, eps: float | None) -> CodecParams:
+    if eps is None:
         raise _Usage("--epsilon is required")
-    if args.epsilon <= 0:
-        raise _Usage(f"--epsilon must be positive, got {args.epsilon}")
+    if eps <= 0:
+        raise _Usage(f"--epsilon must be positive, got {eps}")
     try:
-        return profile.params(args.epsilon)
+        return profile.params(eps)
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
 
@@ -175,7 +171,7 @@ class _Usage(Exception):
 
 def _cmd_compress(args) -> int:
     profile = _profile_from_args(args)
-    params = _params_from_args(args, profile)
+    params = _params(profile, args.epsilon)
     src = Path(args.input)
     dst = Path(args.output)
     if src.is_dir():
@@ -190,7 +186,7 @@ def _cmd_compress(args) -> int:
         traj = read_trajectory_csv(inp, dedup=args.dedup)
         model = compress(traj, params)
         payload = container.serialize(model, profile)
-        _write_bytes_atomic(outp, payload)
+        _write_atomic(outp, [payload])
         print(f"{inp.name}: {traj.n_points} points -> {len(payload)} bytes, "
               f"{len(model.corrections)} corrections, {len(model.outliers)} outliers")
     return EXIT_OK
@@ -231,41 +227,20 @@ def _cmd_eval(args) -> int:
     if not csv_files:
         raise DataError(f"{originals_dir}: no .csv files found")
     profile = _profile_from_args(args)
-    rows: list[metrics.EvalReport] = []
 
     if args.epsilon_list:
         eps_values = _parse_epsilon_list(args.epsilon_list)
-        trajs = [read_trajectory_csv(f, dedup=args.dedup) for f in csv_files]
-        for eps in eps_values:
-            params = profile.params(eps)
-            payload_total = 0
-            raw_total = 0
-            sed_sum = 0.0
-            sed_max = 0.0
-            n_total = 0
-            n_corr = 0
-            for traj in trajs:
-                model = compress(traj, params)
-                payload = container.serialize(model, profile)
-                payload_total += len(payload)
-                raw_total += metrics.raw_size_bytes(traj.n_points, traj.dim)
-                approx = Reconstructor(model, profile).query(traj.times)
-                d = np.linalg.norm(traj.points - approx, axis=1)
-                sed_sum += float(d.sum())
-                sed_max = max(sed_max, float(d.max()))
-                n_total += traj.n_points
-                n_corr += len(model.corrections)
-            rows.append(metrics.EvalReport(
-                name="sweep", n_points=n_total, dim=trajs[0].dim,
-                raw_bytes=raw_total, compressed_bytes=payload_total,
-                compression_ratio=payload_total / raw_total,
-                max_sed=sed_max, mean_sed=sed_sum / n_total,
-                corrected_fraction=n_corr / n_total, eps=eps,
-            ))
-        ratios = [r.compression_ratio for r in rows]
-        means = [r.mean_sed for r in rows]
-        monotone = all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
-        r2 = _linear_fit_r2(eps_values, means)
+        sweep = [_params(profile, eps) for eps in eps_values]
+        trajs = [(f.stem, read_trajectory_csv(f, dedup=args.dedup)) for f in csv_files]
+        rows = []
+        for params in sweep:
+            measured = [_measure(name, traj, container.serialize(compress(traj, params), profile),
+                                 profile, sed=True)
+                        for name, traj in trajs]
+            rows.append(_aggregate("sweep", measured, params.eps))
+        monotone = all(b.compression_ratio <= a.compression_ratio + 1e-12
+                       for a, b in zip(rows, rows[1:]))
+        r2 = _linear_fit_r2(eps_values, [r.mean_sed for r in rows])
         _emit(rows, args.format)
         print(f"# ratio_monotone_nonincreasing={monotone} mean_sed_linear_r2={r2:.4f}")
         return EXIT_OK
@@ -273,42 +248,53 @@ def _cmd_eval(args) -> int:
     if not args.compressed:
         raise _Usage("--compressed is required unless --epsilon-list is given")
     compressed_dir = Path(args.compressed)
+    rows = []
     for f in csv_files:
         plc = compressed_dir / (f.stem + ".plc")
         if not plc.exists():
             raise DataError(f"{plc}: missing compressed counterpart of {f.name}")
-        traj = read_trajectory_csv(f, dedup=args.dedup)
-        payload = plc.read_bytes()
-        model = container.parse(payload, profile)
-        report = metrics.EvalReport(
-            name=f.stem, n_points=traj.n_points, dim=traj.dim,
-            raw_bytes=metrics.raw_size_bytes(traj.n_points, traj.dim),
-            compressed_bytes=len(payload),
-            compression_ratio=len(payload) / metrics.raw_size_bytes(traj.n_points, traj.dim),
-            corrected_fraction=len(model.corrections) / traj.n_points,
-            eps=model.eps,
-        )
-        if args.at_original_timestamps:
-            approx = Reconstructor(model, profile).query(traj.times)
-            report.max_sed = metrics.max_sed(traj.points, approx)
-            report.mean_sed = metrics.mean_sed(traj.points, approx)
-        rows.append(report)
-    total_raw = sum(r.raw_bytes for r in rows)
-    total_comp = sum(r.compressed_bytes for r in rows)
-    aggregate = metrics.EvalReport(
-        name="TOTAL", n_points=sum(r.n_points for r in rows), dim=rows[0].dim,
-        raw_bytes=total_raw, compressed_bytes=total_comp,
-        compression_ratio=total_comp / total_raw,
-        corrected_fraction=(sum(r.corrected_fraction * r.n_points for r in rows)
-                            / sum(r.n_points for r in rows)),
-    )
-    if args.at_original_timestamps:
-        aggregate.max_sed = max(r.max_sed for r in rows)
-        aggregate.mean_sed = (sum(r.mean_sed * r.n_points for r in rows)
-                              / sum(r.n_points for r in rows))
-    rows.append(aggregate)
-    _emit(rows, args.format)
+        rows.append(_measure(f.stem, read_trajectory_csv(f, dedup=args.dedup),
+                             plc.read_bytes(), profile, sed=args.at_original_timestamps))
+    _emit(rows + [_aggregate("TOTAL", rows)], args.format)
     return EXIT_OK
+
+
+def _measure(name: str, traj: TrajectoryRecord, payload: bytes, profile: Profile,
+             sed: bool) -> metrics.EvalReport:
+    """One trajectory against its container bytes; SED only when ``sed``."""
+    model = container.parse(payload, profile)
+    raw = metrics.raw_size_bytes(traj.n_points, traj.dim)
+    report = metrics.EvalReport(
+        name=name, n_points=traj.n_points, dim=traj.dim, raw_bytes=raw,
+        compressed_bytes=len(payload), compression_ratio=len(payload) / raw,
+        corrected_fraction=len(model.corrections) / traj.n_points, eps=model.eps,
+    )
+    if sed:
+        approx = Reconstructor(model, profile).query(traj.times)
+        report.max_sed = metrics.max_sed(traj.points, approx)
+        report.mean_sed = metrics.mean_sed(traj.points, approx)
+    return report
+
+
+def _aggregate(name: str, rows: list[metrics.EvalReport], eps=None) -> metrics.EvalReport:
+    """One row for many: sizes add up, max SED is the largest, and mean SED
+    and corrected fraction are weighted by point count."""
+    n = sum(r.n_points for r in rows)
+    raw = sum(r.raw_bytes for r in rows)
+    compressed = sum(r.compressed_bytes for r in rows)
+
+    def weighted(field):
+        return sum(getattr(r, field) * r.n_points for r in rows) / n
+
+    report = metrics.EvalReport(
+        name=name, n_points=n, dim=rows[0].dim, raw_bytes=raw,
+        compressed_bytes=compressed, compression_ratio=compressed / raw,
+        corrected_fraction=weighted("corrected_fraction"), eps=eps,
+    )
+    if rows[0].max_sed is not None:
+        report.max_sed = max(r.max_sed for r in rows)
+        report.mean_sed = weighted("mean_sed")
+    return report
 
 
 def _parse_epsilon_list(text: str) -> list[float]:
@@ -435,9 +421,6 @@ def main(argv=None) -> int:
     except (FormatError, TruncationError, CorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (DataError, QueryRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (OSError, ValueError, PilotCError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

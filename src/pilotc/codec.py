@@ -49,13 +49,7 @@ def quantize_array(x, step: float) -> np.ndarray:
     ties away from zero; returns int64 indices."""
     if step <= 0.0 or not math.isfinite(step):
         raise ValueError(f"quantization step must be positive and finite, got {step}")
-    v = np.asarray(x, dtype=float)
-    if v.size and not np.all(np.isfinite(v)):
-        raise ValueError("cannot quantize non-finite values")
-    scaled = np.abs(v) / (2.0 * step) + 0.5
-    if v.size and scaled.max() >= _EXACT_FLOAT:
-        raise OverflowError("quantized index exceeds the exact integer range of float64")
-    return (np.sign(v) * np.floor(scaled)).astype(np.int64)
+    return _round_index(x, 2.0 * step, "value")
 
 
 def dequantize_array(q, step: float) -> np.ndarray:
@@ -72,14 +66,22 @@ def time_index_array(t, eps_t: float) -> np.ndarray:
     index ``i`` stands for the time ``i * eps_t``."""
     if eps_t <= 0.0:
         raise ValueError(f"time precision must be positive, got {eps_t}")
-    t = np.asarray(t, dtype=float)
-    if t.size and not np.all(np.isfinite(t)):
-        raise ValueError("cannot quantize non-finite times")
-    # checked in Python floats, so a huge time cannot overflow in numpy
-    if t.size and float(np.abs(t).max()) / eps_t + 0.5 >= _EXACT_FLOAT:
-        raise OverflowError("time index exceeds the exact integer range of float64")
-    v = t / eps_t
-    return (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
+    return _round_index(t, eps_t, "time")
+
+
+def _round_index(x, unit: float, what: str) -> np.ndarray:
+    """Index of the nearest multiple of ``unit``, ties away from zero, as int64."""
+    v = np.asarray(x, dtype=float)
+    size = np.abs(v)
+    if v.size:
+        # NaN and inf propagate to the max; the range is checked in Python
+        # floats, so a huge value cannot overflow in numpy
+        top = float(size.max())
+        if not math.isfinite(top):
+            raise ValueError(f"cannot quantize a non-finite {what}")
+        if top / unit + 0.5 >= _EXACT_FLOAT:
+            raise OverflowError(f"{what} index exceeds the exact integer range of float64")
+    return (np.sign(v) * np.floor(size / unit + 0.5)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
             )
     except ValueError as exc:  # a broken rule, or a signed decode of a zero code
         raise CorruptionError(str(exc)) from exc
-    except OverflowError as exc:  # b * eps + c is inf, or a huge index
-        raise CorruptionError(f"block size or segment end out of range: {exc}") from exc
+    except OverflowError as exc:  # a segment end index beyond float64
+        raise CorruptionError(f"segment end out of range: {exc}") from exc
 
     if r.remaining_bits >= 8:
         raise CorruptionError(f"{r.remaining_bits} unread bits after the payload")

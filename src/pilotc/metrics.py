@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,21 +32,20 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
-    CSV_HEADER = ("name,n_points,dim,raw_bytes,compressed_bytes,"
-                  "compression_ratio,max_sed,mean_sed,corrected_fraction,eps")
-
     def to_csv_row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return f"{v:.9g}"
-            return str(v)
-        return ",".join(fmt(v) for v in (
-            self.name, self.n_points, self.dim, self.raw_bytes,
-            self.compressed_bytes, self.compression_ratio,
-            self.max_sed, self.mean_sed, self.corrected_fraction, self.eps,
-        ))
+        return ",".join(map(_csv_cell, asdict(self).values()))
+
+
+# the dataclass fields are the one column list, of the csv and of the json
+EvalReport.CSV_HEADER = ",".join(f.name for f in fields(EvalReport))
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.9g}"
+    return str(v)
 
 
 def raw_size_bytes(n_points: int, dim: int) -> int:

@@ -2,8 +2,9 @@
 
 ``CompressedTrajectory`` mirrors the serialized container field for field,
 using plain ints and tuples so that a parse of a serialize compares equal.
-All quantized indices are stored in absolute form here; the wire format
-applies delta chains on top (see ``container``).
+Quantized indices are stored in absolute form here, except a block's
+``end_delta_q``, its step on the segment's cumulative end-index chain; the
+wire format applies further delta chains on top (see ``container``).
 """
 
 from __future__ import annotations

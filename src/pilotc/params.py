@@ -4,7 +4,7 @@ The compressor is driven by a single error bound ``eps`` (max allowed SED,
 in position units).  Three internal knobs derive from it:
 
     eps_f = eps / a                   frequency quantization half-step
-    b_s   = round(b * eps + c)        block size, at least 2
+    b_s   = round(b * eps + c)        block size, at least 2, below 2**63
     r_ret = min(1, d / sqrt(eps))     retained fraction of low frequencies
 
 A block of m velocities keeps K(m) = max(1, ceil(m * r_ret)) low-frequency
@@ -40,8 +40,12 @@ class Layout:
     def derive(cls, eps: float, eps_p: float, dim: int, constants) -> "Layout":
         """``constants`` is any object carrying ``a, b, c, d`` (a
         :class:`Profile` or :class:`CodecParams`)."""
+        size = constants.b * eps + constants.c
+        if not size < 2.0 ** 63:
+            raise ValueError(f"block size b_s = round(b * eps + c) = {size:.6g} at "
+                             f"eps={eps} is out of range of int64")
         return cls(
-            b_s=max(2, round_half_away(constants.b * eps + constants.c)),
+            b_s=round_half_away(max(size, 2.0)),
             eps_f=eps / constants.a,
             r_ret=min(1.0, constants.d / math.sqrt(eps)),
             eps_d=eps_p / math.sqrt(dim),
@@ -95,6 +99,7 @@ class CodecParams:
             raise ValueError(f"chunk_bits must be in 1..32, got {self.chunk_bits}")
         if not 0.0 < self.eps_p_factor <= 1.0:
             raise ValueError(f"eps_p_factor must be in (0, 1], got {self.eps_p_factor}")
+        self.layout(1)  # the derived knobs must be usable too
 
     def layout(self, dim: int) -> Layout:
         return Layout.derive(self.eps, self.eps_p, dim, self)

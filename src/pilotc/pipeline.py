@@ -72,7 +72,9 @@ def segment(traj: TrajectoryRecord, params: CodecParams,
     boundaries = [0]
     if n > 1:
         gaps = np.diff(t)
-        dists = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
+        # a jump too large for float64 is infinite, and so always a split
+        with np.errstate(over="ignore"):
+            dists = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
         speed_split = dists > gaps * params.v_max
         # the time condition needs at least b_s * min(gap); prefilter so the
         # sequential scan only visits points that could possibly split
@@ -140,9 +142,12 @@ def _encode_series(series: UniformSeries, t0_index: int,
     # every endpoint's reconstruction error stays within eps_d
     ends = np.minimum(b_s * np.arange(1, n_full + 2), series.n_samples - 1)
     deltas = np.diff(quantize_array(x[ends] - p0, lay.eps_d), axis=0, prepend=0)
-    # full blocks of every dimension in one batch, dimension-major
-    rows = b_s * np.arange(n_full)[:, None] + np.arange(b_s + 1)
-    full = encode_rows(x.T[:, rows].reshape(-1, b_s + 1), lay)
+    # full blocks of every dimension in one batch, dimension-major; a
+    # segment with none builds nothing of size b_s
+    full = []
+    if n_full:
+        rows = b_s * np.arange(n_full)[:, None] + np.arange(b_s + 1)
+        full = encode_rows(x.T[:, rows].reshape(-1, b_s + 1), lay)
     tail = encode_rows(x[n_full * b_s:].T, lay)
     blocks = tuple(
         tuple(map(EncodedBlock, full[d * n_full:(d + 1) * n_full] + [tail[d]],

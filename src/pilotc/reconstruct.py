@@ -41,14 +41,16 @@ def decompress_uniform(model: CompressedTrajectory,
                               dtype=float).T
         ends = p0 + dequantize_array(np.cumsum(end_deltas, axis=0), lay.eps_d)
         starts = np.vstack([p0, ends[:-1]])
-        # full blocks of every dimension in one batch, dimension-major
-        full = decode_rows([b.q_coeffs for per_dim in seg.blocks for b in per_dim[:n_full]],
-                           b_s, starts[:n_full].T.ravel(), ends[:n_full].T.ravel(), lay)
-        tail = decode_rows([per_dim[-1].q_coeffs for per_dim in seg.blocks],
-                           m_tail, starts[-1], ends[-1], lay)
         values = np.empty((seg.n_samples, model.dim))
         values[0] = p0
-        values[1:cut + 1] = full[:, 1:].reshape(model.dim, cut).T
+        # full blocks of every dimension in one batch, dimension-major; a
+        # segment with none builds nothing of size b_s
+        if n_full:
+            full = decode_rows([b.q_coeffs for per_dim in seg.blocks for b in per_dim[:n_full]],
+                               b_s, starts[:n_full].T.ravel(), ends[:n_full].T.ravel(), lay)
+            values[1:cut + 1] = full[:, 1:].reshape(model.dim, cut).T
+        tail = decode_rows([per_dim[-1].q_coeffs for per_dim in seg.blocks],
+                           m_tail, starts[-1], ends[-1], lay)
         values[cut + 1:] = tail[:, 1:].T
         out.append(UniformSeries(seg.t0_index * model.eps_t, model.dt, values))
     return out

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -178,15 +179,30 @@ def test_decompress_rejects_bad_constant_as_usage(tmp_path, capsys, a):
 
 
 @pytest.mark.parametrize("rows", ["0,1e300,0\n1,1e300,0\n2,1e300,0",
-                                  "0,0,0\n1,1,0\n1e300,2,0"], ids=["x", "t"])
+                                  "0,0,0\n1,1,0\n1e300,2,0",
+                                  "0,1e300,0\n1,-1e300,0\n2,1e300,0\n3,-1e300,0"],
+                         ids=["x", "t", "alternating"])
 def test_compress_out_of_range_input_is_data_error(tmp_path, capsys, rows):
-    # x = 1e300 at eps = 1, or t = 1e300 at eps_t = 1, has no exact index
+    # x = 1e300 at eps = 1, or t = 1e300 at eps_t = 1, has no exact index;
+    # jumps of 2e300 overflow the distance, which splits without a warning
     src = tmp_path / "big.csv"
     src.write_text("t,x,y\n" + rows + "\n")
     out = tmp_path / "big.plc"
     assert main(["compress", str(src), "-o", str(out), "--epsilon", "1"]) == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: coordinates or timestamps too large")
     assert not out.exists()
+
+
+def test_block_size_beyond_int64_is_usage_error(tmp_path, capsys):
+    # b_s = round(0.5 * eps + 25) = 5e189 at eps = 1e190
+    src = tmp_path / "far.csv"
+    src.write_text("t,x,y\n0,1e200,0\n1,1e200,0\n2,1e200,0\n3,1e200,0\n")
+    out = tmp_path / "far.plc"
+    assert main(["compress", str(src), "-o", str(out), "--epsilon", "1e190"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "b_s" in err and "eps=1e+190" in err
+    assert not out.exists()
+    assert main(["eval", "--originals", str(tmp_path), "--epsilon-list", "10,1e190"]) == EXIT_USAGE
 
 
 def test_decompress_requires_exactly_one_mode(tmp_path):
@@ -214,6 +230,58 @@ def test_eval_sweep_mode(tmp_path, capsys):
     assert "ratio_monotone_nonincreasing=True" in out
     lines = [ln for ln in out.splitlines() if ln.startswith("sweep")]
     assert len(lines) == 3
+
+
+def eval_rows(capsys, *args):
+    """The rows ``pilotc eval`` prints in csv and in jsonl, checked to hold
+    the same values, as dicts of the jsonl values."""
+    header, *csv_rows = _eval_lines(capsys, *args, "--format", "csv")
+    records = [json.loads(line) for line in _eval_lines(capsys, *args, "--format", "jsonl")]
+    columns = header.split(",")
+    assert list(records[0]) == columns
+    assert len(records) == len(csv_rows)
+    for line, record in zip(csv_rows, records):
+        for cell, value in zip(line.split(","), record.values(), strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == pytest.approx(value, rel=1e-8, abs=0.0)
+    return records
+
+
+def _eval_lines(capsys, *args):
+    capsys.readouterr()
+    assert main(["eval", *args]) == EXIT_OK
+    return [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+
+
+def test_eval_modes_and_formats_agree(tmp_path, capsys):
+    originals = tmp_path / "orig"
+    compressed = tmp_path / "plc"
+    originals.mkdir()
+    write_corpus(originals, count=3, points=1000, seed=9)
+    assert main(["compress", str(originals), "-o", str(compressed),
+                 "--epsilon", "50"]) == EXIT_OK
+    per_file = eval_rows(capsys, "--originals", str(originals), "--compressed", str(compressed),
+                         "--at-original-timestamps")
+    sizes_only = eval_rows(capsys, "--originals", str(originals), "--compressed",
+                           str(compressed))
+    sweep = eval_rows(capsys, "--originals", str(originals), "--epsilon-list", "20,50")
+
+    assert [r["name"] for r in per_file] == ["traj_00", "traj_01", "traj_02", "TOTAL"]
+    total = per_file[-1]
+    assert total["eps"] is None and total["max_sed"] <= 50.0
+    assert total["n_points"] == 3000
+    assert total["compressed_bytes"] == sum(p.stat().st_size for p in compressed.iterdir())
+    # without --at-original-timestamps only the SED columns go
+    for with_sed, without in zip(per_file, sizes_only):
+        assert without["max_sed"] is None and without["mean_sed"] is None
+        assert without == {**with_sed, "max_sed": None, "mean_sed": None}
+    # the sweep measures the same container bytes as compress, then eval
+    assert [(r["name"], r["eps"]) for r in sweep] == [("sweep", 20.0), ("sweep", 50.0)]
+    assert {**sweep[1], "name": "TOTAL", "eps": None} == total
 
 
 def test_eval_empty_directory(tmp_path):

@@ -85,6 +85,8 @@ def test_time_index_rejects_non_finite_and_huge_times_without_warning():
         # the quotient overflows to inf before the range check sees it
         with pytest.raises(OverflowError):
             time_index_array(1e306, 1e-3)
+        with pytest.raises(OverflowError):
+            quantize_array([1e300], 1e-10)
 
 
 # ---------------------------------------------------------------------------

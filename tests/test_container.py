@@ -435,3 +435,24 @@ def test_parse_fuzz_header_floats_and_counts():
     # header floats from the edges of float64 and random leading counts, at
     # l = 1 and l = 2: parse returns a model or raises a PilotCError
     assert run_capped(_HEADER_FUZZ) == []
+
+
+_HUGE_BLOCKS = """
+from pilotc import Reconstructor, compress, synthetic_trajectory
+from test_container import crafted, one_segment
+answers = []
+for eps in (1e7, 1e12):
+    rec = Reconstructor(parse(crafted(one_segment(3), eps=eps, eps_p=eps / 2), geo), geo)
+    answers.append(rec.query([0.0, 1.5, 2.0]).tolist())
+traj = synthetic_trajectory(300, seed=1)
+rec = Reconstructor(parse(serialize(compress(traj, geo.params(1e7)), geo), geo), geo)
+answers.append(bool(np.linalg.norm(rec.query(traj.times) - traj.points, axis=1).max() <= 1e7))
+print(json.dumps(answers))
+"""
+
+
+def test_huge_block_size_builds_no_full_block_batch():
+    # a segment shorter than b_s is one tail block: at eps = 1e7 (b_s = 5e6)
+    # and 1e12 (5e11) neither side may build the empty batch of full blocks,
+    # whose cosine basis alone would take 64.8 GiB and 3.64 TiB
+    assert run_capped(_HUGE_BLOCKS) == [[[0.0], [0.0], [0.0]]] * 2 + [True]

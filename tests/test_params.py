@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from pilotc.params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile
+from pilotc.params import DEFAULT_PROFILE, PROFILES, CodecParams, Layout, Profile
 
 
 def test_nuplan_derivation_at_eps_5():
@@ -39,6 +40,16 @@ def test_retention_saturates_at_one():
 def test_block_size_floor():
     assert CodecParams(eps=0.001, b=0.5, c=0.0005).layout(1).b_s == 2
     assert CodecParams(eps=10.0, b=0.5, c=25.0).layout(1).b_s == 30
+
+
+def test_block_size_must_fit_int64():
+    # geolife: b_s = round(0.5 * eps + 25), and 2**63 is about 9.22e18
+    assert Layout.derive(1.8e19, 1.0, 2, DEFAULT_PROFILE).b_s == round(0.5 * 1.8e19 + 25)
+    for eps in (1.9e19, 1e190):
+        with pytest.raises(ValueError, match=rf"b_s .* eps={re.escape(str(eps))}"):
+            Layout.derive(eps, 1.0, 2, DEFAULT_PROFILE)
+        with pytest.raises(ValueError, match="b_s"):
+            DEFAULT_PROFILE.params(eps)
 
 
 def test_eps_split_over_dimensions():
