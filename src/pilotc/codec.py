@@ -11,17 +11,18 @@ A signed field stores its enhanced Zigzag code (every code >= 1).  At
 ``chunk_bits == 1`` the final chunk's payload bit of such a code is provably
 1 and is omitted from storage; the reader restores it when the final flag is
 seen.  :func:`pack_varints` writes a whole sequence of codes with array
-operations.  :func:`varint_reader` picks the reader for a body: at
+operations.  :func:`varint_reader` picks the reader for a body, and both
+readers decode with array operations, so a read only indexes lists: at
 ``chunk_bits >= 2`` every chunk is ``chunk_bits + 1`` bits, so
 :class:`ColumnarReader` splits the whole body into fields up front; at
-``chunk_bits == 1`` a field's length depends on its type, and
-:class:`VarintReader` finds each field's end when it is read.
+``chunk_bits == 1`` a field's length depends on its type, so
+:class:`TableReader` tabulates, for every bit position, the field of either
+type that would start there.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import CorruptionError, TruncationError
 _U64_LIMIT = 1 << 64
 _EXACT_FLOAT = float(1 << 53)  # largest range where float64 holds exact integers
 _PACK_BATCH = 1 << 12  # codes per pass of pack_varints, to keep its temporaries small
+_WINDOW = 1 << 13  # start positions per table of TableReader, to keep its tables small
 
 
 def round_half_away(v: float) -> int:
@@ -64,8 +66,8 @@ def dequantize_array(q, step: float) -> np.ndarray:
 def time_index_array(t, eps_t: float) -> np.ndarray:
     """Index of the nearest multiple of ``eps_t``, ties away from zero;
     index ``i`` stands for the time ``i * eps_t``."""
-    if eps_t <= 0.0:
-        raise ValueError(f"time precision must be positive, got {eps_t}")
+    if not (eps_t > 0.0 and math.isfinite(eps_t)):
+        raise ValueError(f"time precision must be positive and finite, got {eps_t}")
     return _round_index(t, eps_t, "time")
 
 
@@ -106,11 +108,6 @@ def enhanced_zigzag_unmap(u: int) -> int:
 # varint
 # ---------------------------------------------------------------------------
 
-def _check_chunk_bits(chunk_bits: int) -> None:
-    if not 1 <= chunk_bits <= 32:
-        raise ValueError(f"chunk length must be in 1..32, got {chunk_bits}")
-
-
 def pack_varints(codes, signed, chunk_bits: int) -> bytes:
     """Write a sequence of codes as consecutive varints, zero-padded to bytes.
 
@@ -118,7 +115,8 @@ def pack_varints(codes, signed, chunk_bits: int) -> bytes:
     marks enhanced-zigzag codes, which must be >= 1; at chunk length 1 their
     final payload bit is therefore 1 and is not stored.
     """
-    _check_chunk_bits(chunk_bits)
+    if not 1 <= chunk_bits <= 32:
+        raise ValueError(f"chunk length must be in 1..32, got {chunk_bits}")
     signed = np.asarray(signed, dtype=bool)
     parts = [_varint_bits(codes[i:i + _PACK_BATCH], signed[i:i + _PACK_BATCH], chunk_bits)
              for i in range(0, len(codes), _PACK_BATCH)]
@@ -152,56 +150,145 @@ def _varint_bits(codes, signed: np.ndarray, l: int) -> np.ndarray:
     return rows[keep]
 
 
-class VarintReader:
-    """Reads, in order, the varints that :func:`pack_varints` wrote.
+class TableReader:
+    """Reads, in order, the varints of a body written at chunk length 1.
 
-    The bits are held as a ``b"0"``/``b"1"`` string.  A read finds the
-    code's final flag with one regular-expression scan and parses the
-    payloads from slices.  It raises :class:`TruncationError` when the bits
-    run out, and :class:`CorruptionError` past 64 // l continuation chunks or
-    for a code of 2**64 or more, which no writer produces.
+    A field there is a run of flagged chunks ``1x``, then a final chunk:
+    ``0x`` if unsigned, a bare ``0`` if signed, whose payload bit 1 is
+    implied.  So a field that starts at bit p ends at the first 0 flag among
+    bits p, p + 2, p + 4, ... whatever its type, and its code comes from the
+    payload bits before that flag.  For every start position of a window the
+    reader tabulates with array operations that end (as the span of bits
+    before it), the unsigned code and the enhanced-zigzag value; a read is
+    then one lookup for the end and one for the value.  A window holds
+    ``_WINDOW`` start positions and is built when the reads reach it, so
+    memory is bounded by the window, not the body.  Errors stay lazy: a
+    field that cannot be read has ``None`` in the value table, and only a
+    read that reaches it raises.  That read raises :class:`TruncationError`
+    when the bits run out, and :class:`CorruptionError` past 64 continuation
+    chunks or for a code of 2**64 or more, which no writer produces.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
-        l = chunk_bits
-        _check_chunk_bits(l)
-        self._bits = (np.unpackbits(np.frombuffer(data, dtype=np.uint8)) + ord("0")).tobytes()
-        self._flagged = re.compile(rb"(?:1[01]{%d}){0,%d}" % (l, 64 // l + 1))
-        self._payload = re.compile(rb"1([01]{%d})" % l)
-        self._max_flagged_bits = (64 // l) * (l + 1)
-        self._l = l
-        self._signed_final = 0 if l == 1 else l  # stored final payload bits
-        self.pos = 0
+        if chunk_bits != 1:
+            raise ValueError(f"table reader chunk length must be 1, got {chunk_bits}")
+        self._data = np.frombuffer(data, dtype=np.uint8)
+        self._n_bits = 8 * self._data.size
+        self._base = self._i = 0  # the window's first bit, and the offset into it
+        # per start offset in the window: the bits before the final flag,
+        # the unsigned code and the enhanced-zigzag value
+        self._spans: list[int] = []
+        self._codes: list[int | None] = []
+        self._values: list[int | None] = []
+
+    @property
+    def pos(self) -> int:
+        return self._base + self._i
 
     @property
     def remaining_bits(self) -> int:
-        return len(self._bits) - self.pos
+        return self._n_bits - self.pos
 
     def unsigned(self) -> int:
-        return self._read(self._l)
+        i = self._i
+        try:
+            v = self._codes[i]
+        except IndexError:
+            self._next_window(1)
+            return self.unsigned()
+        if v is None:
+            self._fail(1)
+        self._i = i + self._spans[i] + 2
+        return v
 
     def signed(self) -> int:
-        return enhanced_zigzag_unmap(self._read(self._signed_final))
+        i = self._i
+        try:
+            v = self._values[i]
+        except IndexError:
+            self._next_window(0)
+            return self.signed()
+        if v is None:
+            self._fail(0)
+        self._i = i + self._spans[i] + 1
+        return v
 
     def signeds(self, n: int) -> tuple[int, ...]:
-        return tuple([self.signed() for _ in range(n)])
+        spans, values, i = self._spans, self._values, self._i
+        out = []
+        try:
+            for _ in range(n):
+                v = values[i]
+                if v is None:
+                    break
+                out.append(v)
+                i += spans[i] + 1
+        except IndexError:
+            pass
+        self._i = i
+        if len(out) < n:  # the rest starts in a later window, or fails
+            out.extend([self.signed() for _ in range(n - len(out))])
+        return tuple(out)
 
-    def _read(self, final_bits: int) -> int:
-        bits, pos = self._bits, self.pos
-        end = self._flagged.match(bits, pos).end()
-        if end - pos > self._max_flagged_bits:
+    def _next_window(self, final_bits: int) -> None:
+        """Tabulate the fields that start in the window at the current
+        position, or raise the error of reading there."""
+        start = self.pos
+        if start >= self._n_bits:
+            self._fail(final_bits)
+        base = self._base = start - start % 8
+        self._i = start - base
+        # a field spans at most 64 flagged chunks and a final one, 130 bits
+        bits = np.unpackbits(self._data[base // 8:(base + _WINDOW + 137) // 8])
+        n = bits.size
+        m = min(_WINDOW, n)  # start offsets
+        # the first 0 flag at or after each offset, at the same parity; one
+        # out of reach where there is none
+        zero_at = np.where(bits, np.int32(n + 130), np.arange(n, dtype=np.int32))
+        next_zero = np.empty(n, dtype=np.int32)
+        for q in (0, 1):
+            next_zero[q::2] = np.minimum.accumulate(zero_at[q::2][::-1])[::-1]
+        end = next_zero[:m]
+        span = end - np.arange(m, dtype=np.int32)  # twice the flagged chunks
+        # payload[p] = the sum over k < 64 of bit p + 2k + 1 shifted left by k,
+        # in six doubling steps; its bit n_flagged is the final payload bit
+        payload = np.zeros(m + 126, dtype=np.uint64)
+        stored = bits[1:payload.size + 1]
+        payload[:stored.size] = stored
+        for k in (1, 2, 4, 8, 16, 32):
+            payload = payload[:-2 * k] | (payload[2 * k:] << np.uint64(k))
+        top = np.left_shift(np.uint64(1), np.minimum(span >> 1, 63).astype(np.uint64))
+        # from 63 flagged chunks on, the mask wraps to all 64 bits
+        codes = (payload & ((top << np.uint64(1)) - np.uint64(1))).tolist()
+        # a code is below 2**64 if n_flagged < 64, or if n_flagged = 64 and
+        # its final payload bit, bit 64, is 0
+        final_bit = np.take(bits, end + 1, mode="clip")
+        for i in np.flatnonzero((span + final_bit > 128) | (end + 2 > n)).tolist():
+            codes[i] = None
+        signed_codes = (payload & (top - np.uint64(1))) | top
+        half = (signed_codes >> np.uint64(1)).astype(np.int64)
+        values = np.where(signed_codes & np.uint64(1), half, -half).tolist()
+        for i in np.flatnonzero((span > 126) | (end >= n)).tolist():
+            values[i] = None
+        self._spans = span.tolist()
+        self._codes = codes
+        self._values = values
+
+    def _fail(self, final_bits: int) -> None:
+        """Raise the error of reading the field at the current position
+        with ``final_bits`` stored final payload bits."""
+        pos = self.pos
+        stop = min(pos + 131, self._n_bits)  # past the longest field, 130 bits
+        bits = np.unpackbits(self._data[pos // 8:(stop + 7) // 8])
+        bits = bits[pos % 8:stop - pos // 8 * 8].tolist()
+        k = 0  # complete flagged chunks, up to one too many
+        while k <= 64 and 2 * k + 1 < len(bits) and bits[2 * k]:
+            k += 1
+        if k > 64:
             raise CorruptionError("varint longer than any encodable value")
-        stop = end + 1 + final_bits
-        if stop > len(bits) or bits[end] != ord("0"):
+        if 2 * k + 1 + final_bits > len(bits) or bits[2 * k]:
             raise TruncationError(f"bitstream exhausted inside the varint at bit {pos}")
-        chunks = self._payload.findall(bits, pos, end)
-        chunks.reverse()
-        # an implied final payload (final_bits == 0) is the bit 1
-        code = int((bits[end + 1:stop] or b"1") + b"".join(chunks), 2)
-        if code >> 64:
-            raise CorruptionError(f"varint code {code} exceeds 64 bits")
-        self.pos = stop
-        return code
+        raise CorruptionError("varint code exceeds 64 bits")
 
 
 class ColumnarReader:
@@ -211,8 +298,10 @@ class ColumnarReader:
     is 0 whatever the field's type.  The whole body is tokenized when the
     reader is built: each field's code and its enhanced-zigzag value come
     from array operations, and reads take them by index or by slice.  Errors
-    stay lazy: a read raises what :class:`VarintReader` raises on the same
-    bits, and only when it reaches the first field that cannot be read.
+    stay lazy: only a read that reaches the first field that cannot be read
+    raises, :class:`TruncationError` when the bits run out, and
+    :class:`CorruptionError` past 64 // l continuation chunks or for a code
+    of 2**64 or more; a signed read of the code 0 raises ``ValueError``.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -306,8 +395,8 @@ class ColumnarReader:
         raise TruncationError(f"bitstream exhausted inside the varint at bit {self.pos}")
 
 
-def varint_reader(data: bytes, chunk_bits: int) -> VarintReader | ColumnarReader:
+def varint_reader(data: bytes, chunk_bits: int) -> TableReader | ColumnarReader:
     """The reader for a container body of the given chunk length."""
     if chunk_bits == 1:
-        return VarintReader(data, chunk_bits)
+        return TableReader(data, chunk_bits)
     return ColumnarReader(data, chunk_bits)

@@ -21,12 +21,12 @@ All varints use the header's chunk length l, so after the 40-byte header
 the body is one flat run of chunked varints (see ``codec``).  ``serialize``
 flattens the model into one list of field codes and writes it with a single
 :func:`~pilotc.codec.pack_varints` call; ``parse`` walks the same field
-order through the reader :func:`~pilotc.codec.varint_reader` picks.  At
-l >= 2 every chunk is l + 1 bits, so that reader has already split the
-whole body into fields with array operations, and the walk only takes them
-in order.  At l = 1 a signed field's final payload bit is implied, so field
-boundaries depend on field types; only there does the walk find where each
-field ends.
+order through the reader :func:`~pilotc.codec.varint_reader` picks.  That
+reader decodes with array operations, so the walk only looks fields up: at
+l >= 2 every chunk is l + 1 bits, and the reader has already split the
+whole body into fields; at l = 1 a signed field's final payload bit is
+implied, so a field's length depends on its type, and the reader has
+tabulated the field of either type that starts at each bit position.
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`:

@@ -91,10 +91,10 @@ class CodecParams:
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         _check_constants(self)
-        if self.v_max <= 0.0:
+        if not self.v_max > 0.0:  # inf turns the speed split off; NaN fails
             raise ValueError(f"v_max must be positive, got {self.v_max}")
-        if self.eps_t <= 0.0:
-            raise ValueError(f"eps_t must be positive, got {self.eps_t}")
+        if not (self.eps_t > 0.0 and math.isfinite(self.eps_t)):
+            raise ValueError(f"eps_t must be positive and finite, got {self.eps_t}")
         if not 1 <= self.chunk_bits <= 32:
             raise ValueError(f"chunk_bits must be in 1..32, got {self.chunk_bits}")
         if not 0.0 < self.eps_p_factor <= 1.0:

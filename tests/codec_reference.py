@@ -1,17 +1,74 @@
-"""Shared test helper: plain reference implementations of the block codec.
+"""Shared test helper: plain reference implementations of the codec.
 
 The library codes every block of a series in one batched, truncated
-cosine product.  These references do the same job the slow, obvious way,
-one block at a time with a full cosine sum, so tests can require the
-library to agree with them.
+cosine product, and reads varints from tables built with array
+operations.  These references do the same jobs the slow, obvious way: one
+block at a time with a full cosine sum, and one varint at a time with a
+regular-expression scan, so tests can require the library to agree with
+them.
 """
 
 import math
+import re
 
 import numpy as np
 
-from pilotc.codec import dequantize_array, quantize_array
+from pilotc.codec import dequantize_array, enhanced_zigzag_unmap, quantize_array
+from pilotc.errors import CorruptionError, TruncationError
 from pilotc.model import EncodedBlock
+
+
+class VarintReader:
+    """Reads, in order, the varints that ``pack_varints`` wrote.
+
+    The bits are held as a ``b"0"``/``b"1"`` string.  A read finds the
+    code's final flag with one regular-expression scan and parses the
+    payloads from slices.  It raises :class:`TruncationError` when the bits
+    run out, and :class:`CorruptionError` past 64 // l continuation chunks or
+    for a code of 2**64 or more, which no writer produces.
+    """
+
+    def __init__(self, data: bytes, chunk_bits: int) -> None:
+        l = chunk_bits
+        if not 1 <= l <= 32:
+            raise ValueError(f"chunk length must be in 1..32, got {l}")
+        self._bits = (np.unpackbits(np.frombuffer(data, dtype=np.uint8)) + ord("0")).tobytes()
+        self._flagged = re.compile(rb"(?:1[01]{%d}){0,%d}" % (l, 64 // l + 1))
+        self._payload = re.compile(rb"1([01]{%d})" % l)
+        self._max_flagged_bits = (64 // l) * (l + 1)
+        self._l = l
+        self._signed_final = 0 if l == 1 else l  # stored final payload bits
+        self.pos = 0
+
+    @property
+    def remaining_bits(self) -> int:
+        return len(self._bits) - self.pos
+
+    def unsigned(self) -> int:
+        return self._read(self._l)
+
+    def signed(self) -> int:
+        return enhanced_zigzag_unmap(self._read(self._signed_final))
+
+    def signeds(self, n: int) -> tuple[int, ...]:
+        return tuple([self.signed() for _ in range(n)])
+
+    def _read(self, final_bits: int) -> int:
+        bits, pos = self._bits, self.pos
+        end = self._flagged.match(bits, pos).end()
+        if end - pos > self._max_flagged_bits:
+            raise CorruptionError("varint longer than any encodable value")
+        stop = end + 1 + final_bits
+        if stop > len(bits) or bits[end] != ord("0"):
+            raise TruncationError(f"bitstream exhausted inside the varint at bit {pos}")
+        chunks = self._payload.findall(bits, pos, end)
+        chunks.reverse()
+        # an implied final payload (final_bits == 0) is the bit 1
+        code = int((bits[end + 1:stop] or b"1") + b"".join(chunks), 2)
+        if code >> 64:
+            raise CorruptionError(f"varint code {code} exceeds 64 bits")
+        self.pos = stop
+        return code
 
 
 def _block_sizes(n_velocities: int, b_s: int) -> list[int]:

@@ -23,11 +23,11 @@ from pilotc import (
     var_delta_s,
 )
 from pilotc.codec import (
-    VarintReader,
     dequantize_array,
     enhanced_zigzag_map,
     pack_varints,
     quantize_array,
+    varint_reader,
 )
 from pilotc.errors import TruncationError
 from pilotc.transform import dct_forward, dct_inverse
@@ -185,7 +185,7 @@ def test_codec_bijections_exhaustive():
     values = range(-(2**16), 2**16 + 1)
     codes = [enhanced_zigzag_map(n) for n in values]
     for l in range(1, 9):
-        r = VarintReader(pack_varints(codes, [True] * len(codes), l), l)
+        r = varint_reader(pack_varints(codes, [True] * len(codes), l), l)
         failures += sum(r.signed() != n for n in values)
     assert failures == 0
 

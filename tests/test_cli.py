@@ -165,6 +165,20 @@ def test_truncated_container_is_format_error(tmp_path, capsys):
     assert main(["decompress", str(plc), "-o", str(out), "--grid"]) == EXIT_FORMAT
 
 
+@pytest.mark.parametrize("option, message", [("--eps-t", "eps_t"), ("--vmax", "v_max")])
+def test_compress_rejects_nan_setting_as_usage(tmp_path, capsys, option, message):
+    # NaN passes a "<= 0" check; a NaN eps_t used to reach an int cast, and a
+    # NaN v_max to turn the speed split off without a word
+    src = tmp_path / "s.csv"
+    traj = synthetic_trajectory(300, dim=2, seed=5)
+    write_positions_csv(src, traj.times, traj.points)
+    out = tmp_path / "s.plc"
+    assert main(["compress", str(src), "-o", str(out), "--epsilon", "10",
+                 option, "nan"]) == EXIT_USAGE
+    assert f"{message} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("a", ["0", "nan"])
 def test_decompress_rejects_bad_constant_as_usage(tmp_path, capsys, a):
     src = tmp_path / "s.csv"

@@ -3,12 +3,14 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from codec_reference import VarintReader
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pilotc import codec
 from pilotc.codec import (
     ColumnarReader,
-    VarintReader,
+    TableReader,
     dequantize_array,
     enhanced_zigzag_map,
     enhanced_zigzag_unmap,
@@ -76,6 +78,14 @@ def test_time_index_uses_single_step():
     assert abs(10.26 - time_index_array(10.26, 0.1) * 0.1) <= 0.05 + 1e-12
 
 
+def test_time_index_rejects_a_bad_time_precision_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time precision"):
+                time_index_array([1.0, 2.0], bad)
+
+
 def test_time_index_rejects_non_finite_and_huge_times_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -125,8 +135,14 @@ def test_zigzag_inverse_and_errors():
 
 
 # ---------------------------------------------------------------------------
-# varint writer and reader
+# varint writer and reader; the regular-expression reader of the tests is the
+# reference, and each chunk-length-1 case also runs through the library's
+# reader for that chunk length
 # ---------------------------------------------------------------------------
+
+def readers(l):
+    return (VarintReader, varint_reader) if l == 1 else (VarintReader,)
+
 
 def test_bitstream_byte_padding_is_zero():
     # 5 at l = 2: chunks 01 (flagged) and 01 (final), then two zero pad bits
@@ -145,10 +161,12 @@ def test_bitstream_exhaustion_raises_truncation():
         r.unsigned()
     with pytest.raises(TruncationError):
         VarintReader(b"\x80", 7).unsigned()  # a flagged chunk, then nothing
-    r = VarintReader(b"\x01", 1)
-    assert [r.signed() for _ in range(7)] == [0] * 7  # bare final flags, implied 1
-    with pytest.raises(TruncationError):
-        r.signed()  # a flag 1 with its payload bit missing
+    for reader in readers(1):
+        r = reader(b"\x01", 1)
+        assert [r.signed() for _ in range(7)] == [0] * 7  # bare final flags, implied 1
+        with pytest.raises(TruncationError):
+            r.signed()  # a flag 1 with its payload bit missing
+        assert r.pos == 7
 
 
 def test_bitstream_rejects_out_of_range_values():
@@ -161,6 +179,8 @@ def test_bitstream_rejects_out_of_range_values():
             pack_varints([1], [False], l)
         with pytest.raises(ValueError):
             VarintReader(b"\x00", l)
+        with pytest.raises(ValueError):
+            varint_reader(b"\x00", l)
 
 
 _FIELD = st.one_of(
@@ -207,9 +227,10 @@ def test_varint_455_omitted_final_bit():
     # chunks then a bare final flag, then seven zero pad bits
     data = pack_varints([455], [True], 1)
     assert bits_of(data) == "11" * 3 + "10" * 3 + "11" * 2 + "0" + "0" * 7
-    r = VarintReader(data, 1)
-    assert r.signed() == 227
-    assert r.pos == 17
+    for reader in readers(1):
+        r = reader(data, 1)
+        assert r.signed() == 227
+        assert r.pos == 17
 
 
 def test_varint_omission_preconditions():
@@ -224,9 +245,11 @@ def test_varint_omission_preconditions():
 
 def test_varint_omitted_round_trip_dense():
     codes = range(1, 2**12)
-    r = VarintReader(pack_varints(codes, [True] * len(codes), 1), 1)
-    for u in codes:
-        assert r.signed() == enhanced_zigzag_unmap(u)
+    data = pack_varints(codes, [True] * len(codes), 1)
+    for reader in readers(1):
+        r = reader(data, 1)
+        for u in codes:
+            assert r.signed() == enhanced_zigzag_unmap(u)
 
 
 def test_varint_bit_length_formula_and_monotonicity():
@@ -234,18 +257,20 @@ def test_varint_bit_length_formula_and_monotonicity():
         prev = 0
         for u in (0, 1, 2, 3, 7, 8, 127, 128, 255, 1023, 2**16, 2**32 - 1):
             data = pack_varints([u], [False], l)
-            r = VarintReader(data, l)
-            assert r.unsigned() == u
-            chunks = max(1, -(-u.bit_length() // l))
-            assert r.pos == (l + 1) * chunks
-            assert len(data) == -(-r.pos // 8)
-            assert r.pos >= prev
+            for reader in readers(l):
+                r = reader(data, l)
+                assert r.unsigned() == u
+                chunks = max(1, -(-u.bit_length() // l))
+                assert r.pos == (l + 1) * chunks
+                assert len(data) == -(-r.pos // 8)
+                assert r.pos >= prev
             prev = r.pos
 
 
 def test_varint_corrupt_unterminated_flags():
-    with pytest.raises(CorruptionError):
-        VarintReader(b"\xff" * 40, 1).unsigned()
+    for reader in readers(1):
+        with pytest.raises(CorruptionError):
+            reader(b"\xff" * 40, 1).unsigned()
 
 
 def test_varint_code_beyond_64_bits_is_corrupt():
@@ -255,9 +280,11 @@ def test_varint_code_beyond_64_bits_is_corrupt():
         bits = ("1" + "0" * l) * n_flagged + "0" + "1" * l
         bits += "0" * (-len(bits) % 8)
         data = int(bits, 2).to_bytes(len(bits) // 8, "big")
-        with pytest.raises(CorruptionError):
-            VarintReader(data, l).unsigned()
-    assert VarintReader(pack_varints([2**64 - 1], [False], 1), 1).unsigned() == 2**64 - 1
+        for reader in readers(l):
+            with pytest.raises(CorruptionError):
+                reader(data, l).unsigned()
+    for reader in readers(1):
+        assert reader(pack_varints([2**64 - 1], [False], 1), 1).unsigned() == 2**64 - 1
 
 
 def bits_to_bytes(bits: str) -> bytes:
@@ -267,21 +294,24 @@ def bits_to_bytes(bits: str) -> bytes:
     return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
-def read_outcome(reader, data, l):
+def read_outcome(reader, data, l, signed=False):
     try:
-        return reader(data, l).unsigned()
+        r = reader(data, l)
+        return r.signed() if signed else r.unsigned()
     except (CorruptionError, TruncationError) as exc:
         return type(exc)
 
 
-@pytest.mark.parametrize("l", [2, 4, 32])
+@pytest.mark.parametrize("l", [1, 2, 4, 32])
 def test_columnar_reader_64_bit_edges(l):
+    # the library reader for each chunk length (the table reader at l = 1)
+    # against the reference
     max_flagged = 64 // l
     flagged_zero = "1" + "0" * l
 
-    def expect(data, outcome):
-        assert read_outcome(ColumnarReader, data, l) == outcome
-        assert read_outcome(VarintReader, data, l) == outcome
+    def expect(data, outcome, signed=False):
+        assert read_outcome(varint_reader, data, l, signed) == outcome
+        assert read_outcome(VarintReader, data, l, signed) == outcome
 
     expect(pack_varints([2**64 - 1, 0], [False, False], l), 2**64 - 1)
     # a final chunk at bit 64: a nonzero payload reaches 2**64, a zero one adds nothing
@@ -295,6 +325,13 @@ def test_columnar_reader_64_bit_edges(l):
         data = bits_to_bytes(flagged_zero * n)
         n_flagged = 8 * len(data) // (l + 1)
         expect(data, TruncationError if n_flagged <= max_flagged else CorruptionError)
+    if l == 1:
+        # a signed field's final payload bit 1 is implied: after 63 flagged
+        # chunks it is bit 63 of the code 2**63, after 64 it reaches 2**64
+        expect(bits_to_bytes(flagged_zero * 63 + "0"), -(2**62), signed=True)
+        expect(bits_to_bytes(flagged_zero * 64 + "0"), CorruptionError, signed=True)
+        # the same bits unsigned: the fill's first bit is the final payload
+        expect(bits_to_bytes(flagged_zero * 63 + "0"), 2**63)
 
 
 def test_columnar_reader_errors_are_lazy():
@@ -314,11 +351,54 @@ def test_columnar_reader_errors_are_lazy():
     assert r.pos == 6
     with pytest.raises(ValueError):
         ColumnarReader(b"\x00", 1)
+    with pytest.raises(ValueError):
+        TableReader(b"\x00", 2)
 
 
 @settings(max_examples=300)
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(1, 8))
 def test_signed_varint_round_trip_property(n, l):
-    r = VarintReader(pack_varints([abs(n), enhanced_zigzag_map(n)], [False, True], l), l)
-    assert r.unsigned() == abs(n)
-    assert r.signed() == n
+    data = pack_varints([abs(n), enhanced_zigzag_map(n)], [False, True], l)
+    for reader in (VarintReader, varint_reader):
+        r = reader(data, l)
+        assert r.unsigned() == abs(n)
+        assert r.signed() == n
+
+
+@pytest.mark.parametrize("window", [16, codec._WINDOW])
+def test_table_reader_across_windows(window, monkeypatch):
+    # the table reader builds its tables one window of start positions at a
+    # time; a body of more than three windows, read field by field and in
+    # signed runs, gives what the reference reads, and so do its cuts
+    monkeypatch.setattr(codec, "_WINDOW", window)
+    rng = np.random.default_rng(window)
+    # 2-bit zeros up to two bits before the first window ends, then a
+    # 130-bit field and a 127-bit signed one across the boundary
+    fields = [(False, 0)] * (window // 2 - 1) + [(False, 2**64 - 1), (True, -(2**62))]
+    while sum(2 * max(1, int(v).bit_length()) for _, v in fields) < 3 * window + 400:
+        size = int(rng.integers(0, 63))
+        value = int(rng.integers(-(2**size), 2**size)) if size else 0
+        is_signed = bool(rng.integers(2))
+        fields.append((is_signed, value if is_signed else abs(value)))
+    signed = [s for s, _ in fields]
+    values = [v for _, v in fields]
+    data = pack_varints([enhanced_zigzag_map(v) if s else v for s, v in fields], signed, 1)
+    assert 8 * len(data) > 3 * window
+
+    def walk(reader, body):
+        r = reader(body, 1)
+        out = []
+        try:
+            for s, run in groupby(signed):
+                n = len(list(run))
+                out.extend(r.signeds(n) if s else [r.unsigned() for _ in range(n)])
+        except (CorruptionError, TruncationError) as exc:
+            out.append(type(exc))
+        return out, r.pos
+
+    r = varint_reader(data, 1)
+    assert [r.signed() if s else r.unsigned() for s in signed] == values
+    assert r.remaining_bits < 8
+    assert walk(varint_reader, data) == (values, r.pos)
+    for cut in range(0, len(data), max(1, window // 64)):
+        assert walk(varint_reader, data[:cut]) == walk(VarintReader, data[:cut])

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from codec_reference import VarintReader
 from model_gen import random_model
 
 import pilotc
 from pilotc import Reconstructor, container
-from pilotc.codec import VarintReader, enhanced_zigzag_map, pack_varints
+from pilotc.codec import enhanced_zigzag_map, pack_varints
 from pilotc.container import MAGIC, VERSION, parse, serialize
 from pilotc.errors import CorruptionError, FormatError, PilotCError, TruncationError
 from pilotc.model import (
@@ -319,10 +320,11 @@ def test_query_before_a_tiny_dt_segment_is_warning_free(dt):
         assert rec.query([4.9]).tolist() == [[0.0]]
 
 
-@pytest.mark.parametrize("chunk_bits", [2, 3, 4, 7, 8, 16, 32])
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3, 4, 7, 8, 16, 32])
 def test_columnar_parse_matches_per_field_reader(chunk_bits, monkeypatch):
-    # the columnar reader must give the same model, or the same error class,
-    # as the per-field reader on every damaged copy of two containers
+    # the library's reader (the table reader at l = 1, the columnar one
+    # above) must give the same model, or the same error class, as the
+    # per-field reference reader on every damaged copy of two containers
     for seed in (36, 5):
         model = random_model(np.random.default_rng(seed), dim=2, eps=50.0,
                              chunk_bits=chunk_bits)
@@ -449,6 +451,30 @@ rec = Reconstructor(parse(serialize(compress(traj, geo.params(1e7)), geo), geo),
 answers.append(bool(np.linalg.norm(rec.query(traj.times) - traj.points, axis=1).max() <= 1e7))
 print(json.dumps(answers))
 """
+
+
+_BIG_L1_BODY = """
+from test_container import crafted
+# 70,000 corrections of one 127-bit signed field each: a 1.1 MB body at l = 1
+n = 70_000
+fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1), ("s", -(2**62))] * n
+payload = crafted(fields, chunk_bits=1)
+try:
+    back = parse(payload, geo)
+    answer = [len(payload), len(back.corrections), back.corrections[-1].delta_q[0]]
+except PilotCError as exc:
+    answer = [len(payload), type(exc).__name__]
+print(json.dumps(answer))
+"""
+
+
+def test_table_reader_memory_is_bounded_by_its_window():
+    # the l = 1 reader tabulates one window of start positions at a time;
+    # tables over the whole body, a list entry and a few uint64s per bit,
+    # would not fit under the cap
+    size, n_corrections, last = run_capped(_BIG_L1_BODY)
+    assert size >= 1 << 20
+    assert (n_corrections, last) == (70_000, -(2**62))
 
 
 def test_huge_block_size_builds_no_full_block_batch():

@@ -76,6 +76,9 @@ def test_overrides_via_profile():
     dict(eps=1.0, eps_p_factor=0.0),
     dict(eps=1.0, eps_p_factor=1.5),
     dict(eps=1.0, v_max=-5.0),
+    dict(eps=1.0, v_max=float("nan")),
+    dict(eps=1.0, eps_t=float("nan")),
+    dict(eps=1.0, eps_t=float("inf")),
     dict(eps=1.0, a=float("nan")),
     dict(eps=1.0, d=float("inf")),
     dict(eps=1.0, b=float("nan")),
@@ -84,6 +87,12 @@ def test_overrides_via_profile():
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
         CodecParams(**kwargs)
+
+
+def test_infinite_v_max_turns_the_speed_split_off():
+    assert CodecParams(eps=1.0, v_max=float("inf")).v_max == float("inf")
+    with pytest.raises(ValueError, match="v_max"):
+        PROFILES["geolife"].params(10.0, v_max=float("nan"))
 
 
 def test_custom_profile():
