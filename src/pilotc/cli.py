@@ -122,13 +122,21 @@ def _write_atomic(path, chunks) -> None:
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _add_profile_args(p: argparse.ArgumentParser) -> None:
+def _add_constant_args(p: argparse.ArgumentParser) -> None:
+    """The dataset constants, which every command needs: a container does
+    not store them."""
     p.add_argument("--profile", choices=sorted(PROFILES), default=DEFAULT_PROFILE.name,
                    help="named dataset constants (default %(default)s)")
     p.add_argument("--a", type=float, help="override constant a (eps_f = eps/a)")
     p.add_argument("--b", type=float, help="override constant b (block size slope)")
     p.add_argument("--c", type=float, help="override constant c (block size offset)")
     p.add_argument("--d", type=float, help="override constant d (retention scale)")
+
+
+def _add_profile_args(p: argparse.ArgumentParser) -> None:
+    """The constants plus the encoding settings, which a container header
+    fixes, so only the commands that encode take them."""
+    _add_constant_args(p)
     p.add_argument("--vmax", type=float, help="segmentation speed threshold, m/s")
     p.add_argument("--eps-t", type=float, help="time precision, seconds")
     p.add_argument("--chunk-bits", type=int, help="varint chunk length (default 2)")
@@ -141,7 +149,7 @@ def _profile_from_args(args) -> Profile:
     for field, attr in (("a", "a"), ("b", "b"), ("c", "c"), ("d", "d"),
                         ("v_max", "vmax"), ("eps_t", "eps_t"),
                         ("chunk_bits", "chunk_bits"), ("eps_p_factor", "eps_p_factor")):
-        v = getattr(args, attr)
+        v = getattr(args, attr, None)
         if v is not None:
             overrides[field] = v
     try:
@@ -374,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("-o", "--output", required=True, help="output CSV")
     d.add_argument("--at", help="file of query timestamps, one per line, sorted")
     d.add_argument("--grid", action="store_true", help="emit the uniform series")
-    _add_profile_args(d)
+    _add_constant_args(d)
 
     e = sub.add_parser("eval", help="report compression ratio and SED metrics")
     e.add_argument("--originals", required=True, help="directory of original CSVs")

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import CorruptionError, TruncationError
 
-_U64_LIMIT = 1 << 64
 _EXACT_FLOAT = float(1 << 53)  # largest range where float64 holds exact integers
 _PACK_BATCH = 1 << 12  # codes per pass of pack_varints, to keep its temporaries small
 _WINDOW = 1 << 13  # start positions per table of TableReader, to keep its tables small
@@ -90,15 +89,22 @@ def _round_index(x, unit: float, what: str) -> np.ndarray:
 # signed -> unsigned mapping
 # ---------------------------------------------------------------------------
 
-def enhanced_zigzag_map(n: int) -> int:
-    """n >= 0 -> 2n + 1, n < 0 -> 2|n|; the result is always >= 1."""
-    u = 2 * n + 1 if n >= 0 else 2 * (-n)
-    if u >= _U64_LIMIT:
-        raise OverflowError(f"enhanced zigzag code for {n} exceeds 64 bits")
-    return u
+def enhanced_zigzag_map(values):
+    """n >= 0 -> 2n + 1, n < 0 -> 2|n|, elementwise over an int or an
+    array-like of ints; the uint64 codes are always >= 1."""
+    try:
+        n = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise OverflowError("enhanced zigzag code exceeds 64 bits") from None
+    u = n.astype(np.uint64)  # two's complement, so -u is |n| where n < 0
+    codes = np.where(n < 0, -u << np.uint64(1), (u << np.uint64(1)) | np.uint64(1))
+    if (codes == 0).any():  # only -2**63 wraps, its code being 2**64
+        raise OverflowError("enhanced zigzag code exceeds 64 bits")
+    return codes[()]
 
 
 def enhanced_zigzag_unmap(u: int) -> int:
+    u = int(u)
     if u < 1:
         raise ValueError(f"enhanced zigzag code must be >= 1, got {u}")
     return (u - 1) // 2 if u % 2 == 1 else -(u // 2)

@@ -19,7 +19,8 @@ Layout, version 1:
 
 All varints use the header's chunk length l, so after the 40-byte header
 the body is one flat run of chunked varints (see ``codec``).  ``serialize``
-flattens the model into one list of field codes and writes it with a single
+flattens the model into one list of field values, maps the signed ones to
+their codes in one array operation and writes the codes with a single
 :func:`~pilotc.codec.pack_varints` call; ``parse`` walks the same field
 order through the reader :func:`~pilotc.codec.varint_reader` picks.  That
 reader decodes with array operations, so the walk only looks fields up: at
@@ -126,17 +127,18 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     _check_header(dim, model.chunk_bits, model.dt, model.eps, model.eps_t, model.eps_p)
     lay = Layout.derive(model.eps, model.eps_p, dim, profile)
     full_limit = lay.budget(lay.b_s) - 1
-    # every field as one code, in container order; signed fields are
-    # enhanced-zigzag mapped, and the positions of the others are recorded
-    codes: list[int] = []
+    # every field in container order, 0 standing in for an unsigned one,
+    # whose position and value are recorded apart
+    fields: list[int] = []
     unsigned_at: list[int] = []
+    unsigned_values: list[int] = []
 
     def unsigned(value: int) -> None:
-        unsigned_at.append(len(codes))
-        codes.append(value)
+        unsigned_at.append(len(fields))
+        unsigned_values.append(value)
+        fields.append(0)
 
-    def signed(values) -> None:
-        codes.extend(map(enhanced_zigzag_map, values))
+    signed = fields.extend
 
     def width(values, what: str, i: int):
         if len(values) != dim:
@@ -183,6 +185,9 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
                 unsigned(len(coeffs))
                 signed(coeffs)
 
+    # the signed fields are mapped in one array operation
+    codes = enhanced_zigzag_map(fields)
+    codes[unsigned_at] = unsigned_values
     is_signed = np.ones(len(codes), dtype=bool)
     is_signed[unsigned_at] = False
     return (MAGIC + bytes((VERSION, dim, 0, model.chunk_bits))  # flags reserved

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .codec import round_half_away
 
 
@@ -57,10 +59,12 @@ class Layout:
         may hold AC coefficients, the DC slot is never stored."""
         return max(1, math.ceil(m * self.r_ret))
 
-    def partition(self, n_velocities: int) -> tuple[int, int]:
+    def partition(self, n_velocities):
         """The count of full blocks of b_s velocities, and the length of
-        the tail block after them, which always exists and holds 1..b_s."""
-        if n_velocities < 1:
+        the tail block after them, which always exists and holds 1..b_s;
+        of one count, or elementwise of an int64 array of them."""
+        too_few = n_velocities < 1
+        if too_few.any() if isinstance(too_few, np.ndarray) else too_few:
             raise ValueError("a block partition needs at least one velocity")
         n_full = (n_velocities - 1) // self.b_s
         return n_full, n_velocities - n_full * self.b_s
@@ -71,6 +75,19 @@ def _check_constants(k) -> None:
             and math.isfinite(k.b) and math.isfinite(k.c)):
         raise ValueError("constants a and d must be positive and finite, b and c finite; "
                          f"got a={k.a}, b={k.b}, c={k.c}, d={k.d}")
+
+
+def _check_settings(k) -> None:
+    """The encoding settings a :class:`Profile` defaults and a
+    :class:`CodecParams` uses."""
+    if not k.v_max > 0.0:  # inf turns the speed split off; NaN fails
+        raise ValueError(f"v_max must be positive, got {k.v_max}")
+    if not (k.eps_t > 0.0 and math.isfinite(k.eps_t)):
+        raise ValueError(f"eps_t must be positive and finite, got {k.eps_t}")
+    if not 1 <= k.chunk_bits <= 32:
+        raise ValueError(f"chunk_bits must be in 1..32, got {k.chunk_bits}")
+    if not 0.0 < k.eps_p_factor <= 1.0:
+        raise ValueError(f"eps_p_factor must be in (0, 1], got {k.eps_p_factor}")
 
 
 @dataclass(frozen=True)
@@ -91,14 +108,7 @@ class CodecParams:
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         _check_constants(self)
-        if not self.v_max > 0.0:  # inf turns the speed split off; NaN fails
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
-        if not (self.eps_t > 0.0 and math.isfinite(self.eps_t)):
-            raise ValueError(f"eps_t must be positive and finite, got {self.eps_t}")
-        if not 1 <= self.chunk_bits <= 32:
-            raise ValueError(f"chunk_bits must be in 1..32, got {self.chunk_bits}")
-        if not 0.0 < self.eps_p_factor <= 1.0:
-            raise ValueError(f"eps_p_factor must be in (0, 1], got {self.eps_p_factor}")
+        _check_settings(self)
         self.layout(1)  # the derived knobs must be usable too
 
     def layout(self, dim: int) -> Layout:
@@ -125,6 +135,7 @@ class Profile:
 
     def __post_init__(self) -> None:
         _check_constants(self)
+        _check_settings(self)
 
     def params(self, eps: float, **overrides) -> CodecParams:
         base = CodecParams(

@@ -2,7 +2,8 @@
 
 Stages: split the raw trajectory into temporally continuous fragments,
 pick a common sampling interval, resample each fragment onto a uniform
-grid, block-code every dimension, and finally validate the result against
+grid, block-code every segment and dimension together, in one batch per
+block length, and finally validate the result against
 the original points, storing quantized residuals for any point whose
 reconstruction error exceeds the bound.  The returned model therefore
 always decompresses to within ``eps`` at every original timestamp.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import encode_rows
+from .blocks import BlockPlan, encode_blocks
 from .codec import (
     dequantize_array,
     quantize_array,
@@ -130,35 +131,37 @@ def resample(frag: Fragment, dt: float) -> UniformSeries:
     return UniformSeries(frag.t0, dt, values)
 
 
-def _encode_series(series: UniformSeries, t0_index: int,
-                   params: CodecParams) -> SubTrajectorySegment:
-    lay = params.layout(series.dim)
-    b_s = lay.b_s
-    x = series.values
-    n_full, _ = lay.partition(series.n_samples - 1)
-    p0_q = quantize_array(x[0], params.eps_p)
-    p0 = dequantize_array(p0_q, params.eps_p)
+def _encode_segments(samples, t0_indices: list[int],
+                     params: CodecParams) -> tuple[SubTrajectorySegment, ...]:
+    """Block-code every segment of a trajectory from its uniform samples,
+    an iterable of (n_samples, dim) arrays that is read once.  The blocks of
+    every segment and dimension go through the codec together, in one batch
+    per block length (see :class:`~pilotc.blocks.BlockPlan`)."""
+    values = list(samples)
+    if not values:
+        return ()
+    n_samples = [v.shape[0] for v in values]
+    dim = values[0].shape[1]
+    x = np.concatenate([v.T for v in values], axis=None)
+    del values  # so that the samples are held once while the blocks are coded
+    lay = params.layout(dim)
+    plan = BlockPlan(n_samples, dim, lay)
+    p0_q = quantize_array(x[plan.chain_row], params.eps_p)
+    p0 = dequantize_array(p0_q, params.eps_p).repeat(plan.per_chain)
     # block endpoints ride a cumulative index chain anchored at p0, so
-    # every endpoint's reconstruction error stays within eps_d
-    ends = np.minimum(b_s * np.arange(1, n_full + 2), series.n_samples - 1)
-    deltas = np.diff(quantize_array(x[ends] - p0, lay.eps_d), axis=0, prepend=0)
-    # full blocks of every dimension in one batch, dimension-major; a
-    # segment with none builds nothing of size b_s
-    full = []
-    if n_full:
-        rows = b_s * np.arange(n_full)[:, None] + np.arange(b_s + 1)
-        full = encode_rows(x.T[:, rows].reshape(-1, b_s + 1), lay)
-    tail = encode_rows(x[n_full * b_s:].T, lay)
-    blocks = tuple(
-        tuple(map(EncodedBlock, full[d * n_full:(d + 1) * n_full] + [tail[d]],
-                  deltas[:, d].tolist()))
-        for d in range(series.dim)
-    )
-    return SubTrajectorySegment(
-        t0_index=t0_index,
-        p0_q=tuple(p0_q.tolist()),
-        n_samples=series.n_samples,
-        blocks=blocks,
+    # every endpoint's reconstruction error stays within eps_d; each chain
+    # restarts at its first block
+    q_end = quantize_array(x[plan.start + plan.length] - p0, lay.eps_d)
+    deltas = q_end.copy()
+    deltas[1:] -= q_end[:-1]
+    deltas[plan.chain_start] = q_end[plan.chain_start]
+    blocks = list(map(EncodedBlock, encode_blocks(x, plan, lay), deltas.tolist()))
+    bounds = [*plan.chain_start.tolist(), len(blocks)]
+    chains = [tuple(blocks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(
+        SubTrajectorySegment(t0_index=t0, p0_q=tuple(p0_q[i * dim:(i + 1) * dim].tolist()),
+                             n_samples=n, blocks=tuple(chains[i * dim:(i + 1) * dim]))
+        for i, (t0, n) in enumerate(zip(t0_indices, n_samples))
     )
 
 
@@ -215,9 +218,7 @@ def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> Compresse
         dt = max(1, round_half_away(default_dt / params.eps_t)) * params.eps_t
 
     t0_indices = time_index_array([f.t0 for f in fragments], params.eps_t).tolist()
-    segments = tuple(
-        _encode_series(resample(f, dt), t0, params) for f, t0 in zip(fragments, t0_indices)
-    )
+    segments = _encode_segments((resample(f, dt).values for f in fragments), t0_indices, params)
     out_idx = time_index_array([t for t, _ in outlier_points], params.eps_t)
     out_q = quantize_array(np.reshape([p for _, p in outlier_points], (-1, traj.dim)),
                            params.layout(traj.dim).eps_out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import decode_rows
+from .blocks import BlockPlan, decode_blocks
 from .codec import dequantize_array, time_index_array
 from .errors import QueryRangeError
 from .model import CompressedTrajectory, UniformSeries
@@ -27,33 +27,40 @@ def decompress_uniform(model: CompressedTrajectory,
 
     ``constants`` is any object carrying the dataset constants ``a, b, c, d``
     (a :class:`~pilotc.params.Profile` or :class:`~pilotc.params.CodecParams`),
-    matching the ones used at compression time.
+    matching the ones used at compression time.  Every segment decodes at
+    once: the blocks of all segments and dimensions go through the codec in
+    one batch per block length (see :class:`~pilotc.blocks.BlockPlan`), into
+    one flat array of which each series' values are a view.
     """
+    segs = model.segments
+    if not segs:
+        return []
     lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
-    b_s = lay.b_s
-    out = []
-    for seg in model.segments:
-        n_full, m_tail = lay.partition(seg.n_velocities)
-        cut = n_full * b_s
-        p0 = dequantize_array(seg.p0_q, model.eps_p)
-        # float sums are exact below 2**53 and, unlike int64, cannot wrap
-        end_deltas = np.array([[b.end_delta_q for b in per_dim] for per_dim in seg.blocks],
-                              dtype=float).T
-        ends = p0 + dequantize_array(np.cumsum(end_deltas, axis=0), lay.eps_d)
-        starts = np.vstack([p0, ends[:-1]])
-        values = np.empty((seg.n_samples, model.dim))
-        values[0] = p0
-        # full blocks of every dimension in one batch, dimension-major; a
-        # segment with none builds nothing of size b_s
-        if n_full:
-            full = decode_rows([b.q_coeffs for per_dim in seg.blocks for b in per_dim[:n_full]],
-                               b_s, starts[:n_full].T.ravel(), ends[:n_full].T.ravel(), lay)
-            values[1:cut + 1] = full[:, 1:].reshape(model.dim, cut).T
-        tail = decode_rows([per_dim[-1].q_coeffs for per_dim in seg.blocks],
-                           m_tail, starts[-1], ends[-1], lay)
-        values[cut + 1:] = tail[:, 1:].T
-        out.append(UniformSeries(seg.t0_index * model.eps_t, model.dt, values))
-    return out
+    n_samples = [seg.n_samples for seg in segs]
+    plan = BlockPlan(n_samples, model.dim, lay)
+    chains = [per_dim for seg in segs for per_dim in seg.blocks]
+    if list(map(len, chains)) != plan.per_chain.tolist():
+        raise ValueError("block counts do not match the segments' dimension and sample counts")
+    blocks = [b for per_dim in chains for b in per_dim]
+    p0 = dequantize_array([q for seg in segs for q in seg.p0_q], model.eps_p)
+    # a chain's end indices are the running sum less its value before the
+    # chain; float sums are exact while the sum stays below 2**53, and
+    # unlike int64 they cannot wrap
+    deltas = np.fromiter([b.end_delta_q for b in blocks], float, len(blocks))
+    total = deltas.cumsum()
+    first = plan.chain_start
+    ends = p0.repeat(plan.per_chain) + dequantize_array(
+        total - (total[first] - deltas[first]).repeat(plan.per_chain), lay.eps_d)
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[first] = p0
+    flat = np.empty(sum(n_samples) * model.dim)
+    flat[plan.chain_row] = p0
+    decode_blocks([b.q_coeffs for b in blocks], starts, ends, plan, lay, flat)
+    # one segment's samples are a (dim, n_samples) block of the flat array
+    return [UniformSeries(seg.t0_index * model.eps_t, model.dt,
+                          flat[row:row + model.dim * seg.n_samples].reshape(model.dim, -1).T)
+            for seg, row in zip(segs, plan.chain_row[::model.dim].tolist())]
 
 
 class Reconstructor:

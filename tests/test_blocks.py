@@ -1,15 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from codec_reference import decode_series_ref, encode_series_ref
 
-from pilotc.blocks import decode_rows, encode_rows
+from pilotc import blocks, pipeline, reconstruct
+from pilotc.blocks import _BATCH_SAMPLES, decode_rows, encode_rows
 from pilotc.errors import CorruptionError
-from pilotc.model import CompressedTrajectory, UniformSeries
+from pilotc.model import CompressedTrajectory
 from pilotc.params import PROFILES, Layout
-from pilotc.pipeline import _encode_series
+from pilotc.pipeline import _encode_segments, compress
 from pilotc.reconstruct import decompress_uniform
+from pilotc.synth import synthetic_trajectory
 from pilotc.transform import dct_forward
 
 
@@ -170,7 +173,7 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
     for n_full, tail in itertools.product((0, 2), range(1, lay.b_s + 1)):
         n_samples = n_full * lay.b_s + tail + 1
         values = np.cumsum(rng.normal(3.0, 2.0, (n_samples, 2)), axis=0)
-        seg = _encode_series(UniformSeries(0.0, 1.0, values), 0, params)
+        seg, = _encode_segments([values], [0], params)
         assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p)
 
         model = CompressedTrajectory(dim=2, dt=1.0, eps=eps, eps_t=1.0,
@@ -179,3 +182,66 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
         want = decode_series_ref(seg.p0_q, seg.blocks, n_samples, lay, params.eps_p)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_segments_coded_together_match_per_block_reference(dim):
+    # one call codes segments with no full block, tail lengths that repeat
+    # and ones that do not, and one long enough that its full blocks take
+    # more than one chunk of a batch; each segment must match the per-block
+    # reference on both sides
+    profile = PROFILES["geolife"]
+    params = profile.params(10.0)
+    lay = params.layout(dim)
+    b_s = lay.b_s
+    assert 1100 * (b_s + 1) > _BATCH_SAMPLES
+    shapes = [(0, 1), (0, 7), (3, 7), (1, b_s), (0, b_s), (2, 1), (1100, 12), (1, 7), (0, 2)]
+    rng = np.random.default_rng(9 + dim)
+    values = [np.cumsum(rng.normal(3.0, 2.0, (n_full * b_s + tail + 1, dim)), axis=0)
+              for n_full, tail in shapes]
+    t0s = [1000 * i for i in range(len(shapes))]
+    segs = _encode_segments(values, t0s, params)
+    assert [(s.t0_index, s.n_samples) for s in segs] == [(t, len(v)) for t, v in zip(t0s, values)]
+    for seg, v in zip(segs, values):
+        assert (seg.p0_q, seg.blocks) == encode_series_ref(v, lay, params.eps_p)
+
+    model = CompressedTrajectory(dim=dim, dt=1.0, eps=10.0, eps_t=1.0,
+                                 eps_p=params.eps_p, chunk_bits=2, segments=segs)
+    for series, seg in zip(decompress_uniform(model, profile), segs):
+        want = decode_series_ref(seg.p0_q, seg.blocks, seg.n_samples, lay, params.eps_p)
+        assert series.t0 == seg.t0_index
+        np.testing.assert_allclose(series.values, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+def test_block_codec_calls_do_not_grow_with_segments(monkeypatch):
+    # the encoder and validation's decoder each code every segment's blocks
+    # in one batch per block length: the codec is called once per chunk of
+    # full blocks and once per distinct tail length, not once per segment,
+    # and no chunk holds more than _BATCH_SAMPLES samples
+    calls = {"encode_rows": 0, "decode_rows": 0}
+    sizes = []
+
+    def counting(name, fn):
+        def wrapper(rows, *args):
+            calls[name] += 1
+            m = args[0] if name == "decode_rows" else np.shape(rows)[1] - 1
+            sizes.append(len(rows) * (m + 1))
+            return fn(rows, *args)
+        return wrapper
+
+    for module in (blocks, pipeline, reconstruct):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    traj = synthetic_trajectory(20_000, dim=2, seed=3, jitter=1.0, gap_jitter=0.4,
+                                big_gap_rate=0.002, teleport_rate=0.0005)
+    params = PROFILES["geolife"].params(10.0, eps_t=0.01)
+    model = compress(traj, params)
+    lay = params.layout(2)
+    parts = [lay.partition(seg.n_samples - 1) for seg in model.segments]
+    full_chunks = math.ceil(2 * sum(n for n, _ in parts) / (_BATCH_SAMPLES // (lay.b_s + 1)))
+    bound = full_chunks + len({tail for _, tail in parts})
+    assert len(model.segments) >= 30 and bound < len(model.segments)
+    assert 0 < calls["encode_rows"] <= bound
+    assert 0 < calls["decode_rows"] <= bound
+    assert max(sizes) <= _BATCH_SAMPLES

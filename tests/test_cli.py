@@ -192,6 +192,39 @@ def test_decompress_rejects_bad_constant_as_usage(tmp_path, capsys, a):
     assert not out.exists()
 
 
+def test_decompress_takes_no_encoding_settings(tmp_path, capsys):
+    # the container header fixes v_max, eps_t, the chunk length and eps_p,
+    # so decompress offers only the profile and the constants a-d
+    src = tmp_path / "s.csv"
+    traj = synthetic_trajectory(300, dim=2, seed=5)
+    write_positions_csv(src, traj.times, traj.points)
+    plc = tmp_path / "s.plc"
+    assert main(["compress", str(src), "-o", str(plc), "--epsilon", "10"]) == EXIT_OK
+    out = tmp_path / "o.csv"
+    for option in ("--eps-t", "--vmax", "--chunk-bits", "--eps-p-factor"):
+        args = ["decompress", str(plc), "-o", str(out), "--grid", option, "0.5"]
+        assert main(args) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["decompress", str(plc), "-o", str(out), "--grid",
+                 "--profile", "geolife", "--b", "0.5"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--eps-t", "nan", "eps_t must be positive"), ("--chunk-bits", "33", "chunk_bits"),
+])
+def test_eval_rejects_bad_setting_as_usage(tmp_path, capsys, option, value, message):
+    # the profile checks its settings, so eval rejects a bad one even in
+    # --compressed mode, where the containers' headers fix them
+    write_corpus(tmp_path, count=1, points=300)
+    assert main(["compress", str(tmp_path), "-o", str(tmp_path), "--epsilon", "10"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--originals", str(tmp_path), "--compressed", str(tmp_path),
+                 "--at-original-timestamps", option, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("rows", ["0,1e300,0\n1,1e300,0\n2,1e300,0",
                                   "0,0,0\n1,1,0\n1e300,2,0",
                                   "0,1e300,0\n1,-1e300,0\n2,1e300,0\n3,-1e300,0"],

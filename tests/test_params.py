@@ -110,3 +110,14 @@ def test_invalid_profile_constants_rejected(constants):
     fields = dict(a=0.6, b=0.5, c=25.0, d=1.1)
     with pytest.raises(ValueError, match="constants"):
         Profile("bad", **{**fields, **constants})
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(eps_t=float("nan")), "eps_t"), (dict(v_max=float("nan")), "v_max"),
+    (dict(chunk_bits=33), "chunk_bits"), (dict(eps_p_factor=7.0), "eps_p_factor"),
+])
+def test_invalid_profile_settings_rejected(setting, message):
+    # a profile checks its encoding settings as CodecParams does, so a bad
+    # one fails where it is set, not only once an eps turns it into params
+    with pytest.raises(ValueError, match=message):
+        Profile("bad", a=0.6, b=0.5, c=25.0, d=1.1, **setting)
