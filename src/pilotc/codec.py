@@ -103,13 +103,6 @@ def enhanced_zigzag_map(values):
     return codes[()]
 
 
-def enhanced_zigzag_unmap(u: int) -> int:
-    u = int(u)
-    if u < 1:
-        raise ValueError(f"enhanced zigzag code must be >= 1, got {u}")
-    return (u - 1) // 2 if u % 2 == 1 else -(u // 2)
-
-
 # ---------------------------------------------------------------------------
 # varint
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ Both directions apply one set of rules, each a function below that raises
   eps_p positive and finite;
 - entry order: the first outlier or correction time index is >= 0, and
   later ones strictly increase;
-- segment: at least 2 samples, and start and end times finite in float64;
+- segment: 2 to 2**63 - 1 samples, and start and end times finite in float64;
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero.
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
@@ -98,8 +98,8 @@ def _check_time_step(label: str, i: int, step: int) -> None:
 def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) -> int:
     """The segment rule; returns the segment's grid-end time index, which
     both codec sides compute alike."""
-    if n_samples < 2:
-        raise ValueError(f"segment sample count {n_samples} below 2")
+    if not 2 <= n_samples < 2**63:
+        raise ValueError(f"segment sample count {n_samples} outside 2..2**63 - 1")
     span = (n_samples - 1) * dt / eps_t
     if math.isfinite(span):
         end = t0_index + round_half_away(span)
@@ -149,39 +149,32 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     unsigned(len(model.outliers))
     unsigned(len(model.corrections))
 
-    prev_t = 0
-    prev_coord = (0,) * dim
-    for i, e in enumerate(model.outliers):
-        step = e.t_index - prev_t
-        _check_time_step("outlier", i, step)
-        unsigned(step)
-        signed(c - p for c, p in zip(width(e.coord_q, "outlier", i), prev_coord))
-        prev_t, prev_coord = e.t_index, e.coord_q
-
-    prev_t = 0
-    for i, e in enumerate(model.corrections):
-        step = e.t_index - prev_t
-        _check_time_step("correction", i, step)
-        unsigned(step)
-        prev_t = e.t_index
-        signed(width(e.delta_q, "correction", i))
+    for label, entries in (("outlier", model.outliers), ("correction", model.corrections)):
+        prev_t, prev = 0, (0,) * dim
+        for i, (t_index, values) in enumerate(entries):
+            step = t_index - prev_t
+            _check_time_step(label, i, step)
+            unsigned(step)
+            signed(v - p for v, p in zip(width(values, label, i), prev))
+            prev_t = t_index
+            if label == "outlier":  # only outlier values chain
+                prev = values
 
     prev_end = 0
-    for si, seg in enumerate(model.segments):
-        signed((seg.t0_index - prev_end, *width(seg.p0_q, "start of segment", si)))
-        prev_end = segment_end_index(seg.t0_index, seg.n_samples, model.dt, model.eps_t)
-        unsigned(seg.n_samples)
-        n_full, tail = lay.partition(seg.n_samples - 1)
+    for si, (t0_index, p0_q, n_samples, blocks) in enumerate(model.segments):
+        signed((t0_index - prev_end, *width(p0_q, "start of segment", si)))
+        prev_end = segment_end_index(t0_index, n_samples, model.dt, model.eps_t)
+        unsigned(n_samples)
+        n_full, tail = lay.partition(n_samples - 1)
         tail_limit = lay.budget(tail) - 1
-        for per_dim in width(seg.blocks, "block list of segment", si):
+        for per_dim in width(blocks, "block list of segment", si):
             if len(per_dim) != n_full + 1:
                 raise ValueError(f"segment {si} has {len(per_dim)} blocks in a dimension, "
-                                 f"expected {n_full + 1} for {seg.n_samples} samples")
-            for b, blk in enumerate(per_dim):
-                coeffs = blk.q_coeffs
+                                 f"expected {n_full + 1} for {n_samples} samples")
+            for b, (coeffs, end_delta) in enumerate(per_dim):
                 _check_coeff_count(len(coeffs), full_limit if b < n_full else tail_limit)
                 _check_last_coeff(coeffs)
-                signed((blk.end_delta_q,))
+                signed((end_delta,))
                 unsigned(len(coeffs))
                 signed(coeffs)
 
@@ -223,23 +216,21 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
         n_outliers = unsigned()
         n_corrections = unsigned()
 
-        outliers = []
-        t_idx = 0
-        coord = (0,) * dim
-        for i in range(n_outliers):
-            step = unsigned()
-            _check_time_step("outlier", i, step)
-            t_idx += step
-            coord = tuple([c + d for c, d in zip(coord, signeds(dim))])
-            outliers.append(OutlierEntry(t_idx, coord))
-
-        corrections = []
-        t_idx = 0
-        for i in range(n_corrections):
-            step = unsigned()
-            _check_time_step("correction", i, step)
-            t_idx += step
-            corrections.append(CorrectionEntry(t_idx, signeds(dim)))
+        entry_lists = []
+        for label, entry, count in (("outlier", OutlierEntry, n_outliers),
+                                    ("correction", CorrectionEntry, n_corrections)):
+            entries = []
+            t_idx, prev = 0, (0,) * dim
+            for i in range(count):
+                step = unsigned()
+                _check_time_step(label, i, step)
+                t_idx += step
+                values = signeds(dim)
+                if label == "outlier":  # only outlier values chain
+                    values = prev = tuple([p + v for p, v in zip(prev, values)])
+                entries.append(entry(t_idx, values))
+            entry_lists.append(tuple(entries))
+        outliers, corrections = entry_lists
 
         segments = []
         prev_end = 0
@@ -281,6 +272,5 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
 
     return CompressedTrajectory(
         dim=dim, dt=dt, eps=eps, eps_t=eps_t, eps_p=eps_p, chunk_bits=l,
-        segments=tuple(segments), outliers=tuple(outliers),
-        corrections=tuple(corrections),
+        segments=tuple(segments), outliers=outliers, corrections=corrections,
     )

@@ -5,11 +5,15 @@ using plain ints and tuples so that a parse of a serialize compares equal.
 Quantized indices are stored in absolute form here, except a block's
 ``end_delta_q``, its step on the segment's cumulative end-index chain; the
 wire format applies further delta chains on top (see ``container``).
+The records inside it (segments, blocks, outlier and correction entries)
+are named tuples: they unpack, as in ``t_index, values = entry``, and
+compare equal to plain tuples of the same values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +81,7 @@ class UniformSeries:
         return self.t0 + self.dt * np.arange(self.n_samples)
 
 
-@dataclass(frozen=True)
-class EncodedBlock:
+class EncodedBlock(NamedTuple):
     """One block of one dimension: retained quantized AC coefficients plus
     the block-end delta on the cumulative endpoint index chain."""
 
@@ -90,26 +93,19 @@ class EncodedBlock:
         return len(self.q_coeffs)
 
 
-@dataclass(frozen=True)
-class SubTrajectorySegment:
+class SubTrajectorySegment(NamedTuple):
     t0_index: int                                     # quantized with eps_t
     p0_q: tuple[int, ...]                             # per dim, step eps_p
     n_samples: int                                    # uniform sample count, >= 2
     blocks: tuple[tuple[EncodedBlock, ...], ...]      # [dim][block]
 
-    @property
-    def n_velocities(self) -> int:
-        return self.n_samples - 1
 
-
-@dataclass(frozen=True)
-class OutlierEntry:
+class OutlierEntry(NamedTuple):
     t_index: int               # quantized with eps_t
     coord_q: tuple[int, ...]   # absolute indices, step eps / sqrt(dim)
 
 
-@dataclass(frozen=True)
-class CorrectionEntry:
+class CorrectionEntry(NamedTuple):
     t_index: int               # quantized with eps_t
     delta_q: tuple[int, ...]   # per-dim residual, step eps_p / sqrt(dim)
 

@@ -174,15 +174,10 @@ def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
     diffs = traj.points - approx
     err = np.linalg.norm(diffs, axis=1)
     mask = err > model.eps
-    if not mask.any():
-        return replace(model, corrections=())
-    idxs = time_index_array(traj.times[mask], model.eps_t)
+    idx = time_index_array(traj.times[mask], model.eps_t)
     rows = quantize_array(diffs[mask], params.layout(model.dim).eps_d)
-    entries = tuple(
-        CorrectionEntry(int(i), tuple(int(v) for v in row))
-        for i, row in zip(idxs, rows)
-    )
-    return replace(model, corrections=entries)
+    return replace(model, corrections=tuple(
+        map(CorrectionEntry, idx.tolist(), map(tuple, rows.tolist()))))
 
 
 def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajectory:

@@ -10,6 +10,8 @@ matching correction entry is added on top.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .blocks import BlockPlan, decode_blocks
@@ -32,21 +34,20 @@ def decompress_uniform(model: CompressedTrajectory,
     one batch per block length (see :class:`~pilotc.blocks.BlockPlan`), into
     one flat array of which each series' values are a view.
     """
-    segs = model.segments
-    if not segs:
+    if not model.segments:
         return []
+    t0_index, p0_q, n_samples, blocks = zip(*model.segments)
     lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
-    n_samples = [seg.n_samples for seg in segs]
     plan = BlockPlan(n_samples, model.dim, lay)
-    chains = [per_dim for seg in segs for per_dim in seg.blocks]
+    chains = list(chain.from_iterable(blocks))
     if list(map(len, chains)) != plan.per_chain.tolist():
         raise ValueError("block counts do not match the segments' dimension and sample counts")
-    blocks = [b for per_dim in chains for b in per_dim]
-    p0 = dequantize_array([q for seg in segs for q in seg.p0_q], model.eps_p)
+    coeffs, deltas = zip(*chain.from_iterable(chains))
+    p0 = dequantize_array(list(chain.from_iterable(p0_q)), model.eps_p)
     # a chain's end indices are the running sum less its value before the
     # chain; float sums are exact while the sum stays below 2**53, and
     # unlike int64 they cannot wrap
-    deltas = np.fromiter([b.end_delta_q for b in blocks], float, len(blocks))
+    deltas = np.array(deltas, dtype=float)
     total = deltas.cumsum()
     first = plan.chain_start
     ends = p0.repeat(plan.per_chain) + dequantize_array(
@@ -56,11 +57,30 @@ def decompress_uniform(model: CompressedTrajectory,
     starts[first] = p0
     flat = np.empty(sum(n_samples) * model.dim)
     flat[plan.chain_row] = p0
-    decode_blocks([b.q_coeffs for b in blocks], starts, ends, plan, lay, flat)
+    decode_blocks(coeffs, starts, ends, plan, lay, flat)
     # one segment's samples are a (dim, n_samples) block of the flat array
-    return [UniformSeries(seg.t0_index * model.eps_t, model.dt,
-                          flat[row:row + model.dim * seg.n_samples].reshape(model.dim, -1).T)
-            for seg, row in zip(segs, plan.chain_row[::model.dim].tolist())]
+    return [UniformSeries(t0 * model.eps_t, model.dt,
+                          flat[row:row + model.dim * n].reshape(model.dim, -1).T)
+            for t0, n, row in zip(t0_index, n_samples, plan.chain_row[::model.dim].tolist())]
+
+
+def _entry_table(entries, dim: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """An outlier or correction list as its time indices, int64, and its
+    values dequantized with ``step``, shape (len(entries), dim)."""
+    idx, values = zip(*entries) if entries else ((), ())
+    return (np.array(idx, dtype=np.int64),
+            dequantize_array(np.array(values, dtype=np.int64).reshape(len(idx), dim), step))
+
+
+def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray):
+    """Which query time indices equal a time index of the :func:`_entry_table`
+    ``table``, as a mask, and the values of the matched entries."""
+    idx, values = table
+    if not idx.size:
+        return np.zeros(q_idx.shape, dtype=bool), values
+    pos = np.minimum(np.searchsorted(idx, q_idx), idx.size - 1)
+    hit = idx[pos] == q_idx
+    return hit, values[pos[hit]]
 
 
 class Reconstructor:
@@ -77,14 +97,8 @@ class Reconstructor:
         self._values = (np.concatenate([s.values for s in series])
                         if series else np.zeros((0, model.dim)))
         lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
-        self._outlier_idx = np.array([e.t_index for e in model.outliers], dtype=np.int64)
-        self._outlier_pos = (dequantize_array(
-            np.array([e.coord_q for e in model.outliers], dtype=np.int64), lay.eps_out)
-            if model.outliers else np.zeros((0, model.dim)))
-        self._corr_idx = np.array([e.t_index for e in model.corrections], dtype=np.int64)
-        self._corr_delta = (dequantize_array(
-            np.array([e.delta_q for e in model.corrections], dtype=np.int64), lay.eps_d)
-            if model.corrections else np.zeros((0, model.dim)))
+        self._outliers = _entry_table(model.outliers, model.dim, lay.eps_out)
+        self._corrections = _entry_table(model.corrections, model.dim, lay.eps_d)
         extreme = float(np.abs(self._starts).max()) if len(self._starts) else 0.0
         extreme = max(extreme, float(np.abs(self._ends).max()) if len(self._ends) else 0.0)
         # covers t0 quantization (eps_t / 2) plus float dust on long time axes
@@ -108,15 +122,9 @@ class Reconstructor:
         return out
 
     def _fill(self, out: np.ndarray, ts: np.ndarray, q_idx: np.ndarray) -> None:
-        pending = np.ones(ts.shape[0], dtype=bool)
-        if self._outlier_idx.size:
-            pos = np.searchsorted(self._outlier_idx, q_idx)
-            pos_c = np.minimum(pos, self._outlier_idx.size - 1)
-            hit = self._outlier_idx[pos_c] == q_idx
-            if hit.any():
-                out[hit] = self._outlier_pos[pos_c[hit]]
-                pending[hit] = False
-
+        hit, found = _match(self._outliers, q_idx)
+        out[hit] = found
+        pending = ~hit
         if pending.any():
             sel = np.flatnonzero(pending)
             t = ts[sel]
@@ -142,11 +150,6 @@ class Reconstructor:
             base = self._offsets[seg] + j
             vals = self._values[base] * (1.0 - frac) + self._values[base + 1] * frac
 
-            if self._corr_idx.size:
-                qi = q_idx[sel]
-                pos = np.searchsorted(self._corr_idx, qi)
-                pos_c = np.minimum(pos, self._corr_idx.size - 1)
-                hit = self._corr_idx[pos_c] == qi
-                if hit.any():
-                    vals[hit] += self._corr_delta[pos_c[hit]]
+            hit, found = _match(self._corrections, q_idx[sel])
+            vals[hit] += found
             out[sel] = vals

@@ -13,9 +13,17 @@ import re
 
 import numpy as np
 
-from pilotc.codec import dequantize_array, enhanced_zigzag_unmap, quantize_array
+from pilotc.codec import dequantize_array, quantize_array
 from pilotc.errors import CorruptionError, TruncationError
 from pilotc.model import EncodedBlock
+
+
+def enhanced_zigzag_unmap(u: int) -> int:
+    """Inverse of :func:`~pilotc.codec.enhanced_zigzag_map` for one code."""
+    u = int(u)
+    if u < 1:
+        raise ValueError(f"enhanced zigzag code must be >= 1, got {u}")
+    return (u - 1) // 2 if u % 2 == 1 else -(u // 2)
 
 
 class VarintReader:

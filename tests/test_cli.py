@@ -1,5 +1,7 @@
+import ast
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,3 +359,16 @@ def test_readme_cli_example(tmp_path, monkeypatch):
                  "--at-original-timestamps"]) == EXIT_OK
     assert main(["eval", "--originals", "corpus/", "--epsilon-list", "10,20,50,100",
                  "--eps-t", "0.01"]) == EXIT_OK
+
+
+def test_only_the_cli_prints():
+    """Library code reports through return values and exceptions, not print."""
+    calls = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

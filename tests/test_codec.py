@@ -3,7 +3,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from codec_reference import VarintReader
+from codec_reference import VarintReader, enhanced_zigzag_unmap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from pilotc.codec import (
     TableReader,
     dequantize_array,
     enhanced_zigzag_map,
-    enhanced_zigzag_unmap,
     pack_varints,
     quantize_array,
     round_half_away,

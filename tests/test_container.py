@@ -273,6 +273,21 @@ def test_parse_maps_segment_end_overflow_to_corruption():
         parse(crafted(fields, eps_t=1e308), GEO)
 
 
+def test_sample_count_beyond_int64_is_rejected_on_both_sides():
+    # b_s = 9e18 at eps = 1.8e19 makes it two blocks, so the bits suffice
+    payload = crafted(one_segment(2**63 + 10) + [("s", 0), ("u", 0)],
+                      eps=1.8e19, eps_p=9e18, dt=1e-300)
+    assert len(payload) == 56
+    with pytest.raises(CorruptionError, match="sample count"):
+        parse(payload, GEO)
+    blocks = ((EncodedBlock(()), EncodedBlock(())),)
+    model = CompressedTrajectory(dim=1, dt=1e-300, eps=1.8e19, eps_t=1.0, eps_p=9e18,
+                                 chunk_bits=2,
+                                 segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
+    with pytest.raises(ValueError, match="sample count"):
+        serialize(model, GEO)
+
+
 def test_parse_maps_block_size_overflow_to_corruption():
     # b * eps + c is inf for nuplan's b = 20 at eps = 1e308
     payload = crafted(one_segment(3), eps=1e308)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from pilotc import (
     PROFILES,
     CodecParams,
     CompressedTrajectory,
+    CorrectionEntry,
     EncodedBlock,
+    OutlierEntry,
     Reconstructor,
     SubTrajectorySegment,
     compress,
@@ -18,6 +21,7 @@ from pilotc import (
     synthetic_trajectory,
 )
 from pilotc.errors import QueryRangeError
+from pilotc.params import Layout
 
 GEO = PROFILES["geolife"]
 
@@ -155,3 +159,37 @@ def test_end_delta_chain_beyond_int64_keeps_its_sign():
         segments=(SubTrajectorySegment(0, (0,), 61, blocks),))
     values = decompress_uniform(parse(serialize(model, GEO), GEO), GEO)[0].values
     assert values[-1, 0] == pytest.approx(2.0**63 * 2.0 * 5.0)
+
+
+def test_entries_apply_at_their_exact_time_index_only():
+    # one straight segment over t = 0..10 s, an outlier inside its span at
+    # time index 4, and corrections at 2, at the outlier's 4, and at 8
+    blocks = ((EncodedBlock((), 10),), (EncodedBlock((), -4),))
+    bare = CompressedTrajectory(
+        dim=2, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+        segments=(SubTrajectorySegment(0, (0, 0), 11, blocks),))
+    outliers = (OutlierEntry(4, (7, -3)),)
+    corrections = (CorrectionEntry(2, (1, 2)), CorrectionEntry(4, (5, 5)),
+                   CorrectionEntry(8, (-3, 1)))
+    lay = Layout.derive(10.0, 5.0, 2, GEO)
+    outlier_pos = np.array([7, -3]) * (2.0 * lay.eps_out)
+    residual = {e.t_index: np.array(e.delta_q) * (2.0 * lay.eps_d) for e in corrections}
+
+    ts = np.array([0.0, 1.4, 2.0, 2.4, 2.6, 3.0, 4.0, 4.3, 7.6, 8.0, 8.4, 9.0, 10.0])
+    q = np.rint(ts).astype(int)  # no query sits on a tie
+    plain = Reconstructor(bare, GEO).query(ts)
+    np.testing.assert_allclose(plain, np.outer(ts, [2.0, -0.8]) * lay.eps_d)
+    for with_outliers, with_corrections in ((True, True), (True, False), (False, True)):
+        model = replace(bare, outliers=outliers if with_outliers else (),
+                        corrections=corrections if with_corrections else ())
+        want = plain.copy()
+        for i, qi in enumerate(q):
+            if with_outliers and qi == 4:
+                want[i] = outlier_pos  # over the segment and the correction at 4
+            elif with_corrections and qi in residual:
+                want[i] += residual[qi]
+        got = Reconstructor(model, GEO).query(ts)
+        np.testing.assert_array_equal(got, want)
+        # before the first entry index and after the last, no entry matches
+        outside = (q < 2) | (q > 8)
+        np.testing.assert_array_equal(got[outside], plain[outside])
