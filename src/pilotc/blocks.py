@@ -76,18 +76,21 @@ def decode_rows(coeffs, m: int, starts, ends, layout: Layout) -> np.ndarray:
 class BlockPlan:
     """Where every block of a trajectory's segments lies.
 
-    The samples sit in one flat array in container order: segment, then
-    dimension, then sample, so that one segment's samples in one dimension,
-    a chain, are consecutive.  Blocks are numbered in the same order.  A
-    chain holds its full blocks of b_s velocities from its first sample on,
-    then the tail (see :meth:`~pilotc.params.Layout.partition`); adjacent
-    blocks share their boundary sample.
+    The samples sit in one flat array, dimension-major: the transpose of a
+    (samples, dim) array of every segment's samples, one after the other.
+    One segment's samples in one dimension, a chain, are consecutive.
+    Chains and blocks are numbered in container order: segment, dimension,
+    block.  A chain holds its full blocks of b_s velocities from its first
+    sample on, then the tail (see :meth:`~pilotc.params.Layout.partition`);
+    adjacent blocks share their boundary sample.
     """
 
     def __init__(self, n_samples, dim: int, lay: Layout):
-        n = np.array(n_samples, dtype=np.int64).repeat(dim)  # samples per chain
+        n_seg = np.array(n_samples, dtype=np.int64)
+        n = n_seg.repeat(dim)  # samples per chain
         n_full, tail = lay.partition(n - 1)
-        self.chain_row = n.cumsum() - n  # each chain's first sample
+        # each chain's first sample: its segment's row in its dimension's run
+        self.chain_row = np.add.outer(n_seg.cumsum() - n_seg, n_seg.sum() * np.arange(dim)).ravel()
         self.per_chain = n_full + 1  # blocks per chain
         ends = self.per_chain.cumsum()
         self.chain_start = ends - self.per_chain  # each chain's first block

@@ -35,7 +35,8 @@ Both directions apply one set of rules, each a function below that raises
 - header: dimension 1..255, chunk length 1..32, and dt, eps, eps_t and
   eps_p positive and finite;
 - entry order: the first outlier or correction time index is >= 0, and
-  later ones strictly increase;
+  later ones strictly increase; time indices and outlier coordinates fit
+  int64;
 - segment: 2 to 2**63 - 1 samples, and start and end times finite in float64;
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero.
 
@@ -93,6 +94,16 @@ def _check_time_step(label: str, i: int, step: int) -> None:
     if step < (i > 0):
         raise ValueError(f"{label} {i}: time indices must be non-negative and "
                          f"strictly increasing, got a step of {step}")
+
+
+def _check_entries_fit(label: str, entries) -> None:
+    """Entry order, on a whole list once its steps are checked: the last
+    time index, the largest, and every outlier coordinate fit int64.  (A
+    correction value is one signed field, which cannot leave int64.)"""
+    coords = [v for _, values in entries for v in values] if label == "outlier" else ()
+    if (entries and entries[-1][0] >= 2**63
+            or min(coords, default=0) < -2**63 or max(coords, default=0) >= 2**63):
+        raise ValueError(f"{label}s: a time index or coordinate outside int64")
 
 
 def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) -> int:
@@ -159,6 +170,7 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
             prev_t = t_index
             if label == "outlier":  # only outlier values chain
                 prev = values
+        _check_entries_fit(label, entries)
 
     prev_end = 0
     for si, (t0_index, p0_q, n_samples, blocks) in enumerate(model.segments):
@@ -229,6 +241,7 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
                 if label == "outlier":  # only outlier values chain
                     values = prev = tuple([p + v for p, v in zip(prev, values)])
                 entries.append(entry(t_idx, values))
+            _check_entries_fit(label, entries)
             entry_lists.append(tuple(entries))
         outliers, corrections = entry_lists
 

@@ -1,18 +1,18 @@
 """End-to-end compression.
 
-Stages: split the raw trajectory into temporally continuous fragments,
-pick a common sampling interval, resample each fragment onto a uniform
-grid, block-code every segment and dimension together, in one batch per
-block length, and finally validate the result against
-the original points, storing quantized residuals for any point whose
-reconstruction error exceeds the bound.  The returned model therefore
-always decompresses to within ``eps`` at every original timestamp.
+Stages: split the raw trajectory into temporally continuous fragments
+(index ranges; shorter runs are stored verbatim as outliers), pick a common
+sampling interval, resample every fragment into one (samples, dim) array,
+block-code every segment and dimension together, in one batch per block
+length, and finally validate the result against the original points,
+storing quantized residuals for any point whose reconstruction error
+exceeds the bound.  The returned model therefore always decompresses to
+within ``eps`` at every original timestamp.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,44 +31,24 @@ from .model import (
     OutlierEntry,
     SubTrajectorySegment,
     TrajectoryRecord,
-    UniformSeries,
 )
 from .params import CodecParams
 from .reconstruct import Reconstructor
 
-
-@dataclass
-class Fragment:
-    """A temporally continuous slice of the raw trajectory (views, not copies)."""
-
-    times: np.ndarray
-    points: np.ndarray
-
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
+_MIN_FRAGMENT_POINTS = 3  # points of shorter runs are stored verbatim as outliers
 
 
-_MIN_FRAGMENT_POINTS = 3  # shorter fragments are stored verbatim as outliers
-
-
-def segment(traj: TrajectoryRecord, params: CodecParams,
-            default_dt: float) -> tuple[list[Fragment], list[tuple[float, np.ndarray]]]:
-    """Split at implausible jumps: a new fragment starts at point j when
+def segment(traj: TrajectoryRecord, params: CodecParams, default_dt: float) -> np.ndarray:
+    """Split at implausible jumps: a new run starts at point j when
     |p_j - p_{j-1}| > (t_j - t_{j-1}) * v_max, or when the time gap exceeds
-    b_s times the fragment's running average gap (``default_dt`` standing in
-    for the average while the fragment has a single point)."""
+    b_s times the run's running average gap (``default_dt`` standing in
+    for the average while the run has a single point).
+
+    Returns the run boundaries, int64, from 0 to the point count: run i is
+    points ``b[i]:b[i + 1]``.  A run of at least ``_MIN_FRAGMENT_POINTS``
+    points is a fragment; every other point is an outlier."""
     t = traj.times
     n = t.shape[0]
-    if n == 0:
-        return [], []
     b_s = params.layout(traj.dim).b_s
     boundaries = [0]
     if n > 1:
@@ -92,58 +72,53 @@ def segment(traj: TrajectoryRecord, params: CodecParams,
             if split:
                 boundaries.append(int(j))
                 start = int(j)
-    boundaries.append(n)
-
-    fragments: list[Fragment] = []
-    outliers: list[tuple[float, np.ndarray]] = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi - lo >= _MIN_FRAGMENT_POINTS:
-            fragments.append(Fragment(t[lo:hi], traj.points[lo:hi]))
-        else:
-            for i in range(lo, hi):
-                outliers.append((float(t[i]), traj.points[i]))
-    return fragments, outliers
+    return np.array([*boundaries, n], dtype=np.int64)
 
 
-def choose_dt(fragments: list[Fragment], eps_t: float) -> float:
-    """Common sampling interval: total fragment duration over total point
-    count, snapped to a positive multiple of eps_t."""
-    if not fragments:
-        raise ValueError("cannot choose a sampling interval without fragments")
-    total_duration = sum(f.duration for f in fragments)
-    total_points = sum(len(f) for f in fragments)
-    avg = total_duration / total_points
+def choose_dt(times: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps_t: float,
+              default_dt: float) -> float:
+    """Common sampling interval of the fragments ``times[lo[i]:hi[i]]``:
+    their total duration over their total point count (``default_dt``
+    without a fragment), snapped to a positive multiple of eps_t."""
+    durations = (times[hi - 1] - times[lo]).tolist()  # summed in order, as bytes depend on it
+    avg = sum(durations) / int((hi - lo).sum()) if durations else default_dt
     return max(1, round_half_away(avg / eps_t)) * eps_t
 
 
-def resample(frag: Fragment, dt: float) -> UniformSeries:
-    """Linear interpolation onto the grid t0 + j*dt, j = 0..ceil(duration/dt);
-    grid points past the last original time clamp to its position."""
+def resample(traj: TrajectoryRecord, lo: np.ndarray, hi: np.ndarray,
+             dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear interpolation of each fragment, points ``lo[i]:hi[i]``, onto
+    its grid t0 + j*dt, j = 0..ceil(duration/dt); grid points past the
+    fragment's last time clamp to its position.
+
+    Returns every fragment's samples, one fragment after the other, as an
+    F-ordered (samples, dim) array, and the sample count per fragment."""
     if dt <= 0.0:
         raise ValueError(f"sampling interval must be positive, got {dt}")
-    ratio = frag.duration / dt
-    m = max(1, math.ceil(ratio - 1e-9 * max(1.0, ratio)))
-    grid = frag.t0 + dt * np.arange(m + 1)
-    dim = frag.points.shape[1]
-    values = np.empty((m + 1, dim))
-    for d in range(dim):
-        values[:, d] = np.interp(grid, frag.times, frag.points[:, d])
-    return UniformSeries(frag.t0, dt, values)
+    t0, t_end = traj.times[lo], traj.times[hi - 1]
+    ratio = (t_end - t0) / dt
+    n = np.maximum(1, np.ceil(ratio - 1e-9 * np.maximum(1.0, ratio))).astype(np.int64) + 1
+    j = np.arange(n.sum()) - (n.cumsum() - n).repeat(n)  # index in the fragment
+    # a clamped grid point sits on the fragment's last time, where np.interp
+    # returns that point's position exactly
+    grid = np.minimum(t0.repeat(n) + dt * j, t_end.repeat(n))
+    values = np.empty((grid.size, traj.dim), order="F")
+    for d in range(traj.dim):
+        values[:, d] = np.interp(grid, traj.times, traj.points[:, d])
+    return values, n
 
 
-def _encode_segments(samples, t0_indices: list[int],
+def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
                      params: CodecParams) -> tuple[SubTrajectorySegment, ...]:
-    """Block-code every segment of a trajectory from its uniform samples,
-    an iterable of (n_samples, dim) arrays that is read once.  The blocks of
-    every segment and dimension go through the codec together, in one batch
-    per block length (see :class:`~pilotc.blocks.BlockPlan`)."""
-    values = list(samples)
-    if not values:
+    """Block-code every segment of a trajectory from its uniform samples:
+    ``values``, shape (samples, dim), holds each segment's ``n_samples``
+    samples, one segment after the other.  The blocks of every segment and
+    dimension go through the codec together, in one batch per block length
+    (see :class:`~pilotc.blocks.BlockPlan`)."""
+    if not len(n_samples):
         return ()
-    n_samples = [v.shape[0] for v in values]
-    dim = values[0].shape[1]
-    x = np.concatenate([v.T for v in values], axis=None)
-    del values  # so that the samples are held once while the blocks are coded
+    dim = values.shape[1]
+    x = values.T.ravel()  # dimension-major; a view when ``values`` is F-ordered
     lay = params.layout(dim)
     plan = BlockPlan(n_samples, dim, lay)
     p0_q = quantize_array(x[plan.chain_row], params.eps_p)
@@ -157,12 +132,10 @@ def _encode_segments(samples, t0_indices: list[int],
     deltas[plan.chain_start] = q_end[plan.chain_start]
     blocks = list(map(EncodedBlock, encode_blocks(x, plan, lay), deltas.tolist()))
     bounds = [*plan.chain_start.tolist(), len(blocks)]
-    chains = [tuple(blocks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return tuple(
-        SubTrajectorySegment(t0_index=t0, p0_q=tuple(p0_q[i * dim:(i + 1) * dim].tolist()),
-                             n_samples=n, blocks=tuple(chains[i * dim:(i + 1) * dim]))
-        for i, (t0, n) in enumerate(zip(t0_indices, n_samples))
-    )
+    chains = map(tuple, map(blocks.__getitem__, map(slice, bounds, bounds[1:])))
+    per_segment = zip(*[chains] * dim)  # each segment's dim consecutive chains
+    return tuple(map(SubTrajectorySegment, t0_indices, map(tuple, p0_q.reshape(-1, dim).tolist()),
+                     np.asarray(n_samples).tolist(), per_segment))
 
 
 def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
@@ -201,23 +174,18 @@ def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> Compresse
             "distinct points would collide, use a smaller --eps-t"
         )
 
-    if traj.n_points > 1:
-        default_dt = float(np.median(np.diff(traj.times)))
-    else:
-        default_dt = params.eps_t
-    fragments, outlier_points = segment(traj, params, default_dt)
+    default_dt = float(np.median(np.diff(traj.times))) if traj.n_points > 1 else params.eps_t
+    bounds = segment(traj, params, default_dt)
+    runs = np.diff(bounds)
+    kept = runs >= _MIN_FRAGMENT_POINTS
+    lo, hi = bounds[:-1][kept], bounds[1:][kept]
+    out = np.flatnonzero(np.repeat(~kept, runs))  # every point outside a fragment
 
-    if fragments:
-        dt = choose_dt(fragments, params.eps_t)
-    else:
-        dt = max(1, round_half_away(default_dt / params.eps_t)) * params.eps_t
-
-    t0_indices = time_index_array([f.t0 for f in fragments], params.eps_t).tolist()
-    segments = _encode_segments((resample(f, dt).values for f in fragments), t0_indices, params)
-    out_idx = time_index_array([t for t, _ in outlier_points], params.eps_t)
-    out_q = quantize_array(np.reshape([p for _, p in outlier_points], (-1, traj.dim)),
-                           params.layout(traj.dim).eps_out)
-    outliers = tuple(map(OutlierEntry, out_idx.tolist(), map(tuple, out_q.tolist())))
+    dt = choose_dt(traj.times, lo, hi, params.eps_t, default_dt)
+    values, n_samples = resample(traj, lo, hi, dt)
+    segments = _encode_segments(values, n_samples, q_t[lo].tolist(), params)
+    out_q = quantize_array(traj.points[out], params.layout(traj.dim).eps_out)
+    outliers = tuple(map(OutlierEntry, q_t[out].tolist(), map(tuple, out_q.tolist())))
     return CompressedTrajectory(
         dim=traj.dim, dt=dt, eps=params.eps, eps_t=params.eps_t,
         eps_p=params.eps_p, chunk_bits=params.chunk_bits,

@@ -32,7 +32,7 @@ def decompress_uniform(model: CompressedTrajectory,
     matching the ones used at compression time.  Every segment decodes at
     once: the blocks of all segments and dimensions go through the codec in
     one batch per block length (see :class:`~pilotc.blocks.BlockPlan`), into
-    one flat array of which each series' values are a view.
+    one (samples, dim) grid of which each series' values are a row slice.
     """
     if not model.segments:
         return []
@@ -58,9 +58,8 @@ def decompress_uniform(model: CompressedTrajectory,
     flat = np.empty(sum(n_samples) * model.dim)
     flat[plan.chain_row] = p0
     decode_blocks(coeffs, starts, ends, plan, lay, flat)
-    # one segment's samples are a (dim, n_samples) block of the flat array
-    return [UniformSeries(t0 * model.eps_t, model.dt,
-                          flat[row:row + model.dim * n].reshape(model.dim, -1).T)
+    grid = flat.reshape(model.dim, -1).T  # (samples, dim); each segment is a row slice
+    return [UniformSeries(t0 * model.eps_t, model.dt, grid[row:row + n])
             for t0, n, row in zip(t0_index, n_samples, plan.chain_row[::model.dim].tolist())]
 
 

@@ -1,11 +1,12 @@
 """Shared test helper: plain reference implementations of the codec.
 
 The library codes every block of a series in one batched, truncated
-cosine product, and reads varints from tables built with array
-operations.  These references do the same jobs the slow, obvious way: one
-block at a time with a full cosine sum, and one varint at a time with a
-regular-expression scan, so tests can require the library to agree with
-them.
+cosine product, reads varints from tables built with array operations,
+and resamples every fragment of a trajectory in one interpolation per
+dimension.  These references do the same jobs the slow, obvious way: one
+block at a time with a full cosine sum, one varint at a time with a
+regular-expression scan, and one fragment at a time, so tests can require
+the library to agree with them.
 """
 
 import math
@@ -13,7 +14,7 @@ import re
 
 import numpy as np
 
-from pilotc.codec import dequantize_array, quantize_array
+from pilotc.codec import dequantize_array, quantize_array, round_half_away
 from pilotc.errors import CorruptionError, TruncationError
 from pilotc.model import EncodedBlock
 
@@ -162,4 +163,41 @@ def decode_series_ref(p0_q, blocks, n_samples: int, layout, eps_p: float) -> np.
                 blk.q_coeffs, m, start, end, layout)[1:]
             start = end
             pos += m
+    return values
+
+
+def split_runs_ref(bounds, min_points: int = 3):
+    """The runs between ``bounds`` one at a time: the (lo, hi) of each run
+    of at least ``min_points`` points, a fragment, and the index of every
+    point of the shorter runs, the outliers."""
+    fragments, outliers = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo >= min_points:
+            fragments.append((lo, hi))
+        else:
+            outliers.extend(range(lo, hi))
+    return fragments, outliers
+
+
+def choose_dt_ref(times, fragments, eps_t: float, default_dt: float) -> float:
+    """Total fragment duration over total point count, fragment by fragment,
+    or ``default_dt`` without a fragment, snapped to a multiple of eps_t."""
+    if not fragments:
+        return max(1, round_half_away(default_dt / eps_t)) * eps_t
+    total_duration = sum(float(times[hi - 1] - times[lo]) for lo, hi in fragments)
+    total_points = sum(hi - lo for lo, hi in fragments)
+    avg = total_duration / total_points
+    return max(1, round_half_away(avg / eps_t)) * eps_t
+
+
+def resample_ref(times, points, dt: float) -> np.ndarray:
+    """One fragment on its own grid t0 + j*dt, j = 0..ceil(duration/dt),
+    interpolated over the fragment's points alone, (n_samples, dim)."""
+    t0 = float(times[0])
+    ratio = float(times[-1] - times[0]) / dt
+    m = max(1, math.ceil(ratio - 1e-9 * max(1.0, ratio)))
+    grid = t0 + dt * np.arange(m + 1)
+    values = np.empty((m + 1, points.shape[1]))
+    for d in range(points.shape[1]):
+        values[:, d] = np.interp(grid, times, points[:, d])
     return values

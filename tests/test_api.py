@@ -1,0 +1,67 @@
+"""The public API: every name in ``pilotc.__all__``, and the parameter
+names of every public callable.  A change to the public API is an edit to
+this file."""
+
+import inspect
+
+import pilotc
+
+# name -> parameter names; None for a value, or for an exception class that
+# takes Exception's message arguments
+PUBLIC = {
+    "CodecParams": ["eps", "a", "b", "c", "d", "v_max", "eps_t", "chunk_bits", "eps_p_factor"],
+    "CompressedTrajectory": ["dim", "dt", "eps", "eps_t", "eps_p", "chunk_bits",
+                             "segments", "outliers", "corrections"],
+    "CorrectionEntry": ["t_index", "delta_q"],
+    "CorruptionError": None,
+    "DataError": None,
+    "DEFAULT_PROFILE": None,
+    "EncodedBlock": ["q_coeffs", "end_delta_q"],
+    "EvalReport": ["name", "n_points", "dim", "raw_bytes", "compressed_bytes",
+                   "compression_ratio", "max_sed", "mean_sed", "corrected_fraction", "eps"],
+    "FormatError": None,
+    "OutlierEntry": ["t_index", "coord_q"],
+    "PilotCError": None,
+    "PROFILES": None,
+    "Profile": ["name", "a", "b", "c", "d", "v_max", "eps_t", "chunk_bits", "eps_p_factor"],
+    "QueryRangeError": ["timestamp"],
+    "Reconstructor": ["model", "constants"],
+    "SubTrajectorySegment": ["t0_index", "p0_q", "n_samples", "blocks"],
+    "TrajectoryRecord": ["times", "points"],
+    "TruncationError": None,
+    "UniformSeries": ["t0", "dt", "values"],
+    "choose_dt": ["times", "lo", "hi", "eps_t", "default_dt"],
+    "compress": ["traj", "params"],
+    "decompress_uniform": ["model", "constants"],
+    "max_sed": ["original", "reconstructed"],
+    "mean_sed": ["original", "reconstructed"],
+    "parse": ["data", "profile"],
+    "predicted_exceedance": ["eps", "eps_f"],
+    "predicted_mean_error": ["eps", "dim"],
+    "raw_size_bytes": ["n_points", "dim"],
+    "resample": ["traj", "lo", "hi", "dt"],
+    "segment": ["traj", "params", "default_dt"],
+    "serialize": ["model", "profile"],
+    "synthetic_trajectory": ["n_points", "dim", "dt", "seed", "cruise_speed", "speed_scale",
+                             "wobble_window", "turn_rate", "climb_scale", "jitter",
+                             "gap_jitter", "big_gap_rate", "big_gap_scale", "teleport_rate",
+                             "teleport_distance", "t_start"],
+    "validate_and_correct": ["traj", "model", "params"],
+    "var_delta_s": ["k", "b_s", "eps_f"],
+}
+
+
+def parameters(obj):
+    if not callable(obj):
+        return None
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__init__ is Exception.__init__:
+        return None
+    return list(inspect.signature(obj).parameters)
+
+
+def test_public_names():
+    assert sorted(pilotc.__all__) == sorted(PUBLIC)
+
+
+def test_public_signatures():
+    assert {name: parameters(getattr(pilotc, name)) for name in pilotc.__all__} == PUBLIC

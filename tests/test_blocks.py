@@ -173,7 +173,7 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
     for n_full, tail in itertools.product((0, 2), range(1, lay.b_s + 1)):
         n_samples = n_full * lay.b_s + tail + 1
         values = np.cumsum(rng.normal(3.0, 2.0, (n_samples, 2)), axis=0)
-        seg, = _encode_segments([values], [0], params)
+        seg, = _encode_segments(values, [n_samples], [0], params)
         assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p)
 
         model = CompressedTrajectory(dim=2, dt=1.0, eps=eps, eps_t=1.0,
@@ -200,7 +200,7 @@ def test_segments_coded_together_match_per_block_reference(dim):
     values = [np.cumsum(rng.normal(3.0, 2.0, (n_full * b_s + tail + 1, dim)), axis=0)
               for n_full, tail in shapes]
     t0s = [1000 * i for i in range(len(shapes))]
-    segs = _encode_segments(values, t0s, params)
+    segs = _encode_segments(np.concatenate(values), list(map(len, values)), t0s, params)
     assert [(s.t0_index, s.n_samples) for s in segs] == [(t, len(v)) for t, v in zip(t0s, values)]
     for seg, v in zip(segs, values):
         assert (seg.p0_q, seg.blocks) == encode_series_ref(v, lay, params.eps_p)

@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,43 @@ def test_sample_count_beyond_int64_is_rejected_on_both_sides():
                                  segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
     with pytest.raises(ValueError, match="sample count"):
         serialize(model, GEO)
+
+
+ENTRIES_BEYOND_INT64 = {
+    # the three counts, then per entry a time step and one value (dim 1);
+    # outlier coordinates chain, so the first case's second one is 2**63
+    "outlier coordinate": [("u", 0), ("u", 2), ("u", 0),
+                           ("u", 0), ("s", 2**62), ("u", 1), ("s", 2**62)],
+    "outlier time index": [("u", 0), ("u", 2), ("u", 0),
+                           ("u", 2**63), ("s", 0), ("u", 2**63), ("s", 0)],
+    "correction time index": [("u", 0), ("u", 0), ("u", 2),
+                              ("u", 2**63), ("s", 0), ("u", 2**63), ("s", 0)],
+}
+
+
+@pytest.mark.parametrize("fields", ENTRIES_BEYOND_INT64.values(), ids=ENTRIES_BEYOND_INT64)
+def test_parse_rejects_entries_beyond_int64(fields):
+    # a few bytes each; Reconstructor's int64 entry tables cannot hold them
+    with pytest.raises(CorruptionError, match="outside int64"):
+        parse(crafted(fields), GEO)
+
+
+@pytest.mark.parametrize("entries", [
+    dict(outliers=(OutlierEntry(2**63, (0,)),)),
+    dict(outliers=(OutlierEntry(0, (2**63,)),)),
+    dict(outliers=(OutlierEntry(0, (-2**63 - 1,)),)),
+    dict(corrections=(CorrectionEntry(5, (0,)), CorrectionEntry(2**64, (0,)))),
+])
+def test_serialize_rejects_entries_beyond_int64(entries):
+    model = replace(empty_model(dim=1), **entries)
+    with pytest.raises(ValueError, match="outside int64"):
+        serialize(model, GEO)
+
+
+def test_entries_at_the_int64_limits_round_trip():
+    fits = replace(empty_model(dim=1), outliers=(OutlierEntry(0, (-2**62,)),
+                                                 OutlierEntry(2**63 - 1, (-2**63,))))
+    assert parse(serialize(fits, GEO), GEO) == fits
 
 
 def test_parse_maps_block_size_overflow_to_corruption():

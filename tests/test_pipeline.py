@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from codec_reference import choose_dt_ref, resample_ref, split_runs_ref
 
 from pilotc import (
     PROFILES,
@@ -10,8 +11,9 @@ from pilotc import (
     serialize,
     synthetic_trajectory,
 )
+from pilotc.codec import quantize_array, time_index_array
 from pilotc.errors import DataError
-from pilotc.pipeline import Fragment, choose_dt, resample, segment, validate_and_correct
+from pilotc.pipeline import choose_dt, resample, segment, validate_and_correct
 
 GEO = PROFILES["geolife"]
 
@@ -27,62 +29,71 @@ def record(times, points):
 def test_speed_jump_splits():
     traj = record([0.0, 10.0], [[0.0, 0.0], [5000.0, 0.0]])
     params = GEO.params(10.0)
-    frags, outliers = segment(traj, params, default_dt=10.0)
-    # 5000 m in 10 s beats v_max = 200; both one-point fragments become outliers
-    assert frags == []
-    assert len(outliers) == 2
+    bounds = segment(traj, params, default_dt=10.0)
+    # 5000 m in 10 s beats v_max = 200; both one-point runs become outliers
+    assert bounds.dtype == np.int64
+    assert bounds.tolist() == [0, 1, 2]
+    assert len(compress(traj, params).outliers) == 2
 
 
 def test_uniform_walk_is_single_fragment():
     traj = synthetic_trajectory(500, dim=2, seed=0)
-    frags, outliers = segment(traj, GEO.params(10.0), default_dt=1.0)
-    assert len(frags) == 1
-    assert len(frags[0]) == 500
-    assert outliers == []
+    assert segment(traj, GEO.params(10.0), default_dt=1.0).tolist() == [0, 500]
+    assert compress(traj, GEO.params(10.0)).outliers == ()
 
 
 def test_single_point_becomes_outlier():
     traj = record([4.0], [[1.0, 2.0]])
-    frags, outliers = segment(traj, GEO.params(10.0), default_dt=1.0)
-    assert frags == []
-    assert len(outliers) == 1
-    assert outliers[0][0] == 4.0
+    params = GEO.params(10.0)
+    assert segment(traj, params, default_dt=1.0).tolist() == [0, 1]
+    model = compress(traj, params)
+    assert model.segments == ()
+    assert len(model.outliers) == 1
+    assert model.outliers[0].t_index * params.eps_t == pytest.approx(4.0)
 
 
 def test_large_gap_splits_long_fragment():
     t = np.concatenate([np.arange(100.0), np.arange(100.0) + 99.0 + 500.0])
     x = np.stack([t * 1.0, t * 0.0], axis=1)
     traj = record(t, x)
-    frags, outliers = segment(traj, GEO.params(10.0), default_dt=1.0)
     # gap of 500 s exceeds b_s=30 times the running average of ~1 s
-    assert len(frags) == 2
-    assert outliers == []
+    assert segment(traj, GEO.params(10.0), default_dt=1.0).tolist() == [0, 100, 200]
 
 
 # ---------------------------------------------------------------------------
 # sampling interval
 # ---------------------------------------------------------------------------
 
+def one_run(n):
+    return np.array([0]), np.array([n])
+
+
 def test_choose_dt_duration_over_point_count():
-    frag = Fragment(np.array([0.0, 2.0, 4.0, 6.0, 8.0]), np.zeros((5, 2)))
-    assert choose_dt([frag], eps_t=1.0) == 2.0  # round(8 / 5) = 2
+    times = np.array([0.0, 2.0, 4.0, 6.0, 8.0])
+    assert choose_dt(times, *one_run(5), eps_t=1.0, default_dt=1.0) == 2.0  # round(8 / 5) = 2
 
 
 def test_choose_dt_two_fragments():
-    f1 = Fragment(np.linspace(0.0, 10.0, 11), np.zeros((11, 2)))
-    f2 = Fragment(np.linspace(20.0, 30.0, 11), np.zeros((11, 2)))
+    times = np.concatenate([np.linspace(0.0, 10.0, 11), np.linspace(20.0, 30.0, 11)])
     # 20 s over 22 points = 0.909..., snapped to the 0.1 grid
-    assert choose_dt([f1, f2], eps_t=0.1) == pytest.approx(0.9)
+    dt = choose_dt(times, np.array([0, 11]), np.array([11, 22]), eps_t=0.1, default_dt=1.0)
+    assert dt == pytest.approx(0.9)
 
 
 def test_choose_dt_already_uniform():
-    frag = Fragment(np.arange(101.0) * 0.1, np.zeros((101, 2)))
-    assert choose_dt([frag], eps_t=0.1) == pytest.approx(0.1)
+    times = np.arange(101.0) * 0.1
+    assert choose_dt(times, *one_run(101), eps_t=0.1, default_dt=1.0) == pytest.approx(0.1)
 
 
 def test_choose_dt_clamps_to_eps_t():
-    frag = Fragment(np.array([0.0, 0.004, 0.008]), np.zeros((3, 2)))
-    assert choose_dt([frag], eps_t=0.01) == 0.01
+    times = np.array([0.0, 0.004, 0.008])
+    assert choose_dt(times, *one_run(3), eps_t=0.01, default_dt=1.0) == 0.01
+
+
+def test_choose_dt_without_fragments_snaps_default():
+    none = np.zeros(0, dtype=np.int64)
+    assert choose_dt(np.array([4.0]), none, none, eps_t=0.5, default_dt=1.3) == 1.5
+    assert choose_dt(np.array([4.0]), none, none, eps_t=0.5, default_dt=0.1) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -92,21 +103,103 @@ def test_choose_dt_clamps_to_eps_t():
 def test_resample_identity_on_grid():
     t = np.arange(6.0)
     x = np.stack([2.0 * t, 5.0 - t], axis=1)
-    series = resample(Fragment(t, x), 1.0)
-    assert series.n_samples == 6
-    np.testing.assert_allclose(series.values, x, atol=1e-12)
+    values, n_samples = resample(record(t, x), *one_run(6), 1.0)
+    assert n_samples.tolist() == [6]
+    assert values.flags.f_contiguous
+    np.testing.assert_allclose(values, x, atol=1e-12)
 
 
 def test_resample_linear_interpolation():
-    series = resample(Fragment(np.array([0.0, 4.0]), np.array([[0.0], [8.0]])), 2.0)
-    np.testing.assert_allclose(series.values[:, 0], [0.0, 4.0, 8.0], atol=1e-12)
+    values, _ = resample(record([0.0, 4.0], [[0.0], [8.0]]), *one_run(2), 2.0)
+    np.testing.assert_allclose(values[:, 0], [0.0, 4.0, 8.0], atol=1e-12)
 
 
 def test_resample_overshoot_clamps():
-    frag = Fragment(np.array([0.0, 2.0, 3.5]), np.array([[0.0], [2.0], [3.5]]))
-    series = resample(frag, 2.0)
-    assert series.n_samples == 3  # grid 0, 2, 4 with the last clamped
-    np.testing.assert_allclose(series.values[:, 0], [0.0, 2.0, 3.5], atol=1e-12)
+    traj = record([0.0, 2.0, 3.5], [[0.0], [2.0], [3.5]])
+    values, n_samples = resample(traj, *one_run(3), 2.0)
+    assert n_samples.tolist() == [3]  # grid 0, 2, 4 with the last clamped
+    np.testing.assert_allclose(values[:, 0], [0.0, 2.0, 3.5], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the whole-trajectory front end against the per-fragment reference
+# ---------------------------------------------------------------------------
+
+def jumps_between_fragments():
+    # fragments of 10, 10 and 8 points separated by one-point and two-point
+    # runs far off the track, the last fragment's grid overshooting its end
+    t = np.concatenate([np.arange(10.0), [10.5], 11.0 + np.arange(10.0), [21.3, 21.9],
+                        22.5 + np.array([0.0, 0.7, 1.9, 2.4, 3.8, 4.1, 5.0, 5.3])])
+    x = np.stack([2.0 * t, np.sin(t)], axis=1)
+    x[10] += 5e4
+    x[21:23] -= 5e4
+    return record(t, x)
+
+
+FRONT_END_CASES = {
+    **{f"mixed dim {dim}": (lambda dim=dim: synthetic_trajectory(
+        4000, dim=dim, seed=40 + dim, jitter=0.5, gap_jitter=0.8, big_gap_rate=0.03,
+        teleport_rate=0.05)) for dim in (1, 2, 3)},
+    "short runs between fragments": jumps_between_fragments,
+    "no fragment": lambda: record([0.0, 3.0, 5.5, 7.0],
+                                  [[0.0, 0.0], [1e6, 0.0], [0.0, 0.0], [1e6, 0.0]]),
+}
+
+
+def check_front_end(traj, params):
+    """Resample ``traj`` as compress does and require bitwise equality with
+    the per-fragment reference; returns the run bounds, dt, the fragments'
+    (lo, hi) and the outlier indices."""
+    default_dt = float(np.median(np.diff(traj.times)))
+    bounds = segment(traj, params, default_dt)
+    fragments, outliers = split_runs_ref(bounds.tolist())
+    lo, hi = np.array(fragments, dtype=np.int64).reshape(-1, 2).T
+
+    dt = choose_dt(traj.times, lo, hi, params.eps_t, default_dt)
+    assert dt == choose_dt_ref(traj.times, fragments, params.eps_t, default_dt)
+    values, n_samples = resample(traj, lo, hi, dt)
+    want = [resample_ref(traj.times[a:b], traj.points[a:b], dt) for a, b in fragments]
+    assert n_samples.tolist() == [len(w) for w in want]
+    assert np.array_equal(values, np.concatenate(want or [np.zeros((0, traj.dim))]))
+    return bounds, dt, (lo, hi), outliers
+
+
+@pytest.mark.parametrize("make", FRONT_END_CASES.values(), ids=FRONT_END_CASES)
+def test_front_end_equals_per_fragment_reference(make):
+    traj = make()
+    params = GEO.params(10.0, eps_t=0.001)
+    _, dt, (lo, _), outliers = check_front_end(traj, params)
+    # the model's segments and outliers come from the same index arrays
+    model = compress(traj, params)
+    assert model.dt == dt
+    assert [s.t0_index for s in model.segments] == time_index_array(
+        traj.times[lo], params.eps_t).tolist()
+    eps_out = params.layout(traj.dim).eps_out
+    assert model.outliers == tuple(zip(
+        time_index_array(traj.times[outliers], params.eps_t).tolist(),
+        map(tuple, quantize_array(traj.points[outliers], eps_out).tolist())))
+
+
+def test_front_end_cases_cover_the_edge_cases():
+    runs, clamped = set(), 0
+    for make in FRONT_END_CASES.values():
+        traj = make()
+        bounds, dt, (lo, hi), _ = check_front_end(traj, GEO.params(10.0, eps_t=0.001))
+        runs.update(np.diff(bounds).tolist())
+        # a fragment whose last grid point lies past its last time
+        n = np.ceil((traj.times[hi - 1] - traj.times[lo]) / dt)
+        clamped += int(np.sum(traj.times[lo] + n * dt > traj.times[hi - 1]))
+    assert {1, 2} <= runs and max(runs) > 100
+    assert clamped > 10
+
+
+def test_resample_ignores_a_steep_step_after_a_fragment():
+    # the step after the first fragment's last time is too steep for
+    # float64; that time's sample is still the point's position
+    t = np.array([0.0, 1.0, 2.0, 3.0, np.nextafter(3.0, 4.0), 4.0, 5.0, 6.0, 7.0])
+    x = np.array([[0.0], [1.0], [2.0], [3.0], [1.7e308], [-1.7e308], [5.0], [6.0], [7.0]])
+    _, _, (lo, _), _ = check_front_end(record(t, x), GEO.params(10.0, eps_t=0.001))
+    assert lo.tolist() == [0, 6]
 
 
 # ---------------------------------------------------------------------------
