@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,32 +137,34 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
     """The constants plus the encoding settings, which a container header
     fixes, so only the commands that encode take them."""
     _add_constant_args(p)
-    p.add_argument("--vmax", type=float, help="segmentation speed threshold, m/s")
+    p.add_argument("--vmax", dest="v_max", type=float, metavar="VMAX",
+                   help="segmentation speed threshold, m/s")
     p.add_argument("--eps-t", type=float, help="time precision, seconds")
     p.add_argument("--chunk-bits", type=int, help="varint chunk length (default 2)")
     p.add_argument("--eps-p-factor", type=float, help="point precision as a fraction of eps")
 
 
-def _profile_from_args(args) -> Profile:
-    base = PROFILES[args.profile]
-    overrides = {}
-    for field, attr in (("a", "a"), ("b", "b"), ("c", "c"), ("d", "d"),
-                        ("v_max", "vmax"), ("eps_t", "eps_t"),
-                        ("chunk_bits", "chunk_bits"), ("eps_p_factor", "eps_p_factor")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            overrides[field] = v
+def _epsilon_list(text: str) -> list[float]:
+    """The sweep's eps values, ascending: its trend flags read them in order."""
     try:
-        return replace(base, **overrides) if overrides else base
+        values = sorted(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got '{text}'")
+    return values
+
+
+def _profile_from_args(args) -> Profile:
+    # each setting's option has the Profile field's name as its dest
+    given = {f.name: v for f in fields(Profile) if (v := getattr(args, f.name, None)) is not None}
+    try:
+        return replace(PROFILES[args.profile], **given)
     except ValueError as exc:
         raise _Usage(str(exc)) from exc
 
 
-def _params(profile: Profile, eps: float | None) -> CodecParams:
-    if eps is None:
-        raise _Usage("--epsilon is required")
-    if eps <= 0:
-        raise _Usage(f"--epsilon must be positive, got {eps}")
+def _params(profile: Profile, eps: float) -> CodecParams:
     try:
         return profile.params(eps)
     except ValueError as exc:
@@ -201,8 +203,6 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    if (args.at is None) == (not args.grid):
-        raise _Usage("exactly one of --at or --grid is required")
     profile = _profile_from_args(args)
     data = Path(args.input).read_bytes()
     model = container.parse(data, profile)
@@ -237,8 +237,7 @@ def _cmd_eval(args) -> int:
     profile = _profile_from_args(args)
 
     if args.epsilon_list:
-        eps_values = _parse_epsilon_list(args.epsilon_list)
-        sweep = [_params(profile, eps) for eps in eps_values]
+        sweep = [_params(profile, eps) for eps in args.epsilon_list]
         trajs = [(f.stem, read_trajectory_csv(f, dedup=args.dedup)) for f in csv_files]
         rows = []
         for params in sweep:
@@ -248,13 +247,11 @@ def _cmd_eval(args) -> int:
             rows.append(_aggregate("sweep", measured, params.eps))
         monotone = all(b.compression_ratio <= a.compression_ratio + 1e-12
                        for a, b in zip(rows, rows[1:]))
-        r2 = _linear_fit_r2(eps_values, [r.mean_sed for r in rows])
+        r2 = _linear_fit_r2(args.epsilon_list, [r.mean_sed for r in rows])
         _emit(rows, args.format)
         print(f"# ratio_monotone_nonincreasing={monotone} mean_sed_linear_r2={r2:.4f}")
         return EXIT_OK
 
-    if not args.compressed:
-        raise _Usage("--compressed is required unless --epsilon-list is given")
     compressed_dir = Path(args.compressed)
     rows = []
     for f in csv_files:
@@ -305,16 +302,6 @@ def _aggregate(name: str, rows: list[metrics.EvalReport], eps=None) -> metrics.E
     return report
 
 
-def _parse_epsilon_list(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise _Usage(f"--epsilon-list must be comma-separated numbers, got '{text}'") from None
-    if not values or any(v <= 0 for v in values):
-        raise _Usage("--epsilon-list needs positive values")
-    return values
-
-
 def _linear_fit_r2(x, y) -> float:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -338,22 +325,22 @@ def _emit(rows, fmt: str) -> None:
             print(r.to_csv_row())
 
 
+# synthetic_trajectory options of each ``synth --kind``
+_KINDS = {
+    "smooth": dict(),
+    "jittery": dict(jitter=2.0),
+    "nonuniform": dict(gap_jitter=0.6, big_gap_rate=0.002),
+    "mixed": dict(jitter=1.0, gap_jitter=0.4, big_gap_rate=0.002, teleport_rate=0.0005),
+}
+
+
 def _cmd_synth(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
-    kinds = {
-        "smooth": dict(),
-        "jittery": dict(jitter=2.0),
-        "nonuniform": dict(gap_jitter=0.6, big_gap_rate=0.002),
-        "mixed": dict(jitter=1.0, gap_jitter=0.4, big_gap_rate=0.002,
-                      teleport_rate=0.0005),
-    }
-    if args.kind not in kinds:
-        raise _Usage(f"--kind must be one of {sorted(kinds)}")
     for i in range(args.count):
         traj = synthetic_trajectory(
-            args.points, dim=args.dim, dt=args.dt, seed=rng, **kinds[args.kind])
+            args.points, dim=args.dim, dt=args.dt, seed=rng, **_KINDS[args.kind])
         name = out / f"{args.kind}_{i:03d}.csv"
         write_positions_csv(name, traj.times, traj.points)
         print(f"{name}: {traj.n_points} points, dim {traj.dim}")
@@ -372,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compress", help="compress CSV trajectories into .plc containers")
     c.add_argument("input", help="trajectory CSV or a directory of them")
     c.add_argument("-o", "--output", required=True, help=".plc path (or directory)")
-    c.add_argument("--epsilon", type=float, help="max SED bound, meters")
+    c.add_argument("--epsilon", type=float, required=True, help="max SED bound, meters")
     c.add_argument("--dedup", action="store_true",
                    help="drop points repeating the previous timestamp")
     _add_profile_args(c)
@@ -380,16 +367,19 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decompress", help="reconstruct positions from a .plc container")
     d.add_argument("input", help=".plc container")
     d.add_argument("-o", "--output", required=True, help="output CSV")
-    d.add_argument("--at", help="file of query timestamps, one per line, sorted")
-    d.add_argument("--grid", action="store_true", help="emit the uniform series")
+    mode = d.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--at", help="file of query timestamps, one per line, sorted")
+    mode.add_argument("--grid", action="store_true", help="emit the uniform series")
     _add_constant_args(d)
 
     e = sub.add_parser("eval", help="report compression ratio and SED metrics")
     e.add_argument("--originals", required=True, help="directory of original CSVs")
-    e.add_argument("--compressed", help="directory of matching .plc files")
+    mode = e.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--compressed", help="directory of matching .plc files")
+    mode.add_argument("--epsilon-list", type=_epsilon_list,
+                      help="sweep mode: compress at each eps and report trends")
     e.add_argument("--at-original-timestamps", action="store_true",
                    help="also compute max/mean SED at the original timestamps")
-    e.add_argument("--epsilon-list", help="sweep mode: compress at each eps and report trends")
     e.add_argument("--dedup", action="store_true")
     e.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_profile_args(e)
@@ -400,8 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--points", type=int, default=5000)
     s.add_argument("--dim", type=int, default=2)
     s.add_argument("--dt", type=float, default=1.0)
-    s.add_argument("--kind", default="smooth",
-                   help="smooth, jittery, nonuniform, or mixed")
+    s.add_argument("--kind", choices=_KINDS, default="smooth")
     s.add_argument("--seed", type=int, default=0)
 
     return p

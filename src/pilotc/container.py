@@ -37,6 +37,9 @@ Both directions apply one set of rules, each a function below that raises
 - entry order: the first outlier or correction time index is >= 0, and
   later ones strictly increase; time indices and outlier coordinates fit
   int64;
+- signed field: each enhanced-zigzag field lies within +-(2**63 - 1), so
+  its code is below 2**64; ``serialize`` checks it where it maps the
+  fields, and ``parse`` meets it by construction;
 - segment: 2 to 2**63 - 1 samples, and start and end times finite in float64;
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero.
 
@@ -190,8 +193,11 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
                 unsigned(len(coeffs))
                 signed(coeffs)
 
-    # the signed fields are mapped in one array operation
-    codes = enhanced_zigzag_map(fields)
+    # one array operation maps the signed fields and applies their rule
+    try:
+        codes = enhanced_zigzag_map(fields)
+    except OverflowError:
+        raise ValueError("a signed field outside +-(2**63 - 1)") from None
     codes[unsigned_at] = unsigned_values
     is_signed = np.ones(len(codes), dtype=bool)
     is_signed[unsigned_at] = False

@@ -20,7 +20,7 @@ encoded with (they are deliberately not stored in the file).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,35 +91,6 @@ def _check_settings(k) -> None:
 
 
 @dataclass(frozen=True)
-class CodecParams:
-    """Full parameter set for one compression run."""
-
-    eps: float
-    a: float = 0.6
-    b: float = 0.5
-    c: float = 25.0
-    d: float = 1.1
-    v_max: float = 200.0
-    eps_t: float = 1.0
-    chunk_bits: int = 2
-    eps_p_factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        _check_constants(self)
-        _check_settings(self)
-        self.layout(1)  # the derived knobs must be usable too
-
-    def layout(self, dim: int) -> Layout:
-        return Layout.derive(self.eps, self.eps_p, dim, self)
-
-    @property
-    def eps_p(self) -> float:
-        return self.eps_p_factor * self.eps
-
-
-@dataclass(frozen=True)
 class Profile:
     """Dataset constants plus encoding defaults, independent of eps."""
 
@@ -138,12 +109,9 @@ class Profile:
         _check_settings(self)
 
     def params(self, eps: float, **overrides) -> CodecParams:
-        base = CodecParams(
-            eps=eps, a=self.a, b=self.b, c=self.c, d=self.d,
-            v_max=self.v_max, eps_t=self.eps_t, chunk_bits=self.chunk_bits,
-            eps_p_factor=self.eps_p_factor,
-        )
-        return replace(base, **overrides) if overrides else base
+        """This profile's constants and settings at ``eps``; ``overrides`` replace any by name."""
+        settings = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "name"}
+        return CodecParams(eps, **{**settings, **overrides})
 
 
 PROFILES: dict[str, Profile] = {
@@ -154,3 +122,33 @@ PROFILES: dict[str, Profile] = {
 }
 
 DEFAULT_PROFILE = PROFILES["geolife"]
+
+
+@dataclass(frozen=True)
+class CodecParams:
+    """Full parameter set for one compression run; settings default to
+    :data:`DEFAULT_PROFILE`'s."""
+
+    eps: float
+    a: float = DEFAULT_PROFILE.a
+    b: float = DEFAULT_PROFILE.b
+    c: float = DEFAULT_PROFILE.c
+    d: float = DEFAULT_PROFILE.d
+    v_max: float = DEFAULT_PROFILE.v_max
+    eps_t: float = DEFAULT_PROFILE.eps_t
+    chunk_bits: int = DEFAULT_PROFILE.chunk_bits
+    eps_p_factor: float = DEFAULT_PROFILE.eps_p_factor
+
+    def __post_init__(self) -> None:
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        _check_constants(self)
+        _check_settings(self)
+        self.layout(1)  # the derived knobs must be usable too
+
+    def layout(self, dim: int) -> Layout:
+        return Layout.derive(self.eps, self.eps_p, dim, self)
+
+    @property
+    def eps_p(self) -> float:
+        return self.eps_p_factor * self.eps

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -17,6 +19,7 @@ from pilotc.cli import (
     write_positions_csv,
 )
 from pilotc.errors import DataError
+from pilotc.params import Profile
 
 
 def write_corpus(directory, count=2, points=800, dim=2, seed=0, **kwargs):
@@ -256,6 +259,17 @@ def test_block_size_beyond_int64_is_usage_error(tmp_path, capsys):
 
 def test_decompress_requires_exactly_one_mode(tmp_path):
     assert main(["decompress", "x.plc", "-o", "y.csv"]) == EXIT_USAGE
+    assert main(["decompress", "x.plc", "-o", "y.csv", "--at", "t.txt", "--grid"]) == EXIT_USAGE
+
+
+def test_eval_requires_exactly_one_mode(tmp_path, capsys):
+    # both modes at once would leave one of them unused
+    write_corpus(tmp_path, count=1, points=300)
+    capsys.readouterr()
+    assert main(["eval", "--originals", str(tmp_path), "--compressed", str(tmp_path / "none"),
+                 "--epsilon-list", "10"]) == EXIT_USAGE
+    assert main(["eval", "--originals", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_synth_command(tmp_path):
@@ -279,6 +293,26 @@ def test_eval_sweep_mode(tmp_path, capsys):
     assert "ratio_monotone_nonincreasing=True" in out
     lines = [ln for ln in out.splitlines() if ln.startswith("sweep")]
     assert len(lines) == 3
+
+
+def test_eval_sweep_is_in_ascending_eps(tmp_path, capsys):
+    # the trend flags read the rows in order, so they must come in ascending
+    # eps whatever the order given
+    write_corpus(tmp_path, count=1, points=1500, seed=5)
+    capsys.readouterr()
+    assert main(["eval", "--originals", str(tmp_path), "--epsilon-list", "100,30,10",
+                 "--format", "jsonl"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "ratio_monotone_nonincreasing=True" in out
+    rows = [json.loads(ln) for ln in out.splitlines() if not ln.startswith("#")]
+    assert [r["eps"] for r in rows] == [10.0, 30.0, 100.0]
+
+
+@pytest.mark.parametrize("values", [",", "10,abc", "10,-5", "nan"])
+def test_eval_rejects_bad_epsilon_list(tmp_path, capsys, values):
+    write_corpus(tmp_path, count=1, points=300)
+    assert main(["eval", "--originals", str(tmp_path), "--epsilon-list", values]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def eval_rows(capsys, *args):
@@ -372,3 +406,37 @@ def test_only_the_cli_prints():
                     and node.func.id == "print"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_cli_surface():
+    """Every subcommand's options and their dests; a change to the command
+    line is an edit to this test."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {opt: a.dest for a in sub._actions for opt in a.option_strings}
+               for name, sub in commands.choices.items()}
+    help_ = {"-h": "help", "--help": "help"}
+    constants = {"--profile": "profile", "--a": "a", "--b": "b", "--c": "c", "--d": "d"}
+    settings = {**constants, "--vmax": "v_max", "--eps-t": "eps_t",
+                "--chunk-bits": "chunk_bits", "--eps-p-factor": "eps_p_factor"}
+    assert surface == {
+        "compress": {**help_, "-o": "output", "--output": "output", "--epsilon": "epsilon",
+                     "--dedup": "dedup", **settings},
+        "decompress": {**help_, "-o": "output", "--output": "output", "--at": "at",
+                       "--grid": "grid", **constants},
+        "eval": {**help_, "--originals": "originals", "--compressed": "compressed",
+                 "--at-original-timestamps": "at_original_timestamps",
+                 "--epsilon-list": "epsilon_list", "--dedup": "dedup", "--format": "format",
+                 **settings},
+        "synth": {**help_, "-o": "output", "--output": "output", "--count": "count",
+                  "--points": "points", "--dim": "dim", "--dt": "dt", "--kind": "kind",
+                  "--seed": "seed"},
+    }
+    # each Profile setting is set by exactly one option where settings are
+    # taken, and decompress takes only the profile and its constants
+    names = {f.name for f in dataclasses.fields(Profile)} - {"name"}
+    for command in ("compress", "eval"):
+        dests = [a.dest for a in commands.choices[command]._actions]
+        assert sorted(d for d in dests if d in names) == sorted(names)
+    decompress = {a.dest for a in commands.choices["decompress"]._actions}
+    assert decompress & (names | {"profile"}) == {"profile", "a", "b", "c", "d"}

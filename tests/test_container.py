@@ -189,6 +189,15 @@ _BROKEN = {
     "block count": dict(segments=(one_d_segment(n_blocks=2),)),
     "over budget": dict(segments=one_block_model(tuple(range(1, 12))).segments),
     "trailing zero": dict(segments=one_block_model((5, 0)).segments),
+    # signed fields whose enhanced-zigzag code would reach 2**64
+    "outlier at -2**63": dict(outliers=(OutlierEntry(0, (-2**63,)),)),
+    "outlier step of -2**63": dict(
+        outliers=(OutlierEntry(0, (2**62,)), OutlierEntry(1, (-2**62,)))),
+    "correction of 2**63": dict(corrections=(CorrectionEntry(0, (2**63,)),)),
+    "coefficient of 2**63": dict(segments=one_block_model((2**63,)).segments),
+    "end delta of -2**63": dict(
+        segments=(SubTrajectorySegment(0, (0,), 31, ((EncodedBlock((), -2**63),),)),)),
+    "p0_q of 2**63": dict(segments=(one_d_segment(p0_q=(2**63,)),)),
 }
 
 
