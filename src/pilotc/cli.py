@@ -230,6 +230,8 @@ def _read_timestamps(path: Path) -> np.ndarray:
 
 
 def _cmd_eval(args) -> int:
+    if args.epsilon_list and args.at_original_timestamps:
+        raise _Usage("--at-original-timestamps applies to --compressed, not to the sweep")
     originals_dir = Path(args.originals)
     csv_files = sorted(originals_dir.glob("*.csv"))
     if not csv_files:
@@ -368,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("input", help=".plc container")
     d.add_argument("-o", "--output", required=True, help="output CSV")
     mode = d.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--at", help="file of query timestamps, one per line, sorted")
+    mode.add_argument("--at", help="file of query timestamps, one per line")
     mode.add_argument("--grid", action="store_true", help="emit the uniform series")
     _add_constant_args(d)
 
@@ -379,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--epsilon-list", type=_epsilon_list,
                       help="sweep mode: compress at each eps and report trends")
     e.add_argument("--at-original-timestamps", action="store_true",
-                   help="also compute max/mean SED at the original timestamps")
+                   help="with --compressed: also compute max/mean SED at the original timestamps")
     e.add_argument("--dedup", action="store_true")
     e.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_profile_args(e)

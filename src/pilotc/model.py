@@ -69,14 +69,6 @@ class UniformSeries:
     def n_samples(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + (self.n_samples - 1) * self.dt
-
     def grid_times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_samples)
 

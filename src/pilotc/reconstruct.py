@@ -10,7 +10,7 @@ matching correction entry is added on top.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -23,19 +23,12 @@ from .params import DEFAULT_PROFILE, Layout
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
 
-def decompress_uniform(model: CompressedTrajectory,
-                       constants=DEFAULT_PROFILE) -> list[UniformSeries]:
-    """Rebuild every sub-trajectory's uniform series.
-
-    ``constants`` is any object carrying the dataset constants ``a, b, c, d``
-    (a :class:`~pilotc.params.Profile` or :class:`~pilotc.params.CodecParams`),
-    matching the ones used at compression time.  Every segment decodes at
-    once: the blocks of all segments and dimensions go through the codec in
-    one batch per block length (see :class:`~pilotc.blocks.BlockPlan`), into
-    one (samples, dim) grid of which each series' values are a row slice.
-    """
+def _decode_grid(model: CompressedTrajectory, constants):
+    """Every segment's uniform samples, decoded in one batch per block length
+    (see :class:`~pilotc.blocks.BlockPlan`), as one C-contiguous (dim, samples)
+    grid; then the segments' t0 time indices and sample counts."""
     if not model.segments:
-        return []
+        return np.zeros((model.dim, 0)), (), ()
     t0_index, p0_q, n_samples, blocks = zip(*model.segments)
     lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
     plan = BlockPlan(n_samples, model.dim, lay)
@@ -58,9 +51,22 @@ def decompress_uniform(model: CompressedTrajectory,
     flat = np.empty(sum(n_samples) * model.dim)
     flat[plan.chain_row] = p0
     decode_blocks(coeffs, starts, ends, plan, lay, flat)
-    grid = flat.reshape(model.dim, -1).T  # (samples, dim); each segment is a row slice
-    return [UniformSeries(t0 * model.eps_t, model.dt, grid[row:row + n])
-            for t0, n, row in zip(t0_index, n_samples, plan.chain_row[::model.dim].tolist())]
+    return flat.reshape(model.dim, -1), t0_index, n_samples
+
+
+def decompress_uniform(model: CompressedTrajectory,
+                       constants=DEFAULT_PROFILE) -> list[UniformSeries]:
+    """Rebuild every sub-trajectory's uniform series.
+
+    ``constants`` is any object carrying the dataset constants ``a, b, c, d``
+    (a :class:`~pilotc.params.Profile` or :class:`~pilotc.params.CodecParams`),
+    matching the ones used at compression time.  Every segment decodes at
+    once, into the one (dim, samples) grid that :class:`Reconstructor` keeps;
+    each series' values are a transposed column slice of it.
+    """
+    grid, t0_index, n_samples = _decode_grid(model, constants)
+    return [UniformSeries(t0 * model.eps_t, model.dt, grid[:, row:row + n].T)
+            for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
 
 
 def _entry_table(entries, dim: int, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -72,36 +78,39 @@ def _entry_table(entries, dim: int, step: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray):
-    """Which query time indices equal a time index of the :func:`_entry_table`
-    ``table``, as a mask, and the values of the matched entries."""
+    """Where the query time indices equal a time index of the :func:`_entry_table`
+    ``table``, as positions in ``q_idx``, and the values of the matched entries."""
     idx, values = table
     if not idx.size:
-        return np.zeros(q_idx.shape, dtype=bool), values
+        return np.zeros(0, dtype=np.intp), values
     pos = np.minimum(np.searchsorted(idx, q_idx), idx.size - 1)
-    hit = idx[pos] == q_idx
-    return hit, values[pos[hit]]
+    rows = (idx[pos] == q_idx).nonzero()[0]
+    return rows, values[pos[rows]]
 
 
 class Reconstructor:
-    """Immutable query engine over one parsed container."""
+    """Immutable query engine over one parsed container.  It keeps the one
+    (dim, samples) grid that the decoder fills; a query interpolates a whole
+    chunk before it applies corrections and outliers."""
 
     def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
         self.model = model
-        series = decompress_uniform(model, constants)
-        self._starts = np.array([s.t0 for s in series])
-        self._ends = np.array([s.t_end for s in series])
-        counts = np.array([s.n_samples for s in series], dtype=np.int64)
-        self._counts = counts
-        self._offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if len(counts) else np.zeros(0, np.int64)
-        self._values = (np.concatenate([s.values for s in series])
-                        if series else np.zeros((0, model.dim)))
+        self._grid, t0_index, n_samples = _decode_grid(model, constants)
+        starts = [t0 * model.eps_t for t0 in t0_index]
+        ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, n_samples)]
+        # covers t0 quantization (eps_t / 2) plus float dust on long time axes
+        tol = 0.5 * model.eps_t + 1e-9 * max([1.0, *map(abs, starts + ends)])
+        self._starts = np.array(starts)
+        # indexed by how many segments start at or before a time: the reach
+        # of the segment before it and of the segment after it
+        self._reach_before = np.array([-np.inf, *ends]) + tol
+        self._reach_after = np.array([*starts, np.inf]) - tol
+        counts = np.array(n_samples, dtype=np.int64)
+        self._last = counts - 2  # each segment's last interval
+        self._offsets = counts.cumsum() - counts
         lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
         self._outliers = _entry_table(model.outliers, model.dim, lay.eps_out)
         self._corrections = _entry_table(model.corrections, model.dim, lay.eps_d)
-        extreme = float(np.abs(self._starts).max()) if len(self._starts) else 0.0
-        extreme = max(extreme, float(np.abs(self._ends).max()) if len(self._ends) else 0.0)
-        # covers t0 quantization (eps_t / 2) plus float dust on long time axes
-        self._tol = 0.5 * model.eps_t + 1e-9 * max(1.0, extreme)
 
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""
@@ -122,33 +131,28 @@ class Reconstructor:
 
     def _fill(self, out: np.ndarray, ts: np.ndarray, q_idx: np.ndarray) -> None:
         hit, found = _match(self._outliers, q_idx)
-        out[hit] = found
-        pending = ~hit
-        if pending.any():
-            sel = np.flatnonzero(pending)
-            t = ts[sel]
-            if not len(self._starts):
-                raise QueryRangeError(float(t[0]))
-            seg = np.searchsorted(self._starts, t, side="right") - 1
-            seg_c = np.maximum(seg, 0)
-            in_cur = (seg >= 0) & (t <= self._ends[seg_c] + self._tol)
-            nxt = np.minimum(seg + 1, len(self._starts) - 1)
-            near_next = (seg + 1 <= len(self._starts) - 1) & (t >= self._starts[nxt] - self._tol)
-            use_next = ~in_cur & near_next
-            resolved = in_cur | use_next
-            if not resolved.all():
-                raise QueryRangeError(float(t[np.argmin(resolved)]))
-            seg = np.where(use_next, nxt, seg_c)
-
+        # a time in reach of the last segment starting at or before it
+        # belongs to that one, otherwise to the next one if in its reach
+        k = np.searchsorted(self._starts, ts, side="right")
+        in_cur = ts <= self._reach_before[k]
+        missed = ~(in_cur | (ts >= self._reach_after[k]))
+        missed[hit] = False
+        if missed.any():
+            raise QueryRangeError(float(ts[missed.argmax()]))
+        if self._starts.size:
+            # an outlier hit out of every segment's reach takes the last
+            # segment here and is overwritten below
+            seg = np.minimum(k - in_cur, self._starts.size - 1)
             # a tiny dt can put u beyond int64, or make it infinite, at a
             # query inside the tolerance; both clip to the segment's ends
             with np.errstate(over="ignore"):
-                u = (t - self._starts[seg]) / self.model.dt
-            j = np.clip(np.floor(u), 0, self._counts[seg] - 2).astype(np.int64)
-            frac = np.clip(u - j, 0.0, 1.0)[:, None]
-            base = self._offsets[seg] + j
-            vals = self._values[base] * (1.0 - frac) + self._values[base + 1] * frac
-
-            hit, found = _match(self._corrections, q_idx[sel])
-            vals[hit] += found
-            out[sel] = vals
+                u = (ts - self._starts[seg]) / self.model.dt
+            # truncating u clipped to [0, last] is its floor clipped alike
+            j = np.clip(u, 0, self._last[seg]).astype(np.int64)
+            frac = np.clip(u - j, 0.0, 1.0)
+            base, keep = self._offsets[seg] + j, 1.0 - frac
+            for d, row in enumerate(self._grid):
+                out[:, d] = row[base] * keep + row[1:][base] * frac
+            rows, residual = _match(self._corrections, q_idx)
+            out[rows] += residual
+        out[hit] = found

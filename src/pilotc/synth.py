@@ -44,6 +44,8 @@ def synthetic_trajectory(
         raise ValueError("n_points must be at least 1")
     if dim < 1:
         raise ValueError("dim must be at least 1")
+    if not (dt > 0.0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     gaps = np.full(max(n_points - 1, 0), dt)

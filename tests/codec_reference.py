@@ -2,11 +2,12 @@
 
 The library codes every block of a series in one batched, truncated
 cosine product, reads varints from tables built with array operations,
-and resamples every fragment of a trajectory in one interpolation per
-dimension.  These references do the same jobs the slow, obvious way: one
-block at a time with a full cosine sum, one varint at a time with a
-regular-expression scan, and one fragment at a time, so tests can require
-the library to agree with them.
+resamples every fragment of a trajectory in one interpolation per
+dimension, and answers a query for a whole chunk of timestamps at once.
+These references do the same jobs the slow, obvious way: one block at a
+time with a full cosine sum, one varint at a time with a
+regular-expression scan, one fragment at a time, and one timestamp at a
+time, so tests can require the library to agree with them.
 """
 
 import math
@@ -15,8 +16,10 @@ import re
 import numpy as np
 
 from pilotc.codec import dequantize_array, quantize_array, round_half_away
-from pilotc.errors import CorruptionError, TruncationError
+from pilotc.errors import CorruptionError, QueryRangeError, TruncationError
 from pilotc.model import EncodedBlock
+from pilotc.params import Layout
+from pilotc.reconstruct import decompress_uniform
 
 
 def enhanced_zigzag_unmap(u: int) -> int:
@@ -201,3 +204,53 @@ def resample_ref(times, points, dt: float) -> np.ndarray:
     for d in range(points.shape[1]):
         values[:, d] = np.interp(grid, times, points[:, d])
     return values
+
+
+def query_tolerance_ref(series, eps_t: float) -> float:
+    """How far outside its grid span a timestamp may lie and still belong to
+    a segment: half a time step of the t0 quantization plus float dust that
+    grows with the largest span end."""
+    extreme = max((abs(v) for s in series for v in (s.t0, s.t0 + (s.n_samples - 1) * s.dt)),
+                  default=0.0)
+    return 0.5 * eps_t + 1e-9 * max(1.0, extreme)
+
+
+def query_ref(model, constants, timestamps) -> np.ndarray:
+    """Positions at finite ``timestamps``, one timestamp at a time.
+
+    An outlier at the timestamp's exact time index wins.  Otherwise the
+    timestamp belongs to the last segment starting at or before it, if it
+    lies at most the tolerance (:func:`query_tolerance_ref`) after that
+    segment's end, or else to the next segment, if it lies at most the
+    tolerance before that one's start; so where one segment ends and the
+    next one starts, the next one wins.  The position interpolates linearly
+    between the two grid samples around the timestamp, clipped to the
+    segment, and a correction at the exact time index is added.  The first
+    timestamp, in input order, that belongs nowhere raises
+    :class:`QueryRangeError`.  Segments must start in time order.
+    """
+    series = decompress_uniform(model, constants)
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
+    outliers = {t: dequantize_array(v, lay.eps_out) for t, v in model.outliers}
+    corrections = {t: dequantize_array(v, lay.eps_d) for t, v in model.corrections}
+    tol = query_tolerance_ref(series, model.eps_t)
+    out = np.empty((len(timestamps), model.dim))
+    for i, t in enumerate(map(float, timestamps)):
+        q = round_half_away(t / model.eps_t)
+        if q in outliers:
+            out[i] = outliers[q]
+            continue
+        k = sum(s.t0 <= t for s in series) - 1  # the last segment starting by t
+        if k >= 0 and t <= series[k].t0 + (series[k].n_samples - 1) * model.dt + tol:
+            s = series[k]
+        elif k + 1 < len(series) and t >= series[k + 1].t0 - tol:
+            s = series[k + 1]
+        else:
+            raise QueryRangeError(t)
+        u = (t - s.t0) / model.dt
+        j = 0 if u < 0 else s.n_samples - 2 if u >= s.n_samples - 2 else math.floor(u)
+        frac = min(max(u - j, 0.0), 1.0)
+        out[i] = [a * (1.0 - frac) + b * frac for a, b in zip(s.values[j], s.values[j + 1])]
+        if q in corrections:
+            out[i] += corrections[q]
+    return out

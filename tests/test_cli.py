@@ -282,6 +282,32 @@ def test_synth_command(tmp_path):
     assert rec.n_points == 200
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_synthetic_trajectory_rejects_bad_dt(dt):
+    # timestamps t_start + k dt must increase and stay finite
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        synthetic_trajectory(5, dt=dt)
+
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+def test_synth_rejects_bad_dt(tmp_path, capsys, dt):
+    out = tmp_path / "corpus"
+    assert main(["synth", "-o", str(out), "--count", "1", "--points", "5",
+                 f"--dt={dt}"]) == EXIT_DATA
+    assert "dt must be positive and finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_eval_sweep_rejects_at_original_timestamps(tmp_path, capsys):
+    # the sweep always measures SED, so the flag could only be ignored
+    write_corpus(tmp_path, count=1, points=300)
+    capsys.readouterr()
+    assert main(["eval", "--originals", str(tmp_path), "--epsilon-list", "10",
+                 "--at-original-timestamps"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--at-original-timestamps" in captured.err and captured.out == ""
+
+
 def test_eval_sweep_mode(tmp_path, capsys):
     originals = tmp_path / "orig"
     originals.mkdir()

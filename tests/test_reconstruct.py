@@ -20,8 +20,13 @@ from pilotc import (
     serialize,
     synthetic_trajectory,
 )
+from pilotc.codec import dequantize_array
+from pilotc.container import segment_end_index
 from pilotc.errors import QueryRangeError
 from pilotc.params import Layout
+
+from codec_reference import query_ref, query_tolerance_ref
+from model_gen import random_model
 
 GEO = PROFILES["geolife"]
 
@@ -193,3 +198,89 @@ def test_entries_apply_at_their_exact_time_index_only():
         # before the first entry index and after the last, no entry matches
         outside = (q < 2) | (q > 8)
         np.testing.assert_array_equal(got[outside], plain[outside])
+
+
+def probe_times(model, rng):
+    """Timestamps that test every query rule: at and one float step past
+    each segment's reach, on its span ends and grid samples, between them,
+    and at, near and just past every entry's time index."""
+    series = decompress_uniform(model, GEO)
+    tol = query_tolerance_ref(series, model.eps_t)
+    ts = []
+    for s in series:
+        end = s.t0 + (s.n_samples - 1) * s.dt
+        for edge, outward in ((s.t0 - tol, -np.inf), (end + tol, np.inf)):
+            ts += [edge, np.nextafter(edge, outward), np.nextafter(edge, -outward)]
+        ts += [s.t0, end, *s.grid_times()[:5], *rng.uniform(s.t0, end, 20)]
+    for t_index, _ in (*model.outliers, *model.corrections):
+        t = t_index * model.eps_t
+        ts += [t, t + 0.3 * model.eps_t, t - 0.3 * model.eps_t, t + 0.6 * model.eps_t]
+    return np.array(ts)
+
+
+def assert_query_matches_reference(model, ts, rng):
+    """Bitwise equal positions on the timestamps that resolve, in shuffled
+    order with repeats, and the same QueryRangeError on orders of them all."""
+    rec = Reconstructor(model, GEO)
+    resolves = []
+    for t in ts:
+        try:
+            query_ref(model, GEO, [t])
+            resolves.append(True)
+        except QueryRangeError:
+            resolves.append(False)
+    good = ts[resolves]
+    for order in (good, rng.permutation(np.concatenate([good, good[::3]]))):
+        want = query_ref(model, GEO, order)
+        assert rec.query(order).tobytes() == want.tobytes()
+    if not all(resolves):
+        for order in (ts, ts[::-1], rng.permutation(ts)):
+            with pytest.raises(QueryRangeError) as want:
+                query_ref(model, GEO, order)
+            with pytest.raises(QueryRangeError) as got:
+                rec.query(order)
+            assert got.value.timestamp == want.value.timestamp
+    return len(good), len(ts) - len(good)
+
+
+def test_query_matches_scalar_reference_on_random_models():
+    rng = np.random.default_rng(14)
+    totals = np.zeros(2, dtype=int)
+    for seed in range(40):
+        model = random_model(np.random.default_rng(seed))
+        totals += assert_query_matches_reference(model, probe_times(model, rng), rng)
+    assert totals.min() > 100  # many timestamps resolve, and many do not
+
+
+def flat_segment(t0_index, n_samples, p0_q):
+    """A segment with no coefficients and no end steps, so every sample of
+    each dimension equals its start value."""
+    n_full, _ = Layout.derive(10.0, 5.0, len(p0_q), GEO).partition(n_samples - 1)
+    blocks = ((EncodedBlock(()),) * (n_full + 1),) * len(p0_q)
+    return SubTrajectorySegment(t0_index, p0_q, n_samples, blocks)
+
+
+def test_query_matches_scalar_reference_on_hand_built_models():
+    rng = np.random.default_rng(15)
+    model = CompressedTrajectory(dim=2, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2)
+    # A ends where B starts, C starts one time index before B ends; one
+    # outlier sits just after A's end, inside B, and one far from all
+    end_a = segment_end_index(0, 11, model.dt, model.eps_t)
+    end_b = segment_end_index(end_a, 6, model.dt, model.eps_t)
+    touching = replace(
+        model,
+        segments=(flat_segment(0, 11, (1, 2)), flat_segment(end_a, 6, (3, 4)),
+                  flat_segment(end_b - 1, 4, (5, 6))),
+        outliers=(OutlierEntry(end_a + 1, (7, 8)), OutlierEntry(10**6, (9, 10))),
+        corrections=(CorrectionEntry(end_a, (1, -1)), CorrectionEntry(end_b, (2, 2))))
+    ts = probe_times(touching, rng)
+    assert_query_matches_reference(touching, ts, rng)
+    # the shared boundary belongs to the later segment, corrected there
+    lay = Layout.derive(10.0, 5.0, 2, GEO)
+    boundary = Reconstructor(touching, GEO).query([end_a * model.eps_t])[0]
+    np.testing.assert_array_equal(
+        boundary, dequantize_array([3, 4], 5.0) + dequantize_array([1, -1], lay.eps_d))
+
+    outliers_only = replace(model, outliers=(OutlierEntry(5, (1, 1)), OutlierEntry(900, (2, 3))))
+    ts = probe_times(outliers_only, rng)
+    assert assert_query_matches_reference(outliers_only, ts, rng) == (6, 2)
