@@ -22,15 +22,7 @@ from .errors import (
     QueryRangeError,
     TruncationError,
 )
-from .metrics import (
-    EvalReport,
-    max_sed,
-    mean_sed,
-    predicted_exceedance,
-    predicted_mean_error,
-    raw_size_bytes,
-    var_delta_s,
-)
+from .metrics import EvalReport, max_sed, mean_sed, raw_size_bytes, var_delta_s
 from .model import (
     CompressedTrajectory,
     CorrectionEntry,
@@ -73,8 +65,6 @@ __all__ = [
     "max_sed",
     "mean_sed",
     "parse",
-    "predicted_exceedance",
-    "predicted_mean_error",
     "raw_size_bytes",
     "resample",
     "segment",

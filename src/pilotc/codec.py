@@ -17,7 +17,10 @@ readers decode with array operations, so a read only indexes lists: at
 :class:`ColumnarReader` splits the whole body into fields up front; at
 ``chunk_bits == 1`` a field's length depends on its type, so
 :class:`TableReader` tabulates, for every bit position, the field of either
-type that would start there.
+type that would start there.  Both readers fail alike: a field that cannot
+be read is ``None`` in their tables, only a read that reaches it raises,
+with the error :func:`_field_error` names from the field's bits, and the
+reader stays in front of that field.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import CorruptionError, TruncationError
+from .errors import CorruptionError, PilotCError, TruncationError
 
 _EXACT_FLOAT = float(1 << 53)  # largest range where float64 holds exact integers
 _PACK_BATCH = 1 << 12  # codes per pass of pack_varints, to keep its temporaries small
@@ -149,6 +152,27 @@ def _varint_bits(codes, signed: np.ndarray, l: int) -> np.ndarray:
     return rows[keep]
 
 
+def _field_error(data: np.ndarray, pos: int, l: int, final_bits: int) -> PilotCError:
+    """The error of reading the field at bit ``pos`` of ``data`` (uint8) at
+    chunk length ``l``, with ``final_bits`` stored final payload bits, when
+    that field cannot be read: :class:`CorruptionError` past 64 // l flagged
+    chunks, :class:`TruncationError` when the bits run out first, and
+    otherwise :class:`CorruptionError` for a code of 2**64 or more, which no
+    writer produces."""
+    width, max_flagged = l + 1, 64 // l
+    stop = min(pos + (max_flagged + 1) * width + 1, 8 * data.size)  # past the longest field
+    bits = np.unpackbits(data[pos // 8:(stop + 7) // 8])
+    bits = bits[pos % 8:stop - pos // 8 * 8].tolist()
+    k = 0  # complete flagged chunks, up to one too many
+    while k <= max_flagged and width * k + l < len(bits) and bits[width * k]:
+        k += 1
+    if k > max_flagged:
+        return CorruptionError("varint longer than any encodable value")
+    if width * k + 1 + final_bits > len(bits) or bits[width * k]:
+        return TruncationError(f"bitstream exhausted inside the varint at bit {pos}")
+    return CorruptionError("varint code exceeds 64 bits")
+
+
 class TableReader:
     """Reads, in order, the varints of a body written at chunk length 1.
 
@@ -161,11 +185,9 @@ class TableReader:
     before it), the unsigned code and the enhanced-zigzag value; a read is
     then one lookup for the end and one for the value.  A window holds
     ``_WINDOW`` start positions and is built when the reads reach it, so
-    memory is bounded by the window, not the body.  Errors stay lazy: a
-    field that cannot be read has ``None`` in the value table, and only a
-    read that reaches it raises.  That read raises :class:`TruncationError`
-    when the bits run out, and :class:`CorruptionError` past 64 continuation
-    chunks or for a code of 2**64 or more, which no writer produces.
+    memory is bounded by the window, not the body.  A field that cannot be
+    read is ``None`` in the code and value tables, and a read that reaches
+    it raises :func:`_field_error`.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -196,7 +218,7 @@ class TableReader:
             self._next_window(1)
             return self.unsigned()
         if v is None:
-            self._fail(1)
+            raise _field_error(self._data, self.pos, 1, 1)
         self._i = i + self._spans[i] + 2
         return v
 
@@ -208,7 +230,7 @@ class TableReader:
             self._next_window(0)
             return self.signed()
         if v is None:
-            self._fail(0)
+            raise _field_error(self._data, self.pos, 1, 0)
         self._i = i + self._spans[i] + 1
         return v
 
@@ -234,7 +256,7 @@ class TableReader:
         position, or raise the error of reading there."""
         start = self.pos
         if start >= self._n_bits:
-            self._fail(final_bits)
+            raise _field_error(self._data, start, 1, final_bits)
         base = self._base = start - start % 8
         self._i = start - base
         # a field spans at most 64 flagged chunks and a final one, 130 bits
@@ -273,22 +295,6 @@ class TableReader:
         self._codes = codes
         self._values = values
 
-    def _fail(self, final_bits: int) -> None:
-        """Raise the error of reading the field at the current position
-        with ``final_bits`` stored final payload bits."""
-        pos = self.pos
-        stop = min(pos + 131, self._n_bits)  # past the longest field, 130 bits
-        bits = np.unpackbits(self._data[pos // 8:(stop + 7) // 8])
-        bits = bits[pos % 8:stop - pos // 8 * 8].tolist()
-        k = 0  # complete flagged chunks, up to one too many
-        while k <= 64 and 2 * k + 1 < len(bits) and bits[2 * k]:
-            k += 1
-        if k > 64:
-            raise CorruptionError("varint longer than any encodable value")
-        if 2 * k + 1 + final_bits > len(bits) or bits[2 * k]:
-            raise TruncationError(f"bitstream exhausted inside the varint at bit {pos}")
-        raise CorruptionError("varint code exceeds 64 bits")
-
 
 class ColumnarReader:
     """Reads, in order, the varints of a body written at chunk length >= 2.
@@ -296,11 +302,11 @@ class ColumnarReader:
     Every chunk is l + 1 bits there, so a field ends at each chunk whose flag
     is 0 whatever the field's type.  The whole body is tokenized when the
     reader is built: each field's code and its enhanced-zigzag value come
-    from array operations, and reads take them by index or by slice.  Errors
-    stay lazy: only a read that reaches the first field that cannot be read
-    raises, :class:`TruncationError` when the bits run out, and
-    :class:`CorruptionError` past 64 // l continuation chunks or for a code
-    of 2**64 or more; a signed read of the code 0 raises ``ValueError``.
+    from array operations, and reads take them by index or by slice.  A
+    field that cannot be read, and the unterminated tail after the last
+    field, is ``None`` in the code and value lists, and a read that reaches
+    it raises :func:`_field_error`; the code 0 is ``None`` in the value list
+    only, and a signed read of it raises ``ValueError``.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -308,7 +314,8 @@ class ColumnarReader:
         if not 2 <= l <= 32:
             raise ValueError(f"columnar chunk length must be in 2..32, got {l}")
         width = l + 1
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        self._data = np.frombuffer(data, dtype=np.uint8)
+        bits = np.unpackbits(self._data)
         rows = bits[:bits.size - bits.size % width].reshape(-1, width)
         final = np.flatnonzero(rows[:, 0] == 0)  # each field's final chunk
         n_chunks = int(final[-1]) + 1 if final.size else 0
@@ -320,9 +327,8 @@ class ColumnarReader:
         first[1:] = final[:-1] + 1
         # chunk k of a field holds the code's bits l*k .. l*k + l - 1
         shift = l * (np.arange(n_chunks) - np.repeat(first, final + 1 - first))
-        max_flagged = 64 // l
         top = shift[final]
-        too_long = top > l * max_flagged
+        too_long = top > l * (64 // l)
         # only a final chunk can reach bit 64; at l = 2, 4, 8, 16 and 32 its
         # shift can be 64 itself, which numpy's shift does not define
         high = ~too_long & (top > 64 - l)
@@ -332,20 +338,19 @@ class ColumnarReader:
         codes = np.add.reduceat(payload, first)
         del payload, shift
 
-        bad = too_long | over
-        # flagged chunks after the last final flag, where the bits run out
-        tail_flagged = rows.shape[0] - n_chunks
-        self._good = int(bad.argmax()) if bad.any() else final.size  # first bad field
-        self._too_long = (bool(too_long[self._good]) if self._good < final.size
-                          else tail_flagged > max_flagged)
         half = (codes >> np.uint64(1)).astype(np.int64)
         values = np.where(codes & np.uint64(1), half, -half).tolist()
         for i in np.flatnonzero(codes == 0).tolist():
             values[i] = None  # no enhanced zigzag code is 0
-        self._codes = codes.tolist()
+        codes = codes.tolist()
+        for i in np.flatnonzero(too_long | over).tolist():
+            codes[i] = values[i] = None
+        codes.append(None)  # the tail, which has no final chunk
+        values.append(None)
+        self._codes = codes
         self._values = values
         self._bit_end = (final + 1) * width
-        self._n_bits = bits.size
+        self._l = l
         self._next = 0
 
     @property
@@ -354,18 +359,19 @@ class ColumnarReader:
 
     @property
     def remaining_bits(self) -> int:
-        return self._n_bits - self.pos
+        return 8 * self._data.size - self.pos
 
     def unsigned(self) -> int:
         i = self._next
-        if i >= self._good:
+        v = self._codes[i]
+        if v is None:
             self._fail(i)
         self._next = i + 1
-        return self._codes[i]
+        return v
 
     def signed(self) -> int:
         i = self._next
-        v = self._values[i] if i < self._good else None
+        v = self._values[i]
         if v is None:
             self._fail(i)
         self._next = i + 1
@@ -374,24 +380,17 @@ class ColumnarReader:
     def signeds(self, n: int) -> tuple[int, ...]:
         i = self._next
         values = self._values[i:i + n]
-        if i + n > self._good or None in values:
-            for k, v in enumerate(values[:self._good - i]):
-                if v is None:
-                    self._fail(i + k)
-            self._fail(self._good)
+        if None in values:  # a slice past the last field holds the tail's None
+            self._fail(i + values.index(None))
         self._next = i + n
         return tuple(values)
 
     def _fail(self, i: int) -> None:
-        """Raise the error of reading field ``i``, the first that fails."""
-        if i < self._good:
-            raise ValueError("enhanced zigzag code must be >= 1, got 0")
-        if self._too_long:
-            raise CorruptionError("varint longer than any encodable value")
-        if i < len(self._codes):
-            raise CorruptionError("varint code exceeds 64 bits")
+        """Move in front of field ``i`` and raise the error of reading it."""
         self._next = i
-        raise TruncationError(f"bitstream exhausted inside the varint at bit {self.pos}")
+        if self._codes[i] is not None:
+            raise ValueError("enhanced zigzag code must be >= 1, got 0")
+        raise _field_error(self._data, self.pos, self._l, self._l)
 
 
 def varint_reader(data: bytes, chunk_bits: int) -> TableReader | ColumnarReader:

@@ -40,7 +40,8 @@ Both directions apply one set of rules, each a function below that raises
 - signed field: each enhanced-zigzag field lies within +-(2**63 - 1), so
   its code is below 2**64; ``serialize`` checks it where it maps the
   fields, and ``parse`` meets it by construction;
-- segment: 2 to 2**63 - 1 samples, and start and end times finite in float64;
+- segment: 2 to 2**63 - 1 samples, start and end times finite in float64,
+  and a start index above the previous segment's (grid spans may overlap);
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero.
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
@@ -122,6 +123,14 @@ def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) ->
     raise ValueError("segment time span out of range of float64")
 
 
+def _check_segment_order(t0_index: int, prev_t0_index: float) -> None:
+    """Second half of the segment rule; ``prev_t0_index`` is the previous
+    segment's start index, -inf before the first segment."""
+    if t0_index <= prev_t0_index:
+        raise ValueError(f"segment starts at time index {t0_index}, not after the "
+                         f"previous segment's start {prev_t0_index}")
+
+
 def _check_coeff_count(c_f: int, limit: int) -> None:
     """First half of the block rule; ``limit`` is K(m) - 1."""
     if c_f > limit:
@@ -175,8 +184,10 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
                 prev = values
         _check_entries_fit(label, entries)
 
-    prev_end = 0
+    prev_end, prev_t0 = 0, -math.inf
     for si, (t0_index, p0_q, n_samples, blocks) in enumerate(model.segments):
+        _check_segment_order(t0_index, prev_t0)
+        prev_t0 = t0_index
         signed((t0_index - prev_end, *width(p0_q, "start of segment", si)))
         prev_end = segment_end_index(t0_index, n_samples, model.dt, model.eps_t)
         unsigned(n_samples)
@@ -252,9 +263,11 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
         outliers, corrections = entry_lists
 
         segments = []
-        prev_end = 0
+        prev_end, prev_t0 = 0, -math.inf
         for _ in range(n_segments):
             t0_index = prev_end + signed()
+            _check_segment_order(t0_index, prev_t0)
+            prev_t0 = t0_index
             p0_q = signeds(dim)
             n_samples = unsigned()
             prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)

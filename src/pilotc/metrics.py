@@ -1,4 +1,4 @@
-"""Evaluation metrics and closed-form error predictors.
+"""Evaluation metrics, and the variance law of a block's reconstruction error.
 
 The raw size of a trajectory is charged at 8 * (dim + 1) bytes per point
 (one float64 per coordinate plus the timestamp); the compression ratio is
@@ -8,7 +8,6 @@ compressed bytes over raw bytes, lower meaning better.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -67,25 +66,6 @@ def max_sed(original, reconstructed) -> float:
 
 def mean_sed(original, reconstructed) -> float:
     return float(_paired_distances(original, reconstructed).mean())
-
-
-def predicted_exceedance(eps: float, eps_f: float) -> float:
-    """Probability that the worst point of a 2-D block exceeds eps:
-    exp(-12 eps^2 / eps_f^2)."""
-    if eps < 0 or eps_f <= 0:
-        raise ValueError("eps must be non-negative and eps_f positive")
-    return math.exp(-12.0 * eps * eps / (eps_f * eps_f))
-
-
-_MEAN_ERROR_FACTOR = {2: 0.335, 3: 0.426}
-
-
-def predicted_mean_error(eps: float, dim: int) -> float:
-    """Expected mean SED at the default frequency precision eps_f = eps/0.6."""
-    try:
-        return _MEAN_ERROR_FACTOR[dim] * eps
-    except KeyError:
-        raise ValueError(f"mean-error prediction covers dim 2 and 3, not {dim}") from None
 
 
 def var_delta_s(k: int, b_s: int, eps_f: float) -> float:

@@ -7,7 +7,8 @@ dimension, and answers a query for a whole chunk of timestamps at once.
 These references do the same jobs the slow, obvious way: one block at a
 time with a full cosine sum, one varint at a time with a
 regular-expression scan, one fragment at a time, and one timestamp at a
-time, so tests can require the library to agree with them.
+time, so tests can require the library to agree with them.  The paper's
+closed-form error predictors live here too, since only tests use them.
 """
 
 import math
@@ -254,3 +255,22 @@ def query_ref(model, constants, timestamps) -> np.ndarray:
         if q in corrections:
             out[i] += corrections[q]
     return out
+
+
+def predicted_exceedance(eps: float, eps_f: float) -> float:
+    """Probability that the worst point of a 2-D block exceeds eps:
+    exp(-12 eps^2 / eps_f^2)."""
+    if eps < 0 or eps_f <= 0:
+        raise ValueError("eps must be non-negative and eps_f positive")
+    return math.exp(-12.0 * eps * eps / (eps_f * eps_f))
+
+
+_MEAN_ERROR_FACTOR = {2: 0.335, 3: 0.426}
+
+
+def predicted_mean_error(eps: float, dim: int) -> float:
+    """Expected mean SED at the default frequency precision eps_f = eps/0.6."""
+    try:
+        return _MEAN_ERROR_FACTOR[dim] * eps
+    except KeyError:
+        raise ValueError(f"mean-error prediction covers dim 2 and 3, not {dim}") from None

@@ -62,7 +62,9 @@ def random_model(rng, dim=None, eps=None, chunk_bits=None):
             n_samples,
             random_blocks(n_samples),
         ))
-        t_idx = segment_end_index(t_idx, n_samples, dt, eps_t) + int(rng.integers(-50, 5000))
+        # the next segment may overlap this one, but starts after it
+        t_idx = max(segment_end_index(t_idx, n_samples, dt, eps_t) + int(rng.integers(-50, 5000)),
+                    t_idx + 1)
     return CompressedTrajectory(
         dim=dim, dt=dt, eps=eps, eps_t=eps_t, eps_p=0.5 * eps,
         chunk_bits=chunk_bits or int(rng.integers(1, 9)),

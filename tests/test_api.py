@@ -36,16 +36,13 @@ PUBLIC = {
     "max_sed": ["original", "reconstructed"],
     "mean_sed": ["original", "reconstructed"],
     "parse": ["data", "profile"],
-    "predicted_exceedance": ["eps", "eps_f"],
-    "predicted_mean_error": ["eps", "dim"],
     "raw_size_bytes": ["n_points", "dim"],
     "resample": ["traj", "lo", "hi", "dt"],
     "segment": ["traj", "params", "default_dt"],
     "serialize": ["model", "profile"],
-    "synthetic_trajectory": ["n_points", "dim", "dt", "seed", "cruise_speed", "speed_scale",
-                             "wobble_window", "turn_rate", "climb_scale", "jitter",
-                             "gap_jitter", "big_gap_rate", "big_gap_scale", "teleport_rate",
-                             "teleport_distance", "t_start"],
+    "synthetic_trajectory": ["n_points", "dim", "dt", "seed", "speed_scale", "wobble_window",
+                             "turn_rate", "jitter", "gap_jitter", "big_gap_rate",
+                             "teleport_rate"],
     "validate_and_correct": ["traj", "model", "params"],
     "var_delta_s": ["k", "b_s", "eps_f"],
 }

@@ -284,7 +284,7 @@ def test_synth_command(tmp_path):
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
 def test_synthetic_trajectory_rejects_bad_dt(dt):
-    # timestamps t_start + k dt must increase and stay finite
+    # timestamps k dt must increase and stay finite
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         synthetic_trajectory(5, dt=dt)
 

@@ -354,6 +354,51 @@ def test_columnar_reader_errors_are_lazy():
         TableReader(b"\x00", 2)
 
 
+def signeds_outcome(reader, data, l, n):
+    """What a run of n signed reads gives: the values or the error's class,
+    and where the reader stands after it."""
+    r = reader(data, l)
+    try:
+        return r.signeds(n), r.pos
+    except (CorruptionError, TruncationError, ValueError) as exc:
+        return type(exc), r.pos
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 32])
+def test_reader_failure_matches_reference(l):
+    # a bad field after good signed fields, inside one run of signed reads:
+    # the library reader raises the reference's error and stops in front of
+    # the bad field, as the reference does
+    def signed_bits(values):
+        data = pack_varints(enhanced_zigzag_map(values), [True] * len(values), l)
+        r = VarintReader(data, l)
+        r.signeds(len(values))
+        return bits_of(data)[:r.pos]
+
+    good = [5, -3, 0, 2**40, -(2**62)]
+    head, after = signed_bits(good), signed_bits(good[:2])
+    flagged_zero = "1" + "0" * l
+    final_ones = "0" + ("1" * l if l > 1 else "")  # payload bits 64 and up
+    bad_fields = {
+        "too many flagged chunks": flagged_zero * (64 // l + 1) + "0" * (l + 1) + after,
+        "code of 2**64 or more": flagged_zero * (64 // l) + final_ones + after,
+        "truncated tail": flagged_zero,
+    }
+    for name, bad in bad_fields.items():
+        data = bits_to_bytes(head + bad)
+        for n in (len(good) + 1, len(good) + 3):
+            expected = signeds_outcome(VarintReader, data, l, n)
+            assert expected[0] in (CorruptionError, TruncationError), name
+            assert expected[1] == len(head), name
+            assert signeds_outcome(varint_reader, data, l, n) == expected, name
+    if l > 1:
+        # the code 0 is no enhanced zigzag code
+        codes = list(enhanced_zigzag_map(good))
+        data = pack_varints(codes + [0] + codes, [True] * len(good) + [False] * 6, l)
+        for reader in (VarintReader, varint_reader):
+            assert signeds_outcome(reader, data, l, len(good) + 2)[0] is ValueError
+
+
 @settings(max_examples=300)
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(1, 8))
 def test_signed_varint_round_trip_property(n, l):

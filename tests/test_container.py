@@ -229,6 +229,32 @@ def test_serialize_rejects_segment_time_out_of_float_range():
         serialize(model, GEO)
 
 
+def test_segments_must_start_in_time_order():
+    # a reader finds segments by a binary search over their starts, so each
+    # segment starts after the previous one; their grid spans may overlap
+    blocks = ((EncodedBlock((), 0),),)
+
+    def model(*starts):  # 11 samples span 1000 time indices at dt 1, eps_t 0.01
+        return CompressedTrajectory(
+            dim=1, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2,
+            segments=tuple(SubTrajectorySegment(t0, (0,), 11, blocks) for t0 in starts))
+
+    def segment_fields(t0_delta):
+        return [("s", t0_delta), ("s", 0), ("u", 11), ("s", 0), ("u", 0)]
+
+    for starts in ((0, 1000), (0, 1)):
+        assert parse(serialize(model(*starts), GEO), GEO) == model(*starts)
+    for a, b in ((1000, 0), (1000, 1000)):
+        with pytest.raises(ValueError, match="previous segment"):
+            serialize(model(a, b), GEO)
+        # the bytes of a writer without the rule: each t0 is a delta from the
+        # previous segment's grid end
+        payload = crafted([("u", 2), ("u", 0), ("u", 0)] + segment_fields(a)
+                          + segment_fields(b - (a + 1000)), eps_t=0.01)
+        with pytest.raises(CorruptionError, match="previous segment"):
+            parse(payload, GEO)
+
+
 def test_parse_needs_matching_constants():
     # same bytes, different block-size constants: either a clean error or a
     # structurally different model, never silence plus equality

@@ -2,16 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from codec_reference import predicted_exceedance, predicted_mean_error
 
-from pilotc.metrics import (
-    EvalReport,
-    max_sed,
-    mean_sed,
-    predicted_exceedance,
-    predicted_mean_error,
-    raw_size_bytes,
-    var_delta_s,
-)
+from pilotc.metrics import EvalReport, max_sed, mean_sed, raw_size_bytes, var_delta_s
 
 
 def test_raw_size_charges_coordinates_plus_timestamp():
