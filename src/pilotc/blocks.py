@@ -16,25 +16,31 @@ A :class:`BlockPlan` lays out every block of a trajectory's segments, so
 that :func:`encode_blocks` and :func:`decode_blocks` code them all at once:
 one batch per block length (every full block shares b_s, and each distinct
 tail length gets its own), cut into chunks of at most ``_BATCH_SAMPLES``
-samples so that the temporaries stay small whatever the input size.
+samples so that the temporaries stay small whatever the input size.  Both
+work on int64 block columns in block order: :func:`encode_blocks` returns
+each block's coefficient count and all coefficients one block after the
+other, gathered from each batch's quantized matrix, and
+:func:`decode_blocks` scatters a :class:`~pilotc.model.BlockColumns` store
+back into one dense coefficient matrix per batch.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .codec import dequantize_array, quantize_array
-from .errors import CorruptionError
+from .model import BlockColumns
 from .params import Layout
 from .transform import cosine_basis
 
 _BATCH_SAMPLES = 1 << 15  # samples per chunk of a batch, to keep its temporaries small
 
 
-def encode_rows(samples, layout: Layout) -> list[tuple[int, ...]]:
-    """Quantized AC coefficients of each row of ``samples``, shape (n, m+1)."""
+def encode_rows(samples, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Quantized AC coefficients of each row of ``samples``, shape (n, m+1):
+    an int64 (n, K(m) - 1) matrix, and how many of each row's leading
+    coefficients the row keeps, one past its last nonzero one, so that
+    trailing zeros are dropped."""
     s = np.asarray(samples, dtype=float)
     m = s.shape[1] - 1
     if m < 1:
@@ -42,35 +48,31 @@ def encode_rows(samples, layout: Layout) -> list[tuple[int, ...]]:
     centered = np.diff(s, axis=1) - ((s[:, -1] - s[:, 0]) / m)[:, None]
     ac = cosine_basis(m, layout.budget(m))[:, 1:]
     q = quantize_array(2.0 * (centered @ ac), layout.eps_f)
-    # one past each row's last nonzero coefficient: trailing zeros are dropped
-    kept = ((q != 0) * np.arange(1, q.shape[1] + 1)).max(axis=1, initial=0)
-    return [tuple(row[:k]) for row, k in zip(q.tolist(), kept.tolist())]
+    return q, ((q != 0) * np.arange(1, q.shape[1] + 1)).max(axis=1, initial=0)
 
 
-def decode_rows(coeffs, m: int, starts, ends, layout: Layout) -> np.ndarray:
-    """Rebuild n blocks of m velocities, shape (n, m+1), from their stored
-    coefficient tuples and their anchor values ``starts`` and ``ends``."""
+def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarray:
+    """Rebuild n blocks of m velocities, shape (n, m+1), from their dense
+    quantized coefficients ``q``, an int64 (n, K(m) - 1) matrix, and their
+    anchor values ``starts`` and ``ends``."""
     if m < 1:
         raise ValueError("a block must contain at least one velocity")
-    width = layout.budget(m) - 1
-    counts = np.fromiter(map(len, coeffs), np.int64, len(coeffs))
-    if counts.size and counts.max() > width:
-        raise CorruptionError(
-            f"block holds {counts.max()} coefficients, the budget for {m} "
-            f"velocities is {width}"
-        )
-    q = np.zeros((counts.size, width), dtype=np.int64)
-    q[np.arange(width) < counts[:, None]] = np.fromiter(
-        chain.from_iterable(coeffs), np.int64, int(counts.sum()))
-    ac = cosine_basis(m, width + 1)[:, 1:]
+    ac = cosine_basis(m, layout.budget(m))[:, 1:]
     centered = (dequantize_array(q, layout.eps_f) @ ac.T) / m
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
-    out = np.empty((counts.size, m + 1))
+    out = np.empty((q.shape[0], m + 1))
     out[:, 0] = starts
     out[:, 1:] = starts[:, None] + np.cumsum(centered + ((ends - starts) / m)[:, None], axis=1)
     out[:, -1] = ends  # sum of centered velocities is zero up to float dust
     return out
+
+
+def flat_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``first[i]`` .. ``first[i] + counts[i] - 1``,
+    one range after the other."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first - (ends - counts), counts)
 
 
 class BlockPlan:
@@ -114,28 +116,39 @@ class BlockPlan:
                 yield m, i, min(i + step, hi)
 
 
-def encode_blocks(x: np.ndarray, plan: BlockPlan, lay: Layout) -> list[tuple[int, ...]]:
-    """Coefficients of every block of ``plan`` in block order; ``x`` holds
-    the samples in the plan's flat order."""
+def encode_blocks(x: np.ndarray, plan: BlockPlan, lay: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient count of every block of ``plan``, and all blocks'
+    coefficients one after the other, both int64 and in block order; ``x``
+    holds the samples in the plan's flat order."""
     start = plan.start[plan.order]
-    coded = []
+    counts, coeffs = [], []
     for m, lo, hi in plan.batches():
-        coded += encode_rows(_windows(x, m + 1)[start[lo:hi]], lay)
-    at = np.empty_like(plan.order)  # each block's place in ``coded``
-    at[plan.order] = np.arange(at.size)
-    return list(map(coded.__getitem__, at.tolist()))
+        q, kept = encode_rows(_windows(x, m + 1)[start[lo:hi]], lay)
+        counts.append(kept)
+        coeffs.append(q[np.arange(q.shape[1]) < kept[:, None]])
+    kept = np.concatenate(counts)  # in ``order``, like ``coeffs``
+    c_f, first = np.empty_like(kept), np.empty_like(kept)
+    c_f[plan.order] = kept
+    first[plan.order] = kept.cumsum() - kept
+    return c_f, np.concatenate(coeffs)[flat_ranges(first, c_f)]
 
 
-def decode_blocks(coeffs, starts: np.ndarray, ends: np.ndarray, plan: BlockPlan,
+def decode_blocks(cols: BlockColumns, starts: np.ndarray, ends: np.ndarray, plan: BlockPlan,
                   lay: Layout, out: np.ndarray) -> None:
     """Write every block's samples after its first into ``out``, the flat
-    samples, from the blocks' coefficient tuples and anchor values, all in
-    block order."""
+    samples, from the block columns ``cols``, whose blocks hold at most
+    K(m) - 1 coefficients each, and the blocks' anchor values, in block
+    order."""
     order = plan.order
-    coeffs = list(map(coeffs.__getitem__, order.tolist()))
+    c_f = cols.c_f[order]
+    coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]  # in ``order``
+    at = np.concatenate(([0], c_f.cumsum())).tolist()
     start, starts, ends = plan.start[order], starts[order], ends[order]
     for m, lo, hi in plan.batches():
-        rows = decode_rows(coeffs[lo:hi], m, starts[lo:hi], ends[lo:hi], lay)
+        width = lay.budget(m) - 1
+        q = np.zeros((hi - lo, width), dtype=np.int64)
+        q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
+        rows = decode_rows(q, m, starts[lo:hi], ends[lo:hi], lay)
         _windows(out, m)[start[lo:hi] + 1] = rows[:, 1:]
 
 

@@ -306,7 +306,9 @@ class ColumnarReader:
     field that cannot be read, and the unterminated tail after the last
     field, is ``None`` in the code and value lists, and a read that reaches
     it raises :func:`_field_error`; the code 0 is ``None`` in the value list
-    only, and a signed read of it raises ``ValueError``.
+    only, and a signed read of it raises ``ValueError``.  A caller that
+    finds fields by their :attr:`codes` can move the reader with
+    :attr:`index` and gather many values at once with :meth:`signed_values`.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -339,11 +341,14 @@ class ColumnarReader:
         del payload, shift
 
         half = (codes >> np.uint64(1)).astype(np.int64)
-        values = np.where(codes & np.uint64(1), half, -half).tolist()
+        self._value_array = np.where(codes & np.uint64(1), half, -half)
+        values = self._value_array.tolist()
         for i in np.flatnonzero(codes == 0).tolist():
             values[i] = None  # no enhanced zigzag code is 0
+        unreadable = too_long | over
+        self._signed_ok = ~unreadable & (codes != 0)
         codes = codes.tolist()
-        for i in np.flatnonzero(too_long | over).tolist():
+        for i in np.flatnonzero(unreadable).tolist():
             codes[i] = values[i] = None
         codes.append(None)  # the tail, which has no final chunk
         values.append(None)
@@ -360,6 +365,30 @@ class ColumnarReader:
     @property
     def remaining_bits(self) -> int:
         return 8 * self._data.size - self.pos
+
+    @property
+    def codes(self) -> list:
+        """Every field's code, then the tail's ``None``."""
+        return self._codes
+
+    @property
+    def index(self) -> int:
+        """The index in :attr:`codes` of the field the next read reads;
+        setting it moves the reader there, at most to the tail."""
+        return self._next
+
+    @index.setter
+    def index(self, i: int) -> None:
+        if not 0 <= i < len(self._codes):
+            raise IndexError(f"field {i} is past the end of the body")
+        self._next = i
+
+    def signed_values(self, idx: np.ndarray) -> np.ndarray:
+        """The enhanced-zigzag values of the fields at ``idx``, as int64;
+        raises ``LookupError`` if one of them cannot be read as one."""
+        if not self._signed_ok[idx].all():
+            raise LookupError("a field there is not a readable signed field")
+        return self._value_array[idx]
 
     def unsigned(self) -> int:
         i = self._next

@@ -18,16 +18,26 @@ Layout, version 1:
     zero padding to a byte boundary
 
 All varints use the header's chunk length l, so after the 40-byte header
-the body is one flat run of chunked varints (see ``codec``).  ``serialize``
-flattens the model into one list of field values, maps the signed ones to
-their codes in one array operation and writes the codes with a single
-:func:`~pilotc.codec.pack_varints` call; ``parse`` walks the same field
-order through the reader :func:`~pilotc.codec.varint_reader` picks.  That
-reader decodes with array operations, so the walk only looks fields up: at
-l >= 2 every chunk is l + 1 bits, and the reader has already split the
-whole body into fields; at l = 1 a signed field's final payload bit is
-implied, so a field's length depends on its type, and the reader has
-tabulated the field of either type that starts at each bit position.
+the body is one flat run of chunked varints (see ``codec``).  The blocks
+travel as int64 columns, one store per model (see ``model``), which
+:func:`block_columns` hands to both ``serialize`` and the decoder.
+``serialize`` lays the fields out with array operations: each block's
+first field sits at a running sum of the fields before it, end delta,
+count and coefficients, with each segment's head in front of its first
+block; it then maps the signed fields to their codes in one array
+operation and writes every code with a single
+:func:`~pilotc.codec.pack_varints` call.  ``parse`` reads through the
+reader :func:`~pilotc.codec.varint_reader` picks, which decodes with array
+operations.  At l >= 2 every chunk is l + 1 bits, so the reader has split
+the whole body into fields, and ``parse`` chases the blocks: a block at
+field i holds its coefficient count c at i + 1, so the next block starts
+at field i + 2 + c.  The chase visits two fields per block, and array
+operations then gather the columns and check them.  At l = 1 a signed
+field's final payload bit is implied, so a field's length depends on its
+type; the reader has tabulated the field of either type that starts at
+each bit position, and ``parse`` walks the blocks field by field into the
+columns.  Any failure of the chase sends ``parse`` back to that walk,
+which raises the error of the first field or rule that fails.
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`:
@@ -42,7 +52,10 @@ Both directions apply one set of rules, each a function below that raises
   fields, and ``parse`` meets it by construction;
 - segment: 2 to 2**63 - 1 samples, start and end times finite in float64,
   and a start index above the previous segment's (grid spans may overlap);
-- block: at most K(m) - 1 coefficients for m velocities, no trailing zero.
+- block: at most K(m) - 1 coefficients for m velocities, no trailing zero;
+  one array function checks every block of a model at once, in ``parse``
+  and, for blocks built by hand, in :func:`block_columns` (a store the
+  library built has met it already).
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
 of its velocities, and the block size derives from eps and the dataset
@@ -57,15 +70,24 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import chain
 
 import numpy as np
 
-from .codec import enhanced_zigzag_map, pack_varints, round_half_away, varint_reader
-from .errors import CorruptionError, FormatError, TruncationError
+from .blocks import flat_ranges
+from .codec import (
+    ColumnarReader,
+    enhanced_zigzag_map,
+    pack_varints,
+    round_half_away,
+    varint_reader,
+)
+from .errors import CorruptionError, FormatError, PilotCError, TruncationError
 from .model import (
+    BlockColumns,
+    BlockList,
     CompressedTrajectory,
     CorrectionEntry,
-    EncodedBlock,
     OutlierEntry,
     SubTrajectorySegment,
 )
@@ -131,17 +153,64 @@ def _check_segment_order(t0_index: int, prev_t0_index: float) -> None:
                          f"previous segment's start {prev_t0_index}")
 
 
-def _check_coeff_count(c_f: int, limit: int) -> None:
-    """First half of the block rule; ``limit`` is K(m) - 1."""
-    if c_f > limit:
-        raise ValueError(f"block declares {c_f} coefficients, over its retention "
-                         f"budget of {limit}")
-
-
-def _check_last_coeff(coeffs: tuple[int, ...]) -> None:
-    """Second half of the block rule, checked once the coefficients are read."""
-    if coeffs and coeffs[-1] == 0:
+def _check_blocks(c_f, coeffs, limit) -> None:
+    """The block rule, on every block at once: block i holds at most
+    ``limit[i]`` = K(m) - 1 coefficients for its m velocities, and the last
+    of them is not zero.  ``c_f`` holds the blocks' coefficient counts and
+    ``coeffs`` their coefficients one block after the other; a block whose
+    coefficients run past the end of ``coeffs`` is checked for its count
+    only."""
+    c_f = np.asarray(c_f)
+    over = c_f > limit
+    if over.any():
+        i = int(over.argmax())
+        raise ValueError(f"block declares {c_f[i]} coefficients, over its retention "
+                         f"budget of {int(limit[i])}")
+    last = c_f.cumsum()[c_f > 0] - 1  # each nonempty block's last coefficient
+    if last.size and last[-1] >= len(coeffs):  # only the last block can be unread
+        last = last[:-1]
+    if last.size and (np.asarray(coeffs)[last] == 0).any():
         raise ValueError("block ends in a zero coefficient")
+
+
+def _block_limits(n_full: int, tail: int, lay: Layout) -> list[int]:
+    """K(m) - 1 for each block of one dimension of a segment: its ``n_full``
+    full blocks of b_s velocities, then its tail of ``tail``."""
+    return [lay.budget(lay.b_s) - 1] * n_full + [lay.budget(tail) - 1]
+
+
+def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
+    """The block columns of ``segments``: the store that their block views
+    share when the library built them, otherwise columns built from their
+    blocks, once their shape and the block rule are checked.  Raises
+    ``ValueError`` for a broken rule, and ``OverflowError`` for a value
+    outside int64."""
+    chains, parts = [], []
+    for si, seg in enumerate(segments):
+        if len(seg.blocks) != dim:
+            raise ValueError(f"block list of segment {si} has {len(seg.blocks)} values "
+                             f"for {dim} dimensions")
+        n_full, tail = lay.partition(seg.n_samples - 1)
+        for per_dim in seg.blocks:
+            if len(per_dim) != n_full + 1:
+                raise ValueError(f"segment {si} has {len(per_dim)} blocks in a dimension, "
+                                 f"expected {n_full + 1} for {seg.n_samples} samples")
+        chains += seg.blocks
+        parts.append((n_full, tail))
+    store = getattr(chains[0], "store", None)
+    at = 0
+    for c in chains:  # the views must tile one store in container order
+        if not (isinstance(c, BlockList) and c.store is store and c.lo == at):
+            break
+        at = c.hi
+    else:
+        if at == store.c_f.size:
+            return store
+    coeffs, deltas = zip(*[blk for c in chains for blk in c])
+    cols = BlockColumns(list(map(len, coeffs)), deltas, list(chain.from_iterable(coeffs)))
+    _check_blocks(cols.c_f, cols.coeffs,
+                  [k for part in parts for k in _block_limits(*part, lay) * dim])
+    return cols
 
 
 def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
@@ -149,69 +218,66 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     dim = model.dim
     _check_header(dim, model.chunk_bits, model.dt, model.eps, model.eps_t, model.eps_p)
     lay = Layout.derive(model.eps, model.eps_p, dim, profile)
-    full_limit = lay.budget(lay.b_s) - 1
-    # every field in container order, 0 standing in for an unsigned one,
-    # whose position and value are recorded apart
-    fields: list[int] = []
-    unsigned_at: list[int] = []
-    unsigned_values: list[int] = []
-
-    def unsigned(value: int) -> None:
-        unsigned_at.append(len(fields))
-        unsigned_values.append(value)
-        fields.append(0)
-
-    signed = fields.extend
+    # the fields before the blocks in container order, every segment head
+    # at the end, and where the unsigned ones are
+    fields = [len(model.segments), len(model.outliers), len(model.corrections)]
+    unsigned_at = [0, 1, 2]
 
     def width(values, what: str, i: int):
         if len(values) != dim:
             raise ValueError(f"{what} {i} has {len(values)} values for {dim} dimensions")
         return values
 
-    unsigned(len(model.segments))
-    unsigned(len(model.outliers))
-    unsigned(len(model.corrections))
-
     for label, entries in (("outlier", model.outliers), ("correction", model.corrections)):
         prev_t, prev = 0, (0,) * dim
         for i, (t_index, values) in enumerate(entries):
             step = t_index - prev_t
             _check_time_step(label, i, step)
-            unsigned(step)
-            signed(v - p for v, p in zip(width(values, label, i), prev))
+            unsigned_at.append(len(fields))
+            fields.append(step)
+            fields.extend(v - p for v, p in zip(width(values, label, i), prev))
             prev_t = t_index
             if label == "outlier":  # only outlier values chain
                 prev = values
         _check_entries_fit(label, entries)
 
+    n_before = len(fields)
     prev_end, prev_t0 = 0, -math.inf
-    for si, (t0_index, p0_q, n_samples, blocks) in enumerate(model.segments):
+    for si, (t0_index, p0_q, n_samples, _) in enumerate(model.segments):
         _check_segment_order(t0_index, prev_t0)
         prev_t0 = t0_index
-        signed((t0_index - prev_end, *width(p0_q, "start of segment", si)))
+        fields.append(t0_index - prev_end)
+        fields.extend(width(p0_q, "start of segment", si))
+        fields.append(n_samples)
         prev_end = segment_end_index(t0_index, n_samples, model.dt, model.eps_t)
-        unsigned(n_samples)
-        n_full, tail = lay.partition(n_samples - 1)
-        tail_limit = lay.budget(tail) - 1
-        for per_dim in width(blocks, "block list of segment", si):
-            if len(per_dim) != n_full + 1:
-                raise ValueError(f"segment {si} has {len(per_dim)} blocks in a dimension, "
-                                 f"expected {n_full + 1} for {n_samples} samples")
-            for b, (coeffs, end_delta) in enumerate(per_dim):
-                _check_coeff_count(len(coeffs), full_limit if b < n_full else tail_limit)
-                _check_last_coeff(coeffs)
-                signed((end_delta,))
-                unsigned(len(coeffs))
-                signed(coeffs)
 
-    # one array operation maps the signed fields and applies their rule
     try:
-        codes = enhanced_zigzag_map(fields)
+        body = fields = np.array(fields, dtype=np.int64)
+        if model.segments:
+            # each segment's head goes in front of its first block
+            cols = block_columns(model.segments, dim, lay)
+            per_segment = [dim * len(seg.blocks[0]) for seg in model.segments]
+            first = np.cumsum(per_segment) - per_segment
+            size = 2 + cols.c_f  # fields per block: end delta, count, coefficients
+            size[first] += dim + 2
+            at = n_before + size.cumsum() - size  # each block's first field
+            body = np.empty(n_before + int(size.sum()), dtype=np.int64)
+            body[:n_before] = fields[:n_before]
+            body[at[first, None] + np.arange(dim + 2)] = fields[n_before:].reshape(-1, dim + 2)
+            unsigned_at += (at[first] + dim + 1).tolist()
+            at[first] += dim + 2
+            body[at] = cols.end_delta
+            body[at + 1] = cols.c_f
+            body[flat_ranges(at + 2, cols.c_f)] = cols.coeffs
+        # one array operation maps the signed fields and applies their rule
+        codes = enhanced_zigzag_map(body)
     except OverflowError:
         raise ValueError("a signed field outside +-(2**63 - 1)") from None
-    codes[unsigned_at] = unsigned_values
-    is_signed = np.ones(len(codes), dtype=bool)
+    is_signed = np.ones(body.size, dtype=bool)
     is_signed[unsigned_at] = False
+    if model.segments:
+        is_signed[at + 1] = False
+    codes[~is_signed] = body[~is_signed]
     return (MAGIC + bytes((VERSION, dim, 0, model.chunk_bits))  # flags reserved
             + struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p)
             + pack_varints(codes, is_signed, model.chunk_bits))
@@ -238,9 +304,8 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     try:
         _check_header(dim, l, dt, eps, eps_t, eps_p)
         r = varint_reader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
-        unsigned, signed, signeds = r.unsigned, r.signed, r.signeds
+        unsigned, signeds = r.unsigned, r.signeds
         lay = Layout.derive(eps, eps_p, dim, profile)
-        full_limit = lay.budget(lay.b_s) - 1
         n_segments = unsigned()
         n_outliers = unsigned()
         n_corrections = unsigned()
@@ -262,36 +327,16 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
             entry_lists.append(tuple(entries))
         outliers, corrections = entry_lists
 
-        segments = []
-        prev_end, prev_t0 = 0, -math.inf
-        for _ in range(n_segments):
-            t0_index = prev_end + signed()
-            _check_segment_order(t0_index, prev_t0)
-            prev_t0 = t0_index
-            p0_q = signeds(dim)
-            n_samples = unsigned()
-            prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
-            n_full, tail = lay.partition(n_samples - 1)
-            if dim * (n_full + 1) * min_block_bits > r.remaining_bits:
-                raise TruncationError(
-                    f"segment declares {n_full + 1} blocks per dimension, more than "
-                    f"the {r.remaining_bits} remaining bits can hold"
-                )
-            tail_limit = lay.budget(tail) - 1
-            per_dims = []
-            for _ in range(dim):
-                blks = []
-                for b in range(n_full + 1):
-                    end_delta = signed()
-                    c_f = unsigned()
-                    _check_coeff_count(c_f, full_limit if b < n_full else tail_limit)
-                    coeffs = signeds(c_f)
-                    _check_last_coeff(coeffs)
-                    blks.append(EncodedBlock(coeffs, end_delta))
-                per_dims.append(tuple(blks))
-            segments.append(
-                SubTrajectorySegment(t0_index, p0_q, n_samples, tuple(per_dims))
-            )
+        args = (r, n_segments, dim, dt, eps_t, lay, min_block_bits)
+        if isinstance(r, ColumnarReader):
+            start = r.index
+            try:
+                segments = _read_segments(*args, chase=True)
+            except (PilotCError, ValueError, ArithmeticError, LookupError, TypeError):
+                r.index = start  # a walk raises the first error in field order
+                segments = _read_segments(*args, chase=False)
+        else:
+            segments = _read_segments(*args, chase=False)
     except ValueError as exc:  # a broken rule, or a signed decode of a zero code
         raise CorruptionError(str(exc)) from exc
     except OverflowError as exc:  # a segment end index beyond float64
@@ -304,5 +349,66 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
 
     return CompressedTrajectory(
         dim=dim, dt=dt, eps=eps, eps_t=eps_t, eps_p=eps_p, chunk_bits=l,
-        segments=tuple(segments), outliers=outliers, corrections=corrections,
+        segments=segments, outliers=outliers, corrections=corrections,
     )
+
+
+def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout,
+                   min_block_bits: int, chase: bool) -> tuple[SubTrajectorySegment, ...]:
+    """Read ``count`` segments through the reader ``r``, their blocks into
+    one :class:`~pilotc.model.BlockColumns` store.
+
+    A walk reads every block field by field, and raises the error of the
+    first field or rule that fails.  A chase needs a
+    :class:`~pilotc.codec.ColumnarReader`: a block at field i holds its
+    coefficient count c at i + 1, so the next block starts at i + 2 + c; the
+    chase finds each block's start so, and then gathers the columns with
+    array operations.  It raises an error wherever a walk would, but not
+    always the same one."""
+    heads, chain_start, limit = [], [], []
+    deltas, counts, coeffs, starts = [], [], [], []
+    signed, unsigned, signeds = r.signed, r.unsigned, r.signeds
+    prev_end, prev_t0 = 0, -math.inf
+    try:
+        for _ in range(count):
+            t0_index = prev_end + signed()
+            _check_segment_order(t0_index, prev_t0)
+            prev_t0 = t0_index
+            p0_q = signeds(dim)
+            n_samples = unsigned()
+            prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
+            n_full, tail = lay.partition(n_samples - 1)
+            if dim * (n_full + 1) * min_block_bits > r.remaining_bits:
+                raise TruncationError(
+                    f"segment declares {n_full + 1} blocks per dimension, more than "
+                    f"the {r.remaining_bits} remaining bits can hold"
+                )
+            heads.append((t0_index, p0_q, n_samples))
+            chain_limit = _block_limits(n_full, tail, lay)
+            for _ in range(dim):
+                chain_start.append(len(limit))
+                limit += chain_limit
+            if chase:
+                codes, i = r.codes, r.index
+                for _ in range(dim * (n_full + 1)):
+                    c = codes[i + 1]
+                    starts.append(i)
+                    counts.append(c)
+                    i += c + 2
+                r.index = i
+            else:
+                for _ in range(dim * (n_full + 1)):
+                    deltas.append(signed())
+                    counts.append(unsigned())
+                    coeffs += signeds(counts[-1])
+    except (PilotCError, ValueError, OverflowError):
+        if not chase:  # a broken block rule read before comes first
+            _check_blocks(counts, coeffs, limit[:len(counts)])
+        raise
+    if chase:
+        at = np.array(starts, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
+        deltas, coeffs = r.signed_values(at), r.signed_values(flat_ranges(at + 2, counts))
+    cols = BlockColumns(counts, deltas, coeffs)
+    _check_blocks(cols.c_f, cols.coeffs, limit)
+    return cols.segments(heads, chain_start, dim)

@@ -1,17 +1,24 @@
 """Data model: raw trajectories, uniform series, and the compressed form.
 
 ``CompressedTrajectory`` mirrors the serialized container field for field,
-using plain ints and tuples so that a parse of a serialize compares equal.
-Quantized indices are stored in absolute form here, except a block's
-``end_delta_q``, its step on the segment's cumulative end-index chain; the
-wire format applies further delta chains on top (see ``container``).
-The records inside it (segments, blocks, outlier and correction entries)
-are named tuples: they unpack, as in ``t_index, values = entry``, and
-compare equal to plain tuples of the same values.
+so that a parse of a serialize compares equal.  Quantized indices are
+stored in absolute form here, except a block's ``end_delta_q``, its step on
+the segment's cumulative end-index chain; the wire format applies further
+delta chains on top (see ``container``).  The records inside it (segments,
+blocks, outlier and correction entries) are named tuples: they unpack, as
+in ``t_index, values = entry``, and compare equal to plain tuples of the
+same values.
+
+A model that the library builds (``compress`` or ``parse``) keeps every
+block in one :class:`BlockColumns` store of int64 columns, and each of its
+segments' per-dimension block lists is a :class:`BlockList` view of it,
+which makes an :class:`EncodedBlock` only when one is accessed.  A model
+built by hand may hold tuples of blocks instead; both forms compare equal.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,11 +92,85 @@ class EncodedBlock(NamedTuple):
         return len(self.q_coeffs)
 
 
+class BlockColumns:
+    """Every block of a model's segments as read-only int64 columns, in
+    container order (segment, dimension, block): each block's coefficient
+    count ``c_f`` and end delta, and the coefficients of all blocks one after
+    the other, block i's at ``coeffs[offsets[i]:offsets[i + 1]]``."""
+
+    __slots__ = ("c_f", "end_delta", "coeffs", "offsets")
+
+    def __init__(self, c_f, end_delta, coeffs):
+        self.c_f = np.asarray(c_f, dtype=np.int64)
+        self.end_delta = np.asarray(end_delta, dtype=np.int64)
+        self.coeffs = np.asarray(coeffs, dtype=np.int64)
+        self.offsets = np.zeros(self.c_f.size + 1, dtype=np.int64)
+        np.cumsum(self.c_f, out=self.offsets[1:])
+        for a in (self.c_f, self.end_delta, self.coeffs, self.offsets):
+            a.flags.writeable = False
+
+    def segments(self, heads, chain_start: list[int], dim: int):
+        """The segments whose heads, (t0_index, p0_q, n_samples) each, are
+        ``heads`` and whose blocks are this store's: segment k's chains,
+        one per dimension, start at blocks ``chain_start[k * dim:]``."""
+        bounds = [*chain_start, self.c_f.size]
+        chains = [BlockList(self, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return tuple(SubTrajectorySegment(t0, p0, n, tuple(chains[k:k + dim]))
+                     for k, (t0, p0, n) in zip(range(0, len(chains), dim), heads))
+
+
+class BlockList(Sequence):
+    """One segment's blocks in one dimension, blocks ``lo:hi`` of a
+    :class:`BlockColumns` store.  It reads like the tuple of their
+    :class:`EncodedBlock` records, makes each record when it is accessed,
+    and compares equal to that tuple in either order."""
+
+    __slots__ = ("store", "lo", "hi")
+
+    def __init__(self, store: BlockColumns, lo: int, hi: int):
+        self.store, self.lo, self.hi = store, lo, hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(self.lo, self.hi)[i]
+        s = self.store
+        return EncodedBlock(tuple(s.coeffs[s.offsets[i]:s.offsets[i + 1]].tolist()),
+                            int(s.end_delta[i]))
+
+    def __iter__(self):
+        s, lo, hi = self.store, self.lo, self.hi
+        bounds = (s.offsets[lo:hi + 1] - s.offsets[lo]).tolist()
+        coeffs = s.coeffs[s.offsets[lo]:s.offsets[hi]].tolist()
+        for a, b, delta in zip(bounds, bounds[1:], s.end_delta[lo:hi].tolist()):
+            yield EncodedBlock(tuple(coeffs[a:b]), delta)
+
+    def _columns(self):
+        s, lo, hi = self.store, self.lo, self.hi
+        return s.c_f[lo:hi], s.end_delta[lo:hi], s.coeffs[s.offsets[lo]:s.offsets[hi]]
+
+    def __eq__(self, other):
+        if isinstance(other, BlockList):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class SubTrajectorySegment(NamedTuple):
     t0_index: int                                     # quantized with eps_t
     p0_q: tuple[int, ...]                             # per dim, step eps_p
     n_samples: int                                    # uniform sample count, >= 2
-    blocks: tuple[tuple[EncodedBlock, ...], ...]      # [dim][block]
+    blocks: tuple[Sequence[EncodedBlock], ...]       # [dim][block]
 
 
 class OutlierEntry(NamedTuple):

@@ -25,9 +25,9 @@ from .codec import (
 )
 from .errors import DataError
 from .model import (
+    BlockColumns,
     CompressedTrajectory,
     CorrectionEntry,
-    EncodedBlock,
     OutlierEntry,
     SubTrajectorySegment,
     TrajectoryRecord,
@@ -130,12 +130,10 @@ def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
     deltas = q_end.copy()
     deltas[1:] -= q_end[:-1]
     deltas[plan.chain_start] = q_end[plan.chain_start]
-    blocks = list(map(EncodedBlock, encode_blocks(x, plan, lay), deltas.tolist()))
-    bounds = [*plan.chain_start.tolist(), len(blocks)]
-    chains = map(tuple, map(blocks.__getitem__, map(slice, bounds, bounds[1:])))
-    per_segment = zip(*[chains] * dim)  # each segment's dim consecutive chains
-    return tuple(map(SubTrajectorySegment, t0_indices, map(tuple, p0_q.reshape(-1, dim).tolist()),
-                     np.asarray(n_samples).tolist(), per_segment))
+    c_f, coeffs = encode_blocks(x, plan, lay)
+    cols = BlockColumns(c_f, deltas, coeffs)
+    return cols.segments(zip(t0_indices, map(tuple, p0_q.reshape(-1, dim).tolist()),
+                             np.asarray(n_samples).tolist()), plan.chain_start.tolist(), dim)
 
 
 def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,

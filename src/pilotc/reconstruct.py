@@ -16,31 +16,31 @@ import numpy as np
 
 from .blocks import BlockPlan, decode_blocks
 from .codec import dequantize_array, time_index_array
-from .errors import QueryRangeError
+from .container import block_columns
+from .errors import CorruptionError, QueryRangeError
 from .model import CompressedTrajectory, UniformSeries
 from .params import DEFAULT_PROFILE, Layout
 
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
 
-def _decode_grid(model: CompressedTrajectory, constants):
+def _decode_grid(model: CompressedTrajectory, lay: Layout):
     """Every segment's uniform samples, decoded in one batch per block length
     (see :class:`~pilotc.blocks.BlockPlan`), as one C-contiguous (dim, samples)
     grid; then the segments' t0 time indices and sample counts."""
     if not model.segments:
         return np.zeros((model.dim, 0)), (), ()
-    t0_index, p0_q, n_samples, blocks = zip(*model.segments)
-    lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
+    t0_index, p0_q, n_samples, _ = zip(*model.segments)
+    try:
+        cols = block_columns(model.segments, model.dim, lay)
+    except (ValueError, OverflowError) as exc:  # a model built by hand that breaks a rule
+        raise CorruptionError(str(exc)) from exc
     plan = BlockPlan(n_samples, model.dim, lay)
-    chains = list(chain.from_iterable(blocks))
-    if list(map(len, chains)) != plan.per_chain.tolist():
-        raise ValueError("block counts do not match the segments' dimension and sample counts")
-    coeffs, deltas = zip(*chain.from_iterable(chains))
     p0 = dequantize_array(list(chain.from_iterable(p0_q)), model.eps_p)
     # a chain's end indices are the running sum less its value before the
     # chain; float sums are exact while the sum stays below 2**53, and
     # unlike int64 they cannot wrap
-    deltas = np.array(deltas, dtype=float)
+    deltas = cols.end_delta.astype(float)
     total = deltas.cumsum()
     first = plan.chain_start
     ends = p0.repeat(plan.per_chain) + dequantize_array(
@@ -50,7 +50,7 @@ def _decode_grid(model: CompressedTrajectory, constants):
     starts[first] = p0
     flat = np.empty(sum(n_samples) * model.dim)
     flat[plan.chain_row] = p0
-    decode_blocks(coeffs, starts, ends, plan, lay, flat)
+    decode_blocks(cols, starts, ends, plan, lay, flat)
     return flat.reshape(model.dim, -1), t0_index, n_samples
 
 
@@ -64,7 +64,8 @@ def decompress_uniform(model: CompressedTrajectory,
     once, into the one (dim, samples) grid that :class:`Reconstructor` keeps;
     each series' values are a transposed column slice of it.
     """
-    grid, t0_index, n_samples = _decode_grid(model, constants)
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
+    grid, t0_index, n_samples = _decode_grid(model, lay)
     return [UniformSeries(t0 * model.eps_t, model.dt, grid[:, row:row + n].T)
             for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
 
@@ -95,7 +96,8 @@ class Reconstructor:
 
     def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
         self.model = model
-        self._grid, t0_index, n_samples = _decode_grid(model, constants)
+        lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
+        self._grid, t0_index, n_samples = _decode_grid(model, lay)
         starts = [t0 * model.eps_t for t0 in t0_index]
         ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, n_samples)]
         # covers t0 quantization (eps_t / 2) plus float dust on long time axes
@@ -103,12 +105,12 @@ class Reconstructor:
         self._starts = np.array(starts)
         # indexed by how many segments start at or before a time: the reach
         # of the segment before it and of the segment after it
-        self._reach_before = np.array([-np.inf, *ends]) + tol
-        self._reach_after = np.array([*starts, np.inf]) - tol
+        with np.errstate(over="ignore"):  # a reach beyond float64 is infinite
+            self._reach_before = np.array([-np.inf, *ends]) + tol
+            self._reach_after = np.array([*starts, np.inf]) - tol
         counts = np.array(n_samples, dtype=np.int64)
         self._last = counts - 2  # each segment's last interval
         self._offsets = counts.cumsum() - counts
-        lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
         self._outliers = _entry_table(model.outliers, model.dim, lay.eps_out)
         self._corrections = _entry_table(model.corrections, model.dim, lay.eps_d)
 

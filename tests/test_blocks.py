@@ -8,10 +8,10 @@ from codec_reference import decode_series_ref, encode_series_ref
 from pilotc import blocks, pipeline, reconstruct
 from pilotc.blocks import _BATCH_SAMPLES, decode_rows, encode_rows
 from pilotc.errors import CorruptionError
-from pilotc.model import CompressedTrajectory
+from pilotc.model import CompressedTrajectory, EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES, Layout
 from pilotc.pipeline import _encode_segments, compress
-from pilotc.reconstruct import decompress_uniform
+from pilotc.reconstruct import Reconstructor, decompress_uniform
 from pilotc.synth import synthetic_trajectory
 from pilotc.transform import dct_forward
 
@@ -23,12 +23,19 @@ def layout(eps_f, r_ret, b_s):
 LAY = layout(eps_f=0.01, r_ret=1.0, b_s=100)
 
 
+def kept_rows(q, kept):
+    """The rows of an ``encode_rows`` result as tuples of the kept coefficients."""
+    return [tuple(row[:k]) for row, k in zip(q.tolist(), kept.tolist())]
+
+
 def encode_one(samples, lay=LAY):
-    return encode_rows(np.asarray(samples)[None, :], lay)[0]
+    return kept_rows(*encode_rows(np.asarray(samples)[None, :], lay))[0]
 
 
 def decode_one(q_coeffs, m, start, end, lay=LAY):
-    return decode_rows([q_coeffs], m, [start], [end], lay)[0]
+    q = np.zeros((1, lay.budget(m) - 1), dtype=np.int64)
+    q[0, :len(q_coeffs)] = q_coeffs
+    return decode_rows(q, m, [start], [end], lay)[0]
 
 
 def test_velocity_construction_reference():
@@ -67,9 +74,12 @@ def test_coeff_budget_rule():
 def test_trailing_zeros_are_stripped():
     rng = np.random.default_rng(1)
     rows = np.cumsum(rng.normal(0, 2, (40, 51)), axis=1)
-    for q_coeffs in encode_rows(rows, layout(eps_f=0.5, r_ret=1.0, b_s=50)):
-        if q_coeffs:
-            assert q_coeffs[-1] != 0
+    q, kept = encode_rows(rows, layout(eps_f=0.5, r_ret=1.0, b_s=50))
+    assert kept.max() > 0
+    for row, k in zip(q, kept):
+        assert not row[k:].any()
+        if k:
+            assert row[k - 1] != 0
 
 
 def test_round_trip_with_negligible_step():
@@ -101,7 +111,7 @@ def test_quantization_error_stays_conservatively_bounded():
     speeds = np.stack([np.convolve(rng.normal(3.0, 1.0, 120), np.ones(20) / 20, "valid")
                        for _ in range(50)])
     s = np.cumsum(speeds, axis=1)
-    back = decode_rows(encode_rows(s, lay), 100, s[:, 0], s[:, -1], lay)
+    back = decode_rows(encode_rows(s, lay)[0], 100, s[:, 0], s[:, -1], lay)
     assert np.abs(back - s).max() <= lay.eps_f * np.sqrt(100)
 
 
@@ -137,17 +147,24 @@ def test_deterministic_encoding():
     assert encode_one(s, lay) == encode_one(s.copy(), lay)
     # a row codes the same alone and inside a batch
     batch = np.stack([s[::-1], s, s + 4.0])
-    assert encode_rows(batch, lay)[1] == encode_one(s, lay)
+    assert kept_rows(*encode_rows(batch, lay))[1] == encode_one(s, lay)
 
 
 def test_malformed_blocks_rejected():
     lay = layout(eps_f=0.1, r_ret=1.0, b_s=10)
     with pytest.raises(ValueError):
         encode_rows(np.array([[1.0]]), lay)
-    with pytest.raises(CorruptionError):
-        decode_one((1, 2, 3), 3, 0.0, 1.0, lay)
     with pytest.raises(ValueError):
         decode_one((), 0, 0.0, 1.0, lay)
+    # only a model built by hand can hold a block over its budget; the
+    # decoder checks its blocks as it builds their columns (geolife at
+    # eps = 10: b_s = 30 and at most 10 coefficients)
+    seg = SubTrajectorySegment(0, (0,), 31, ((EncodedBlock(tuple(range(1, 12))),),))
+    model = CompressedTrajectory(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0,
+                                 chunk_bits=2, segments=(seg,))
+    for decode in (Reconstructor, decompress_uniform):
+        with pytest.raises(CorruptionError, match="budget"):
+            decode(model, PROFILES["geolife"])
 
 
 def test_block_params_validation():

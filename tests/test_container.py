@@ -155,6 +155,20 @@ def test_parse_rejects_trailing_zero_coefficient():
         parse(payload, GEO)
 
 
+@pytest.mark.parametrize("chunk_bits", [1, 2])
+@pytest.mark.parametrize("coeffs, match", [(tuple(range(1, 13)), "budget"),
+                                           ((5, 0), "zero coefficient")])
+def test_parse_reports_a_broken_block_rule_before_a_later_failure(coeffs, match, chunk_bits):
+    # a segment with one block that breaks the block rule, then a second
+    # segment that declares more blocks than the remaining bits can hold:
+    # the first broken rule in field order decides the error
+    fields = [("u", 2), ("u", 0), ("u", 0), ("s", 0), ("s", 0), ("u", 31),
+              ("s", 0), ("u", len(coeffs)), *[("s", c) for c in coeffs],
+              ("s", 1), ("s", 0), ("u", 10**6)]
+    with pytest.raises(CorruptionError, match=match):
+        parse(crafted(fields, chunk_bits=chunk_bits), GEO)
+
+
 def test_serialize_rejects_negative_first_time_index():
     model = CompressedTrajectory(
         dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
@@ -406,6 +420,19 @@ def test_query_before_a_tiny_dt_segment_is_warning_free(dt):
         warnings.simplefilter("error")
         rec = Reconstructor(parse(crafted(fields, dt=dt), GEO), GEO)
         assert rec.query([4.9]).tolist() == [[0.0]]
+
+
+def test_reach_beyond_float64_is_warning_free():
+    # a segment's reach, its end plus a tolerance of about eps_t / 2, can
+    # overflow float64 even though its start and end time are finite
+    fields = one_segment(2)
+    fields[3] = ("s", 1)  # the segment starts at time index 1
+    payload = crafted(fields, eps_t=1.7976931348623157e308)
+    assert len(payload) == 43
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = Reconstructor(parse(payload, GEO), GEO)
+        assert rec.query([1.7976931348623157e308]).tolist() == [[0.0]]
 
 
 @pytest.mark.parametrize("chunk_bits", [1, 2, 3, 4, 7, 8, 16, 32])
