@@ -54,8 +54,7 @@ Both directions apply one set of rules, each a function below that raises
   and a start index above the previous segment's (grid spans may overlap);
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero;
   one array function checks every block of a model at once, in ``parse``
-  and, for blocks built by hand, in :func:`block_columns` (a store the
-  library built has met it already).
+  and in :func:`block_columns`.
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
 of its velocities, and the block size derives from eps and the dataset
@@ -173,18 +172,25 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
-def _block_limits(n_full: int, tail: int, lay: Layout) -> list[int]:
-    """K(m) - 1 for each block of one dimension of a segment: its ``n_full``
-    full blocks of b_s velocities, then its tail of ``tail``."""
-    return [lay.budget(lay.b_s) - 1] * n_full + [lay.budget(tail) - 1]
+def _block_limits(parts, dim: int, lay: Layout) -> np.ndarray:
+    """K(m) - 1 for every block, in container order, of segments whose
+    velocities partition into ``parts``, (n_full, tail) per segment: per
+    dimension ``n_full`` full blocks of b_s velocities, then a tail of
+    ``tail``."""
+    n_full, tail = np.array(parts, dtype=np.int64).reshape(-1, 2).T
+    per_chain = (n_full + 1).repeat(dim)
+    limit = np.full(int(per_chain.sum()), lay.budget(lay.b_s) - 1, dtype=np.int64)
+    limit[per_chain.cumsum() - 1] = np.repeat([lay.budget(m) - 1 for m in tail.tolist()], dim)
+    return limit
 
 
 def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
-    """The block columns of ``segments``: the store that their block views
-    share when the library built them, otherwise columns built from their
-    blocks, once their shape and the block rule are checked.  Raises
-    ``ValueError`` for a broken rule, and ``OverflowError`` for a value
-    outside int64."""
+    """The block columns of ``segments``, once their shape and the block
+    rule are checked: the store that their block views share when the
+    library built them, otherwise columns built from their blocks.  The
+    rule is checked on a store too, as its budgets depend on the constants
+    of ``lay``.  Raises ``ValueError`` for a broken rule, and
+    ``OverflowError`` for a value outside int64."""
     chains, parts = [], []
     for si, seg in enumerate(segments):
         if len(seg.blocks) != dim:
@@ -197,19 +203,17 @@ def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
                                  f"expected {n_full + 1} for {seg.n_samples} samples")
         chains += seg.blocks
         parts.append((n_full, tail))
-    store = getattr(chains[0], "store", None)
+    cols = getattr(chains[0], "store", None)
     at = 0
     for c in chains:  # the views must tile one store in container order
-        if not (isinstance(c, BlockList) and c.store is store and c.lo == at):
+        if not (isinstance(c, BlockList) and c.store is cols and c.lo == at):
+            cols = None
             break
         at = c.hi
-    else:
-        if at == store.c_f.size:
-            return store
-    coeffs, deltas = zip(*[blk for c in chains for blk in c])
-    cols = BlockColumns(list(map(len, coeffs)), deltas, list(chain.from_iterable(coeffs)))
-    _check_blocks(cols.c_f, cols.coeffs,
-                  [k for part in parts for k in _block_limits(*part, lay) * dim])
+    if cols is None or at != cols.c_f.size:
+        coeffs, deltas = zip(*[blk for c in chains for blk in c])
+        cols = BlockColumns(list(map(len, coeffs)), deltas, list(chain.from_iterable(coeffs)))
+    _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
     return cols
 
 
@@ -365,10 +369,10 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
     chase finds each block's start so, and then gathers the columns with
     array operations.  It raises an error wherever a walk would, but not
     always the same one."""
-    heads, chain_start, limit = [], [], []
+    heads, parts, chain_start = [], [], []
     deltas, counts, coeffs, starts = [], [], [], []
     signed, unsigned, signeds = r.signed, r.unsigned, r.signeds
-    prev_end, prev_t0 = 0, -math.inf
+    prev_end, prev_t0, n_blocks = 0, -math.inf, 0
     try:
         for _ in range(count):
             t0_index = prev_end + signed()
@@ -384,10 +388,9 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
                     f"the {r.remaining_bits} remaining bits can hold"
                 )
             heads.append((t0_index, p0_q, n_samples))
-            chain_limit = _block_limits(n_full, tail, lay)
-            for _ in range(dim):
-                chain_start.append(len(limit))
-                limit += chain_limit
+            parts.append((n_full, tail))
+            chain_start += range(n_blocks, n_blocks + dim * (n_full + 1), n_full + 1)
+            n_blocks += dim * (n_full + 1)
             if chase:
                 codes, i = r.codes, r.index
                 for _ in range(dim * (n_full + 1)):
@@ -403,12 +406,12 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
                     coeffs += signeds(counts[-1])
     except (PilotCError, ValueError, OverflowError):
         if not chase:  # a broken block rule read before comes first
-            _check_blocks(counts, coeffs, limit[:len(counts)])
+            _check_blocks(counts, coeffs, _block_limits(parts, dim, lay)[:len(counts)])
         raise
     if chase:
         at = np.array(starts, dtype=np.int64)
         counts = np.array(counts, dtype=np.int64)
         deltas, coeffs = r.signed_values(at), r.signed_values(flat_ranges(at + 2, counts))
     cols = BlockColumns(counts, deltas, coeffs)
-    _check_blocks(cols.c_f, cols.coeffs, limit)
+    _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
     return cols.segments(heads, chain_start, dim)

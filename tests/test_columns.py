@@ -11,6 +11,7 @@ import pytest
 from model_gen import random_model
 
 from pilotc import Reconstructor, compress, decompress_uniform, parse, serialize
+from pilotc.errors import CorruptionError
 from pilotc.container import block_columns
 from pilotc.model import BlockList, EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES, Layout
@@ -85,6 +86,24 @@ def test_views_and_tuples_agree(name, model, traj):
     times = query_times(model, traj)
     assert (Reconstructor(model, GEO).query(times).tobytes()
             == Reconstructor(copy, GEO).query(times).tobytes())
+
+
+def test_store_meets_the_rule_of_the_constants_it_is_used_with():
+    # geolife3d shares geolife's block size but keeps fewer coefficients, so
+    # blocks that met geolife's budgets break geolife3d's
+    other = PROFILES["geolife3d"]
+    model = compress(synthetic_trajectory(3000, dim=2, seed=0, **MIXED),
+                     GEO.params(10.0, eps_t=0.01))
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, other)
+    assert lay.b_s == Layout.derive(model.eps, model.eps_p, model.dim, GEO).b_s
+    assert model.segments[0].blocks[0].store.c_f.max() > lay.budget(lay.b_s) - 1
+    for m in (model, parse(serialize(model, GEO), GEO)):
+        with pytest.raises(ValueError, match="retention budget"):
+            serialize(m, other)
+        with pytest.raises(CorruptionError, match="retention budget"):
+            Reconstructor(m, other)
+        with pytest.raises(CorruptionError, match="retention budget"):
+            decompress_uniform(m, other)
 
 
 def test_views_are_read_only():
