@@ -54,7 +54,8 @@ Both directions apply one set of rules, each a function below that raises
   and a start index above the previous segment's (grid spans may overlap);
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero;
   one array function checks every block of a model at once, in ``parse``
-  and in :func:`block_columns`.
+  and in :func:`block_columns` (unless a store's blocks met it for the
+  same layout and segment lengths when it was built).
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
 of its velocities, and the block size derives from eps and the dataset
@@ -172,26 +173,25 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
-def _block_limits(parts, dim: int, lay: Layout) -> np.ndarray:
+def _block_limits(parts, dim: int, lay: Layout) -> list[int]:
     """K(m) - 1 for every block, in container order, of segments whose
     velocities partition into ``parts``, (n_full, tail) per segment: per
     dimension ``n_full`` full blocks of b_s velocities, then a tail of
     ``tail``."""
-    n_full, tail = np.array(parts, dtype=np.int64).reshape(-1, 2).T
-    per_chain = (n_full + 1).repeat(dim)
-    limit = np.full(int(per_chain.sum()), lay.budget(lay.b_s) - 1, dtype=np.int64)
-    limit[per_chain.cumsum() - 1] = np.repeat([lay.budget(m) - 1 for m in tail.tolist()], dim)
+    full, limit = lay.budget(lay.b_s) - 1, []
+    for n_full, tail in parts:
+        limit += ([full] * n_full + [lay.budget(tail) - 1]) * dim
     return limit
 
 
 def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
     """The block columns of ``segments``, once their shape and the block
-    rule are checked: the store that their block views share when the
-    library built them, otherwise columns built from their blocks.  The
-    rule is checked on a store too, as its budgets depend on the constants
-    of ``lay``.  Raises ``ValueError`` for a broken rule, and
+    rule under ``lay`` are checked: the store that their block views share
+    when the library built them, otherwise columns built from their blocks.
+    A store's blocks are checked again unless they met the rule for the
+    same layout and segment lengths when it was built.  Raises ``ValueError`` for a broken rule, and
     ``OverflowError`` for a value outside int64."""
-    chains, parts = [], []
+    chains, parts, n_samples = [], [], []
     for si, seg in enumerate(segments):
         if len(seg.blocks) != dim:
             raise ValueError(f"block list of segment {si} has {len(seg.blocks)} values "
@@ -203,6 +203,7 @@ def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
                                  f"expected {n_full + 1} for {seg.n_samples} samples")
         chains += seg.blocks
         parts.append((n_full, tail))
+        n_samples.append(seg.n_samples)
     cols = getattr(chains[0], "store", None)
     at = 0
     for c in chains:  # the views must tile one store in container order
@@ -213,7 +214,8 @@ def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
     if cols is None or at != cols.c_f.size:
         coeffs, deltas = zip(*[blk for c in chains for blk in c])
         cols = BlockColumns(list(map(len, coeffs)), deltas, list(chain.from_iterable(coeffs)))
-    _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
+    if cols.checked != (lay, n_samples):
+        _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
     return cols
 
 
@@ -412,6 +414,6 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
         at = np.array(starts, dtype=np.int64)
         counts = np.array(counts, dtype=np.int64)
         deltas, coeffs = r.signed_values(at), r.signed_values(flat_ranges(at + 2, counts))
-    cols = BlockColumns(counts, deltas, coeffs)
+    cols = BlockColumns(counts, deltas, coeffs, (lay, [n for _, _, n in heads]))
     _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
     return cols.segments(heads, chain_start, dim)

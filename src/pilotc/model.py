@@ -96,11 +96,16 @@ class BlockColumns:
     """Every block of a model's segments as read-only int64 columns, in
     container order (segment, dimension, block): each block's coefficient
     count ``c_f`` and end delta, and the coefficients of all blocks one after
-    the other, block i's at ``coeffs[offsets[i]:offsets[i + 1]]``."""
+    the other, block i's at ``coeffs[offsets[i]:offsets[i + 1]]``.
+    ``checked`` is ``(layout, n_samples)`` when the blocks are known to meet
+    the block rule under the :class:`~pilotc.params.Layout` ``layout`` in
+    segments of the sample counts ``n_samples``, on which its budgets
+    depend, and ``None`` otherwise."""
 
-    __slots__ = ("c_f", "end_delta", "coeffs", "offsets")
+    __slots__ = ("c_f", "end_delta", "coeffs", "offsets", "checked")
 
-    def __init__(self, c_f, end_delta, coeffs):
+    def __init__(self, c_f, end_delta, coeffs, checked=None):
+        self.checked = checked
         self.c_f = np.asarray(c_f, dtype=np.int64)
         self.end_delta = np.asarray(end_delta, dtype=np.int64)
         self.coeffs = np.asarray(coeffs, dtype=np.int64)

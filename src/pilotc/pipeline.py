@@ -131,9 +131,10 @@ def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
     deltas[1:] -= q_end[:-1]
     deltas[plan.chain_start] = q_end[plan.chain_start]
     c_f, coeffs = encode_blocks(x, plan, lay)
-    cols = BlockColumns(c_f, deltas, coeffs)
-    return cols.segments(zip(t0_indices, map(tuple, p0_q.reshape(-1, dim).tolist()),
-                             np.asarray(n_samples).tolist()), plan.chain_start.tolist(), dim)
+    n_samples = np.asarray(n_samples).tolist()
+    cols = BlockColumns(c_f, deltas, coeffs, (lay, n_samples))  # the encoder keeps the block rule
+    return cols.segments(zip(t0_indices, map(tuple, p0_q.reshape(-1, dim).tolist()), n_samples),
+                         plan.chain_start.tolist(), dim)
 
 
 def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,

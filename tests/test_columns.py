@@ -88,22 +88,31 @@ def test_views_and_tuples_agree(name, model, traj):
             == Reconstructor(copy, GEO).query(times).tobytes())
 
 
-def test_store_meets_the_rule_of_the_constants_it_is_used_with():
+def test_store_meets_the_rule_of_the_constants_and_lengths_it_is_used_with():
+    model = compress(synthetic_trajectory(3000, dim=2, seed=0, **MIXED),
+                     GEO.params(10.0, eps_t=0.01))
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, GEO)
     # geolife3d shares geolife's block size but keeps fewer coefficients, so
     # blocks that met geolife's budgets break geolife3d's
     other = PROFILES["geolife3d"]
-    model = compress(synthetic_trajectory(3000, dim=2, seed=0, **MIXED),
-                     GEO.params(10.0, eps_t=0.01))
-    lay = Layout.derive(model.eps, model.eps_p, model.dim, other)
-    assert lay.b_s == Layout.derive(model.eps, model.eps_p, model.dim, GEO).b_s
-    assert model.segments[0].blocks[0].store.c_f.max() > lay.budget(lay.b_s) - 1
+    other_lay = Layout.derive(model.eps, model.eps_p, model.dim, other)
+    assert other_lay.b_s == lay.b_s
+    assert model.segments[0].blocks[0].store.c_f.max() > other_lay.budget(lay.b_s) - 1
+    # the same blocks in a segment shortened to a one-velocity tail, whose
+    # budget holds no coefficient
+    (t0, p0, n, blocks), *rest = model.segments
+    assert any(b[-1].c_f for b in blocks)
+    short = lay.partition(n - 1)[0] * lay.b_s + 2
     for m in (model, parse(serialize(model, GEO), GEO)):
-        with pytest.raises(ValueError, match="retention budget"):
-            serialize(m, other)
-        with pytest.raises(CorruptionError, match="retention budget"):
-            Reconstructor(m, other)
-        with pytest.raises(CorruptionError, match="retention budget"):
-            decompress_uniform(m, other)
+        shortened = replace(m, segments=(m.segments[0]._replace(n_samples=short),
+                                         *m.segments[1:]))
+        for bad, constants in ((m, other), (shortened, GEO)):
+            with pytest.raises(ValueError, match="retention budget"):
+                serialize(bad, constants)
+            with pytest.raises(CorruptionError, match="retention budget"):
+                Reconstructor(bad, constants)
+            with pytest.raises(CorruptionError, match="retention budget"):
+                decompress_uniform(bad, constants)
 
 
 def test_views_are_read_only():
