@@ -51,12 +51,24 @@ def raw_size_bytes(n_points: int, dim: int) -> int:
     return BYTES_PER_VALUE * (dim + 1) * n_points
 
 
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis of ``d``: the squared columns
+    summed in column order, then one square root.  Below 8 columns this
+    equals ``np.linalg.norm(d, axis=-1)`` bitwise; from 8 on numpy sums
+    pairwise, and this keeps the sequential sum.  The encoder's split and
+    correction tests and the error metrics all measure with it."""
+    total = d[..., 0] * d[..., 0]
+    for c in range(1, d.shape[-1]):
+        total += d[..., c] * d[..., c]
+    return np.sqrt(total)
+
+
 def _paired_distances(original, reconstructed) -> np.ndarray:
     a = np.asarray(original, dtype=float)
     b = np.asarray(reconstructed, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.linalg.norm(a - b, axis=-1)
+    return row_norms(a - b)
 
 
 def max_sed(original, reconstructed) -> float:

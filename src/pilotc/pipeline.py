@@ -24,6 +24,7 @@ from .codec import (
     time_index_array,
 )
 from .errors import DataError
+from .metrics import row_norms
 from .model import (
     BlockColumns,
     CompressedTrajectory,
@@ -55,7 +56,7 @@ def segment(traj: TrajectoryRecord, params: CodecParams, default_dt: float) -> n
         gaps = np.diff(t)
         # a jump too large for float64 is infinite, and so always a split
         with np.errstate(over="ignore"):
-            dists = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
+            dists = row_norms(np.diff(traj.points, axis=0))
         speed_split = dists > gaps * params.v_max
         # the time condition needs at least b_s * min(gap); prefilter so the
         # sequential scan only visits points that could possibly split
@@ -144,8 +145,7 @@ def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
     up within eps_p, so the final model satisfies the eps bound everywhere."""
     approx = Reconstructor(model, params).query(traj.times)
     diffs = traj.points - approx
-    err = np.linalg.norm(diffs, axis=1)
-    mask = err > model.eps
+    mask = row_norms(diffs) > model.eps
     idx = time_index_array(traj.times[mask], model.eps_t)
     rows = quantize_array(diffs[mask], params.layout(model.dim).eps_d)
     return replace(model, corrections=tuple(

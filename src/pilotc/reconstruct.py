@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .blocks import BlockPlan, decode_blocks
+from .blocks import BlockPlan, decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
 from .container import block_columns
 from .errors import CorruptionError, QueryRangeError
@@ -78,12 +78,21 @@ def _entry_table(entries, dim: int, step: float) -> tuple[np.ndarray, np.ndarray
             dequantize_array(np.array(values, dtype=np.int64).reshape(len(idx), dim), step))
 
 
-def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray):
+def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray, ordered: bool):
     """Where the query time indices equal a time index of the :func:`_entry_table`
-    ``table``, as positions in ``q_idx``, and the values of the matched entries."""
+    ``table``, as positions in ``q_idx``, and the values of the matched entries.
+
+    With ``ordered`` (``q_idx`` does not decrease), each entry within the
+    range of ``q_idx`` finds its run of equal query indices by two
+    searches; otherwise every query index is searched in the entries."""
     idx, values = table
     if not idx.size:
         return np.zeros(0, dtype=np.intp), values
+    if ordered:
+        lo, hi = np.searchsorted(idx, q_idx[0]), np.searchsorted(idx, q_idx[-1], side="right")
+        first = np.searchsorted(q_idx, idx[lo:hi])
+        runs = np.searchsorted(q_idx, idx[lo:hi], side="right") - first
+        return flat_ranges(first, runs), values[lo:hi].repeat(runs, axis=0)
     pos = np.minimum(np.searchsorted(idx, q_idx), idx.size - 1)
     rows = (idx[pos] == q_idx).nonzero()[0]
     return rows, values[pos[rows]]
@@ -132,10 +141,20 @@ class Reconstructor:
         return out
 
     def _fill(self, out: np.ndarray, ts: np.ndarray, q_idx: np.ndarray) -> None:
-        hit, found = _match(self._outliers, q_idx)
+        # queries at the original timestamps arrive sorted; in a sorted
+        # chunk the few segment starts and entries are searched in the
+        # chunk, rather than every timestamp in them
+        ordered = bool((ts[1:] >= ts[:-1]).all())
+        hit, found = _match(self._outliers, q_idx, ordered)
         # a time in reach of the last segment starting at or before it
-        # belongs to that one, otherwise to the next one if in its reach
-        k = np.searchsorted(self._starts, ts, side="right")
+        # belongs to that one, otherwise to the next one if in its reach;
+        # k counts the segments starting at or before each time
+        if ordered:
+            lo, hi = np.searchsorted(self._starts, ts[[0, -1]], side="right")
+            first = np.searchsorted(ts, self._starts[lo:hi])
+            k = lo + np.bincount(first, minlength=ts.size).cumsum()
+        else:
+            k = np.searchsorted(self._starts, ts, side="right")
         in_cur = ts <= self._reach_before[k]
         missed = ~(in_cur | (ts >= self._reach_after[k]))
         missed[hit] = False
@@ -155,6 +174,6 @@ class Reconstructor:
             base, keep = self._offsets[seg] + j, 1.0 - frac
             for d, row in enumerate(self._grid):
                 out[:, d] = row[base] * keep + row[1:][base] * frac
-            rows, residual = _match(self._corrections, q_idx)
+            rows, residual = _match(self._corrections, q_idx, ordered)
             out[rows] += residual
         out[hit] = found

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from codec_reference import predicted_exceedance, predicted_mean_error
 
-from pilotc.metrics import EvalReport, max_sed, mean_sed, raw_size_bytes, var_delta_s
+from pilotc.metrics import EvalReport, max_sed, mean_sed, raw_size_bytes, row_norms, var_delta_s
 
 
 def test_raw_size_charges_coordinates_plus_timestamp():
@@ -22,6 +22,41 @@ def test_sed_metrics():
     assert mean_sed(a, b) == pytest.approx(1.25)
     with pytest.raises(ValueError):
         max_sed(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def awkward_rows(dim: int, n: int = 6000) -> np.ndarray:
+    """Rows mixing zeros, -0.0, subnormals, ordinary values, values near
+    1e154 (whose squares are near the float64 limit) and values whose
+    squares overflow to inf."""
+    rng = np.random.default_rng(dim)
+    scales = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-160, 1.0, 1e3, 1e154, 1.3e154, 1e200])
+    d = rng.standard_normal((n, dim)) * rng.choice(scales, (n, dim))
+    d[0] = 0.0
+    d[1] = 5e-324
+    d[2] = 1e154
+    return d
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_row_norms_equal_numpy_norm_bitwise(dim):
+    d = awkward_rows(dim)
+    with np.errstate(over="ignore"):  # as the encoder's split test measures
+        got, want = row_norms(d), np.linalg.norm(d, axis=1)
+    assert np.isinf(want).any() and (want == 0.0).any()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_row_norms_sum_columns_in_order_from_eight_dimensions():
+    # numpy's norm sums 8 or more columns pairwise; row_norms keeps the
+    # sequential sum at every dimension
+    d = awkward_rows(8)
+    with np.errstate(over="ignore"):
+        total = np.zeros(d.shape[0])
+        for column in d.T:
+            total = total + column * column
+        got = row_norms(d)
+        assert got.tobytes() == np.sqrt(total).tobytes()
+        assert (got != np.linalg.norm(d, axis=1)).any()
 
 
 def test_exceedance_reference_values():

@@ -20,6 +20,7 @@ from pilotc import (
     serialize,
     synthetic_trajectory,
 )
+from pilotc import reconstruct
 from pilotc.codec import dequantize_array
 from pilotc.container import segment_end_index
 from pilotc.errors import QueryRangeError
@@ -219,8 +220,10 @@ def probe_times(model, rng):
 
 
 def assert_query_matches_reference(model, ts, rng):
-    """Bitwise equal positions on the timestamps that resolve, in shuffled
-    order with repeats, and the same QueryRangeError on orders of them all."""
+    """Bitwise equal positions on the timestamps that resolve, in given,
+    sorted and shuffled order with repeats, and in one query of two chunks,
+    the first sorted and the second not; and the same QueryRangeError on
+    orders of them all."""
     rec = Reconstructor(model, GEO)
     resolves = []
     for t in ts:
@@ -230,11 +233,19 @@ def assert_query_matches_reference(model, ts, rng):
         except QueryRangeError:
             resolves.append(False)
     good = ts[resolves]
-    for order in (good, rng.permutation(np.concatenate([good, good[::3]]))):
+    repeated = np.concatenate([good, good[::3]])
+    for order in (good, np.sort(repeated), rng.permutation(repeated)):
         want = query_ref(model, GEO, order)
         assert rec.query(order).tobytes() == want.tobytes()
+    if len(good) > 2:
+        two_chunks = np.concatenate([np.sort(good), rng.permutation(good)])
+        assert (np.diff(two_chunks[len(good):]) < 0).any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruct, "_QUERY_CHUNK", len(good))
+            got = rec.query(two_chunks)
+        assert got.tobytes() == query_ref(model, GEO, two_chunks).tobytes()
     if not all(resolves):
-        for order in (ts, ts[::-1], rng.permutation(ts)):
+        for order in (ts, np.sort(ts), ts[::-1], rng.permutation(ts)):
             with pytest.raises(QueryRangeError) as want:
                 query_ref(model, GEO, order)
             with pytest.raises(QueryRangeError) as got:
