@@ -12,8 +12,9 @@ Decompression is the exact mirror and anchors every block on externally
 supplied start and end values, so per-block errors never accumulate across
 a trajectory.
 
-A :class:`BlockPlan` lays out every block of a trajectory's segments, so
-that :func:`encode_blocks` and :func:`decode_blocks` code them all at once:
+A :class:`BlockPlan`, the one layout of a model's blocks, which the block
+store keeps, lets :func:`encode_blocks` and :func:`decode_blocks` code
+them all at once:
 one batch per block length (every full block shares b_s, and each distinct
 tail length gets its own), cut into chunks of at most ``_BATCH_SAMPLES``
 samples so that the temporaries stay small whatever the input size.  Both
@@ -84,23 +85,29 @@ class BlockPlan:
     Chains and blocks are numbered in container order: segment, dimension,
     block.  A chain holds its full blocks of b_s velocities from its first
     sample on, then the tail (see :meth:`~pilotc.params.Layout.partition`);
-    adjacent blocks share their boundary sample.
+    adjacent blocks share their boundary sample.  Each block's ``limit`` is
+    K(m) - 1 for its m velocities (see :meth:`~pilotc.params.Layout.budget`).
+    The plan's key is ``lay``, ``n_samples`` (one count per segment, maybe
+    none) and ``dim``; a :class:`~pilotc.model.BlockColumns` store keeps
+    the plan it was checked under.
     """
 
     def __init__(self, n_samples, dim: int, lay: Layout):
         n_seg = np.array(n_samples, dtype=np.int64)
-        n = n_seg.repeat(dim)  # samples per chain
-        n_full, tail = lay.partition(n - 1)
+        self.lay, self.n_samples, self.dim = lay, n_seg.tolist(), dim
+        n_full, tail = lay.partition(n_seg - 1)
         # each chain's first sample: its segment's row in its dimension's run
         self.chain_row = np.add.outer(n_seg.cumsum() - n_seg, n_seg.sum() * np.arange(dim)).ravel()
-        self.per_chain = n_full + 1  # blocks per chain
+        self.per_chain = (n_full + 1).repeat(dim)  # blocks per chain
         ends = self.per_chain.cumsum()
         self.chain_start = ends - self.per_chain  # each chain's first block
-        k = np.arange(ends[-1]) - self.chain_start.repeat(self.per_chain)  # index in chain
-        # per block: its first sample and its velocity count
+        k = np.arange(self.per_chain.sum()) - self.chain_start.repeat(self.per_chain)  # index in chain
+        # per block: its first sample, its velocity count and its coefficient limit
         self.start = self.chain_row.repeat(self.per_chain) + lay.b_s * k
         self.length = np.full(k.size, lay.b_s, dtype=np.int64)
-        self.length[ends - 1] = tail
+        self.length[ends - 1] = tail.repeat(dim)
+        self.limit = np.full(k.size, lay.budget(lay.b_s) - 1, dtype=np.int64)
+        self.limit[ends - 1] = np.repeat([lay.budget(m) - 1 for m in tail.tolist()], dim)
         self.order = self.length.argsort(kind="stable")
 
     def batches(self):

@@ -20,7 +20,8 @@ Layout, version 1:
 All varints use the header's chunk length l, so after the 40-byte header
 the body is one flat run of chunked varints (see ``codec``).  The blocks
 travel as int64 columns, one store per model (see ``model``), which
-:func:`block_columns` hands to both ``serialize`` and the decoder.
+:func:`block_columns` hands to both ``serialize`` and the decoder together
+with the :class:`~pilotc.blocks.BlockPlan` that lays its blocks out.
 ``serialize`` lays the fields out with array operations: each block's
 first field sits at a running sum of the fields before it, end delta,
 count and coefficients, with each segment's head in front of its first
@@ -54,8 +55,8 @@ Both directions apply one set of rules, each a function below that raises
   and a start index above the previous segment's (grid spans may overlap);
 - block: at most K(m) - 1 coefficients for m velocities, no trailing zero;
   one array function checks every block of a model at once, in ``parse``
-  and in :func:`block_columns` (unless a store's blocks met it for the
-  same layout and segment lengths when it was built).
+  and in :func:`block_columns` (unless a store keeps the plan of the same
+  layout, segment lengths and dimension that it was checked under).
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
 of its velocities, and the block size derives from eps and the dataset
@@ -70,11 +71,10 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import chain
 
 import numpy as np
 
-from .blocks import flat_ranges
+from .blocks import BlockPlan, flat_ranges
 from .codec import (
     ColumnarReader,
     enhanced_zigzag_map,
@@ -173,50 +173,41 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
-def _block_limits(parts, dim: int, lay: Layout) -> list[int]:
-    """K(m) - 1 for every block, in container order, of segments whose
-    velocities partition into ``parts``, (n_full, tail) per segment: per
-    dimension ``n_full`` full blocks of b_s velocities, then a tail of
-    ``tail``."""
-    full, limit = lay.budget(lay.b_s) - 1, []
-    for n_full, tail in parts:
-        limit += ([full] * n_full + [lay.budget(tail) - 1]) * dim
-    return limit
-
-
-def block_columns(segments, dim: int, lay: Layout) -> BlockColumns:
-    """The block columns of ``segments``, once their shape and the block
-    rule under ``lay`` are checked: the store that their block views share
-    when the library built them, otherwise columns built from their blocks.
-    A store's blocks are checked again unless they met the rule for the
-    same layout and segment lengths when it was built.  Raises ``ValueError`` for a broken rule, and
+def block_columns(segments, dim: int, lay: Layout) -> tuple[BlockColumns, BlockPlan]:
+    """The block columns of ``segments`` and the plan that lays them out
+    under ``lay``, once their shape and the block rule are checked: the
+    store that their block views share when the library built them,
+    otherwise columns built from their blocks; and the store's own plan
+    when its key is ``lay``, the segments' sample counts and ``dim``,
+    otherwise a new one.  Raises ``ValueError`` for a broken rule, and
     ``OverflowError`` for a value outside int64."""
-    chains, parts, n_samples = [], [], []
     for si, seg in enumerate(segments):
         if len(seg.blocks) != dim:
             raise ValueError(f"block list of segment {si} has {len(seg.blocks)} values "
                              f"for {dim} dimensions")
-        n_full, tail = lay.partition(seg.n_samples - 1)
-        for per_dim in seg.blocks:
-            if len(per_dim) != n_full + 1:
-                raise ValueError(f"segment {si} has {len(per_dim)} blocks in a dimension, "
-                                 f"expected {n_full + 1} for {seg.n_samples} samples")
-        chains += seg.blocks
-        parts.append((n_full, tail))
-        n_samples.append(seg.n_samples)
-    cols = getattr(chains[0], "store", None)
+    chains = [c for seg in segments for c in seg.blocks]
+    n_samples = [seg.n_samples for seg in segments]
+    cols = getattr(chains[0], "store", None) if chains else None
     at = 0
     for c in chains:  # the views must tile one store in container order
         if not (isinstance(c, BlockList) and c.store is cols and c.lo == at):
             cols = None
             break
         at = c.hi
+    plan = getattr(cols, "plan", None)
+    if plan is None or (plan.lay, plan.n_samples, plan.dim) != (lay, n_samples, dim):
+        plan = BlockPlan(n_samples, dim, lay)
+    for i, (have, want) in enumerate(zip(map(len, chains), plan.per_chain.tolist())):
+        if have != want:
+            raise ValueError(f"segment {i // dim} has {have} blocks in a dimension, expected "
+                             f"{want} for {n_samples[i // dim]} samples")
     if cols is None or at != cols.c_f.size:
-        coeffs, deltas = zip(*[blk for c in chains for blk in c])
-        cols = BlockColumns(list(map(len, coeffs)), deltas, list(chain.from_iterable(coeffs)))
-    if cols.checked != (lay, n_samples):
-        _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
-    return cols
+        blocks = [blk for c in chains for blk in c]
+        cols = BlockColumns([len(q) for q, _ in blocks], [d for _, d in blocks],
+                            [v for q, _ in blocks for v in q])
+    if cols.plan is not plan:
+        _check_blocks(cols.c_f, cols.coeffs, plan.limit)
+    return cols, plan
 
 
 def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
@@ -258,31 +249,28 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
         prev_end = segment_end_index(t0_index, n_samples, model.dt, model.eps_t)
 
     try:
-        body = fields = np.array(fields, dtype=np.int64)
-        if model.segments:
-            # each segment's head goes in front of its first block
-            cols = block_columns(model.segments, dim, lay)
-            per_segment = [dim * len(seg.blocks[0]) for seg in model.segments]
-            first = np.cumsum(per_segment) - per_segment
-            size = 2 + cols.c_f  # fields per block: end delta, count, coefficients
-            size[first] += dim + 2
-            at = n_before + size.cumsum() - size  # each block's first field
-            body = np.empty(n_before + int(size.sum()), dtype=np.int64)
-            body[:n_before] = fields[:n_before]
-            body[at[first, None] + np.arange(dim + 2)] = fields[n_before:].reshape(-1, dim + 2)
-            unsigned_at += (at[first] + dim + 1).tolist()
-            at[first] += dim + 2
-            body[at] = cols.end_delta
-            body[at + 1] = cols.c_f
-            body[flat_ranges(at + 2, cols.c_f)] = cols.coeffs
+        fields = np.array(fields, dtype=np.int64)
+        # each segment's head goes in front of its first block
+        cols, plan = block_columns(model.segments, dim, lay)
+        first = plan.chain_start[::dim]
+        size = 2 + cols.c_f  # fields per block: end delta, count, coefficients
+        size[first] += dim + 2
+        at = n_before + size.cumsum() - size  # each block's first field
+        body = np.empty(n_before + int(size.sum()), dtype=np.int64)
+        body[:n_before] = fields[:n_before]
+        body[at[first, None] + np.arange(dim + 2)] = fields[n_before:].reshape(-1, dim + 2)
+        unsigned_at += (at[first] + dim + 1).tolist()
+        at[first] += dim + 2
+        body[at] = cols.end_delta
+        body[at + 1] = cols.c_f
+        body[flat_ranges(at + 2, cols.c_f)] = cols.coeffs
         # one array operation maps the signed fields and applies their rule
         codes = enhanced_zigzag_map(body)
     except OverflowError:
         raise ValueError("a signed field outside +-(2**63 - 1)") from None
     is_signed = np.ones(body.size, dtype=bool)
     is_signed[unsigned_at] = False
-    if model.segments:
-        is_signed[at + 1] = False
+    is_signed[at + 1] = False
     codes[~is_signed] = body[~is_signed]
     return (MAGIC + bytes((VERSION, dim, 0, model.chunk_bits))  # flags reserved
             + struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p)
@@ -371,10 +359,10 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
     chase finds each block's start so, and then gathers the columns with
     array operations.  It raises an error wherever a walk would, but not
     always the same one."""
-    heads, parts, chain_start = [], [], []
+    heads = []
     deltas, counts, coeffs, starts = [], [], [], []
     signed, unsigned, signeds = r.signed, r.unsigned, r.signeds
-    prev_end, prev_t0, n_blocks = 0, -math.inf, 0
+    prev_end, prev_t0 = 0, -math.inf
     try:
         for _ in range(count):
             t0_index = prev_end + signed()
@@ -383,37 +371,36 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
             p0_q = signeds(dim)
             n_samples = unsigned()
             prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
-            n_full, tail = lay.partition(n_samples - 1)
-            if dim * (n_full + 1) * min_block_bits > r.remaining_bits:
+            per_dim = lay.partition(n_samples - 1)[0] + 1  # blocks per dimension
+            if dim * per_dim * min_block_bits > r.remaining_bits:
                 raise TruncationError(
-                    f"segment declares {n_full + 1} blocks per dimension, more than "
+                    f"segment declares {per_dim} blocks per dimension, more than "
                     f"the {r.remaining_bits} remaining bits can hold"
                 )
             heads.append((t0_index, p0_q, n_samples))
-            parts.append((n_full, tail))
-            chain_start += range(n_blocks, n_blocks + dim * (n_full + 1), n_full + 1)
-            n_blocks += dim * (n_full + 1)
             if chase:
                 codes, i = r.codes, r.index
-                for _ in range(dim * (n_full + 1)):
+                for _ in range(dim * per_dim):
                     c = codes[i + 1]
                     starts.append(i)
                     counts.append(c)
                     i += c + 2
                 r.index = i
             else:
-                for _ in range(dim * (n_full + 1)):
+                for _ in range(dim * per_dim):
                     deltas.append(signed())
                     counts.append(unsigned())
                     coeffs += signeds(counts[-1])
     except (PilotCError, ValueError, OverflowError):
         if not chase:  # a broken block rule read before comes first
-            _check_blocks(counts, coeffs, _block_limits(parts, dim, lay)[:len(counts)])
+            plan = BlockPlan([n for _, _, n in heads], dim, lay)
+            _check_blocks(counts, coeffs, plan.limit[:len(counts)])
         raise
     if chase:
         at = np.array(starts, dtype=np.int64)
         counts = np.array(counts, dtype=np.int64)
         deltas, coeffs = r.signed_values(at), r.signed_values(flat_ranges(at + 2, counts))
-    cols = BlockColumns(counts, deltas, coeffs, (lay, [n for _, _, n in heads]))
-    _check_blocks(cols.c_f, cols.coeffs, _block_limits(parts, dim, lay))
-    return cols.segments(heads, chain_start, dim)
+    plan = BlockPlan([n for _, _, n in heads], dim, lay)
+    cols = BlockColumns(counts, deltas, coeffs, plan)
+    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
+    return cols.segments(heads)

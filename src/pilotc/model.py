@@ -10,7 +10,8 @@ in ``t_index, values = entry``, and compare equal to plain tuples of the
 same values.
 
 A model that the library builds (``compress`` or ``parse``) keeps every
-block in one :class:`BlockColumns` store of int64 columns, and each of its
+block in one :class:`BlockColumns` store of int64 columns, together with
+the :class:`~pilotc.blocks.BlockPlan` that lays them out, and each of its
 segments' per-dimension block lists is a :class:`BlockList` view of it,
 which makes an :class:`EncodedBlock` only when one is accessed.  A model
 built by hand may hold tuples of blocks instead; both forms compare equal.
@@ -97,15 +98,14 @@ class BlockColumns:
     container order (segment, dimension, block): each block's coefficient
     count ``c_f`` and end delta, and the coefficients of all blocks one after
     the other, block i's at ``coeffs[offsets[i]:offsets[i + 1]]``.
-    ``checked`` is ``(layout, n_samples)`` when the blocks are known to meet
-    the block rule under the :class:`~pilotc.params.Layout` ``layout`` in
-    segments of the sample counts ``n_samples``, on which its budgets
-    depend, and ``None`` otherwise."""
+    ``plan`` is the :class:`~pilotc.blocks.BlockPlan` that lays the blocks
+    out, when they are known to meet the block rule under it, and ``None``
+    otherwise."""
 
-    __slots__ = ("c_f", "end_delta", "coeffs", "offsets", "checked")
+    __slots__ = ("c_f", "end_delta", "coeffs", "offsets", "plan")
 
-    def __init__(self, c_f, end_delta, coeffs, checked=None):
-        self.checked = checked
+    def __init__(self, c_f, end_delta, coeffs, plan=None):
+        self.plan = plan
         self.c_f = np.asarray(c_f, dtype=np.int64)
         self.end_delta = np.asarray(end_delta, dtype=np.int64)
         self.coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -114,11 +114,12 @@ class BlockColumns:
         for a in (self.c_f, self.end_delta, self.coeffs, self.offsets):
             a.flags.writeable = False
 
-    def segments(self, heads, chain_start: list[int], dim: int):
+    def segments(self, heads):
         """The segments whose heads, (t0_index, p0_q, n_samples) each, are
-        ``heads`` and whose blocks are this store's: segment k's chains,
-        one per dimension, start at blocks ``chain_start[k * dim:]``."""
-        bounds = [*chain_start, self.c_f.size]
+        ``heads`` and whose blocks are this store's, in the chains of its
+        ``plan``."""
+        dim = self.plan.dim
+        bounds = [*self.plan.chain_start.tolist(), self.c_f.size]
         chains = [BlockList(self, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         return tuple(SubTrajectorySegment(t0, p0, n, tuple(chains[k:k + dim]))
                      for k, (t0, p0, n) in zip(range(0, len(chains), dim), heads))

@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .blocks import BlockPlan, decode_blocks, flat_ranges
+from .blocks import decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
 from .container import block_columns
 from .errors import CorruptionError, QueryRangeError
@@ -32,10 +32,9 @@ def _decode_grid(model: CompressedTrajectory, lay: Layout):
         return np.zeros((model.dim, 0)), (), ()
     t0_index, p0_q, n_samples, _ = zip(*model.segments)
     try:
-        cols = block_columns(model.segments, model.dim, lay)
+        cols, plan = block_columns(model.segments, model.dim, lay)
     except (ValueError, OverflowError) as exc:  # a model built by hand that breaks a rule
         raise CorruptionError(str(exc)) from exc
-    plan = BlockPlan(n_samples, model.dim, lay)
     p0 = dequantize_array(list(chain.from_iterable(p0_q)), model.eps_p)
     # a chain's end indices are the running sum less its value before the
     # chain; float sums are exact while the sum stays below 2**53, and

@@ -11,9 +11,10 @@ import pytest
 from model_gen import random_model
 
 from pilotc import Reconstructor, compress, decompress_uniform, parse, serialize
-from pilotc.errors import CorruptionError
+from pilotc.blocks import BlockPlan
 from pilotc.container import block_columns
-from pilotc.model import BlockList, EncodedBlock, SubTrajectorySegment
+from pilotc.errors import CorruptionError
+from pilotc.model import BlockList, CompressedTrajectory, EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES, Layout
 from pilotc.synth import synthetic_trajectory
 
@@ -58,10 +59,14 @@ def test_views_and_tuples_agree(name, model, traj):
         store = model.segments[0].blocks[0].store
         assert all(isinstance(b, BlockList) and b.store is store
                    for seg in model.segments for b in seg.blocks)
-        assert block_columns(model.segments, model.dim, lay) is store
-        rebuilt = block_columns(copy.segments, model.dim, lay)
+        cols, plan = block_columns(model.segments, model.dim, lay)
+        assert cols is store and plan is store.plan
+        rebuilt, fresh = block_columns(copy.segments, model.dim, lay)
         for column in ("c_f", "end_delta", "coeffs", "offsets"):
             assert np.array_equal(getattr(rebuilt, column), getattr(store, column)), column
+        assert fresh is not plan
+        for column in ("chain_start", "per_chain", "length", "limit"):
+            assert np.array_equal(getattr(fresh, column), getattr(plan, column)), column
         view = model.segments[-1].blocks[-1]
         assert view == tuple(view) and tuple(view) == view
         assert hash(view) == hash(tuple(view))
@@ -144,3 +149,44 @@ def test_round_trip_makes_no_encoded_block(monkeypatch):
     assert made == []
     first = parsed.segments[0].blocks[0][0]
     assert made == [(first.q_coeffs, first.end_delta_q)]
+
+
+def test_round_trip_lays_out_each_model_once(monkeypatch):
+    # the encoder's plan stays with its store, so neither validation nor
+    # serialize lays the blocks out again; parse lays out what it read, and
+    # the decoder uses the parsed store's plan
+    made = []
+    init = BlockPlan.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockPlan, "__init__", counting)
+    params = GEO.params(10.0, eps_t=0.01)
+    traj = synthetic_trajectory(20_000, dim=2, seed=6, **MIXED)
+    totals = []
+    model = compress(traj, params)
+    totals.append(len(made))
+    payload = serialize(model, GEO)
+    totals.append(len(made))
+    parsed = parse(payload, GEO)
+    totals.append(len(made))
+    positions = Reconstructor(parsed, GEO).query(traj.times)
+    totals.append(len(made))
+    assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
+    assert len(model.segments) > 10
+    assert totals == [1, 1, 2, 2]
+
+
+def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
+    # b_s = 9e18 at eps = 1.8e19 makes 2**63 samples two blocks, which meet
+    # the block rule; their layout cannot be held in int64
+    blocks = ((EncodedBlock(()), EncodedBlock(())),)
+    model = CompressedTrajectory(dim=1, dt=1e-300, eps=1.8e19, eps_t=1.0, eps_p=9e18,
+                                 chunk_bits=2,
+                                 segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
+    with pytest.raises(CorruptionError):
+        Reconstructor(model, GEO)
+    with pytest.raises(CorruptionError):
+        decompress_uniform(model, GEO)
