@@ -12,15 +12,16 @@ A signed field stores its enhanced Zigzag code (every code >= 1).  At
 1 and is omitted from storage; the reader restores it when the final flag is
 seen.  :func:`pack_varints` writes a whole sequence of codes with array
 operations.  :func:`varint_reader` picks the reader for a body, and both
-readers decode with array operations, so a read only indexes lists: at
-``chunk_bits >= 2`` every chunk is ``chunk_bits + 1`` bits, so
-:class:`ColumnarReader` splits the whole body into fields up front; at
+readers decode with array operations: at ``chunk_bits >= 2`` every chunk is
+``chunk_bits + 1`` bits, so :class:`ColumnarReader` splits the whole body
+into field codes up front, and a signed read maps the codes it takes; at
 ``chunk_bits == 1`` a field's length depends on its type, so
-:class:`TableReader` tabulates, for every bit position, the field of either
-type that would start there.  Both readers fail alike: a field that cannot
-be read is ``None`` in their tables, only a read that reaches it raises,
-with the error :func:`_field_error` names from the field's bits, and the
-reader stays in front of that field.
+:class:`TableReader` tabulates, for every bit position, the code and the
+value of the field of either type that would start there, and a read only
+indexes lists.  Both readers fail alike: a field that cannot be read is
+``None`` in their tables, only a read that reaches it raises, with the error
+:func:`_field_error` names from the field's bits, and the reader stays in
+front of that field.
 """
 
 from __future__ import annotations
@@ -300,15 +301,15 @@ class ColumnarReader:
     """Reads, in order, the varints of a body written at chunk length >= 2.
 
     Every chunk is l + 1 bits there, so a field ends at each chunk whose flag
-    is 0 whatever the field's type.  The whole body is tokenized when the
-    reader is built: each field's code and its enhanced-zigzag value come
-    from array operations, and reads take them by index or by slice.  A
-    field that cannot be read, and the unterminated tail after the last
-    field, is ``None`` in the code and value lists, and a read that reaches
-    it raises :func:`_field_error`; the code 0 is ``None`` in the value list
-    only, and a signed read of it raises ``ValueError``.  A caller that
-    finds fields by their :attr:`codes` can move the reader with
-    :attr:`index` and gather many values at once with :meth:`signed_values`.
+    is 0 whatever the field's type.  The whole body is split into field
+    codes with array operations when the reader is built; an unsigned read
+    takes a code by index, and a signed read maps the codes of its slice to
+    their enhanced-zigzag values.  A field that cannot be read, and the
+    unterminated tail after the last field, is ``None`` in the code list,
+    and a read that reaches it raises :func:`_field_error`; a signed read of
+    the code 0 raises ``ValueError``.  A caller that finds fields by their
+    :attr:`codes` can move the reader with :attr:`index` and gather many
+    values at once with :meth:`signed_values`.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -340,20 +341,13 @@ class ColumnarReader:
         codes = np.add.reduceat(payload, first)
         del payload, shift
 
-        half = (codes >> np.uint64(1)).astype(np.int64)
-        self._value_array = np.where(codes & np.uint64(1), half, -half)
-        values = self._value_array.tolist()
-        for i in np.flatnonzero(codes == 0).tolist():
-            values[i] = None  # no enhanced zigzag code is 0
-        unreadable = too_long | over
-        self._signed_ok = ~unreadable & (codes != 0)
+        self._code_array = codes
+        self._readable = ~(too_long | over)
         codes = codes.tolist()
-        for i in np.flatnonzero(unreadable).tolist():
-            codes[i] = values[i] = None
+        for i in np.flatnonzero(~self._readable).tolist():
+            codes[i] = None
         codes.append(None)  # the tail, which has no final chunk
-        values.append(None)
         self._codes = codes
-        self._values = values
         self._bit_end = (final + 1) * width
         self._l = l
         self._next = 0
@@ -386,9 +380,11 @@ class ColumnarReader:
     def signed_values(self, idx: np.ndarray) -> np.ndarray:
         """The enhanced-zigzag values of the fields at ``idx``, as int64;
         raises ``LookupError`` if one of them cannot be read as one."""
-        if not self._signed_ok[idx].all():
+        codes = self._code_array[idx]
+        if not (self._readable[idx].all() and codes.all()):
             raise LookupError("a field there is not a readable signed field")
-        return self._value_array[idx]
+        half = (codes >> np.uint64(1)).astype(np.int64)
+        return np.where(codes & np.uint64(1), half, -half)
 
     def unsigned(self) -> int:
         i = self._next
@@ -399,20 +395,15 @@ class ColumnarReader:
         return v
 
     def signed(self) -> int:
-        i = self._next
-        v = self._values[i]
-        if v is None:
-            self._fail(i)
-        self._next = i + 1
-        return v
+        return self.signeds(1)[0]
 
     def signeds(self, n: int) -> tuple[int, ...]:
         i = self._next
-        values = self._values[i:i + n]
-        if None in values:  # a slice past the last field holds the tail's None
-            self._fail(i + values.index(None))
+        codes = self._codes[i:i + n]
+        if not all(codes):  # None: unreadable, or the tail; 0: no zigzag code
+            self._fail(i + next(k for k, c in enumerate(codes) if not c))
         self._next = i + n
-        return tuple(values)
+        return tuple([c >> 1 if c & 1 else -(c >> 1) for c in codes])
 
     def _fail(self, i: int) -> None:
         """Move in front of field ``i`` and raise the error of reading it."""

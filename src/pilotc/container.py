@@ -137,11 +137,12 @@ def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) ->
     both codec sides compute alike."""
     if not 2 <= n_samples < 2**63:
         raise ValueError(f"segment sample count {n_samples} outside 2..2**63 - 1")
-    span = (n_samples - 1) * dt / eps_t
-    if math.isfinite(span):
-        end = t0_index + round_half_away(span)
+    try:  # an infinite span, or an end index beyond float64, overflows
+        end = t0_index + round_half_away((n_samples - 1) * dt / eps_t)
         if math.isfinite(max(-t0_index, end) * eps_t):
             return end
+    except OverflowError:
+        pass
     raise ValueError("segment time span out of range of float64")
 
 
@@ -333,8 +334,6 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
             segments = _read_segments(*args, chase=False)
     except ValueError as exc:  # a broken rule, or a signed decode of a zero code
         raise CorruptionError(str(exc)) from exc
-    except OverflowError as exc:  # a segment end index beyond float64
-        raise CorruptionError(f"segment end out of range: {exc}") from exc
 
     if r.remaining_bits >= 8:
         raise CorruptionError(f"{r.remaining_bits} unread bits after the payload")
@@ -391,7 +390,7 @@ def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout
                     deltas.append(signed())
                     counts.append(unsigned())
                     coeffs += signeds(counts[-1])
-    except (PilotCError, ValueError, OverflowError):
+    except (PilotCError, ValueError):
         if not chase:  # a broken block rule read before comes first
             plan = BlockPlan([n for _, _, n in heads], dim, lay)
             _check_blocks(counts, coeffs, plan.limit[:len(counts)])

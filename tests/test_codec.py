@@ -340,14 +340,28 @@ def test_columnar_reader_errors_are_lazy():
     r = ColumnarReader(data, 2)
     assert r.signed() == -4
     assert r.unsigned() == 0
+    r = ColumnarReader(data, 2)
     with pytest.raises(ValueError):
-        ColumnarReader(data, 2).signeds(3)
+        r.signeds(3)
+    assert r.pos == 6  # in front of the zero code, which reads as unsigned
+    assert r.unsigned() == 0
+    # a gather maps the codes alike, and fails on a zero code
+    assert r.signed_values(np.array([0, 2])).tolist() == [-4, 2]
+    with pytest.raises(LookupError):
+        r.signed_values(np.array([0, 1]))
     # 8 is "100" "010" at l = 2; then more flagged chunks than any code has
     r = ColumnarReader(bits_to_bytes("100010" + "1" * 120), 2)
     assert r.signeds(1) == (-4,)
     with pytest.raises(CorruptionError):
         r.signeds(2)
     assert r.pos == 6
+    # an unreadable field's error comes first, before a later zero code's
+    r = ColumnarReader(bits_to_bytes("100010" + "101" * 33 + "000" + "000"), 2)
+    with pytest.raises(CorruptionError, match="longer"):
+        r.signeds(3)
+    assert r.pos == 6
+    with pytest.raises(LookupError):
+        r.signed_values(np.array([1]))
     with pytest.raises(ValueError):
         ColumnarReader(b"\x00", 1)
     with pytest.raises(ValueError):

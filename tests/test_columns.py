@@ -190,3 +190,12 @@ def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
         Reconstructor(model, GEO)
     with pytest.raises(CorruptionError):
         decompress_uniform(model, GEO)
+    # below the range too: one sample has no velocity to partition into blocks
+    model = CompressedTrajectory(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                                 segments=(SubTrajectorySegment(0, (0,), 1, ((EncodedBlock(()),),)),))
+    with pytest.raises(CorruptionError, match="at least one velocity"):
+        Reconstructor(model, GEO)
+    with pytest.raises(CorruptionError, match="at least one velocity"):
+        decompress_uniform(model, GEO)
+    with pytest.raises(ValueError, match="sample count 1"):
+        serialize(model, GEO)

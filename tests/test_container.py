@@ -155,6 +155,15 @@ def test_parse_rejects_trailing_zero_coefficient():
         parse(payload, GEO)
 
 
+@pytest.mark.parametrize("at", [6, 8], ids=["end delta", "coefficient"])
+def test_parse_rejects_a_zero_code_in_a_signed_block_field(at):
+    # at l = 2 parse gathers these fields as signed values after its chase
+    fields = one_segment(31)[:-1] + [("u", 2), ("s", 5), ("s", -2)]
+    fields[at] = ("u", 0)
+    with pytest.raises(CorruptionError, match="zigzag"):
+        parse(crafted(fields), GEO)
+
+
 @pytest.mark.parametrize("chunk_bits", [1, 2])
 @pytest.mark.parametrize("coeffs, match", [(tuple(range(1, 13)), "budget"),
                                            ((5, 0), "zero coefficient")])
@@ -321,6 +330,17 @@ def test_parse_maps_segment_end_overflow_to_corruption():
     fields[3] = ("s", 2)
     with pytest.raises(CorruptionError, match="out of range"):
         parse(crafted(fields, eps_t=1e308), GEO)
+    # the second of two 2-sample segments starts at the first one's end,
+    # about 1e308, so its own end index cannot be converted to a float
+    fields = [("u", 2), ("u", 0), ("u", 0)] + [("s", 0), ("s", 0), ("u", 2), ("s", 0), ("u", 0)] * 2
+    with pytest.raises(CorruptionError, match="out of range"):
+        parse(crafted(fields, dt=1e308), GEO)
+    blocks = ((EncodedBlock(()),),)
+    model = CompressedTrajectory(dim=1, dt=1e308, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                                 segments=tuple(SubTrajectorySegment(t0, (0,), 2, blocks)
+                                                for t0 in (0, 10**308)))
+    with pytest.raises(ValueError, match="out of range"):
+        serialize(model, GEO)
 
 
 def test_sample_count_beyond_int64_is_rejected_on_both_sides():
