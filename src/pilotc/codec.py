@@ -309,7 +309,7 @@ class ColumnarReader:
     and a read that reaches it raises :func:`_field_error`; a signed read of
     the code 0 raises ``ValueError``.  A caller that finds fields by their
     :attr:`codes` can move the reader with :attr:`index` and gather many
-    values at once with :meth:`signed_values`.
+    values at once with :meth:`unsigned_values` and :meth:`signed_values`.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -377,12 +377,19 @@ class ColumnarReader:
             raise IndexError(f"field {i} is past the end of the body")
         self._next = i
 
+    def unsigned_values(self, idx: np.ndarray) -> np.ndarray:
+        """The codes of the fields at ``idx``, as uint64; raises
+        ``LookupError`` if one of them cannot be read."""
+        if not self._readable[idx].all():
+            raise LookupError("a field there is not readable")
+        return self._code_array[idx]
+
     def signed_values(self, idx: np.ndarray) -> np.ndarray:
         """The enhanced-zigzag values of the fields at ``idx``, as int64;
         raises ``LookupError`` if one of them cannot be read as one."""
-        codes = self._code_array[idx]
-        if not (self._readable[idx].all() and codes.all()):
-            raise LookupError("a field there is not a readable signed field")
+        codes = self.unsigned_values(idx)
+        if not codes.all():
+            raise LookupError("a field there is not a signed field")
         half = (codes >> np.uint64(1)).astype(np.int64)
         return np.where(codes & np.uint64(1), half, -half)
 

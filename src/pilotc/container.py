@@ -18,36 +18,41 @@ Layout, version 1:
     zero padding to a byte boundary
 
 All varints use the header's chunk length l, so after the 40-byte header
-the body is one flat run of chunked varints (see ``codec``).  The blocks
-travel as int64 columns, one store per model (see ``model``), which
-:func:`block_columns` hands to both ``serialize`` and the decoder together
-with the :class:`~pilotc.blocks.BlockPlan` that lays its blocks out.
-``serialize`` lays the fields out with array operations: each block's
-first field sits at a running sum of the fields before it, end delta,
-count and coefficients, with each segment's head in front of its first
-block; it then maps the signed fields to their codes in one array
-operation and writes every code with a single
-:func:`~pilotc.codec.pack_varints` call.  ``parse`` reads through the
-reader :func:`~pilotc.codec.varint_reader` picks, which decodes with array
-operations.  At l >= 2 every chunk is l + 1 bits, so the reader has split
-the whole body into fields, and ``parse`` chases the blocks: a block at
-field i holds its coefficient count c at i + 1, so the next block starts
-at field i + 2 + c.  The chase visits two fields per block, and array
+the body is one flat run of chunked varints (see ``codec``).  A model's
+records travel as int64 columns (see ``model``): one conversion function
+per record kind, :func:`entry_columns` for outliers and corrections,
+:func:`segment_heads` for segment heads and :func:`block_columns` for
+blocks, hands them to both ``serialize`` and the decoder, from a model the
+library built or from records built by hand alike.  ``serialize`` lays the
+fields out with array operations: entry time steps and outlier steps come
+from differences of the columns, each block's first field sits at a
+running sum of the fields before it, end delta, count and coefficients,
+with each segment's head in front of its first block; it then maps the
+signed fields to their codes in one array operation and writes every code
+with a single :func:`~pilotc.codec.pack_varints` call.  ``parse`` reads
+through the reader :func:`~pilotc.codec.varint_reader` picks, which
+decodes with array operations.  At l >= 2 every chunk is l + 1 bits, so
+the reader has split the whole body into fields, and ``parse`` reads the
+counts, the entries and the segment heads from their codes: the entries
+are 1 + dim fields each, so array operations gather and check them, and a
+chase finds the heads and blocks: a block at field i holds its
+coefficient count c at i + 1, so the next block starts at i + 2 + c.  The
+chase visits two fields per block and two per head, and array
 operations then gather the columns and check them.  At l = 1 a signed
 field's final payload bit is implied, so a field's length depends on its
 type; the reader has tabulated the field of either type that starts at
-each bit position, and ``parse`` walks the blocks field by field into the
-columns.  Any failure of the chase sends ``parse`` back to that walk,
-which raises the error of the first field or rule that fails.
+each bit position, and ``parse`` walks the body field by field into lists
+that become the columns.  Any failure of the chase sends ``parse`` back to
+that walk, which raises the error of the first field or rule that fails.
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`:
 
 - header: dimension 1..255, chunk length 1..32, and dt, eps, eps_t and
   eps_p positive and finite;
-- entry order: the first outlier or correction time index is >= 0, and
-  later ones strictly increase; time indices and outlier coordinates fit
-  int64;
+- entry order: every outlier or correction holds dim values, the first
+  time index is >= 0, and later ones strictly increase; time indices and
+  outlier coordinates fit int64 (:func:`entry_columns`, and ``parse``);
 - signed field: each enhanced-zigzag field lies within +-(2**63 - 1), so
   its code is below 2**64; ``serialize`` checks it where it maps the
   fields, and ``parse`` meets it by construction;
@@ -88,8 +93,9 @@ from .model import (
     BlockList,
     CompressedTrajectory,
     CorrectionEntry,
+    EntryList,
     OutlierEntry,
-    SubTrajectorySegment,
+    SegmentList,
 )
 from .params import DEFAULT_PROFILE, Layout
 
@@ -122,14 +128,14 @@ def _check_time_step(label: str, i: int, step: int) -> None:
                          f"strictly increasing, got a step of {step}")
 
 
-def _check_entries_fit(label: str, entries) -> None:
-    """Entry order, on a whole list once its steps are checked: the last
-    time index, the largest, and every outlier coordinate fit int64.  (A
-    correction value is one signed field, which cannot leave int64.)"""
-    coords = [v for _, values in entries for v in values] if label == "outlier" else ()
-    if (entries and entries[-1][0] >= 2**63
-            or min(coords, default=0) < -2**63 or max(coords, default=0) >= 2**63):
-        raise ValueError(f"{label}s: a time index or coordinate outside int64")
+def _entry_arrays(label: str, t_index, values, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entry fit: time indices and values as int64 columns, the values of
+    shape (entries, dim); raises ``ValueError`` for one outside int64."""
+    try:
+        return (np.array(t_index, dtype=np.int64),
+                np.array(values, dtype=np.int64).reshape(len(t_index), dim))
+    except OverflowError:
+        raise ValueError(f"{label}s: a time index or value outside int64") from None
 
 
 def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) -> int:
@@ -174,6 +180,53 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
+def entry_columns(entries, dim: int, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """The time indices, int64, and values, int64 of shape (entries, dim),
+    of the outliers or corrections ``entries`` (``label`` names which): the
+    columns of an :class:`~pilotc.model.EntryList`, or columns built from
+    records, once the entry rules hold: ``dim`` values per entry, time
+    indices from 0 up that strictly increase, and both within int64.
+    Raises ``ValueError`` for a broken rule."""
+    if isinstance(entries, EntryList):
+        t_index, values = entries.t_index, entries.values
+        if values.shape[1:] != (dim,):
+            raise ValueError(f"{label}s have {values.shape[1:]} values for {dim} dimensions")
+    else:
+        for i, (_, v) in enumerate(entries):
+            if len(v) != dim:
+                raise ValueError(f"{label} {i} has {len(v)} values for {dim} dimensions")
+        t_index, values = _entry_arrays(label, [t for t, _ in entries],
+                                        [v for _, v in entries], dim)
+    if t_index.size and (t_index[0] < 0 or (t_index[1:] <= t_index[:-1]).any()):
+        steps = np.diff(t_index, prepend=0)
+        i = int(np.flatnonzero(steps < (np.arange(steps.size) > 0))[0])
+        _check_time_step(label, i, int(steps[i]))
+    return t_index, values
+
+
+def segment_heads(segments, dim: int) -> tuple[list, np.ndarray, list]:
+    """The start time indices (ints), start values (int64 of shape
+    (segments, dim)) and sample counts of ``segments``: the columns of a
+    :class:`~pilotc.model.SegmentList`, or columns built from records once
+    the segments start in order and every start holds ``dim`` values within
+    int64 (:func:`block_columns` checks a view's width).  Raises
+    ``ValueError`` for a broken rule."""
+    if isinstance(segments, SegmentList):
+        return segments.t0_index, segments.p0_q, segments.store.plan.n_samples
+    prev_t0 = -math.inf
+    for si, seg in enumerate(segments):
+        _check_segment_order(seg.t0_index, prev_t0)
+        prev_t0 = seg.t0_index
+        if len(seg.p0_q) != dim:
+            raise ValueError(f"start of segment {si} has {len(seg.p0_q)} values "
+                             f"for {dim} dimensions")
+    try:
+        p0_q = np.array([seg.p0_q for seg in segments], dtype=np.int64).reshape(-1, dim)
+    except OverflowError:
+        raise ValueError("a segment start value outside int64") from None
+    return [seg.t0_index for seg in segments], p0_q, [seg.n_samples for seg in segments]
+
+
 def block_columns(segments, dim: int, lay: Layout) -> tuple[BlockColumns, BlockPlan]:
     """The block columns of ``segments`` and the plan that lays them out
     under ``lay``, once their shape and the block rule are checked: the
@@ -182,6 +235,10 @@ def block_columns(segments, dim: int, lay: Layout) -> tuple[BlockColumns, BlockP
     when its key is ``lay``, the segments' sample counts and ``dim``,
     otherwise a new one.  Raises ``ValueError`` for a broken rule, and
     ``OverflowError`` for a value outside int64."""
+    if isinstance(segments, SegmentList):
+        plan = segments.store.plan
+        if (plan.lay, plan.dim) == (lay, dim):
+            return segments.store, plan
     for si, seg in enumerate(segments):
         if len(seg.blocks) != dim:
             raise ValueError(f"block list of segment {si} has {len(seg.blocks)} values "
@@ -216,51 +273,41 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     dim = model.dim
     _check_header(dim, model.chunk_bits, model.dt, model.eps, model.eps_t, model.eps_p)
     lay = Layout.derive(model.eps, model.eps_p, dim, profile)
-    # the fields before the blocks in container order, every segment head
-    # at the end, and where the unsigned ones are
-    fields = [len(model.segments), len(model.outliers), len(model.corrections)]
-    unsigned_at = [0, 1, 2]
-
-    def width(values, what: str, i: int):
-        if len(values) != dim:
-            raise ValueError(f"{what} {i} has {len(values)} values for {dim} dimensions")
-        return values
-
-    for label, entries in (("outlier", model.outliers), ("correction", model.corrections)):
-        prev_t, prev = 0, (0,) * dim
-        for i, (t_index, values) in enumerate(entries):
-            step = t_index - prev_t
-            _check_time_step(label, i, step)
-            unsigned_at.append(len(fields))
-            fields.append(step)
-            fields.extend(v - p for v, p in zip(width(values, label, i), prev))
-            prev_t = t_index
-            if label == "outlier":  # only outlier values chain
-                prev = values
-        _check_entries_fit(label, entries)
-
-    n_before = len(fields)
-    prev_end, prev_t0 = 0, -math.inf
-    for si, (t0_index, p0_q, n_samples, _) in enumerate(model.segments):
-        _check_segment_order(t0_index, prev_t0)
-        prev_t0 = t0_index
-        fields.append(t0_index - prev_end)
-        fields.extend(width(p0_q, "start of segment", si))
-        fields.append(n_samples)
-        prev_end = segment_end_index(t0_index, n_samples, model.dt, model.eps_t)
+    out_t, out_v = entry_columns(model.outliers, dim, "outlier")
+    cor_t, cor_v = entry_columns(model.corrections, dim, "correction")
+    t0_index, p0_q, n_samples = segment_heads(model.segments, dim)
+    t0_delta, prev_end = [], 0
+    for t0, n in zip(t0_index, n_samples):
+        t0_delta.append(t0 - prev_end)
+        prev_end = segment_end_index(t0, n, model.dt, model.eps_t)
 
     try:
-        fields = np.array(fields, dtype=np.int64)
-        # each segment's head goes in front of its first block
         cols, plan = block_columns(model.segments, dim, lay)
+        n_out = out_t.size
+        n_before = 3 + (n_out + cor_t.size) * (dim + 1)  # the counts and the entries
+        heads = np.empty((len(t0_index), dim + 2), dtype=np.int64)
+        heads[:, 0] = t0_delta
+        heads[:, 1:-1] = p0_q
+        heads[:, -1] = n_samples
+        # each segment's head goes in front of its first block
         first = plan.chain_start[::dim]
         size = 2 + cols.c_f  # fields per block: end delta, count, coefficients
         size[first] += dim + 2
         at = n_before + size.cumsum() - size  # each block's first field
         body = np.empty(n_before + int(size.sum()), dtype=np.int64)
-        body[:n_before] = fields[:n_before]
-        body[at[first, None] + np.arange(dim + 2)] = fields[n_before:].reshape(-1, dim + 2)
-        unsigned_at += (at[first] + dim + 1).tolist()
+        body[:3] = len(t0_index), n_out, cor_t.size
+        # per entry a time step and its values; outlier values travel as
+        # steps along their chain, which must not wrap
+        entries = body[3:n_before].reshape(-1, dim + 1)
+        entries[:n_out, 0], entries[n_out:, 0] = out_t, cor_t
+        entries[:n_out, 1:], entries[n_out:, 1:] = out_v, cor_v
+        entries[1:n_out, 0] -= out_t[:-1]
+        entries[n_out + 1:, 0] -= cor_t[:-1]
+        steps = entries[1:n_out, 1:]
+        steps -= out_v[:-1]
+        if (((out_v[1:] ^ out_v[:-1]) & (out_v[1:] ^ steps)) < 0).any():
+            raise OverflowError("an outlier step beyond int64")
+        body[at[first, None] + np.arange(dim + 2)] = heads
         at[first] += dim + 2
         body[at] = cols.end_delta
         body[at + 1] = cols.c_f
@@ -270,8 +317,10 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     except OverflowError:
         raise ValueError("a signed field outside +-(2**63 - 1)") from None
     is_signed = np.ones(body.size, dtype=bool)
-    is_signed[unsigned_at] = False
-    is_signed[at + 1] = False
+    is_signed[:3] = False  # the counts
+    is_signed[3:n_before:dim + 1] = False  # entry time steps
+    is_signed[at[first] - 1] = False  # sample counts
+    is_signed[at + 1] = False  # coefficient counts
     codes[~is_signed] = body[~is_signed]
     return (MAGIC + bytes((VERSION, dim, 0, model.chunk_bits))  # flags reserved
             + struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p)
@@ -299,39 +348,16 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     try:
         _check_header(dim, l, dt, eps, eps_t, eps_p)
         r = varint_reader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
-        unsigned, signeds = r.unsigned, r.signeds
         lay = Layout.derive(eps, eps_p, dim, profile)
-        n_segments = unsigned()
-        n_outliers = unsigned()
-        n_corrections = unsigned()
-
-        entry_lists = []
-        for label, entry, count in (("outlier", OutlierEntry, n_outliers),
-                                    ("correction", CorrectionEntry, n_corrections)):
-            entries = []
-            t_idx, prev = 0, (0,) * dim
-            for i in range(count):
-                step = unsigned()
-                _check_time_step(label, i, step)
-                t_idx += step
-                values = signeds(dim)
-                if label == "outlier":  # only outlier values chain
-                    values = prev = tuple([p + v for p, v in zip(prev, values)])
-                entries.append(entry(t_idx, values))
-            _check_entries_fit(label, entries)
-            entry_lists.append(tuple(entries))
-        outliers, corrections = entry_lists
-
-        args = (r, n_segments, dim, dt, eps_t, lay, min_block_bits)
+        body = None
         if isinstance(r, ColumnarReader):
-            start = r.index
             try:
-                segments = _read_segments(*args, chase=True)
+                body = _chase(r, dim, dt, eps_t, lay)
             except (PilotCError, ValueError, ArithmeticError, LookupError, TypeError):
-                r.index = start  # a walk raises the first error in field order
-                segments = _read_segments(*args, chase=False)
-        else:
-            segments = _read_segments(*args, chase=False)
+                r.index = 0  # a walk raises the first error in field order
+        if body is None:
+            body = _walk(r, dim, dt, eps_t, lay, min_block_bits)
+        segments, outliers, corrections = body
     except ValueError as exc:  # a broken rule, or a signed decode of a zero code
         raise CorruptionError(str(exc)) from exc
 
@@ -346,60 +372,118 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     )
 
 
-def _read_segments(r, count: int, dim: int, dt: float, eps_t: float, lay: Layout,
-                   min_block_bits: int, chase: bool) -> tuple[SubTrajectorySegment, ...]:
-    """Read ``count`` segments through the reader ``r``, their blocks into
-    one :class:`~pilotc.model.BlockColumns` store.
+def _chase(r: ColumnarReader, dim: int, dt: float, eps_t: float, lay: Layout):
+    """The segments, outliers and corrections of the body that the columnar
+    reader ``r`` holds, read from its field codes: array operations gather
+    the entries at their fixed fields, and a chase finds each segment head
+    and block.  It raises wherever a walk would, though not always the same
+    error, and also on entry sums near the edge of int64, which only the
+    walk's Python ints tell apart."""
+    codes = r.codes
+    n_segments, n_outliers, n_corrections = codes[:3]
+    n_entries = n_outliers + n_corrections
+    i = 3 + n_entries * (dim + 1)  # the first segment's first field
+    if i >= len(codes):
+        raise LookupError("the entries run past the fields")
+    rows = np.arange(3, i, dim + 1)
+    steps = r.unsigned_values(rows)
+    values = r.signed_values(rows[:, None] + np.arange(1, dim + 1))
+    lists = []
+    for kind, lo, hi in ((OutlierEntry, 0, n_outliers), (CorrectionEntry, n_outliers, n_entries)):
+        step, v = steps[lo:hi], values[lo:hi]
+        # a later step of 0, or a sum that may leave int64, is the walk's to report
+        if not step[1:].all() or step.sum(dtype=float) >= 2.0**62:
+            raise LookupError("entry steps the walk checks")
+        if kind is OutlierEntry:  # only outlier values chain
+            if np.abs(v).sum(dtype=float) >= 2.0**62:
+                raise LookupError("outlier values the walk checks")
+            v = v.cumsum(axis=0)
+        lists.append(EntryList(kind, step.astype(np.int64).cumsum(), v))
 
-    A walk reads every block field by field, and raises the error of the
-    first field or rule that fails.  A chase needs a
-    :class:`~pilotc.codec.ColumnarReader`: a block at field i holds its
-    coefficient count c at i + 1, so the next block starts at i + 2 + c; the
-    chase finds each block's start so, and then gathers the columns with
-    array operations.  It raises an error wherever a walk would, but not
-    always the same one."""
-    heads = []
-    deltas, counts, coeffs, starts = [], [], [], []
+    heads, t0_index, n_samples, starts = [], [], [], []
+    prev_end, prev_t0 = 0, -math.inf
+    for _ in range(n_segments):
+        c = codes[i]
+        if not c:
+            raise LookupError("no signed field there")
+        t0 = prev_end + (c >> 1 if c & 1 else -(c >> 1))
+        _check_segment_order(t0, prev_t0)
+        prev_t0 = t0
+        n = codes[i + dim + 1]
+        prev_end = segment_end_index(t0, n, dt, eps_t)
+        n_blocks = dim * (lay.partition(n - 1)[0] + 1)
+        heads.append(i)
+        t0_index.append(t0)
+        n_samples.append(n)
+        i += dim + 2
+        if 2 * n_blocks > len(codes) - i:
+            raise LookupError("more blocks than fields")
+        for _ in range(n_blocks):
+            starts.append(i)
+            i += codes[i + 1] + 2
+    r.index = i
+    at = np.array(starts, dtype=np.int64)
+    counts = r.unsigned_values(at + 1).astype(np.int64)
+    cols = BlockColumns(counts, r.signed_values(at),
+                        r.signed_values(flat_ranges(at + 2, counts)),
+                        BlockPlan(n_samples, dim, lay))
+    _check_blocks(cols.c_f, cols.coeffs, cols.plan.limit)
+    p0_q = r.signed_values(np.array(heads, dtype=np.int64)[:, None] + np.arange(1, dim + 1))
+    return SegmentList(t0_index, p0_q, cols), *lists
+
+
+def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int):
+    """The segments, outliers and corrections of the body that the reader
+    ``r`` holds, read field by field into lists that become columns once.
+    Raises the error of the first field or rule that fails."""
     signed, unsigned, signeds = r.signed, r.unsigned, r.signeds
+    n_segments = unsigned()
+    n_outliers = unsigned()
+    n_corrections = unsigned()
+    lists = []
+    for label, kind, count in (("outlier", OutlierEntry, n_outliers),
+                               ("correction", CorrectionEntry, n_corrections)):
+        t_index, values = [], []
+        t, prev = 0, (0,) * dim
+        for i in range(count):
+            step = unsigned()
+            _check_time_step(label, i, step)
+            t += step
+            v = signeds(dim)
+            if kind is OutlierEntry:  # only outlier values chain
+                v = prev = tuple([p + x for p, x in zip(prev, v)])
+            t_index.append(t)
+            values.append(v)
+        lists.append(EntryList(kind, *_entry_arrays(label, t_index, values, dim)))
+
+    t0_index, p0_q, n_samples = [], [], []
+    deltas, counts, coeffs = [], [], []
     prev_end, prev_t0 = 0, -math.inf
     try:
-        for _ in range(count):
-            t0_index = prev_end + signed()
-            _check_segment_order(t0_index, prev_t0)
-            prev_t0 = t0_index
-            p0_q = signeds(dim)
-            n_samples = unsigned()
-            prev_end = segment_end_index(t0_index, n_samples, dt, eps_t)
-            per_dim = lay.partition(n_samples - 1)[0] + 1  # blocks per dimension
+        for _ in range(n_segments):
+            t0 = prev_end + signed()
+            _check_segment_order(t0, prev_t0)
+            prev_t0 = t0
+            p0_q.append(signeds(dim))
+            n = unsigned()
+            prev_end = segment_end_index(t0, n, dt, eps_t)
+            per_dim = lay.partition(n - 1)[0] + 1  # blocks per dimension
             if dim * per_dim * min_block_bits > r.remaining_bits:
                 raise TruncationError(
                     f"segment declares {per_dim} blocks per dimension, more than "
                     f"the {r.remaining_bits} remaining bits can hold"
                 )
-            heads.append((t0_index, p0_q, n_samples))
-            if chase:
-                codes, i = r.codes, r.index
-                for _ in range(dim * per_dim):
-                    c = codes[i + 1]
-                    starts.append(i)
-                    counts.append(c)
-                    i += c + 2
-                r.index = i
-            else:
-                for _ in range(dim * per_dim):
-                    deltas.append(signed())
-                    counts.append(unsigned())
-                    coeffs += signeds(counts[-1])
+            t0_index.append(t0)
+            n_samples.append(n)
+            for _ in range(dim * per_dim):
+                deltas.append(signed())
+                counts.append(unsigned())
+                coeffs += signeds(counts[-1])
     except (PilotCError, ValueError):
-        if not chase:  # a broken block rule read before comes first
-            plan = BlockPlan([n for _, _, n in heads], dim, lay)
-            _check_blocks(counts, coeffs, plan.limit[:len(counts)])
+        # a broken block rule read before comes first
+        _check_blocks(counts, coeffs, BlockPlan(n_samples, dim, lay).limit[:len(counts)])
         raise
-    if chase:
-        at = np.array(starts, dtype=np.int64)
-        counts = np.array(counts, dtype=np.int64)
-        deltas, coeffs = r.signed_values(at), r.signed_values(flat_ranges(at + 2, counts))
-    plan = BlockPlan([n for _, _, n in heads], dim, lay)
-    cols = BlockColumns(counts, deltas, coeffs, plan)
-    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
-    return cols.segments(heads)
+    cols = BlockColumns(counts, deltas, coeffs, BlockPlan(n_samples, dim, lay))
+    _check_blocks(cols.c_f, cols.coeffs, cols.plan.limit)
+    segments = SegmentList(t0_index, np.array(p0_q, dtype=np.int64).reshape(-1, dim), cols)
+    return segments, *lists

@@ -9,12 +9,15 @@ blocks, outlier and correction entries) are named tuples: they unpack, as
 in ``t_index, values = entry``, and compare equal to plain tuples of the
 same values.
 
-A model that the library builds (``compress`` or ``parse``) keeps every
-block in one :class:`BlockColumns` store of int64 columns, together with
-the :class:`~pilotc.blocks.BlockPlan` that lays them out, and each of its
-segments' per-dimension block lists is a :class:`BlockList` view of it,
-which makes an :class:`EncodedBlock` only when one is accessed.  A model
-built by hand may hold tuples of blocks instead; both forms compare equal.
+A model that the library builds (``compress`` or ``parse``) keeps its
+records as int64 columns, and reads them through views that make a record
+only when one is read: its segments are a :class:`SegmentList` of their
+start indices and values, whose blocks sit in one :class:`BlockColumns`
+store together with the :class:`~pilotc.blocks.BlockPlan` that lays them
+out, each segment's per-dimension block list being a :class:`BlockList`
+view of that store; its outliers and its corrections are an
+:class:`EntryList` each.  A model built by hand may hold tuples of records
+instead; both forms compare equal.
 """
 
 from __future__ import annotations
@@ -106,30 +109,52 @@ class BlockColumns:
 
     def __init__(self, c_f, end_delta, coeffs, plan=None):
         self.plan = plan
-        self.c_f = np.asarray(c_f, dtype=np.int64)
-        self.end_delta = np.asarray(end_delta, dtype=np.int64)
-        self.coeffs = np.asarray(coeffs, dtype=np.int64)
+        self.c_f = _frozen(c_f)
+        self.end_delta = _frozen(end_delta)
+        self.coeffs = _frozen(coeffs)
         self.offsets = np.zeros(self.c_f.size + 1, dtype=np.int64)
         np.cumsum(self.c_f, out=self.offsets[1:])
-        for a in (self.c_f, self.end_delta, self.coeffs, self.offsets):
-            a.flags.writeable = False
-
-    def segments(self, heads):
-        """The segments whose heads, (t0_index, p0_q, n_samples) each, are
-        ``heads`` and whose blocks are this store's, in the chains of its
-        ``plan``."""
-        dim = self.plan.dim
-        bounds = [*self.plan.chain_start.tolist(), self.c_f.size]
-        chains = [BlockList(self, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        return tuple(SubTrajectorySegment(t0, p0, n, tuple(chains[k:k + dim]))
-                     for k, (t0, p0, n) in zip(range(0, len(chains), dim), heads))
+        self.offsets.flags.writeable = False
 
 
-class BlockList(Sequence):
+def _frozen(values) -> np.ndarray:
+    a = np.asarray(values, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+class _View(Sequence):
+    """Records read from columns: a view reads like the tuple of its
+    records, makes each record when it is read, and compares and hashes
+    equal to that tuple; two views of one kind compare by their columns."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        return self._record(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class BlockList(_View):
     """One segment's blocks in one dimension, blocks ``lo:hi`` of a
-    :class:`BlockColumns` store.  It reads like the tuple of their
-    :class:`EncodedBlock` records, makes each record when it is accessed,
-    and compares equal to that tuple in either order."""
+    :class:`BlockColumns` store, as :class:`EncodedBlock` records."""
 
     __slots__ = ("store", "lo", "hi")
 
@@ -139,11 +164,8 @@ class BlockList(Sequence):
     def __len__(self) -> int:
         return self.hi - self.lo
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(self.lo, self.hi)[i]
-        s = self.store
+    def _record(self, i: int) -> EncodedBlock:
+        s, i = self.store, self.lo + i
         return EncodedBlock(tuple(s.coeffs[s.offsets[i]:s.offsets[i + 1]].tolist()),
                             int(s.end_delta[i]))
 
@@ -158,18 +180,59 @@ class BlockList(Sequence):
         s, lo, hi = self.store, self.lo, self.hi
         return s.c_f[lo:hi], s.end_delta[lo:hi], s.coeffs[s.offsets[lo]:s.offsets[hi]]
 
-    def __eq__(self, other):
-        if isinstance(other, BlockList):
-            return all(map(np.array_equal, self._columns(), other._columns()))
-        if isinstance(other, tuple):
-            return len(self) == len(other) and tuple(self) == other
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+class SegmentList(_View):
+    """A model's segments as :class:`SubTrajectorySegment` records: their
+    start time indices ``t0_index``, a list of ints (a valid container can
+    start a segment beyond int64), their start values ``p0_q``, int64 of
+    shape (segments, dim), and their blocks in the :class:`BlockColumns`
+    ``store``, whose plan holds their sample counts and lays out the
+    :class:`BlockList` of each segment and dimension."""
 
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    __slots__ = ("t0_index", "p0_q", "store")
+
+    def __init__(self, t0_index: list, p0_q, store: BlockColumns):
+        self.t0_index, self.p0_q, self.store = t0_index, _frozen(p0_q), store
+
+    def __len__(self) -> int:
+        return len(self.t0_index)
+
+    def _record(self, i: int) -> SubTrajectorySegment:
+        plan = self.store.plan
+        k = slice(i * plan.dim, (i + 1) * plan.dim)
+        return SubTrajectorySegment(
+            self.t0_index[i], tuple(self.p0_q[i].tolist()), plan.n_samples[i],
+            tuple(BlockList(self.store, lo, lo + n) for lo, n in
+                  zip(plan.chain_start[k].tolist(), plan.per_chain[k].tolist())))
+
+    def _columns(self):
+        s = self.store
+        return (self.t0_index, self.p0_q, s.plan.n_samples, s.plan.per_chain,
+                s.c_f, s.end_delta, s.coeffs)
+
+
+class EntryList(_View):
+    """A model's outliers or corrections as ``kind`` records
+    (:class:`OutlierEntry` or :class:`CorrectionEntry`): their time
+    indices ``t_index``, int64, and their values ``values``, int64 of shape
+    (entries, dim)."""
+
+    __slots__ = ("kind", "t_index", "values")
+
+    def __init__(self, kind: type, t_index, values):
+        self.kind, self.t_index, self.values = kind, _frozen(t_index), _frozen(values)
+
+    def __len__(self) -> int:
+        return self.t_index.size
+
+    def _record(self, i: int):
+        return self.kind(int(self.t_index[i]), tuple(self.values[i].tolist()))
+
+    def __iter__(self):
+        return map(self.kind, self.t_index.tolist(), map(tuple, self.values.tolist()))
+
+    def _columns(self):
+        return self.t_index, self.values
 
 
 class SubTrajectorySegment(NamedTuple):
@@ -197,7 +260,7 @@ class CompressedTrajectory:
     eps_t: float
     eps_p: float
     chunk_bits: int
-    segments: tuple[SubTrajectorySegment, ...] = ()
-    outliers: tuple[OutlierEntry, ...] = ()
-    corrections: tuple[CorrectionEntry, ...] = ()
+    segments: Sequence[SubTrajectorySegment] = ()
+    outliers: Sequence[OutlierEntry] = ()
+    corrections: Sequence[CorrectionEntry] = ()
 

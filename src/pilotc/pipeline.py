@@ -29,8 +29,9 @@ from .model import (
     BlockColumns,
     CompressedTrajectory,
     CorrectionEntry,
+    EntryList,
     OutlierEntry,
-    SubTrajectorySegment,
+    SegmentList,
     TrajectoryRecord,
 )
 from .params import CodecParams
@@ -110,7 +111,7 @@ def resample(traj: TrajectoryRecord, lo: np.ndarray, hi: np.ndarray,
 
 
 def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
-                     params: CodecParams) -> tuple[SubTrajectorySegment, ...]:
+                     params: CodecParams) -> SegmentList | tuple[()]:
     """Block-code every segment of a trajectory from its uniform samples:
     ``values``, shape (samples, dim), holds each segment's ``n_samples``
     samples, one segment after the other.  The blocks of every segment and
@@ -133,8 +134,7 @@ def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
     deltas[plan.chain_start] = q_end[plan.chain_start]
     c_f, coeffs = encode_blocks(x, plan, lay)
     cols = BlockColumns(c_f, deltas, coeffs, plan)  # the encoder keeps the block rule
-    return cols.segments(zip(t0_indices, map(tuple, p0_q.reshape(-1, dim).tolist()),
-                             plan.n_samples))
+    return SegmentList(t0_indices, p0_q.reshape(-1, dim), cols)
 
 
 def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
@@ -147,8 +147,7 @@ def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
     mask = row_norms(diffs) > model.eps
     idx = time_index_array(traj.times[mask], model.eps_t)
     rows = quantize_array(diffs[mask], params.layout(model.dim).eps_d)
-    return replace(model, corrections=tuple(
-        map(CorrectionEntry, idx.tolist(), map(tuple, rows.tolist()))))
+    return replace(model, corrections=EntryList(CorrectionEntry, idx, rows))
 
 
 def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajectory:
@@ -172,7 +171,7 @@ def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> Compresse
             "distinct points would collide, use a smaller --eps-t"
         )
 
-    default_dt = float(np.median(np.diff(traj.times))) if traj.n_points > 1 else params.eps_t
+    default_dt = _median(np.diff(traj.times)) if traj.n_points > 1 else params.eps_t
     bounds = segment(traj, params, default_dt)
     runs = np.diff(bounds)
     kept = runs >= _MIN_FRAGMENT_POINTS
@@ -183,9 +182,16 @@ def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> Compresse
     values, n_samples = resample(traj, lo, hi, dt)
     segments = _encode_segments(values, n_samples, q_t[lo].tolist(), params)
     out_q = quantize_array(traj.points[out], params.layout(traj.dim).eps_out)
-    outliers = tuple(map(OutlierEntry, q_t[out].tolist(), map(tuple, out_q.tolist())))
     return CompressedTrajectory(
         dim=traj.dim, dt=dt, eps=params.eps, eps_t=params.eps_t,
         eps_p=params.eps_p, chunk_bits=params.chunk_bits,
-        segments=segments, outliers=outliers,
+        segments=segments, outliers=EntryList(OutlierEntry, q_t[out], out_q),
     )
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of the nonempty finite array ``x``, to the bit: the
+    mean of its middle value or two.  A sort is faster than the partition
+    ``np.median`` makes, and, unlike a partition at one index, stays fast
+    on gaps with many repeats, as a fixed sampling rate gives."""
+    return float(np.sort(x)[(x.size - 1) // 2:x.size // 2 + 1].mean())

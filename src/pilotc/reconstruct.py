@@ -10,18 +10,28 @@ matching correction entry is added on top.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
 from .blocks import decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
-from .container import block_columns
+from .container import block_columns, entry_columns, segment_heads
 from .errors import CorruptionError, QueryRangeError
 from .model import CompressedTrajectory, UniformSeries
 from .params import DEFAULT_PROFILE, Layout
 
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
+
+
+def _checked(convert, *args):
+    """``convert(*args)``, one of the container's conversions to columns,
+    with a broken rule, which a model built by hand can hold, raised as
+    :class:`CorruptionError`."""
+    try:
+        return convert(*args)
+    except (ValueError, OverflowError) as exc:
+        raise CorruptionError(str(exc)) from exc
 
 
 def _decode_grid(model: CompressedTrajectory, lay: Layout):
@@ -30,12 +40,9 @@ def _decode_grid(model: CompressedTrajectory, lay: Layout):
     grid; then the segments' t0 time indices and sample counts."""
     if not model.segments:
         return np.zeros((model.dim, 0)), (), ()
-    t0_index, p0_q, n_samples, _ = zip(*model.segments)
-    try:
-        cols, plan = block_columns(model.segments, model.dim, lay)
-    except (ValueError, OverflowError) as exc:  # a model built by hand that breaks a rule
-        raise CorruptionError(str(exc)) from exc
-    p0 = dequantize_array(list(chain.from_iterable(p0_q)), model.eps_p)
+    t0_index, p0_q, n_samples = _checked(segment_heads, model.segments, model.dim)
+    cols, plan = _checked(block_columns, model.segments, model.dim, lay)
+    p0 = dequantize_array(p0_q.ravel(), model.eps_p)
     # a chain's end indices are the running sum less its value before the
     # chain; float sums are exact while the sum stays below 2**53, and
     # unlike int64 they cannot wrap
@@ -69,12 +76,11 @@ def decompress_uniform(model: CompressedTrajectory,
             for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
 
 
-def _entry_table(entries, dim: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """An outlier or correction list as its time indices, int64, and its
-    values dequantized with ``step``, shape (len(entries), dim)."""
-    idx, values = zip(*entries) if entries else ((), ())
-    return (np.array(idx, dtype=np.int64),
-            dequantize_array(np.array(values, dtype=np.int64).reshape(len(idx), dim), step))
+def _entry_table(entries, dim: int, label: str, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The outliers or corrections ``entries`` as their time indices, int64,
+    and their values dequantized with ``step``, shape (len(entries), dim)."""
+    idx, values = _checked(entry_columns, entries, dim, label)
+    return idx, dequantize_array(values, step)
 
 
 def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray, ordered: bool):
@@ -119,8 +125,8 @@ class Reconstructor:
         counts = np.array(n_samples, dtype=np.int64)
         self._last = counts - 2  # each segment's last interval
         self._offsets = counts.cumsum() - counts
-        self._outliers = _entry_table(model.outliers, model.dim, lay.eps_out)
-        self._corrections = _entry_table(model.corrections, model.dim, lay.eps_d)
+        self._outliers = _entry_table(model.outliers, model.dim, "outlier", lay.eps_out)
+        self._corrections = _entry_table(model.corrections, model.dim, "correction", lay.eps_d)
 
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""

@@ -1,8 +1,8 @@
-"""The two forms of a model's blocks: the int64 columns that every model
-the library builds keeps, read through per-dimension views, and the tuples
-of a model built by hand.  Both must compare equal, serialize to the same
-bytes and decode to the same bits; and the library's own path must never
-make an ``EncodedBlock``."""
+"""The two forms of a model's records: the int64 columns that every model
+the library builds keeps, read through views (segments, per-dimension
+blocks, outliers and corrections), and the tuples of a model built by hand.
+Both must compare equal, serialize to the same bytes and decode to the same
+bits; and the library's own path must never make a record."""
 
 from dataclasses import replace
 
@@ -14,7 +14,16 @@ from pilotc import Reconstructor, compress, decompress_uniform, parse, serialize
 from pilotc.blocks import BlockPlan
 from pilotc.container import block_columns
 from pilotc.errors import CorruptionError
-from pilotc.model import BlockList, CompressedTrajectory, EncodedBlock, SubTrajectorySegment
+from pilotc.model import (
+    BlockList,
+    CompressedTrajectory,
+    CorrectionEntry,
+    EncodedBlock,
+    EntryList,
+    OutlierEntry,
+    SegmentList,
+    SubTrajectorySegment,
+)
 from pilotc.params import PROFILES, Layout
 from pilotc.synth import synthetic_trajectory
 
@@ -23,10 +32,12 @@ MIXED = dict(jitter=1.0, gap_jitter=0.4, big_gap_rate=0.002, teleport_rate=0.000
 
 
 def tuple_copy(model):
-    """``model`` with every block list rebuilt as a tuple of ``EncodedBlock``s."""
+    """``model`` with its segments, their block lists, its outliers and its
+    corrections rebuilt as tuples of records."""
     return replace(model, segments=tuple(
         SubTrajectorySegment(t0, p0, n, tuple(map(tuple, blocks)))
-        for t0, p0, n, blocks in model.segments))
+        for t0, p0, n, blocks in model.segments),
+        outliers=tuple(model.outliers), corrections=tuple(model.corrections))
 
 
 def query_times(model, traj=None):
@@ -67,12 +78,21 @@ def test_views_and_tuples_agree(name, model, traj):
         assert fresh is not plan
         for column in ("chain_start", "per_chain", "length", "limit"):
             assert np.array_equal(getattr(fresh, column), getattr(plan, column)), column
-        view = model.segments[-1].blocks[-1]
+    assert isinstance(model.outliers, EntryList) and isinstance(model.corrections, EntryList)
+    assert isinstance(model.segments, SegmentList) or model.segments == ()
+    views = [model.segments, model.outliers, model.corrections]
+    views += [model.segments[-1].blocks[-1]] if model.segments else []
+    for view in views:
         assert view == tuple(view) and tuple(view) == view
+        assert not (view != tuple(view) or tuple(view) != view)
         assert hash(view) == hash(tuple(view))
-        assert view[-1] == tuple(view)[-1] and view[1:] == tuple(view)[1:]
+        assert len(view) == len(tuple(view))
+        assert view[1:] == tuple(view)[1:] and view[::-2] == tuple(view)[::-2]
+        if view:
+            assert view[-1] == tuple(view)[-1] and view[0] == tuple(view)[0]
     assert model == copy and copy == model
     assert not (model != copy or copy != model)
+    assert hash(model) == hash(copy)
     payload = serialize(model, GEO)
     assert payload == serialize(copy, GEO)
     assert parse(payload, GEO) == model  # view against view
@@ -82,6 +102,14 @@ def test_views_and_tuples_agree(name, model, traj):
         (coeffs, delta), *later = blocks[0]
         other = replace(copy, segments=(SubTrajectorySegment(
             t0, p0, n, (((coeffs, delta + 1), *later), *blocks[1:])), *rest))
+        other_views = parse(serialize(other, GEO), GEO)
+        for a, b in ((model, other), (other, model), (model, other_views)):
+            assert a != b and not a == b
+    if model.corrections:
+        # one correction value off: unequal in every pairing of the two forms
+        (t, values), *rest = copy.corrections
+        other = replace(copy, corrections=(CorrectionEntry(t, (values[0] + 1, *values[1:])),
+                                           *rest))
         other_views = parse(serialize(other, GEO), GEO)
         for a, b in ((model, other), (other, model), (model, other_views)):
             assert a != b and not a == b
@@ -151,6 +179,29 @@ def test_round_trip_makes_no_encoded_block(monkeypatch):
     assert made == [(first.q_coeffs, first.end_delta_q)]
 
 
+def test_round_trip_makes_no_record(monkeypatch):
+    # compress, serialize, parse and query keep segment heads, outliers and
+    # corrections as columns; only reading a view makes records
+    made = []
+    for kind in (OutlierEntry, CorrectionEntry, SubTrajectorySegment):
+        def counting(cls, *args, _new=kind.__new__, **kwargs):
+            made.append(cls)
+            return _new(cls, *args, **kwargs)
+        monkeypatch.setattr(kind, "__new__", counting)
+    params = GEO.params(10.0, eps_t=0.01)
+    traj = synthetic_trajectory(20_000, dim=2, seed=7, jitter=1.0, gap_jitter=0.4,
+                                big_gap_rate=0.01, teleport_rate=0.002)
+    model = compress(traj, params)
+    parsed = parse(serialize(model, GEO), GEO)
+    positions = Reconstructor(parsed, GEO).query(traj.times)
+    assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
+    assert len(parsed.outliers) > 2 and len(parsed.corrections) > 100
+    assert len(parsed.segments) > 100
+    assert made == []
+    _ = parsed.outliers[0], parsed.corrections[-1], parsed.segments[1]
+    assert made == [OutlierEntry, CorrectionEntry, SubTrajectorySegment]
+
+
 def test_round_trip_lays_out_each_model_once(monkeypatch):
     # the encoder's plan stays with its store, so neither validation nor
     # serialize lays the blocks out again; parse lays out what it read, and
@@ -199,3 +250,24 @@ def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
         decompress_uniform(model, GEO)
     with pytest.raises(ValueError, match="sample count 1"):
         serialize(model, GEO)
+
+
+_BROKEN_ENTRIES = {
+    "wrong width": [(5, (1,))],
+    "time index 2**63": [(5, (1, 2)), (2**63, (1, 2))],
+    "unsorted": [(7, (1, 2)), (5, (1, 2))],
+}
+
+
+@pytest.mark.parametrize("entries", _BROKEN_ENTRIES.values(), ids=_BROKEN_ENTRIES)
+@pytest.mark.parametrize("kind", [OutlierEntry, CorrectionEntry])
+def test_entries_that_break_a_rule_in_a_model_built_by_hand_are_corruption(kind, entries):
+    # the decoder reads entries through the same conversion as serialize,
+    # so a broken entry rule is a CorruptionError there, never a numpy error
+    model = compress(synthetic_trajectory(500, dim=2, seed=4), GEO.params(10.0))
+    label = "outliers" if kind is OutlierEntry else "corrections"
+    broken = replace(model, **{label: tuple(kind(t, v) for t, v in entries)})
+    with pytest.raises(CorruptionError):
+        Reconstructor(broken, GEO)
+    with pytest.raises(ValueError):
+        serialize(broken, GEO)

@@ -155,9 +155,11 @@ def test_parse_rejects_trailing_zero_coefficient():
         parse(payload, GEO)
 
 
-@pytest.mark.parametrize("at", [6, 8], ids=["end delta", "coefficient"])
+@pytest.mark.parametrize("at", [3, 4, 6, 8],
+                         ids=["t0 delta", "start value", "end delta", "coefficient"])
 def test_parse_rejects_a_zero_code_in_a_signed_block_field(at):
-    # at l = 2 parse gathers these fields as signed values after its chase
+    # at l = 2 parse maps the t0 delta's code as it chases, and gathers
+    # the other fields as signed values after its chase
     fields = one_segment(31)[:-1] + [("u", 2), ("s", 5), ("s", -2)]
     fields[at] = ("u", 0)
     with pytest.raises(CorruptionError, match="zigzag"):
@@ -216,6 +218,8 @@ _BROKEN = {
     "outlier at -2**63": dict(outliers=(OutlierEntry(0, (-2**63,)),)),
     "outlier step of -2**63": dict(
         outliers=(OutlierEntry(0, (2**62,)), OutlierEntry(1, (-2**62,)))),
+    "outlier step beyond int64": dict(
+        outliers=(OutlierEntry(0, (3 * 2**61,)), OutlierEntry(1, (-3 * 2**61,)))),
     "correction of 2**63": dict(corrections=(CorrectionEntry(0, (2**63,)),)),
     "coefficient of 2**63": dict(segments=one_block_model((2**63,)).segments),
     "end delta of -2**63": dict(
@@ -270,6 +274,8 @@ def test_segments_must_start_in_time_order():
     for a, b in ((1000, 0), (1000, 1000)):
         with pytest.raises(ValueError, match="previous segment"):
             serialize(model(a, b), GEO)
+        with pytest.raises(CorruptionError, match="previous segment"):
+            Reconstructor(model(a, b), GEO)
         # the bytes of a writer without the rule: each t0 is a delta from the
         # previous segment's grid end
         payload = crafted([("u", 2), ("u", 0), ("u", 0)] + segment_fields(a)
@@ -375,6 +381,63 @@ def test_parse_rejects_entries_beyond_int64(fields):
     # a few bytes each; Reconstructor's int64 entry tables cannot hold them
     with pytest.raises(CorruptionError, match="outside int64"):
         parse(crafted(fields), GEO)
+
+
+# the three counts, then per entry a time step and one value (dim 1)
+ENTRY_REGION = {
+    "later step of 0": ([("u", 0), ("u", 0), ("u", 2), ("u", 5), ("s", 1), ("u", 0), ("s", 2)],
+                        CorruptionError),
+    "time index sum at 2**63": ([("u", 0), ("u", 0), ("u", 2),
+                                 ("u", 2**62), ("s", 1), ("u", 2**62), ("s", 2)],
+                                CorruptionError),
+    "outlier coordinates leave int64": ([("u", 0), ("u", 3), ("u", 0), ("u", 0), ("s", 5),
+                                         ("u", 1), ("s", 2**62), ("u", 1), ("s", 2**62)],
+                                        CorruptionError),
+    "truncated inside the entries": ([("u", 0), ("u", 1), ("u", 2), ("u", 3), ("s", 2**40),
+                                      ("u", 4), ("s", -7), ("u", 9), ("s", 2**50)],
+                                     TruncationError),
+    # sums past 2**62, which the columnar path leaves to the walk
+    "time index sum below 2**63": ([("u", 0), ("u", 0), ("u", 2),
+                                    ("u", 2**62), ("s", 1), ("u", 2**61), ("s", 2)], None),
+    "outlier coordinates near int64": ([("u", 0), ("u", 2), ("u", 0), ("u", 0),
+                                        ("s", 2**62), ("u", 1), ("s", 2**62 - 1)], None),
+}
+
+
+@pytest.mark.parametrize("fields, error", ENTRY_REGION.values(), ids=ENTRY_REGION)
+def test_parse_entry_region_agrees_at_every_chunk_length(fields, error, monkeypatch):
+    # the columnar path gathers the entries as arrays; each case must give
+    # the same outcome at l = 1, through it at l = 2 and 3, and through the
+    # walk at l = 2 and 3
+    def outcome(chunk_bits):
+        payload = crafted(fields, chunk_bits=chunk_bits)
+        if error is TruncationError:
+            payload = payload[:-3]
+        return parse_outcome(payload)
+
+    outcomes = [outcome(l) for l in (1, 2, 3)]
+    with monkeypatch.context() as m:
+        m.setattr(container, "_chase", lambda *args: 1 / 0)
+        outcomes += [outcome(l) for l in (2, 3)]
+    if error is None:
+        assert all(isinstance(o, CompressedTrajectory) for o in outcomes), outcomes
+        assert len({(tuple(o.outliers), tuple(o.corrections)) for o in outcomes}) == 1
+    else:
+        assert outcomes == [error] * 5
+
+
+@pytest.mark.parametrize("chunk_bits", [2, 3])
+def test_parse_rejects_a_zero_code_in_an_entry_value(chunk_bits, monkeypatch):
+    # at l >= 2 a signed field can hold the code 0, which no value maps to;
+    # at l = 1 its bits read as another code
+    fields = [("u", 0), ("u", 1), ("u", 1), ("u", 3), ("s", 4), ("u", 2), ("u", 0)]
+    payload = crafted(fields, chunk_bits=chunk_bits)
+    with pytest.raises(CorruptionError, match="zigzag"):
+        parse(payload, GEO)
+    with monkeypatch.context() as m:
+        m.setattr(container, "_chase", lambda *args: 1 / 0)
+        with pytest.raises(CorruptionError, match="zigzag"):
+            parse(payload, GEO)
 
 
 @pytest.mark.parametrize("entries", [

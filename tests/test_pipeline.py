@@ -13,7 +13,7 @@ from pilotc import (
 )
 from pilotc.codec import quantize_array, time_index_array
 from pilotc.errors import DataError
-from pilotc.pipeline import choose_dt, resample, segment, validate_and_correct
+from pilotc.pipeline import _median, choose_dt, resample, segment, validate_and_correct
 
 GEO = PROFILES["geolife"]
 
@@ -66,6 +66,22 @@ def test_large_gap_splits_long_fragment():
 
 def one_run(n):
     return np.array([0]), np.array([n])
+
+
+@pytest.mark.parametrize("gaps", [
+    [0.3], [0.1, 0.2], [0.7, 0.1, 0.2], [0.1, 0.3, 0.2, 0.7], [0.2, 0.2, 0.2, 0.2],
+    [1.0, 1.0, 3.0, 1.0, 3.0], [1e-300, 1e300], [0.1 + 0.2, 0.3, 0.1 + 0.2, 0.30000000000000004],
+], ids=["one", "two", "odd", "even", "repeated", "repeated odd", "extreme", "float dust"])
+def test_median_equals_numpy_bitwise(gaps):
+    # the default sampling interval, and so the bytes, depend on this value
+    gaps = np.array(gaps)
+    kept = gaps.copy()
+    assert _median(gaps).hex() == float(np.median(gaps)).hex()
+    assert np.array_equal(gaps, kept)
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 10, 11, 1000, 1001):
+        x = rng.exponential(1.0, n)
+        assert _median(x).hex() == float(np.median(x)).hex()
 
 
 def test_choose_dt_duration_over_point_count():
