@@ -25,10 +25,6 @@ from .errors import (
 from .metrics import EvalReport, max_sed, mean_sed, raw_size_bytes, var_delta_s
 from .model import (
     CompressedTrajectory,
-    CorrectionEntry,
-    EncodedBlock,
-    OutlierEntry,
-    SubTrajectorySegment,
     TrajectoryRecord,
     UniformSeries,
 )
@@ -42,20 +38,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CodecParams",
     "CompressedTrajectory",
-    "CorrectionEntry",
     "CorruptionError",
     "DataError",
     "DEFAULT_PROFILE",
-    "EncodedBlock",
     "EvalReport",
     "FormatError",
-    "OutlierEntry",
     "PilotCError",
     "PROFILES",
     "Profile",
     "QueryRangeError",
     "Reconstructor",
-    "SubTrajectorySegment",
     "TrajectoryRecord",
     "TruncationError",
     "UniformSeries",

@@ -116,7 +116,8 @@ class BlockPlan:
         block) each; ``order`` lists the blocks by length, stably."""
         lengths = self.length[self.order]
         cuts = ((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, lengths.size]):
+        first = [0, *cuts][:lengths.size]  # each length's first block; none without blocks
+        for lo, hi in zip(first, [*cuts, lengths.size]):
             m = int(lengths[lo])
             step = max(1, _BATCH_SAMPLES // (m + 1))
             for i in range(lo, hi, step):
@@ -128,7 +129,8 @@ def encode_blocks(x: np.ndarray, plan: BlockPlan, lay: Layout) -> tuple[np.ndarr
     coefficients one after the other, both int64 and in block order; ``x``
     holds the samples in the plan's flat order."""
     start = plan.start[plan.order]
-    counts, coeffs = [], []
+    none = np.zeros(0, dtype=np.int64)  # the columns of a plan without blocks
+    counts, coeffs = [none], [none]
     for m, lo, hi in plan.batches():
         q, kept = encode_rows(_windows(x, m + 1)[start[lo:hi]], lay)
         counts.append(kept)

@@ -18,50 +18,53 @@ Layout, version 1:
     zero padding to a byte boundary
 
 All varints use the header's chunk length l, so after the 40-byte header
-the body is one flat run of chunked varints (see ``codec``).  A model's
-records travel as int64 columns (see ``model``): one conversion function
-per record kind, :func:`entry_columns` for outliers and corrections,
-:func:`segment_heads` for segment heads and :func:`block_columns` for
-blocks, hands them to both ``serialize`` and the decoder, from a model the
-library built or from records built by hand alike.  ``serialize`` lays the
-fields out with array operations: entry time steps and outlier steps come
-from differences of the columns, each block's first field sits at a
-running sum of the fields before it, end delta, count and coefficients,
-with each segment's head in front of its first block; it then maps the
-signed fields to their codes in one array operation and writes every code
-with a single :func:`~pilotc.codec.pack_varints` call.  ``parse`` reads
-through the reader :func:`~pilotc.codec.varint_reader` picks, which
-decodes with array operations.  At l >= 2 every chunk is l + 1 bits, so
-the reader has split the whole body into fields, and ``parse`` reads the
-counts, the entries and the segment heads from their codes: the entries
-are 1 + dim fields each, so array operations gather and check them, and a
+the body is one flat run of chunked varints (see ``codec``).  A model
+holds its fields as int64 columns (see ``model``), which ``serialize``
+and the decoder read directly, once :func:`check_columns` has applied
+the rules below to them.  ``serialize`` lays the fields out with array
+operations: entry time steps and outlier steps come from differences of
+the columns, each block's first field sits at a running sum of the
+fields before it, end delta, count and coefficients, with each segment's
+head in front of its first block; it then maps the signed fields to
+their codes in one array operation and writes every code with a single
+:func:`~pilotc.codec.pack_varints` call.  ``parse`` reads through the
+reader :func:`~pilotc.codec.varint_reader` picks, which decodes with
+array operations.  At l >= 2 every chunk is l + 1 bits, so the reader
+has split the whole body into fields, and ``parse`` reads the counts,
+the entries and the segment heads from their codes: the entries are
+1 + dim fields each, so array operations gather and check them, and a
 chase finds the heads and blocks: a block at field i holds its
-coefficient count c at i + 1, so the next block starts at i + 2 + c.  The
-chase visits two fields per block and two per head, and array
+coefficient count c at i + 1, so the next block starts at i + 2 + c.
+The chase visits two fields per block and two per head, and array
 operations then gather the columns and check them.  At l = 1 a signed
 field's final payload bit is implied, so a field's length depends on its
 type; the reader has tabulated the field of either type that starts at
-each bit position, and ``parse`` walks the body field by field into lists
-that become the columns.  Any failure of the chase sends ``parse`` back to
-that walk, which raises the error of the first field or rule that fails.
+each bit position, and ``parse`` walks the body field by field into
+lists that become the columns.  Any failure of the chase sends ``parse``
+back to that walk, which raises the error of the first field or rule
+that fails.
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`:
 
 - header: dimension 1..255, chunk length 1..32, and dt, eps, eps_t and
   eps_p positive and finite;
-- entry order: every outlier or correction holds dim values, the first
-  time index is >= 0, and later ones strictly increase; time indices and
-  outlier coordinates fit int64 (:func:`entry_columns`, and ``parse``);
+- columns: each holder's columns have the shapes it names, with one row
+  of dim values per entry or segment and one end delta and c_f
+  coefficients per block (:func:`check_columns`); ``parse`` also checks
+  that time indices and outlier coordinates fit int64;
+- entry order: the first time index is >= 0, and later ones strictly
+  increase;
 - signed field: each enhanced-zigzag field lies within +-(2**63 - 1), so
   its code is below 2**64; ``serialize`` checks it where it maps the
   fields, and ``parse`` meets it by construction;
 - segment: 2 to 2**63 - 1 samples, start and end times finite in float64,
   and a start index above the previous segment's (grid spans may overlap);
-- block: at most K(m) - 1 coefficients for m velocities, no trailing zero;
+- block: as many blocks as the segments' sample counts lay out, each with
+  at most K(m) - 1 coefficients for its m velocities and no trailing zero;
   one array function checks every block of a model at once, in ``parse``
-  and in :func:`block_columns` (unless a store keeps the plan of the same
-  layout, segment lengths and dimension that it was checked under).
+  and in :func:`check_columns`, unless the store keeps the plan of the same
+  layout, sample counts and dimension that it was checked under.
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
 of its velocities, and the block size derives from eps and the dataset
@@ -88,15 +91,7 @@ from .codec import (
     varint_reader,
 )
 from .errors import CorruptionError, FormatError, PilotCError, TruncationError
-from .model import (
-    BlockColumns,
-    BlockList,
-    CompressedTrajectory,
-    CorrectionEntry,
-    EntryList,
-    OutlierEntry,
-    SegmentList,
-)
+from .model import BlockColumns, CompressedTrajectory, EntryColumns, SegmentColumns
 from .params import DEFAULT_PROFILE, Layout
 
 MAGIC = b"PLTC"
@@ -180,92 +175,47 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
-def entry_columns(entries, dim: int, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """The time indices, int64, and values, int64 of shape (entries, dim),
-    of the outliers or corrections ``entries`` (``label`` names which): the
-    columns of an :class:`~pilotc.model.EntryList`, or columns built from
-    records, once the entry rules hold: ``dim`` values per entry, time
-    indices from 0 up that strictly increase, and both within int64.
-    Raises ``ValueError`` for a broken rule."""
-    if isinstance(entries, EntryList):
-        t_index, values = entries.t_index, entries.values
-        if values.shape[1:] != (dim,):
-            raise ValueError(f"{label}s have {values.shape[1:]} values for {dim} dimensions")
-    else:
-        for i, (_, v) in enumerate(entries):
-            if len(v) != dim:
-                raise ValueError(f"{label} {i} has {len(v)} values for {dim} dimensions")
-        t_index, values = _entry_arrays(label, [t for t, _ in entries],
-                                        [v for _, v in entries], dim)
-    if t_index.size and (t_index[0] < 0 or (t_index[1:] <= t_index[:-1]).any()):
-        steps = np.diff(t_index, prepend=0)
-        i = int(np.flatnonzero(steps < (np.arange(steps.size) > 0))[0])
-        _check_time_step(label, i, int(steps[i]))
-    return t_index, values
-
-
-def segment_heads(segments, dim: int) -> tuple[list, np.ndarray, list]:
-    """The start time indices (ints), start values (int64 of shape
-    (segments, dim)) and sample counts of ``segments``: the columns of a
-    :class:`~pilotc.model.SegmentList`, or columns built from records once
-    the segments start in order and every start holds ``dim`` values within
-    int64 (:func:`block_columns` checks a view's width).  Raises
+def check_columns(model: CompressedTrajectory, lay: Layout) -> BlockPlan:
+    """Apply every column rule to ``model`` under the layout ``lay``: the
+    shapes of its columns, the entry order and the segment order, and,
+    unless its block store keeps the plan of ``lay``, the model's sample
+    counts and dimension, the block count and the block rule.  Returns the
+    plan of the model's blocks, the store's own or a new one.  Raises
     ``ValueError`` for a broken rule."""
-    if isinstance(segments, SegmentList):
-        return segments.t0_index, segments.p0_q, segments.store.plan.n_samples
+    dim = model.dim
+    for label, entries in (("outlier", model.outliers), ("correction", model.corrections)):
+        t_index, values = entries.t_index, entries.values
+        if t_index.ndim != 1 or values.shape != (t_index.size, dim):
+            raise ValueError(f"{label} columns of shapes {t_index.shape} and {values.shape}, "
+                             f"not one time index per row of {dim} values")
+        if t_index.size and (t_index[0] < 0 or (t_index[1:] <= t_index[:-1]).any()):
+            steps = np.diff(t_index, prepend=0)
+            i = int(np.flatnonzero(steps < (np.arange(steps.size) > 0))[0])
+            _check_time_step(label, i, int(steps[i]))
+    segments = model.segments
+    n_samples = segments.n_samples
+    if segments.p0_q.shape != (len(segments), dim) or len(n_samples) != len(segments):
+        raise ValueError(f"{len(segments)} segment start indices, start values of shape "
+                         f"{segments.p0_q.shape} and {len(n_samples)} sample counts, "
+                         f"not one start value per dimension and one count per segment")
     prev_t0 = -math.inf
-    for si, seg in enumerate(segments):
-        _check_segment_order(seg.t0_index, prev_t0)
-        prev_t0 = seg.t0_index
-        if len(seg.p0_q) != dim:
-            raise ValueError(f"start of segment {si} has {len(seg.p0_q)} values "
-                             f"for {dim} dimensions")
+    for t0 in segments.t0_index:
+        _check_segment_order(t0, prev_t0)
+        prev_t0 = t0
+    cols, plan = segments.store, segments.store.plan
+    if plan is not None and (plan.lay, plan.n_samples, plan.dim) == (lay, n_samples, dim):
+        return plan
     try:
-        p0_q = np.array([seg.p0_q for seg in segments], dtype=np.int64).reshape(-1, dim)
-    except OverflowError:
-        raise ValueError("a segment start value outside int64") from None
-    return [seg.t0_index for seg in segments], p0_q, [seg.n_samples for seg in segments]
-
-
-def block_columns(segments, dim: int, lay: Layout) -> tuple[BlockColumns, BlockPlan]:
-    """The block columns of ``segments`` and the plan that lays them out
-    under ``lay``, once their shape and the block rule are checked: the
-    store that their block views share when the library built them,
-    otherwise columns built from their blocks; and the store's own plan
-    when its key is ``lay``, the segments' sample counts and ``dim``,
-    otherwise a new one.  Raises ``ValueError`` for a broken rule, and
-    ``OverflowError`` for a value outside int64."""
-    if isinstance(segments, SegmentList):
-        plan = segments.store.plan
-        if (plan.lay, plan.dim) == (lay, dim):
-            return segments.store, plan
-    for si, seg in enumerate(segments):
-        if len(seg.blocks) != dim:
-            raise ValueError(f"block list of segment {si} has {len(seg.blocks)} values "
-                             f"for {dim} dimensions")
-    chains = [c for seg in segments for c in seg.blocks]
-    n_samples = [seg.n_samples for seg in segments]
-    cols = getattr(chains[0], "store", None) if chains else None
-    at = 0
-    for c in chains:  # the views must tile one store in container order
-        if not (isinstance(c, BlockList) and c.store is cols and c.lo == at):
-            cols = None
-            break
-        at = c.hi
-    plan = getattr(cols, "plan", None)
-    if plan is None or (plan.lay, plan.n_samples, plan.dim) != (lay, n_samples, dim):
         plan = BlockPlan(n_samples, dim, lay)
-    for i, (have, want) in enumerate(zip(map(len, chains), plan.per_chain.tolist())):
-        if have != want:
-            raise ValueError(f"segment {i // dim} has {have} blocks in a dimension, expected "
-                             f"{want} for {n_samples[i // dim]} samples")
-    if cols is None or at != cols.c_f.size:
-        blocks = [blk for c in chains for blk in c]
-        cols = BlockColumns([len(q) for q, _ in blocks], [d for _, d in blocks],
-                            [v for q, _ in blocks for v in q])
-    if cols.plan is not plan:
-        _check_blocks(cols.c_f, cols.coeffs, plan.limit)
-    return cols, plan
+    except OverflowError:
+        raise ValueError("a segment sample count beyond int64") from None
+    if not (cols.c_f.shape == cols.end_delta.shape == plan.length.shape
+            and cols.c_f.min(initial=0) >= 0 and cols.coeffs.shape == (cols.offsets[-1],)):
+        raise ValueError(f"block columns of shapes {cols.c_f.shape}, {cols.end_delta.shape} and "
+                         f"{cols.coeffs.shape}, not a count and an end delta for each of the "
+                         f"{plan.length.size} blocks laid out and c_f coefficients each")
+    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
+    return plan
 
 
 def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
@@ -273,29 +223,30 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     dim = model.dim
     _check_header(dim, model.chunk_bits, model.dt, model.eps, model.eps_t, model.eps_p)
     lay = Layout.derive(model.eps, model.eps_p, dim, profile)
-    out_t, out_v = entry_columns(model.outliers, dim, "outlier")
-    cor_t, cor_v = entry_columns(model.corrections, dim, "correction")
-    t0_index, p0_q, n_samples = segment_heads(model.segments, dim)
+    segments = model.segments
     t0_delta, prev_end = [], 0
-    for t0, n in zip(t0_index, n_samples):
+    for t0, n in zip(segments.t0_index, segments.n_samples):
         t0_delta.append(t0 - prev_end)
         prev_end = segment_end_index(t0, n, model.dt, model.eps_t)
+    plan = check_columns(model, lay)
+    cols = segments.store
+    out_t, out_v = model.outliers.t_index, model.outliers.values
+    cor_t, cor_v = model.corrections.t_index, model.corrections.values
 
     try:
-        cols, plan = block_columns(model.segments, dim, lay)
         n_out = out_t.size
         n_before = 3 + (n_out + cor_t.size) * (dim + 1)  # the counts and the entries
-        heads = np.empty((len(t0_index), dim + 2), dtype=np.int64)
+        heads = np.empty((len(segments), dim + 2), dtype=np.int64)
         heads[:, 0] = t0_delta
-        heads[:, 1:-1] = p0_q
-        heads[:, -1] = n_samples
+        heads[:, 1:-1] = segments.p0_q
+        heads[:, -1] = segments.n_samples
         # each segment's head goes in front of its first block
         first = plan.chain_start[::dim]
         size = 2 + cols.c_f  # fields per block: end delta, count, coefficients
         size[first] += dim + 2
         at = n_before + size.cumsum() - size  # each block's first field
         body = np.empty(n_before + int(size.sum()), dtype=np.int64)
-        body[:3] = len(t0_index), n_out, cor_t.size
+        body[:3] = len(segments), n_out, cor_t.size
         # per entry a time step and its values; outlier values travel as
         # steps along their chain, which must not wrap
         entries = body[3:n_before].reshape(-1, dim + 1)
@@ -389,16 +340,16 @@ def _chase(r: ColumnarReader, dim: int, dt: float, eps_t: float, lay: Layout):
     steps = r.unsigned_values(rows)
     values = r.signed_values(rows[:, None] + np.arange(1, dim + 1))
     lists = []
-    for kind, lo, hi in ((OutlierEntry, 0, n_outliers), (CorrectionEntry, n_outliers, n_entries)):
+    for chained, lo, hi in ((True, 0, n_outliers), (False, n_outliers, n_entries)):
         step, v = steps[lo:hi], values[lo:hi]
         # a later step of 0, or a sum that may leave int64, is the walk's to report
         if not step[1:].all() or step.sum(dtype=float) >= 2.0**62:
             raise LookupError("entry steps the walk checks")
-        if kind is OutlierEntry:  # only outlier values chain
+        if chained:  # only outlier values chain
             if np.abs(v).sum(dtype=float) >= 2.0**62:
                 raise LookupError("outlier values the walk checks")
             v = v.cumsum(axis=0)
-        lists.append(EntryList(kind, step.astype(np.int64).cumsum(), v))
+        lists.append(EntryColumns(step.astype(np.int64).cumsum(), v))
 
     heads, t0_index, n_samples, starts = [], [], [], []
     prev_end, prev_t0 = 0, -math.inf
@@ -424,12 +375,12 @@ def _chase(r: ColumnarReader, dim: int, dt: float, eps_t: float, lay: Layout):
     r.index = i
     at = np.array(starts, dtype=np.int64)
     counts = r.unsigned_values(at + 1).astype(np.int64)
+    plan = BlockPlan(n_samples, dim, lay)
     cols = BlockColumns(counts, r.signed_values(at),
-                        r.signed_values(flat_ranges(at + 2, counts)),
-                        BlockPlan(n_samples, dim, lay))
-    _check_blocks(cols.c_f, cols.coeffs, cols.plan.limit)
+                        r.signed_values(flat_ranges(at + 2, counts)), plan)
+    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
     p0_q = r.signed_values(np.array(heads, dtype=np.int64)[:, None] + np.arange(1, dim + 1))
-    return SegmentList(t0_index, p0_q, cols), *lists
+    return SegmentColumns(t0_index, p0_q, plan.n_samples, cols), *lists
 
 
 def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int):
@@ -441,8 +392,7 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
     n_outliers = unsigned()
     n_corrections = unsigned()
     lists = []
-    for label, kind, count in (("outlier", OutlierEntry, n_outliers),
-                               ("correction", CorrectionEntry, n_corrections)):
+    for label, count in (("outlier", n_outliers), ("correction", n_corrections)):
         t_index, values = [], []
         t, prev = 0, (0,) * dim
         for i in range(count):
@@ -450,11 +400,11 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
             _check_time_step(label, i, step)
             t += step
             v = signeds(dim)
-            if kind is OutlierEntry:  # only outlier values chain
+            if label == "outlier":  # only outlier values chain
                 v = prev = tuple([p + x for p, x in zip(prev, v)])
             t_index.append(t)
             values.append(v)
-        lists.append(EntryList(kind, *_entry_arrays(label, t_index, values, dim)))
+        lists.append(EntryColumns(*_entry_arrays(label, t_index, values, dim)))
 
     t0_index, p0_q, n_samples = [], [], []
     deltas, counts, coeffs = [], [], []
@@ -483,7 +433,8 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
         # a broken block rule read before comes first
         _check_blocks(counts, coeffs, BlockPlan(n_samples, dim, lay).limit[:len(counts)])
         raise
-    cols = BlockColumns(counts, deltas, coeffs, BlockPlan(n_samples, dim, lay))
-    _check_blocks(cols.c_f, cols.coeffs, cols.plan.limit)
-    segments = SegmentList(t0_index, np.array(p0_q, dtype=np.int64).reshape(-1, dim), cols)
-    return segments, *lists
+    plan = BlockPlan(n_samples, dim, lay)
+    cols = BlockColumns(counts, deltas, coeffs, plan)
+    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
+    p0_q = np.array(p0_q, dtype=np.int64).reshape(-1, dim)
+    return SegmentColumns(t0_index, p0_q, plan.n_samples, cols), *lists

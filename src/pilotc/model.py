@@ -1,28 +1,30 @@
 """Data model: raw trajectories, uniform series, and the compressed form.
 
 ``CompressedTrajectory`` mirrors the serialized container field for field,
-so that a parse of a serialize compares equal.  Quantized indices are
-stored in absolute form here, except a block's ``end_delta_q``, its step on
+so that a parse of a serialize compares equal.  It holds the header values
+and three holders of read-only int64 columns: its segments are a
+:class:`SegmentColumns` of their start indices, start values and sample
+counts, whose blocks sit in one :class:`BlockColumns` store; its outliers
+and its corrections are an :class:`EntryColumns` each.  Quantized indices
+are stored in absolute form here, except a block's end delta, its step on
 the segment's cumulative end-index chain; the wire format applies further
-delta chains on top (see ``container``).  The records inside it (segments,
-blocks, outlier and correction entries) are named tuples: they unpack, as
-in ``t_index, values = entry``, and compare equal to plain tuples of the
-same values.
+delta chains on top (see ``container``).  Two models are equal when their
+header values and their columns are; a model is not hashable.
 
-A model that the library builds (``compress`` or ``parse``) keeps its
-records as int64 columns, and reads them through views that make a record
-only when one is read: its segments are a :class:`SegmentList` of their
-start indices and values, whose blocks sit in one :class:`BlockColumns`
-store together with the :class:`~pilotc.blocks.BlockPlan` that lays them
-out, each segment's per-dimension block list being a :class:`BlockList`
-view of that store; its outliers and its corrections are an
-:class:`EntryList` each.  A model built by hand may hold tuples of records
-instead; both forms compare equal.
+``compress`` and ``parse`` keep in each block store the
+:class:`~pilotc.blocks.BlockPlan` that lays its blocks out, and have
+checked the blocks under it; a store without a plan, as a model built by
+hand has, is checked wherever the library reads it (see
+``container.check_columns``).
+
+Iterating a :class:`SegmentColumns` reads its segments out one at a time
+as :class:`SubTrajectorySegment` records holding :class:`EncodedBlock`
+tuples.  No library code reads them: the read-out serves only readers
+written against records, and goes once they read the columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,18 +86,6 @@ class UniformSeries:
         return self.t0 + self.dt * np.arange(self.n_samples)
 
 
-class EncodedBlock(NamedTuple):
-    """One block of one dimension: retained quantized AC coefficients plus
-    the block-end delta on the cumulative endpoint index chain."""
-
-    q_coeffs: tuple[int, ...]
-    end_delta_q: int = 0
-
-    @property
-    def c_f(self) -> int:
-        return len(self.q_coeffs)
-
-
 class BlockColumns:
     """Every block of a model's segments as read-only int64 columns, in
     container order (segment, dimension, block): each block's coefficient
@@ -103,7 +93,7 @@ class BlockColumns:
     the other, block i's at ``coeffs[offsets[i]:offsets[i + 1]]``.
     ``plan`` is the :class:`~pilotc.blocks.BlockPlan` that lays the blocks
     out, when they are known to meet the block rule under it, and ``None``
-    otherwise."""
+    otherwise; it takes no part in equality."""
 
     __slots__ = ("c_f", "end_delta", "coeffs", "offsets", "plan")
 
@@ -116,6 +106,13 @@ class BlockColumns:
         np.cumsum(self.c_f, out=self.offsets[1:])
         self.offsets.flags.writeable = False
 
+    def __eq__(self, other):
+        if type(other) is not BlockColumns:
+            return NotImplemented
+        return (np.array_equal(self.c_f, other.c_f)
+                and np.array_equal(self.end_delta, other.end_delta)
+                and np.array_equal(self.coeffs, other.coeffs))
+
 
 def _frozen(values) -> np.ndarray:
     a = np.asarray(values, dtype=np.int64)
@@ -123,133 +120,87 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
-class _View(Sequence):
-    """Records read from columns: a view reads like the tuple of its
-    records, makes each record when it is read, and compares and hashes
-    equal to that tuple; two views of one kind compare by their columns."""
+class EncodedBlock(NamedTuple):
+    """Read-out record of one block of one dimension: its retained quantized
+    AC coefficients and its end delta on the cumulative end-index chain."""
 
-    __slots__ = ()
+    q_coeffs: tuple[int, ...]
+    end_delta_q: int = 0
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        return self._record(range(len(self))[i])
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return all(map(np.array_equal, self._columns(), other._columns()))
-        if isinstance(other, tuple):
-            return len(self) == len(other) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    @property
+    def c_f(self) -> int:
+        return len(self.q_coeffs)
 
 
-class BlockList(_View):
-    """One segment's blocks in one dimension, blocks ``lo:hi`` of a
-    :class:`BlockColumns` store, as :class:`EncodedBlock` records."""
+class SubTrajectorySegment(NamedTuple):
+    """Read-out record of one segment."""
 
-    __slots__ = ("store", "lo", "hi")
-
-    def __init__(self, store: BlockColumns, lo: int, hi: int):
-        self.store, self.lo, self.hi = store, lo, hi
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def _record(self, i: int) -> EncodedBlock:
-        s, i = self.store, self.lo + i
-        return EncodedBlock(tuple(s.coeffs[s.offsets[i]:s.offsets[i + 1]].tolist()),
-                            int(s.end_delta[i]))
-
-    def __iter__(self):
-        s, lo, hi = self.store, self.lo, self.hi
-        bounds = (s.offsets[lo:hi + 1] - s.offsets[lo]).tolist()
-        coeffs = s.coeffs[s.offsets[lo]:s.offsets[hi]].tolist()
-        for a, b, delta in zip(bounds, bounds[1:], s.end_delta[lo:hi].tolist()):
-            yield EncodedBlock(tuple(coeffs[a:b]), delta)
-
-    def _columns(self):
-        s, lo, hi = self.store, self.lo, self.hi
-        return s.c_f[lo:hi], s.end_delta[lo:hi], s.coeffs[s.offsets[lo]:s.offsets[hi]]
+    t0_index: int                                 # quantized with eps_t
+    p0_q: tuple[int, ...]                         # per dim, step eps_p
+    n_samples: int                                # uniform sample count, >= 2
+    blocks: tuple[tuple[EncodedBlock, ...], ...]  # [dim][block]
 
 
-class SegmentList(_View):
-    """A model's segments as :class:`SubTrajectorySegment` records: their
-    start time indices ``t0_index``, a list of ints (a valid container can
-    start a segment beyond int64), their start values ``p0_q``, int64 of
-    shape (segments, dim), and their blocks in the :class:`BlockColumns`
-    ``store``, whose plan holds their sample counts and lays out the
-    :class:`BlockList` of each segment and dimension."""
+class SegmentColumns:
+    """A model's segments: their start time indices ``t0_index``, a list of
+    ints (a valid container can start a segment beyond int64), their start
+    values ``p0_q``, int64 of shape (segments, dim), step eps_p, their
+    uniform sample counts ``n_samples``, a list of ints, and their blocks in
+    the :class:`BlockColumns` ``store``."""
 
-    __slots__ = ("t0_index", "p0_q", "store")
+    __slots__ = ("t0_index", "p0_q", "n_samples", "store")
 
-    def __init__(self, t0_index: list, p0_q, store: BlockColumns):
-        self.t0_index, self.p0_q, self.store = t0_index, _frozen(p0_q), store
+    def __init__(self, t0_index, p0_q, n_samples, store: BlockColumns):
+        self.t0_index, self.p0_q = list(t0_index), _frozen(p0_q)
+        self.n_samples, self.store = list(n_samples), store
 
     def __len__(self) -> int:
         return len(self.t0_index)
 
-    def _record(self, i: int) -> SubTrajectorySegment:
-        plan = self.store.plan
-        k = slice(i * plan.dim, (i + 1) * plan.dim)
-        return SubTrajectorySegment(
-            self.t0_index[i], tuple(self.p0_q[i].tolist()), plan.n_samples[i],
-            tuple(BlockList(self.store, lo, lo + n) for lo, n in
-                  zip(plan.chain_start[k].tolist(), plan.per_chain[k].tolist())))
+    def __eq__(self, other):
+        if type(other) is not SegmentColumns:
+            return NotImplemented
+        return (self.t0_index == other.t0_index and self.n_samples == other.n_samples
+                and np.array_equal(self.p0_q, other.p0_q) and self.store == other.store)
 
-    def _columns(self):
-        s = self.store
-        return (self.t0_index, self.p0_q, s.plan.n_samples, s.plan.per_chain,
-                s.c_f, s.end_delta, s.coeffs)
+    def __iter__(self):
+        """The read-out: one :class:`SubTrajectorySegment` record per segment,
+        made when it is reached, with a tuple of :class:`EncodedBlock`
+        records per dimension, laid out by the store's plan."""
+        s, plan = self.store, self.store.plan
+        if plan is None:
+            raise ValueError("only a block store that keeps its plan reads out as records")
+        first = plan.chain_start.tolist() + [s.c_f.size]  # each chain's first block
+        for i, (t0, p0, n) in enumerate(zip(self.t0_index, self.p0_q.tolist(), self.n_samples)):
+            chains = first[i * plan.dim:(i + 1) * plan.dim + 1]
+            lo, hi = chains[0], chains[-1]
+            cut = (s.offsets[lo:hi + 1] - s.offsets[lo]).tolist()
+            coeffs = s.coeffs[s.offsets[lo]:s.offsets[hi]].tolist()
+            blocks = [EncodedBlock(tuple(coeffs[a:b]), d)
+                      for a, b, d in zip(cut, cut[1:], s.end_delta[lo:hi].tolist())]
+            yield SubTrajectorySegment(t0, tuple(p0), n, tuple(
+                tuple(blocks[a - lo:b - lo]) for a, b in zip(chains, chains[1:])))
 
 
-class EntryList(_View):
-    """A model's outliers or corrections as ``kind`` records
-    (:class:`OutlierEntry` or :class:`CorrectionEntry`): their time
-    indices ``t_index``, int64, and their values ``values``, int64 of shape
-    (entries, dim)."""
+class EntryColumns:
+    """A model's outliers or corrections: their time indices ``t_index``,
+    int64, quantized with eps_t, and their values ``values``, int64 of shape
+    (entries, dim): an outlier's absolute coordinates, step eps / sqrt(dim),
+    or a correction's residual, step eps_p / sqrt(dim)."""
 
-    __slots__ = ("kind", "t_index", "values")
+    __slots__ = ("t_index", "values")
 
-    def __init__(self, kind: type, t_index, values):
-        self.kind, self.t_index, self.values = kind, _frozen(t_index), _frozen(values)
+    def __init__(self, t_index, values):
+        self.t_index, self.values = _frozen(t_index), _frozen(values)
 
     def __len__(self) -> int:
         return self.t_index.size
 
-    def _record(self, i: int):
-        return self.kind(int(self.t_index[i]), tuple(self.values[i].tolist()))
-
-    def __iter__(self):
-        return map(self.kind, self.t_index.tolist(), map(tuple, self.values.tolist()))
-
-    def _columns(self):
-        return self.t_index, self.values
-
-
-class SubTrajectorySegment(NamedTuple):
-    t0_index: int                                     # quantized with eps_t
-    p0_q: tuple[int, ...]                             # per dim, step eps_p
-    n_samples: int                                    # uniform sample count, >= 2
-    blocks: tuple[Sequence[EncodedBlock], ...]       # [dim][block]
-
-
-class OutlierEntry(NamedTuple):
-    t_index: int               # quantized with eps_t
-    coord_q: tuple[int, ...]   # absolute indices, step eps / sqrt(dim)
-
-
-class CorrectionEntry(NamedTuple):
-    t_index: int               # quantized with eps_t
-    delta_q: tuple[int, ...]   # per-dim residual, step eps_p / sqrt(dim)
+    def __eq__(self, other):
+        if type(other) is not EntryColumns:
+            return NotImplemented
+        return (np.array_equal(self.t_index, other.t_index)
+                and np.array_equal(self.values, other.values))
 
 
 @dataclass(frozen=True)
@@ -260,7 +211,8 @@ class CompressedTrajectory:
     eps_t: float
     eps_p: float
     chunk_bits: int
-    segments: Sequence[SubTrajectorySegment] = ()
-    outliers: Sequence[OutlierEntry] = ()
-    corrections: Sequence[CorrectionEntry] = ()
+    segments: SegmentColumns
+    outliers: EntryColumns
+    corrections: EntryColumns
 
+    __hash__ = None  # the columns are arrays

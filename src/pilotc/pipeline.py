@@ -28,10 +28,8 @@ from .metrics import row_norms
 from .model import (
     BlockColumns,
     CompressedTrajectory,
-    CorrectionEntry,
-    EntryList,
-    OutlierEntry,
-    SegmentList,
+    EntryColumns,
+    SegmentColumns,
     TrajectoryRecord,
 )
 from .params import CodecParams
@@ -111,14 +109,12 @@ def resample(traj: TrajectoryRecord, lo: np.ndarray, hi: np.ndarray,
 
 
 def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
-                     params: CodecParams) -> SegmentList | tuple[()]:
+                     params: CodecParams) -> SegmentColumns:
     """Block-code every segment of a trajectory from its uniform samples:
     ``values``, shape (samples, dim), holds each segment's ``n_samples``
     samples, one segment after the other.  The blocks of every segment and
     dimension go through the codec together, in one batch per block length
     (see :class:`~pilotc.blocks.BlockPlan`)."""
-    if not len(n_samples):
-        return ()
     dim = values.shape[1]
     x = values.T.ravel()  # dimension-major; a view when ``values`` is F-ordered
     lay = params.layout(dim)
@@ -134,7 +130,7 @@ def _encode_segments(values: np.ndarray, n_samples, t0_indices: list[int],
     deltas[plan.chain_start] = q_end[plan.chain_start]
     c_f, coeffs = encode_blocks(x, plan, lay)
     cols = BlockColumns(c_f, deltas, coeffs, plan)  # the encoder keeps the block rule
-    return SegmentList(t0_indices, p0_q.reshape(-1, dim), cols)
+    return SegmentColumns(t0_indices, p0_q.reshape(-1, dim), plan.n_samples, cols)
 
 
 def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
@@ -147,7 +143,7 @@ def validate_and_correct(traj: TrajectoryRecord, model: CompressedTrajectory,
     mask = row_norms(diffs) > model.eps
     idx = time_index_array(traj.times[mask], model.eps_t)
     rows = quantize_array(diffs[mask], params.layout(model.dim).eps_d)
-    return replace(model, corrections=EntryList(CorrectionEntry, idx, rows))
+    return replace(model, corrections=EntryColumns(idx, rows))
 
 
 def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajectory:
@@ -185,7 +181,8 @@ def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> Compresse
     return CompressedTrajectory(
         dim=traj.dim, dt=dt, eps=params.eps, eps_t=params.eps_t,
         eps_p=params.eps_p, chunk_bits=params.chunk_bits,
-        segments=segments, outliers=EntryList(OutlierEntry, q_t[out], out_q),
+        segments=segments, outliers=EntryColumns(q_t[out], out_q),
+        corrections=EntryColumns(q_t[:0], out_q[:0]),  # validation adds them
     )
 
 

@@ -14,9 +14,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .blocks import decode_blocks, flat_ranges
+from .blocks import BlockPlan, decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
-from .container import block_columns, entry_columns, segment_heads
+from .container import check_columns
 from .errors import CorruptionError, QueryRangeError
 from .model import CompressedTrajectory, UniformSeries
 from .params import DEFAULT_PROFILE, Layout
@@ -24,13 +24,13 @@ from .params import DEFAULT_PROFILE, Layout
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
 
-def _checked(convert, *args):
-    """``convert(*args)``, one of the container's conversions to columns,
-    with a broken rule, which a model built by hand can hold, raised as
-    :class:`CorruptionError`."""
+def _checked(model: CompressedTrajectory, lay: Layout) -> BlockPlan:
+    """The plan of ``model``'s blocks once :func:`~pilotc.container.check_columns`
+    passes, with a broken rule, which a model built by hand can hold, raised
+    as :class:`CorruptionError`."""
     try:
-        return convert(*args)
-    except (ValueError, OverflowError) as exc:
+        return check_columns(model, lay)
+    except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
 
 
@@ -38,11 +38,10 @@ def _decode_grid(model: CompressedTrajectory, lay: Layout):
     """Every segment's uniform samples, decoded in one batch per block length
     (see :class:`~pilotc.blocks.BlockPlan`), as one C-contiguous (dim, samples)
     grid; then the segments' t0 time indices and sample counts."""
-    if not model.segments:
-        return np.zeros((model.dim, 0)), (), ()
-    t0_index, p0_q, n_samples = _checked(segment_heads, model.segments, model.dim)
-    cols, plan = _checked(block_columns, model.segments, model.dim, lay)
-    p0 = dequantize_array(p0_q.ravel(), model.eps_p)
+    plan = _checked(model, lay)
+    segments = model.segments
+    cols = segments.store
+    p0 = dequantize_array(segments.p0_q.ravel(), model.eps_p)
     # a chain's end indices are the running sum less its value before the
     # chain; float sums are exact while the sum stays below 2**53, and
     # unlike int64 they cannot wrap
@@ -54,10 +53,10 @@ def _decode_grid(model: CompressedTrajectory, lay: Layout):
     starts = np.empty_like(ends)
     starts[1:] = ends[:-1]
     starts[first] = p0
-    flat = np.empty(sum(n_samples) * model.dim)
+    flat = np.empty(sum(segments.n_samples) * model.dim)
     flat[plan.chain_row] = p0
     decode_blocks(cols, starts, ends, plan, lay, flat)
-    return flat.reshape(model.dim, -1), t0_index, n_samples
+    return flat.reshape(model.dim, -1), segments.t0_index, segments.n_samples
 
 
 def decompress_uniform(model: CompressedTrajectory,
@@ -76,16 +75,10 @@ def decompress_uniform(model: CompressedTrajectory,
             for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
 
 
-def _entry_table(entries, dim: int, label: str, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """The outliers or corrections ``entries`` as their time indices, int64,
-    and their values dequantized with ``step``, shape (len(entries), dim)."""
-    idx, values = _checked(entry_columns, entries, dim, label)
-    return idx, dequantize_array(values, step)
-
-
 def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray, ordered: bool):
-    """Where the query time indices equal a time index of the :func:`_entry_table`
-    ``table``, as positions in ``q_idx``, and the values of the matched entries.
+    """Where the query time indices equal a time index of the entry ``table``,
+    its time indices and dequantized values, as positions in ``q_idx``, and
+    the values of the matched entries.
 
     With ``ordered`` (``q_idx`` does not decrease), each entry within the
     range of ``q_idx`` finds its run of equal query indices by two
@@ -125,8 +118,9 @@ class Reconstructor:
         counts = np.array(n_samples, dtype=np.int64)
         self._last = counts - 2  # each segment's last interval
         self._offsets = counts.cumsum() - counts
-        self._outliers = _entry_table(model.outliers, model.dim, "outlier", lay.eps_out)
-        self._corrections = _entry_table(model.corrections, model.dim, "correction", lay.eps_d)
+        out, cor = model.outliers, model.corrections
+        self._outliers = out.t_index, dequantize_array(out.values, lay.eps_out)
+        self._corrections = cor.t_index, dequantize_array(cor.values, lay.eps_d)
 
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""

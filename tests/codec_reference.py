@@ -232,8 +232,10 @@ def query_ref(model, constants, timestamps) -> np.ndarray:
     """
     series = decompress_uniform(model, constants)
     lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
-    outliers = {t: dequantize_array(v, lay.eps_out) for t, v in model.outliers}
-    corrections = {t: dequantize_array(v, lay.eps_d) for t, v in model.corrections}
+    outliers, corrections = ({t: dequantize_array(v, step) for t, v in
+                              zip(entries.t_index.tolist(), entries.values)}
+                             for entries, step in ((model.outliers, lay.eps_out),
+                                                   (model.corrections, lay.eps_d)))
     tol = query_tolerance_ref(series, model.eps_t)
     out = np.empty((len(timestamps), model.dim))
     for i, t in enumerate(map(float, timestamps)):

@@ -12,21 +12,17 @@ PUBLIC = {
     "CodecParams": ["eps", "a", "b", "c", "d", "v_max", "eps_t", "chunk_bits", "eps_p_factor"],
     "CompressedTrajectory": ["dim", "dt", "eps", "eps_t", "eps_p", "chunk_bits",
                              "segments", "outliers", "corrections"],
-    "CorrectionEntry": ["t_index", "delta_q"],
     "CorruptionError": None,
     "DataError": None,
     "DEFAULT_PROFILE": None,
-    "EncodedBlock": ["q_coeffs", "end_delta_q"],
     "EvalReport": ["name", "n_points", "dim", "raw_bytes", "compressed_bytes",
                    "compression_ratio", "max_sed", "mean_sed", "corrected_fraction", "eps"],
     "FormatError": None,
-    "OutlierEntry": ["t_index", "coord_q"],
     "PilotCError": None,
     "PROFILES": None,
     "Profile": ["name", "a", "b", "c", "d", "v_max", "eps_t", "chunk_bits", "eps_p_factor"],
     "QueryRangeError": ["timestamp"],
     "Reconstructor": ["model", "constants"],
-    "SubTrajectorySegment": ["t0_index", "p0_q", "n_samples", "blocks"],
     "TrajectoryRecord": ["times", "points"],
     "TruncationError": None,
     "UniformSeries": ["t0", "dt", "values"],

@@ -1,14 +1,16 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from codec_reference import decode_series_ref, encode_series_ref
+from model_gen import hand_built
 
 from pilotc import blocks, pipeline, reconstruct
 from pilotc.blocks import _BATCH_SAMPLES, decode_rows, encode_rows
 from pilotc.errors import CorruptionError
-from pilotc.model import CompressedTrajectory, EncodedBlock, SubTrajectorySegment
+from pilotc.model import EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES, Layout
 from pilotc.pipeline import _encode_segments, compress
 from pilotc.reconstruct import Reconstructor, decompress_uniform
@@ -160,8 +162,8 @@ def test_malformed_blocks_rejected():
     # decoder checks its blocks as it builds their columns (geolife at
     # eps = 10: b_s = 30 and at most 10 coefficients)
     seg = SubTrajectorySegment(0, (0,), 31, ((EncodedBlock(tuple(range(1, 12))),),))
-    model = CompressedTrajectory(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0,
-                                 chunk_bits=2, segments=(seg,))
+    model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                       segments=(seg,))
     for decode in (Reconstructor, decompress_uniform):
         with pytest.raises(CorruptionError, match="budget"):
             decode(model, PROFILES["geolife"])
@@ -190,11 +192,12 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
     for n_full, tail in itertools.product((0, 2), range(1, lay.b_s + 1)):
         n_samples = n_full * lay.b_s + tail + 1
         values = np.cumsum(rng.normal(3.0, 2.0, (n_samples, 2)), axis=0)
-        seg, = _encode_segments(values, [n_samples], [0], params)
+        segs = _encode_segments(values, [n_samples], [0], params)
+        seg, = segs
         assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p)
 
-        model = CompressedTrajectory(dim=2, dt=1.0, eps=eps, eps_t=1.0,
-                                     eps_p=params.eps_p, chunk_bits=2, segments=(seg,))
+        model = hand_built(dim=2, dt=1.0, eps=eps, eps_t=1.0, eps_p=params.eps_p, chunk_bits=2)
+        model = replace(model, segments=segs)
         got = decompress_uniform(model, profile)[0].values
         want = decode_series_ref(seg.p0_q, seg.blocks, n_samples, lay, params.eps_p)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
@@ -222,8 +225,8 @@ def test_segments_coded_together_match_per_block_reference(dim):
     for seg, v in zip(segs, values):
         assert (seg.p0_q, seg.blocks) == encode_series_ref(v, lay, params.eps_p)
 
-    model = CompressedTrajectory(dim=dim, dt=1.0, eps=10.0, eps_t=1.0,
-                                 eps_p=params.eps_p, chunk_bits=2, segments=segs)
+    model = replace(hand_built(dim=dim, dt=1.0, eps=10.0, eps_t=1.0, eps_p=params.eps_p,
+                               chunk_bits=2), segments=segs)
     for series, seg in zip(decompress_uniform(model, profile), segs):
         want = decode_series_ref(seg.p0_q, seg.blocks, seg.n_samples, lay, params.eps_p)
         assert series.t0 == seg.t0_index
@@ -255,7 +258,7 @@ def test_block_codec_calls_do_not_grow_with_segments(monkeypatch):
     params = PROFILES["geolife"].params(10.0, eps_t=0.01)
     model = compress(traj, params)
     lay = params.layout(2)
-    parts = [lay.partition(seg.n_samples - 1) for seg in model.segments]
+    parts = [lay.partition(n - 1) for n in model.segments.n_samples]
     full_chunks = math.ceil(2 * sum(n for n, _ in parts) / (_BATCH_SAMPLES // (lay.b_s + 1)))
     bound = full_chunks + len({tail for _, tail in parts})
     assert len(model.segments) >= 30 and bound < len(model.segments)

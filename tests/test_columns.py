@@ -1,27 +1,27 @@
-"""The two forms of a model's records: the int64 columns that every model
-the library builds keeps, read through views (segments, per-dimension
-blocks, outliers and corrections), and the tuples of a model built by hand.
-Both must compare equal, serialize to the same bytes and decode to the same
-bits; and the library's own path must never make a record."""
+"""The one form of a model: its header values and read-only int64 columns.
+
+Models that the library builds (``compress``, ``parse``) keep the plan of
+their blocks and are trusted; models built by hand from records
+(``model_gen.hand_built``) carry no plan, so the one column check applies
+every rule to them.  Both compare by their columns, serialize to the same
+bytes and decode to the same bits; the library's own path never makes a
+record, which only the segments' read-out does."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from model_gen import random_model
+from model_gen import hand_built, random_model
 
 from pilotc import Reconstructor, compress, decompress_uniform, parse, serialize
 from pilotc.blocks import BlockPlan
-from pilotc.container import block_columns
+from pilotc.container import check_columns
 from pilotc.errors import CorruptionError
 from pilotc.model import (
-    BlockList,
-    CompressedTrajectory,
-    CorrectionEntry,
+    BlockColumns,
     EncodedBlock,
-    EntryList,
-    OutlierEntry,
-    SegmentList,
+    EntryColumns,
+    SegmentColumns,
     SubTrajectorySegment,
 )
 from pilotc.params import PROFILES, Layout
@@ -29,22 +29,25 @@ from pilotc.synth import synthetic_trajectory
 
 GEO = PROFILES["geolife"]
 MIXED = dict(jitter=1.0, gap_jitter=0.4, big_gap_rate=0.002, teleport_rate=0.0005)
+HEADER = ("dim", "dt", "eps", "eps_t", "eps_p", "chunk_bits")
 
 
-def tuple_copy(model):
-    """``model`` with its segments, their block lists, its outliers and its
-    corrections rebuilt as tuples of records."""
-    return replace(model, segments=tuple(
-        SubTrajectorySegment(t0, p0, n, tuple(map(tuple, blocks)))
-        for t0, p0, n, blocks in model.segments),
-        outliers=tuple(model.outliers), corrections=tuple(model.corrections))
+def read_out_copy(model):
+    """``model`` built by hand from the records its segments read out as,
+    and from its entries' rows."""
+    def records(entries):
+        return list(zip(entries.t_index.tolist(), entries.values.tolist()))
+
+    return hand_built(**{k: getattr(model, k) for k in HEADER}, segments=list(model.segments),
+                      outliers=records(model.outliers), corrections=records(model.corrections))
 
 
 def query_times(model, traj=None):
     """Each segment's grid times and each outlier's time, and ``traj``'s."""
-    times = [t0 * model.eps_t + k * model.dt for t0, _, n, _ in model.segments
+    segments = model.segments
+    times = [t0 * model.eps_t + k * model.dt for t0, n in zip(segments.t0_index, segments.n_samples)
              for k in range(0, n, max(1, n // 7))]
-    times += [e.t_index * model.eps_t for e in model.outliers]
+    times += [t * model.eps_t for t in model.outliers.t_index.tolist()]
     return np.array(times + ([] if traj is None else traj.times.tolist()))
 
 
@@ -63,62 +66,125 @@ def library_models():
 
 @pytest.mark.parametrize("name, model, traj", library_models(), ids=lambda v: v
                          if isinstance(v, str) else "")
-def test_views_and_tuples_agree(name, model, traj):
-    copy = tuple_copy(model)
-    lay = Layout.derive(model.eps, model.eps_p, model.dim, GEO)
-    if model.segments:
-        store = model.segments[0].blocks[0].store
-        assert all(isinstance(b, BlockList) and b.store is store
-                   for seg in model.segments for b in seg.blocks)
-        cols, plan = block_columns(model.segments, model.dim, lay)
-        assert cols is store and plan is store.plan
-        rebuilt, fresh = block_columns(copy.segments, model.dim, lay)
-        for column in ("c_f", "end_delta", "coeffs", "offsets"):
-            assert np.array_equal(getattr(rebuilt, column), getattr(store, column)), column
-        assert fresh is not plan
-        for column in ("chain_start", "per_chain", "length", "limit"):
-            assert np.array_equal(getattr(fresh, column), getattr(plan, column)), column
-    assert isinstance(model.outliers, EntryList) and isinstance(model.corrections, EntryList)
-    assert isinstance(model.segments, SegmentList) or model.segments == ()
-    views = [model.segments, model.outliers, model.corrections]
-    views += [model.segments[-1].blocks[-1]] if model.segments else []
-    for view in views:
-        assert view == tuple(view) and tuple(view) == view
-        assert not (view != tuple(view) or tuple(view) != view)
-        assert hash(view) == hash(tuple(view))
-        assert len(view) == len(tuple(view))
-        assert view[1:] == tuple(view)[1:] and view[::-2] == tuple(view)[::-2]
-        if view:
-            assert view[-1] == tuple(view)[-1] and view[0] == tuple(view)[0]
+def test_read_out_rebuilds_an_equal_model(name, model, traj):
+    # the read-out's records, built into columns by hand, make a model
+    # without a plan: the column check lays it out anew, and it is equal,
+    # serializes to the same bytes and decodes to the same bits
+    copy = read_out_copy(model)
+    assert copy.segments.store.plan is None
     assert model == copy and copy == model
     assert not (model != copy or copy != model)
-    assert hash(model) == hash(copy)
+    lay = Layout.derive(model.eps, model.eps_p, model.dim, GEO)
+    plan = check_columns(model, lay)
+    assert plan is model.segments.store.plan
+    fresh = check_columns(copy, lay)
+    for column in ("chain_start", "per_chain", "length", "limit"):
+        assert np.array_equal(getattr(fresh, column), getattr(plan, column)), column
     payload = serialize(model, GEO)
-    assert payload == serialize(copy, GEO)
-    assert parse(payload, GEO) == model  # view against view
-    if model.segments:
-        # one end delta off: unequal in every pairing of the two forms
-        (t0, p0, n, blocks), *rest = copy.segments
-        (coeffs, delta), *later = blocks[0]
-        other = replace(copy, segments=(SubTrajectorySegment(
-            t0, p0, n, (((coeffs, delta + 1), *later), *blocks[1:])), *rest))
-        other_views = parse(serialize(other, GEO), GEO)
-        for a, b in ((model, other), (other, model), (model, other_views)):
-            assert a != b and not a == b
-    if model.corrections:
-        # one correction value off: unequal in every pairing of the two forms
-        (t, values), *rest = copy.corrections
-        other = replace(copy, corrections=(CorrectionEntry(t, (values[0] + 1, *values[1:])),
-                                           *rest))
-        other_views = parse(serialize(other, GEO), GEO)
-        for a, b in ((model, other), (other, model), (model, other_views)):
-            assert a != b and not a == b
-
+    assert serialize(copy, GEO) == payload
+    back = parse(payload, GEO)
+    assert back == model and serialize(back, GEO) == payload
     got, want = decompress_uniform(model, GEO), decompress_uniform(copy, GEO)
     assert [s.values.tobytes() for s in got] == [s.values.tobytes() for s in want]
     times = query_times(model, traj)
     assert (Reconstructor(model, GEO).query(times).tobytes()
             == Reconstructor(copy, GEO).query(times).tobytes())
+
+
+def _changed(model, column=None):
+    """A copy of ``model`` made of new column holders; with ``column``, the
+    last value of that column is one larger."""
+    segments, store = model.segments, model.segments.store
+    cols = {
+        "t0_index": segments.t0_index, "p0_q": segments.p0_q, "n_samples": segments.n_samples,
+        "c_f": store.c_f, "end_delta": store.end_delta, "coeffs": store.coeffs,
+        "outlier t_index": model.outliers.t_index, "outlier values": model.outliers.values,
+        "correction t_index": model.corrections.t_index,
+        "correction values": model.corrections.values,
+    }
+    cols = {k: np.array(v) for k, v in cols.items()}
+    if column:
+        cols[column].flat[-1] += 1
+    return replace(
+        model,
+        segments=SegmentColumns(cols["t0_index"].tolist(), cols["p0_q"],
+                                cols["n_samples"].tolist(),
+                                BlockColumns(cols["c_f"], cols["end_delta"], cols["coeffs"])),
+        outliers=EntryColumns(cols["outlier t_index"], cols["outlier values"]),
+        corrections=EntryColumns(cols["correction t_index"], cols["correction values"]))
+
+
+@pytest.fixture(scope="module")
+def full_model():
+    """A compress model with segments, outliers and corrections."""
+    traj = synthetic_trajectory(20_000, dim=2, seed=7, jitter=1.0, gap_jitter=0.4,
+                                big_gap_rate=0.01, teleport_rate=0.002)
+    model = compress(traj, GEO.params(10.0, eps_t=0.01))
+    assert len(model.segments) > 100 and len(model.outliers) > 2 and len(model.corrections) > 100
+    return traj, model
+
+
+@pytest.mark.parametrize("column", ["t0_index", "p0_q", "n_samples", "c_f", "end_delta",
+                                    "coeffs", "outlier t_index", "outlier values",
+                                    "correction t_index", "correction values"])
+def test_one_changed_value_makes_models_unequal(column, full_model):
+    _, model = full_model
+    assert _changed(model) == model
+    other = _changed(model, column)
+    for a, b in ((model, other), (other, model)):
+        assert a != b and not a == b
+
+
+@pytest.mark.parametrize("field", HEADER)
+def test_one_changed_header_value_makes_models_unequal(field, full_model):
+    _, model = full_model
+    other = replace(model, **{field: getattr(model, field) + 1})
+    assert other != model and not model == other
+
+
+def test_models_are_not_hashable(full_model):
+    with pytest.raises(TypeError):
+        hash(full_model[1])
+
+
+def test_columns_are_read_only(full_model):
+    _, model = full_model
+    hand = random_model(np.random.default_rng(3))
+    for m in (model, parse(serialize(model, GEO), GEO), hand):
+        s = m.segments.store
+        for column in (m.segments.p0_q, s.c_f, s.end_delta, s.coeffs, s.offsets,
+                       m.outliers.t_index, m.outliers.values,
+                       m.corrections.t_index, m.corrections.values):
+            with pytest.raises(ValueError):
+                column[:1] = 7
+
+
+def test_round_trip_makes_no_record(monkeypatch, full_model):
+    # compress, serialize, parse and query keep every segment, block,
+    # outlier and correction in columns; only the segments' read-out makes
+    # records, one segment at a time
+    made = []
+    for kind in (EncodedBlock, SubTrajectorySegment):
+        def counting(cls, *args, _new=kind.__new__, **kwargs):
+            made.append(cls)
+            return _new(cls, *args, **kwargs)
+        monkeypatch.setattr(kind, "__new__", counting)
+    params = GEO.params(10.0, eps_t=0.01)
+    traj, _ = full_model
+    model = compress(traj, params)
+    parsed = parse(serialize(model, GEO), GEO)
+    positions = Reconstructor(parsed, GEO).query(traj.times)
+    assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
+    assert parsed.segments.store.c_f.size > 1000
+    assert made == []
+    first = next(iter(parsed.segments))
+    n_blocks = sum(map(len, first.blocks))
+    assert made == [EncodedBlock] * n_blocks + [SubTrajectorySegment]
+
+
+def test_read_out_needs_the_plan():
+    with pytest.raises(ValueError, match="plan"):
+        list(random_model(np.random.default_rng(0), dim=1).segments)
 
 
 def test_store_meets_the_rule_of_the_constants_and_lengths_it_is_used_with():
@@ -130,15 +196,16 @@ def test_store_meets_the_rule_of_the_constants_and_lengths_it_is_used_with():
     other = PROFILES["geolife3d"]
     other_lay = Layout.derive(model.eps, model.eps_p, model.dim, other)
     assert other_lay.b_s == lay.b_s
-    assert model.segments[0].blocks[0].store.c_f.max() > other_lay.budget(lay.b_s) - 1
+    assert model.segments.store.c_f.max() > other_lay.budget(lay.b_s) - 1
     # the same blocks in a segment shortened to a one-velocity tail, whose
     # budget holds no coefficient
-    (t0, p0, n, blocks), *rest = model.segments
-    assert any(b[-1].c_f for b in blocks)
-    short = lay.partition(n - 1)[0] * lay.b_s + 2
+    first = next(iter(model.segments))
+    assert any(b[-1].c_f for b in first.blocks)
+    short = lay.partition(first.n_samples - 1)[0] * lay.b_s + 2
     for m in (model, parse(serialize(model, GEO), GEO)):
-        shortened = replace(m, segments=(m.segments[0]._replace(n_samples=short),
-                                         *m.segments[1:]))
+        s = m.segments
+        shortened = replace(m, segments=SegmentColumns(
+            s.t0_index, s.p0_q, [short, *s.n_samples[1:]], s.store))
         for bad, constants in ((m, other), (shortened, GEO)):
             with pytest.raises(ValueError, match="retention budget"):
                 serialize(bad, constants)
@@ -146,60 +213,6 @@ def test_store_meets_the_rule_of_the_constants_and_lengths_it_is_used_with():
                 Reconstructor(bad, constants)
             with pytest.raises(CorruptionError, match="retention budget"):
                 decompress_uniform(bad, constants)
-
-
-def test_views_are_read_only():
-    model = compress(synthetic_trajectory(500, dim=2, seed=4), GEO.params(10.0))
-    store = model.segments[0].blocks[0].store
-    for column in (store.c_f, store.end_delta, store.coeffs, store.offsets):
-        with pytest.raises(ValueError):
-            column[:1] = 7
-
-
-def test_round_trip_makes_no_encoded_block(monkeypatch):
-    # compress, serialize, parse and query code every block through the
-    # int64 columns; only reading a view makes EncodedBlock records
-    made = []
-    new = EncodedBlock.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(EncodedBlock, "__new__", counting)
-    params = GEO.params(10.0, eps_t=0.01)
-    traj = synthetic_trajectory(5000, dim=2, seed=5, **MIXED)
-    model = compress(traj, params)
-    parsed = parse(serialize(model, GEO), GEO)
-    positions = Reconstructor(parsed, GEO).query(traj.times)
-    assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
-    assert sum(len(b) for seg in parsed.segments for b in seg.blocks) > 100
-    assert made == []
-    first = parsed.segments[0].blocks[0][0]
-    assert made == [(first.q_coeffs, first.end_delta_q)]
-
-
-def test_round_trip_makes_no_record(monkeypatch):
-    # compress, serialize, parse and query keep segment heads, outliers and
-    # corrections as columns; only reading a view makes records
-    made = []
-    for kind in (OutlierEntry, CorrectionEntry, SubTrajectorySegment):
-        def counting(cls, *args, _new=kind.__new__, **kwargs):
-            made.append(cls)
-            return _new(cls, *args, **kwargs)
-        monkeypatch.setattr(kind, "__new__", counting)
-    params = GEO.params(10.0, eps_t=0.01)
-    traj = synthetic_trajectory(20_000, dim=2, seed=7, jitter=1.0, gap_jitter=0.4,
-                                big_gap_rate=0.01, teleport_rate=0.002)
-    model = compress(traj, params)
-    parsed = parse(serialize(model, GEO), GEO)
-    positions = Reconstructor(parsed, GEO).query(traj.times)
-    assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
-    assert len(parsed.outliers) > 2 and len(parsed.corrections) > 100
-    assert len(parsed.segments) > 100
-    assert made == []
-    _ = parsed.outliers[0], parsed.corrections[-1], parsed.segments[1]
-    assert made == [OutlierEntry, CorrectionEntry, SubTrajectorySegment]
 
 
 def test_round_trip_lays_out_each_model_once(monkeypatch):
@@ -234,16 +247,15 @@ def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
     # b_s = 9e18 at eps = 1.8e19 makes 2**63 samples two blocks, which meet
     # the block rule; their layout cannot be held in int64
     blocks = ((EncodedBlock(()), EncodedBlock(())),)
-    model = CompressedTrajectory(dim=1, dt=1e-300, eps=1.8e19, eps_t=1.0, eps_p=9e18,
-                                 chunk_bits=2,
-                                 segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
+    model = hand_built(dim=1, dt=1e-300, eps=1.8e19, eps_t=1.0, eps_p=9e18, chunk_bits=2,
+                       segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
     with pytest.raises(CorruptionError):
         Reconstructor(model, GEO)
     with pytest.raises(CorruptionError):
         decompress_uniform(model, GEO)
     # below the range too: one sample has no velocity to partition into blocks
-    model = CompressedTrajectory(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-                                 segments=(SubTrajectorySegment(0, (0,), 1, ((EncodedBlock(()),),)),))
+    model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                       segments=(SubTrajectorySegment(0, (0,), 1, ((EncodedBlock(()),),)),))
     with pytest.raises(CorruptionError, match="at least one velocity"):
         Reconstructor(model, GEO)
     with pytest.raises(CorruptionError, match="at least one velocity"):
@@ -254,20 +266,62 @@ def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
 
 _BROKEN_ENTRIES = {
     "wrong width": [(5, (1,))],
-    "time index 2**63": [(5, (1, 2)), (2**63, (1, 2))],
     "unsorted": [(7, (1, 2)), (5, (1, 2))],
 }
 
 
 @pytest.mark.parametrize("entries", _BROKEN_ENTRIES.values(), ids=_BROKEN_ENTRIES)
-@pytest.mark.parametrize("kind", [OutlierEntry, CorrectionEntry])
-def test_entries_that_break_a_rule_in_a_model_built_by_hand_are_corruption(kind, entries):
-    # the decoder reads entries through the same conversion as serialize,
-    # so a broken entry rule is a CorruptionError there, never a numpy error
-    model = compress(synthetic_trajectory(500, dim=2, seed=4), GEO.params(10.0))
-    label = "outliers" if kind is OutlierEntry else "corrections"
-    broken = replace(model, **{label: tuple(kind(t, v) for t, v in entries)})
+@pytest.mark.parametrize("field", ["outliers", "corrections"])
+def test_entries_that_break_a_rule_in_a_model_built_by_hand_are_corruption(field, entries):
+    # the decoder applies the column check that serialize applies, so a
+    # broken entry rule is a CorruptionError there, never a numpy error
+    model = hand_built(dim=2, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                       **{field: entries})
     with pytest.raises(CorruptionError):
+        Reconstructor(model, GEO)
+    with pytest.raises(ValueError):
+        serialize(model, GEO)
+
+
+@pytest.mark.parametrize("field", ["outliers", "corrections"])
+def test_entry_columns_of_unequal_length_are_rejected(field):
+    # two time indices and three rows of values: the column check names the
+    # rule on both sides, where numpy would broadcast or answer queries
+    model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
+    broken = replace(model, **{field: EntryColumns([100, 200], [[1], [2], [3]])})
+    with pytest.raises(ValueError, match="one time index per row"):
+        serialize(broken, GEO)
+    with pytest.raises(CorruptionError, match="one time index per row"):
         Reconstructor(broken, GEO)
+    with pytest.raises(CorruptionError, match="one time index per row"):
+        decompress_uniform(broken, GEO)
+
+
+@pytest.mark.parametrize("store", [
+    BlockColumns([0], [0, 0], []),  # an end delta too many
+    BlockColumns([2], [0], [5]),  # a coefficient too few
+    BlockColumns([-1, 1], [0, 0], []),  # a negative count
+])
+def test_block_columns_that_disagree_are_rejected(store):
+    # one block per dimension for 11 samples at eps = 10 (b_s = 30)
+    model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
+    broken = replace(model, segments=SegmentColumns([0], [[0]], [11], store))
+    lay = Layout.derive(10.0, 5.0, 1, GEO)
+    with pytest.raises(ValueError, match="blocks|block columns"):
+        check_columns(broken, lay)
     with pytest.raises(ValueError):
         serialize(broken, GEO)
+    with pytest.raises(CorruptionError):
+        Reconstructor(broken, GEO)
+
+
+def test_segment_heads_that_disagree_are_rejected():
+    model = hand_built(dim=2, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
+    store = BlockColumns([0, 0], [0, 0], [])
+    for t0_index, p0_q, n_samples in (([0], [[0]], [11]), ([0], [[0, 0]], [11, 11]),
+                                      ([0, 5], [[0, 0]], [11, 11])):
+        broken = replace(model, segments=SegmentColumns(t0_index, p0_q, n_samples, store))
+        with pytest.raises(ValueError, match="segment start"):
+            serialize(broken, GEO)
+        with pytest.raises(CorruptionError, match="segment start"):
+            Reconstructor(broken, GEO)

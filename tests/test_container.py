@@ -3,34 +3,26 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from codec_reference import VarintReader
-from model_gen import random_model
+from model_gen import hand_built, random_model
 
 import pilotc
 from pilotc import Reconstructor, container
 from pilotc.codec import enhanced_zigzag_map, pack_varints
 from pilotc.container import MAGIC, VERSION, parse, serialize
 from pilotc.errors import CorruptionError, FormatError, PilotCError, TruncationError
-from pilotc.model import (
-    CompressedTrajectory,
-    CorrectionEntry,
-    EncodedBlock,
-    OutlierEntry,
-    SubTrajectorySegment,
-)
+from pilotc.model import CompressedTrajectory, EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES
 
 GEO = PROFILES["geolife"]
 
 
-def empty_model(dim=2, eps=10.0):
-    return CompressedTrajectory(
-        dim=dim, dt=1.0, eps=eps, eps_t=1.0, eps_p=5.0, chunk_bits=2)
+def empty_model(dim=2, eps=10.0, **records):
+    return hand_built(dim=dim, dt=1.0, eps=eps, eps_t=1.0, eps_p=5.0, chunk_bits=2, **records)
 
 
 def test_empty_model_is_tiny():
@@ -44,9 +36,7 @@ def test_single_block_zero_coeffs_payload_is_minimal():
     # per-dimension payload: one end delta plus one zero count, nothing else
     base = empty_model(dim=1)
     seg = SubTrajectorySegment(0, (7,), 11, ((EncodedBlock((), 3),),))
-    with_seg = CompressedTrajectory(
-        dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-        segments=(seg,))
+    with_seg = empty_model(dim=1, segments=(seg,))
     grew = len(serialize(with_seg, GEO)) - len(serialize(base, GEO))
     # t0 delta (3 bits) + p0 (2 chunks=6) + n_samples (2 chunks=6)
     # + end delta (2 chunks=6) + zero count (3) = 24 bits = 3 bytes
@@ -106,19 +96,18 @@ def test_corrupt_float_fields_rejected():
 def test_serialize_validates_model_consistency():
     seg = SubTrajectorySegment(0, (7, 7), 11, (
         (EncodedBlock((), 0),),))  # one per-dim list for a 2-D model
-    model = CompressedTrajectory(
-        dim=2, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-        segments=(seg,))
+    model = empty_model(segments=(seg,))
     with pytest.raises(ValueError):
         serialize(model, GEO)
 
 
-def one_block_model(q_coeffs):
+def one_block_segment(q_coeffs):
     # eps=10 geolife: b_s=30, r_ret=1.1/sqrt(10)=0.348 -> K-1 = 10 coefficients max
-    seg = SubTrajectorySegment(0, (0,), 31, ((EncodedBlock(q_coeffs, 0),),))
-    return CompressedTrajectory(
-        dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-        segments=(seg,))
+    return SubTrajectorySegment(0, (0,), 31, ((EncodedBlock(q_coeffs, 0),),))
+
+
+def one_block_model(q_coeffs):
+    return empty_model(dim=1, segments=(one_block_segment(q_coeffs),))
 
 
 def test_serialize_rejects_budget_violation():
@@ -181,9 +170,7 @@ def test_parse_reports_a_broken_block_rule_before_a_later_failure(coeffs, match,
 
 
 def test_serialize_rejects_negative_first_time_index():
-    model = CompressedTrajectory(
-        dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-        outliers=(OutlierEntry(-3, (0,)),))
+    model = empty_model(dim=1, outliers=((-3, (0,)),))
     with pytest.raises(ValueError):
         serialize(model, GEO)
 
@@ -202,39 +189,36 @@ _BROKEN = {
     "eps negative": dict(eps=-1.0),
     "eps_t nan": dict(eps_t=float("nan")),
     "eps_p inf": dict(eps_p=float("inf")),
-    "outlier width": dict(outliers=(OutlierEntry(1, (0, 0)),)),
-    "correction width": dict(corrections=(CorrectionEntry(1, ()),)),
+    "outlier width": dict(outliers=((1, (0, 0)),)),
+    "correction width": dict(corrections=((1, ()),)),
     "p0_q width": dict(segments=(one_d_segment(p0_q=(0, 0)),)),
-    "negative first outlier": dict(outliers=(OutlierEntry(-3, (0,)),)),
-    "negative first correction": dict(corrections=(CorrectionEntry(-1, (0,)),)),
-    "repeated outlier index": dict(outliers=(OutlierEntry(4, (0,)), OutlierEntry(4, (1,)))),
+    "negative first outlier": dict(outliers=((-3, (0,)),)),
+    "negative first correction": dict(corrections=((-1, (0,)),)),
+    "repeated outlier index": dict(outliers=((4, (0,)), (4, (1,)))),
     "falling correction index": dict(
-        corrections=(CorrectionEntry(4, (0,)), CorrectionEntry(2, (0,)))),
+        corrections=((4, (0,)), (2, (0,)))),
     "one sample": dict(segments=(one_d_segment(n_samples=1),)),
     "block count": dict(segments=(one_d_segment(n_blocks=2),)),
-    "over budget": dict(segments=one_block_model(tuple(range(1, 12))).segments),
-    "trailing zero": dict(segments=one_block_model((5, 0)).segments),
+    "over budget": dict(segments=(one_block_segment(tuple(range(1, 12))),)),
+    "trailing zero": dict(segments=(one_block_segment((5, 0)),)),
     # signed fields whose enhanced-zigzag code would reach 2**64
-    "outlier at -2**63": dict(outliers=(OutlierEntry(0, (-2**63,)),)),
+    "outlier at -2**63": dict(outliers=((0, (-2**63,)),)),
     "outlier step of -2**63": dict(
-        outliers=(OutlierEntry(0, (2**62,)), OutlierEntry(1, (-2**62,)))),
+        outliers=((0, (2**62,)), (1, (-2**62,)))),
     "outlier step beyond int64": dict(
-        outliers=(OutlierEntry(0, (3 * 2**61,)), OutlierEntry(1, (-3 * 2**61,)))),
-    "correction of 2**63": dict(corrections=(CorrectionEntry(0, (2**63,)),)),
-    "coefficient of 2**63": dict(segments=one_block_model((2**63,)).segments),
+        outliers=((0, (3 * 2**61,)), (1, (-3 * 2**61,)))),
     "end delta of -2**63": dict(
         segments=(SubTrajectorySegment(0, (0,), 31, ((EncodedBlock((), -2**63),),)),)),
-    "p0_q of 2**63": dict(segments=(one_d_segment(p0_q=(2**63,)),)),
 }
 
 
 @pytest.mark.parametrize("broken", _BROKEN.values(), ids=_BROKEN.keys())
 def test_serialize_enforces_every_model_rule(broken):
     fields = dict(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
-    valid = CompressedTrajectory(**fields, segments=(one_d_segment(),))
+    valid = hand_built(**fields, segments=(one_d_segment(),))
     assert parse(serialize(valid, GEO), GEO) == valid
     with pytest.raises(ValueError):
-        serialize(CompressedTrajectory(**{**fields, **broken}), GEO)
+        serialize(hand_built(**{**fields, **broken}), GEO)
 
 
 @pytest.mark.parametrize("entries", ["outliers", "corrections"])
@@ -250,8 +234,8 @@ def test_parse_rejects_repeated_entry_time_index(entries):
 def test_serialize_rejects_segment_time_out_of_float_range():
     # the index is small, but its time 1000 * eps_t is inf for eps_t = 1e306
     seg = SubTrajectorySegment(1000, (0,), 31, ((EncodedBlock((), 0),),))
-    model = CompressedTrajectory(dim=1, dt=1.0, eps=10.0, eps_t=1e306, eps_p=5.0,
-                                 chunk_bits=2, segments=(seg,))
+    model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1e306, eps_p=5.0,
+                       chunk_bits=2, segments=(seg,))
     with pytest.raises(ValueError, match="out of range"):
         serialize(model, GEO)
 
@@ -262,9 +246,9 @@ def test_segments_must_start_in_time_order():
     blocks = ((EncodedBlock((), 0),),)
 
     def model(*starts):  # 11 samples span 1000 time indices at dt 1, eps_t 0.01
-        return CompressedTrajectory(
+        return hand_built(
             dim=1, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2,
-            segments=tuple(SubTrajectorySegment(t0, (0,), 11, blocks) for t0 in starts))
+            segments=[SubTrajectorySegment(t0, (0,), 11, blocks) for t0 in starts])
 
     def segment_fields(t0_delta):
         return [("s", t0_delta), ("s", 0), ("u", 11), ("s", 0), ("u", 0)]
@@ -342,9 +326,8 @@ def test_parse_maps_segment_end_overflow_to_corruption():
     with pytest.raises(CorruptionError, match="out of range"):
         parse(crafted(fields, dt=1e308), GEO)
     blocks = ((EncodedBlock(()),),)
-    model = CompressedTrajectory(dim=1, dt=1e308, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-                                 segments=tuple(SubTrajectorySegment(t0, (0,), 2, blocks)
-                                                for t0 in (0, 10**308)))
+    model = hand_built(dim=1, dt=1e308, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                       segments=[SubTrajectorySegment(t0, (0,), 2, blocks) for t0 in (0, 10**308)])
     with pytest.raises(ValueError, match="out of range"):
         serialize(model, GEO)
 
@@ -357,9 +340,8 @@ def test_sample_count_beyond_int64_is_rejected_on_both_sides():
     with pytest.raises(CorruptionError, match="sample count"):
         parse(payload, GEO)
     blocks = ((EncodedBlock(()), EncodedBlock(())),)
-    model = CompressedTrajectory(dim=1, dt=1e-300, eps=1.8e19, eps_t=1.0, eps_p=9e18,
-                                 chunk_bits=2,
-                                 segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
+    model = hand_built(dim=1, dt=1e-300, eps=1.8e19, eps_t=1.0, eps_p=9e18, chunk_bits=2,
+                       segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
     with pytest.raises(ValueError, match="sample count"):
         serialize(model, GEO)
 
@@ -421,7 +403,9 @@ def test_parse_entry_region_agrees_at_every_chunk_length(fields, error, monkeypa
         outcomes += [outcome(l) for l in (2, 3)]
     if error is None:
         assert all(isinstance(o, CompressedTrajectory) for o in outcomes), outcomes
-        assert len({(tuple(o.outliers), tuple(o.corrections)) for o in outcomes}) == 1
+        first = outcomes[0]
+        assert all((o.outliers, o.corrections) == (first.outliers, first.corrections)
+                   for o in outcomes)
     else:
         assert outcomes == [error] * 5
 
@@ -440,21 +424,26 @@ def test_parse_rejects_a_zero_code_in_an_entry_value(chunk_bits, monkeypatch):
             parse(payload, GEO)
 
 
-@pytest.mark.parametrize("entries", [
-    dict(outliers=(OutlierEntry(2**63, (0,)),)),
-    dict(outliers=(OutlierEntry(0, (2**63,)),)),
-    dict(outliers=(OutlierEntry(0, (-2**63 - 1,)),)),
-    dict(corrections=(CorrectionEntry(5, (0,)), CorrectionEntry(2**64, (0,)))),
-])
-def test_serialize_rejects_entries_beyond_int64(entries):
-    model = replace(empty_model(dim=1), **entries)
-    with pytest.raises(ValueError, match="outside int64"):
-        serialize(model, GEO)
+_BEYOND_INT64 = {
+    "outlier time index 2**63": dict(outliers=((2**63, (0,)),)),
+    "outlier coordinate 2**63": dict(outliers=((0, (2**63,)),)),
+    "outlier coordinate -2**63 - 1": dict(outliers=((0, (-2**63 - 1,)),)),
+    "correction time index 2**64": dict(corrections=((5, (0,)), (2**64, (0,)))),
+    "correction of 2**63": dict(corrections=((0, (2**63,)),)),
+    "coefficient of 2**63": dict(segments=(one_block_segment((2**63,)),)),
+    "p0_q of 2**63": dict(segments=(one_d_segment(p0_q=(2**63,)),)),
+}
+
+
+@pytest.mark.parametrize("records", _BEYOND_INT64.values(), ids=_BEYOND_INT64)
+def test_no_model_holds_a_value_beyond_int64(records):
+    # a model's columns are int64, so records beyond it cannot become one
+    with pytest.raises(OverflowError):
+        empty_model(dim=1, **records)
 
 
 def test_entries_at_the_int64_limits_round_trip():
-    fits = replace(empty_model(dim=1), outliers=(OutlierEntry(0, (-2**62,)),
-                                                 OutlierEntry(2**63 - 1, (-2**63,))))
+    fits = empty_model(dim=1, outliers=((0, (-2**62,)), (2**63 - 1, (-2**63,))))
     assert parse(serialize(fits, GEO), GEO) == fits
 
 
@@ -578,8 +567,8 @@ for seed, chunk_bits in [(s, l) for s in (36, 5) for l in (1, 2)]:
     for case in flips_and_truncations(serialize(model, geo)):
         try:
             back = parse(case, geo)
-            times = [seg.t0_index * back.eps_t for seg in back.segments]
-            times += [e.t_index * back.eps_t for e in back.outliers]
+            times = [t0 * back.eps_t for t0 in back.segments.t0_index]
+            times += [t * back.eps_t for t in back.outliers.t_index.tolist()]
             rec = Reconstructor(back, geo)
             for t in times:
                 rec.query([t])
@@ -659,7 +648,7 @@ fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1), ("s", -(2**62))] * n
 payload = crafted(fields, chunk_bits=1)
 try:
     back = parse(payload, geo)
-    answer = [len(payload), len(back.corrections), back.corrections[-1].delta_q[0]]
+    answer = [len(payload), len(back.corrections), int(back.corrections.values[-1, 0])]
 except PilotCError as exc:
     answer = [len(payload), type(exc).__name__]
 print(json.dumps(answer))

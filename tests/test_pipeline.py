@@ -13,6 +13,7 @@ from pilotc import (
 )
 from pilotc.codec import quantize_array, time_index_array
 from pilotc.errors import DataError
+from pilotc.model import EntryColumns
 from pilotc.pipeline import _median, choose_dt, resample, segment, validate_and_correct
 
 GEO = PROFILES["geolife"]
@@ -39,7 +40,7 @@ def test_speed_jump_splits():
 def test_uniform_walk_is_single_fragment():
     traj = synthetic_trajectory(500, dim=2, seed=0)
     assert segment(traj, GEO.params(10.0), default_dt=1.0).tolist() == [0, 500]
-    assert compress(traj, GEO.params(10.0)).outliers == ()
+    assert len(compress(traj, GEO.params(10.0)).outliers) == 0
 
 
 def test_single_point_becomes_outlier():
@@ -47,9 +48,9 @@ def test_single_point_becomes_outlier():
     params = GEO.params(10.0)
     assert segment(traj, params, default_dt=1.0).tolist() == [0, 1]
     model = compress(traj, params)
-    assert model.segments == ()
+    assert len(model.segments) == 0 and model.segments.p0_q.shape == (0, 2)
     assert len(model.outliers) == 1
-    assert model.outliers[0].t_index * params.eps_t == pytest.approx(4.0)
+    assert model.outliers.t_index[0] * params.eps_t == pytest.approx(4.0)
 
 
 def test_large_gap_splits_long_fragment():
@@ -188,12 +189,12 @@ def test_front_end_equals_per_fragment_reference(make):
     # the model's segments and outliers come from the same index arrays
     model = compress(traj, params)
     assert model.dt == dt
-    assert [s.t0_index for s in model.segments] == time_index_array(
-        traj.times[lo], params.eps_t).tolist()
+    assert model.segments.t0_index == time_index_array(traj.times[lo], params.eps_t).tolist()
     eps_out = params.layout(traj.dim).eps_out
-    assert model.outliers == tuple(zip(
-        time_index_array(traj.times[outliers], params.eps_t).tolist(),
-        map(tuple, quantize_array(traj.points[outliers], eps_out).tolist())))
+    assert (model.outliers.t_index.tolist()
+            == time_index_array(traj.times[outliers], params.eps_t).tolist())
+    assert (model.outliers.values.tolist()
+            == quantize_array(traj.points[outliers], eps_out).reshape(-1, traj.dim).tolist())
 
 
 def test_front_end_cases_cover_the_edge_cases():
@@ -232,7 +233,7 @@ def test_stationary_trajectory():
     assert len(model.segments) == 1
     assert sed.mean() <= params.eps_p
     # a stationary signal has no AC content at all
-    assert all(b.c_f == 0 for seg in model.segments for per_dim in seg.blocks for b in per_dim)
+    assert not model.segments.store.c_f.any()
 
 
 def test_synthetic_profile_bound_and_size(smooth_2d):
@@ -250,7 +251,7 @@ def test_lossless_settings_need_no_corrections(smooth_2d):
     # a huge keeps eps_f microscopic; d >= sqrt(eps) keeps every coefficient
     assert params.layout(2).r_ret == 1.0
     model = compress(smooth_2d, params)
-    assert model.corrections == ()
+    assert len(model.corrections) == 0
 
 
 def test_forced_truncation_needs_corrections(smooth_2d):
@@ -268,7 +269,7 @@ def test_corrected_points_land_within_eps_p(smooth_2d):
     model = compress(smooth_2d, params)
     assert model.corrections
     rec = Reconstructor(model, params)
-    corrected_idx = {e.t_index for e in model.corrections}
+    corrected_idx = set(model.corrections.t_index.tolist())
     q = np.rint(smooth_2d.times / params.eps_t).astype(int)
     sel = np.isin(q, list(corrected_idx))
     sed = np.linalg.norm(
@@ -326,9 +327,9 @@ def test_validate_and_correct_reports_exceedances_only(smooth_2d):
     model = compress(smooth_2d, params)
     # validation of the uncorrected model reproduces the stored corrections,
     # and the corrected model needs none at all
-    stripped = replace(model, corrections=())
+    stripped = replace(model, corrections=EntryColumns([], np.zeros((0, 2))))
     assert validate_and_correct(smooth_2d, stripped, params).corrections == model.corrections
-    assert validate_and_correct(smooth_2d, model, params).corrections == ()
+    assert len(validate_and_correct(smooth_2d, model, params).corrections) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +7,7 @@ import pytest
 from pilotc import (
     PROFILES,
     CodecParams,
-    CompressedTrajectory,
-    CorrectionEntry,
-    EncodedBlock,
-    OutlierEntry,
     Reconstructor,
-    SubTrajectorySegment,
     compress,
     decompress_uniform,
     parse,
@@ -24,10 +18,11 @@ from pilotc import reconstruct
 from pilotc.codec import dequantize_array
 from pilotc.container import segment_end_index
 from pilotc.errors import QueryRangeError
+from pilotc.model import EncodedBlock, SubTrajectorySegment
 from pilotc.params import Layout
 
 from codec_reference import query_ref, query_tolerance_ref
-from model_gen import random_model
+from model_gen import hand_built, random_model
 
 GEO = PROFILES["geolife"]
 
@@ -112,7 +107,7 @@ def test_decompress_matches_pipeline_reconstruction(compressed):
 def test_zero_coefficients_give_piecewise_linear_series(linear_2d):
     params = GEO.params(10.0)
     model = compress(linear_2d, params)
-    assert all(b.c_f == 0 for seg in model.segments for per_dim in seg.blocks for b in per_dim)
+    assert not model.segments.store.c_f.any()
     s = decompress_uniform(model, params)[0]
     second_diff = np.diff(s.values, n=2, axis=0)
     # piecewise linear through block endpoints: curvature only at block joints
@@ -142,7 +137,7 @@ def test_corrected_query_applies_residual():
     rec = Reconstructor(model, params)
     corrected_t = traj.times[np.isin(
         np.rint(traj.times / params.eps_t).astype(int),
-        [e.t_index for e in model.corrections])]
+        model.corrections.t_index)]
     assert corrected_t.size == len(model.corrections)
     sed = np.linalg.norm(
         traj.points[np.isin(traj.times, corrected_t)] - rec.query(corrected_t), axis=1)
@@ -160,9 +155,8 @@ def test_scalar_and_single_queries(compressed):
 def test_end_delta_chain_beyond_int64_keeps_its_sign():
     # two end deltas of 2**62 sum past the int64 range; the chain must not wrap
     blocks = ((EncodedBlock((), 2**62), EncodedBlock((), 2**62)),)
-    model = CompressedTrajectory(
-        dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=4,
-        segments=(SubTrajectorySegment(0, (0,), 61, blocks),))
+    model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=4,
+                       segments=(SubTrajectorySegment(0, (0,), 61, blocks),))
     values = decompress_uniform(parse(serialize(model, GEO), GEO), GEO)[0].values
     assert values[-1, 0] == pytest.approx(2.0**63 * 2.0 * 5.0)
 
@@ -171,23 +165,23 @@ def test_entries_apply_at_their_exact_time_index_only():
     # one straight segment over t = 0..10 s, an outlier inside its span at
     # time index 4, and corrections at 2, at the outlier's 4, and at 8
     blocks = ((EncodedBlock((), 10),), (EncodedBlock((), -4),))
-    bare = CompressedTrajectory(
-        dim=2, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
-        segments=(SubTrajectorySegment(0, (0, 0), 11, blocks),))
-    outliers = (OutlierEntry(4, (7, -3)),)
-    corrections = (CorrectionEntry(2, (1, 2)), CorrectionEntry(4, (5, 5)),
-                   CorrectionEntry(8, (-3, 1)))
+    header = dict(dim=2, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
+    segments = (SubTrajectorySegment(0, (0, 0), 11, blocks),)
+    bare = hand_built(**header, segments=segments)
+    outliers = ((4, (7, -3)),)
+    corrections = ((2, (1, 2)), (4, (5, 5)), (8, (-3, 1)))
     lay = Layout.derive(10.0, 5.0, 2, GEO)
     outlier_pos = np.array([7, -3]) * (2.0 * lay.eps_out)
-    residual = {e.t_index: np.array(e.delta_q) * (2.0 * lay.eps_d) for e in corrections}
+    residual = {t: np.array(v) * (2.0 * lay.eps_d) for t, v in corrections}
 
     ts = np.array([0.0, 1.4, 2.0, 2.4, 2.6, 3.0, 4.0, 4.3, 7.6, 8.0, 8.4, 9.0, 10.0])
     q = np.rint(ts).astype(int)  # no query sits on a tie
     plain = Reconstructor(bare, GEO).query(ts)
     np.testing.assert_allclose(plain, np.outer(ts, [2.0, -0.8]) * lay.eps_d)
     for with_outliers, with_corrections in ((True, True), (True, False), (False, True)):
-        model = replace(bare, outliers=outliers if with_outliers else (),
-                        corrections=corrections if with_corrections else ())
+        model = hand_built(**header, segments=segments,
+                           outliers=outliers if with_outliers else (),
+                           corrections=corrections if with_corrections else ())
         want = plain.copy()
         for i, qi in enumerate(q):
             if with_outliers and qi == 4:
@@ -213,7 +207,7 @@ def probe_times(model, rng):
         for edge, outward in ((s.t0 - tol, -np.inf), (end + tol, np.inf)):
             ts += [edge, np.nextafter(edge, outward), np.nextafter(edge, -outward)]
         ts += [s.t0, end, *s.grid_times()[:5], *rng.uniform(s.t0, end, 20)]
-    for t_index, _ in (*model.outliers, *model.corrections):
+    for t_index in (*model.outliers.t_index.tolist(), *model.corrections.t_index.tolist()):
         t = t_index * model.eps_t
         ts += [t, t + 0.3 * model.eps_t, t - 0.3 * model.eps_t, t + 0.6 * model.eps_t]
     return np.array(ts)
@@ -273,17 +267,18 @@ def flat_segment(t0_index, n_samples, p0_q):
 
 def test_query_matches_scalar_reference_on_hand_built_models():
     rng = np.random.default_rng(15)
-    model = CompressedTrajectory(dim=2, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2)
+    header = dict(dim=2, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2)
+    model = hand_built(**header)
     # A ends where B starts, C starts one time index before B ends; one
     # outlier sits just after A's end, inside B, and one far from all
     end_a = segment_end_index(0, 11, model.dt, model.eps_t)
     end_b = segment_end_index(end_a, 6, model.dt, model.eps_t)
-    touching = replace(
-        model,
+    touching = hand_built(
+        **header,
         segments=(flat_segment(0, 11, (1, 2)), flat_segment(end_a, 6, (3, 4)),
                   flat_segment(end_b - 1, 4, (5, 6))),
-        outliers=(OutlierEntry(end_a + 1, (7, 8)), OutlierEntry(10**6, (9, 10))),
-        corrections=(CorrectionEntry(end_a, (1, -1)), CorrectionEntry(end_b, (2, 2))))
+        outliers=((end_a + 1, (7, 8)), (10**6, (9, 10))),
+        corrections=((end_a, (1, -1)), (end_b, (2, 2))))
     ts = probe_times(touching, rng)
     assert_query_matches_reference(touching, ts, rng)
     # the shared boundary belongs to the later segment, corrected there
@@ -292,6 +287,6 @@ def test_query_matches_scalar_reference_on_hand_built_models():
     np.testing.assert_array_equal(
         boundary, dequantize_array([3, 4], 5.0) + dequantize_array([1, -1], lay.eps_d))
 
-    outliers_only = replace(model, outliers=(OutlierEntry(5, (1, 1)), OutlierEntry(900, (2, 3))))
+    outliers_only = hand_built(**header, outliers=((5, (1, 1)), (900, (2, 3))))
     ts = probe_times(outliers_only, rng)
     assert assert_query_matches_reference(outliers_only, ts, rng) == (6, 2)
