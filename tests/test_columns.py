@@ -182,6 +182,29 @@ def test_round_trip_makes_no_record(monkeypatch, full_model):
     assert made == [EncodedBlock] * n_blocks + [SubTrajectorySegment]
 
 
+def test_round_trip_makes_no_encoded_block(monkeypatch):
+    # compress, serialize, parse and query code every block through the
+    # int64 columns; only reading the segments out makes EncodedBlock records
+    made = []
+    new = EncodedBlock.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(EncodedBlock, "__new__", counting)
+    params = GEO.params(10.0, eps_t=0.01)
+    traj = synthetic_trajectory(5000, dim=2, seed=5, **MIXED)
+    model = compress(traj, params)
+    parsed = parse(serialize(model, GEO), GEO)
+    positions = Reconstructor(parsed, GEO).query(traj.times)
+    assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
+    assert parsed.segments.store.c_f.size > 100
+    assert made == []
+    first = next(iter(parsed.segments))
+    assert made == [(b.q_coeffs, b.end_delta_q) for dim in first.blocks for b in dim]
+
+
 def test_read_out_needs_the_plan():
     with pytest.raises(ValueError, match="plan"):
         list(random_model(np.random.default_rng(0), dim=1).segments)
