@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -48,10 +49,18 @@ def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
         columns = header.split(",")
         if len(columns) < 2 or columns[0] != "t":
             raise DataError(f"{path}: line 1: expected header 't,x,y[,z]', got '{header}'")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError:
-            _raise_with_line_number(path)
+        # loadtxt parses a path faster than lines, but only a regular file
+        # can be opened again at its start; a pipe's rows are read here, once
+        rows = None if path.is_file() else fh.read().split("\n")
+    try:
+        with warnings.catch_warnings():  # a file without rows is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path if rows is None else rows, delimiter=",", ndmin=2,
+                              skiprows=1 if rows is None else 0, encoding="utf-8")
+    except ValueError:
+        if rows is None:
+            rows = path.read_text(encoding="utf-8").split("\n")[1:]
+        _raise_with_line_number(path, rows)
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
     if data.shape[1] != len(columns):
@@ -70,16 +79,17 @@ def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
     return rec
 
 
-def _raise_with_line_number(path: Path):
-    with path.open("r", encoding="utf-8") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                [float(v) for v in line.strip().split(",")]
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse '{line.strip()}'") from None
+def _raise_with_line_number(path: Path, rows):
+    """Name the first of ``rows``, the lines after the header, that does not
+    parse as numbers."""
+    for lineno, line in enumerate(rows, start=2):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            [float(v) for v in text.split(",")]
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: cannot parse '{line.strip()}'") from None
     raise DataError(f"{path}: malformed CSV")
 
 
@@ -91,14 +101,14 @@ def write_positions_csv(path, times, points) -> None:
     points = np.asarray(points)
     header = "t," + ",".join("xyz"[d] if d < 3 else f"c{d}" for d in range(points.shape[1]))
     table = np.column_stack([times, points])
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    row = b",".join([b"%.12g"] * table.shape[1]) + b"\n"
 
     def text():
         yield (header + "\n").encode()
-        # one % operation formats a whole block of rows
+        # one bytes % operation (str %'s float formatter) formats a block of rows
         for i in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[i:i + _CSV_BLOCK_ROWS]
-            yield (row * len(block) % tuple(block.ravel().tolist())).encode()
+            yield row * len(block) % tuple(block.ravel().tolist())
 
     _write_atomic(path, text())
 

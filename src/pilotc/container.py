@@ -104,12 +104,15 @@ _FLOAT_FIELDS = 4
 # the container rules
 # ---------------------------------------------------------------------------
 
-def _check_header(dim: int, chunk_bits: int, dt: float, eps: float, eps_t: float,
-                  eps_p: float) -> None:
+def _check_limits(dim: int, chunk_bits: int) -> None:
+    """The ranges of the header's one-byte fields."""
     if not 1 <= dim <= 255:
         raise ValueError(f"dimension must be in 1..255, got {dim}")
     if not 1 <= chunk_bits <= 32:
         raise ValueError(f"chunk length must be in 1..32, got {chunk_bits}")
+
+
+def _check_scales(dt: float, eps: float, eps_t: float, eps_p: float) -> None:
     for name, v in (("dt", dt), ("eps", eps), ("eps_t", eps_t), ("eps_p", eps_p)):
         if not (v > 0.0 and math.isfinite(v)):
             raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -175,6 +178,14 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
+def model_layout(model: CompressedTrajectory, constants) -> Layout:
+    """The layout that ``model``'s eps, eps_p and dimension derive under the
+    dataset ``constants``, once its dt, eps, eps_t and eps_p are positive
+    and finite; raises ``ValueError`` otherwise."""
+    _check_scales(model.dt, model.eps, model.eps_t, model.eps_p)
+    return Layout.derive(model.eps, model.eps_p, model.dim, constants)
+
+
 def check_columns(model: CompressedTrajectory, lay: Layout) -> BlockPlan:
     """Apply every column rule to ``model`` under the layout ``lay``: the
     shapes of its columns, the entry order and the segment order, and,
@@ -221,8 +232,8 @@ def check_columns(model: CompressedTrajectory, lay: Layout) -> BlockPlan:
 def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     """Serialize a model; ``profile`` supplies the dataset constants a, b, c, d."""
     dim = model.dim
-    _check_header(dim, model.chunk_bits, model.dt, model.eps, model.eps_t, model.eps_p)
-    lay = Layout.derive(model.eps, model.eps_p, dim, profile)
+    _check_limits(dim, model.chunk_bits)
+    lay = model_layout(model, profile)
     segments = model.segments
     t0_delta, prev_end = [], 0
     for t0, n in zip(segments.t0_index, segments.n_samples):
@@ -297,7 +308,8 @@ def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
     min_block_bits = 2 * (l + 1) - (l == 1)
 
     try:
-        _check_header(dim, l, dt, eps, eps_t, eps_p)
+        _check_limits(dim, l)
+        _check_scales(dt, eps, eps_t, eps_p)
         r = varint_reader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
         lay = Layout.derive(eps, eps_p, dim, profile)
         body = None
@@ -434,7 +446,8 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
         _check_blocks(counts, coeffs, BlockPlan(n_samples, dim, lay).limit[:len(counts)])
         raise
     plan = BlockPlan(n_samples, dim, lay)
-    cols = BlockColumns(counts, deltas, coeffs, plan)
+    # as int64 arrays, which the columns take without finding a list's dtype
+    cols = BlockColumns(*(np.array(c, dtype=np.int64) for c in (counts, deltas, coeffs)), plan)
     _check_blocks(cols.c_f, cols.coeffs, plan.limit)
     p0_q = np.array(p0_q, dtype=np.int64).reshape(-1, dim)
     return SegmentColumns(t0_index, p0_q, plan.n_samples, cols), *lists

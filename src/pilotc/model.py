@@ -114,8 +114,23 @@ class BlockColumns:
                 and np.array_equal(self.coeffs, other.coeffs))
 
 
+_INT64 = np.dtype(np.int64)
+
+
 def _frozen(values) -> np.ndarray:
-    a = np.asarray(values, dtype=np.int64)
+    """``values`` as a read-only int64 array, without a copy when they are
+    one.  They must be integers that int64 holds: a value beyond int64
+    raises ``OverflowError`` and a nonempty column of other numbers
+    ``TypeError``."""
+    a = np.asarray(values)
+    if a.dtype != _INT64:
+        if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+            raise OverflowError("a column value beyond int64")
+        if a.dtype.kind not in "biu" and a.size:
+            # Python ints beyond int64 arrive as floats or objects; their cast raises
+            np.asarray(values, dtype=np.int64)
+            raise TypeError(f"columns hold integers, not {a.dtype}")
+        a = a.astype(_INT64)
     a.flags.writeable = False
     return a
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import BlockPlan, decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
-from .container import check_columns
+from .container import check_columns, model_layout
 from .errors import CorruptionError, QueryRangeError
 from .model import CompressedTrajectory, UniformSeries
 from .params import DEFAULT_PROFILE, Layout
@@ -24,21 +24,24 @@ from .params import DEFAULT_PROFILE, Layout
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
 
-def _checked(model: CompressedTrajectory, lay: Layout) -> BlockPlan:
-    """The plan of ``model``'s blocks once :func:`~pilotc.container.check_columns`
-    passes, with a broken rule, which a model built by hand can hold, raised
-    as :class:`CorruptionError`."""
+def _checked(model: CompressedTrajectory, constants) -> tuple[Layout, BlockPlan]:
+    """The layout of ``model`` under the dataset ``constants`` and the plan
+    of its blocks, once :func:`~pilotc.container.model_layout` and
+    :func:`~pilotc.container.check_columns` pass, with a broken rule, which
+    a model built by hand can hold, raised as :class:`CorruptionError`."""
     try:
-        return check_columns(model, lay)
+        lay = model_layout(model, constants)
+        return lay, check_columns(model, lay)
     except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
 
 
-def _decode_grid(model: CompressedTrajectory, lay: Layout):
-    """Every segment's uniform samples, decoded in one batch per block length
-    (see :class:`~pilotc.blocks.BlockPlan`), as one C-contiguous (dim, samples)
-    grid; then the segments' t0 time indices and sample counts."""
-    plan = _checked(model, lay)
+def _decode_grid(model: CompressedTrajectory, constants):
+    """The layout of ``model``, then every segment's uniform samples, decoded
+    in one batch per block length (see :class:`~pilotc.blocks.BlockPlan`),
+    as one C-contiguous (dim, samples) grid; then the segments' t0 time
+    indices and sample counts."""
+    lay, plan = _checked(model, constants)
     segments = model.segments
     cols = segments.store
     p0 = dequantize_array(segments.p0_q.ravel(), model.eps_p)
@@ -56,7 +59,7 @@ def _decode_grid(model: CompressedTrajectory, lay: Layout):
     flat = np.empty(sum(segments.n_samples) * model.dim)
     flat[plan.chain_row] = p0
     decode_blocks(cols, starts, ends, plan, lay, flat)
-    return flat.reshape(model.dim, -1), segments.t0_index, segments.n_samples
+    return lay, flat.reshape(model.dim, -1), segments.t0_index, segments.n_samples
 
 
 def decompress_uniform(model: CompressedTrajectory,
@@ -69,8 +72,7 @@ def decompress_uniform(model: CompressedTrajectory,
     once, into the one (dim, samples) grid that :class:`Reconstructor` keeps;
     each series' values are a transposed column slice of it.
     """
-    lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
-    grid, t0_index, n_samples = _decode_grid(model, lay)
+    _, grid, t0_index, n_samples = _decode_grid(model, constants)
     return [UniformSeries(t0 * model.eps_t, model.dt, grid[:, row:row + n].T)
             for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
 
@@ -103,8 +105,7 @@ class Reconstructor:
 
     def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
         self.model = model
-        lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
-        self._grid, t0_index, n_samples = _decode_grid(model, lay)
+        lay, self._grid, t0_index, n_samples = _decode_grid(model, constants)
         starts = [t0 * model.eps_t for t0 in t0_index]
         ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, n_samples)]
         # covers t0 quantization (eps_t / 2) plus float dust on long time axes

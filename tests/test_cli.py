@@ -3,6 +3,9 @@ import ast
 import dataclasses
 import io
 import json
+import os
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_writer_matches_fixed_precision_text(tmp_path):
     edge = [0.0, -0.0, 1e16, -1e16, 1e-300, 5e-324, -5e-324, 1 / 3, 2.0**53,
-            123456789.123456789]
+            123456789.123456789, np.inf, -np.inf, np.nan]
     times = 0.1 * np.arange(len(edge))
     points = np.column_stack([edge, edge[::-1]])
     path = tmp_path / "edge.csv"
@@ -75,9 +78,71 @@ def test_csv_errors_name_the_line(tmp_path):
     path.write_text("t,x,y\n0,1,2\n1,zzz,3\n")
     with pytest.raises(DataError, match="line 3"):
         read_trajectory_csv(path)
+    # comment lines and tail comments are skipped, as loadtxt skips them
+    path.write_text("t,x,y\n# a, b\n0,1,2 # one\n1,zzz,3\n")
+    with pytest.raises(DataError, match="line 4: cannot parse '1,zzz,3'"):
+        read_trajectory_csv(path)
     path.write_text("a,b\n")
     with pytest.raises(DataError, match="header"):
         read_trajectory_csv(path)
+
+
+def test_csv_reader_matches_loadtxt_on_crlf_and_comments(tmp_path):
+    # the data rows read as loadtxt reads them from text, to the bit
+    rng = np.random.default_rng(8)
+    table = np.column_stack([np.arange(500) + rng.random(500), rng.normal(0.0, 1e5, (500, 2))])
+    rows = [",".join(repr(v) for v in row) for row in table.tolist()]
+    data = np.loadtxt(io.StringIO("\n".join(rows)), delimiter=",", ndmin=2)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("\r\n".join(["t,x,y", *rows, ""]).encode())
+    commented = tmp_path / "commented.csv"
+    commented.write_text("\n".join(["t, x, y", "# recorded at 1 Hz", *rows[:250], "",
+                                    "# second half", rows[250] + " # a tail comment",
+                                    *rows[251:], "#"]))
+    for path in (crlf, commented):
+        traj = read_trajectory_csv(path)
+        assert traj.times.tobytes() == data[:, 0].tobytes()
+        assert traj.points.tobytes() == np.ascontiguousarray(data[:, 1:]).tobytes()
+
+
+def test_header_only_csv_has_no_data_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    for text in ("t,x,y\n", "t,x,y\r\n# nothing yet\n\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the DataError is the only report
+            with pytest.raises(DataError, match="no data rows"):
+                read_trajectory_csv(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_reader_reads_a_pipe_once():
+    # a pipe, as `pilotc compress /dev/stdin` reads one, cannot be opened
+    # again at its start, so all its rows, well beyond one read buffer, come
+    # through the one handle, and so does the line a parse error names
+    table = np.column_stack([np.arange(5000), np.arange(5000) * 0.5, -np.arange(5000.0)])
+    rows = [",".join(repr(v) for v in row) for row in table.tolist()]
+
+    def read(lines):
+        r, w = os.pipe()
+
+        def write():
+            with os.fdopen(w, "w") as fh:
+                fh.write("\n".join(lines))
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return read_trajectory_csv(f"/dev/fd/{r}")
+        finally:
+            writer.join()
+            os.close(r)
+
+    traj = read(["t,x,y", *rows])
+    assert traj.times.tobytes() == table[:, 0].tobytes()
+    assert traj.points.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
+    with pytest.raises(DataError, match="line 4002: cannot parse '4000,zzz,0'"):
+        read(["t,x,y", *rows[:4000], "4000,zzz,0", *rows[4001:]])
 
 
 def test_duplicate_timestamps_rejected_without_dedup(tmp_path):

@@ -24,7 +24,7 @@ from pilotc.model import (
     SegmentColumns,
     SubTrajectorySegment,
 )
-from pilotc.params import PROFILES, Layout
+from pilotc.params import PROFILES, CodecParams, Layout
 from pilotc.synth import synthetic_trajectory
 
 GEO = PROFILES["geolife"]
@@ -348,3 +348,57 @@ def test_segment_heads_that_disagree_are_rejected():
             serialize(broken, GEO)
         with pytest.raises(CorruptionError, match="segment start"):
             Reconstructor(broken, GEO)
+
+
+_BROKEN_HEADERS = {"eps=0": ("eps", 0.0), "eps=nan": ("eps", float("nan")),
+                   "eps_t=0": ("eps_t", 0.0), "dt<0": ("dt", -1.0), "eps_p=0": ("eps_p", 0.0)}
+
+
+@pytest.mark.parametrize("field, value", _BROKEN_HEADERS.values(), ids=_BROKEN_HEADERS)
+def test_header_that_breaks_the_rule_in_a_model_built_by_hand_is_corruption(field, value):
+    # the decoder applies serialize's header rule before it derives a
+    # layout, so none of these divides by zero, answers, or reads as a
+    # query out of range
+    blocks = ((EncodedBlock(()),),)  # 11 samples at eps = 10 (b_s = 30): one empty block
+    model = hand_built(dim=1, dt=0.01, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2,
+                       segments=(SubTrajectorySegment(0, (0,), 11, blocks),))
+    assert Reconstructor(model, GEO).query(0.05).tolist() == [[0.0]]
+    broken = replace(model, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        serialize(broken, GEO)
+    with pytest.raises(CorruptionError, match=f"{field} must be positive and finite"):
+        Reconstructor(broken, GEO).query(0.05)
+    with pytest.raises(CorruptionError, match=f"{field} must be positive and finite"):
+        decompress_uniform(broken, GEO)
+
+
+def test_columns_take_only_values_that_int64_holds():
+    # values of another dtype are checked, not cast: a uint64 value beyond
+    # int64 would wrap negative and a float would be truncated
+    for beyond in (np.array([2**63], dtype=np.uint64), [2**63], [5, 2**64], [1, 2**63, -1]):
+        with pytest.raises(OverflowError):
+            EntryColumns(beyond, np.zeros((len(beyond), 1), dtype=np.int64))
+    for floats in (np.array([[1.7]]), [[1.7]], [[1.0]]):
+        with pytest.raises(TypeError):
+            EntryColumns([5], floats)
+    with pytest.raises(TypeError):
+        BlockColumns(np.array([1.0]), [0], [3])
+    # other integer dtypes and empty arrays of any dtype are taken as int64
+    entries = EntryColumns(np.array([2**63 - 1], dtype=np.uint64), np.array([[-3]], np.int8))
+    assert entries.t_index.tolist() == [2**63 - 1] and entries.values.tolist() == [[-3]]
+    assert EntryColumns([], np.zeros((0, 2))).values.dtype == np.int64
+    # an int64 array is taken as it is, without a copy
+    t_index = np.array([5, 7])
+    assert EntryColumns(t_index, np.zeros((2, 1), dtype=np.int64)).t_index is t_index
+
+
+def test_decoder_leaves_the_dimension_limit_to_the_container():
+    # the one-byte dimension field limits what serialize writes, not what
+    # the decoder answers for a model the library built
+    traj = synthetic_trajectory(40, dim=256, seed=3)
+    model = compress(traj, CodecParams(eps=10.0))
+    with pytest.raises(ValueError, match="dimension must be in 1..255"):
+        serialize(model, GEO)
+    rec = Reconstructor(model, GEO)
+    assert np.abs(rec.query(traj.times) - traj.points).max() <= 10.0
+    assert len(decompress_uniform(model, GEO)) == len(model.segments.t0_index)
