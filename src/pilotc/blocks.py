@@ -22,7 +22,8 @@ work on int64 block columns in block order: :func:`encode_blocks` returns
 each block's coefficient count and all coefficients one block after the
 other, gathered from each batch's quantized matrix, and
 :func:`decode_blocks` scatters a :class:`~pilotc.model.BlockColumns` store
-back into one dense coefficient matrix per batch.
+back into one dense float coefficient matrix per chunk, whose product with
+the cosine columns :func:`decode_rows` turns into samples in place.
 """
 
 from __future__ import annotations
@@ -53,18 +54,19 @@ def encode_rows(samples, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarray:
-    """Rebuild n blocks of m velocities, shape (n, m+1), from their dense
-    quantized coefficients ``q``, an int64 (n, K(m) - 1) matrix, and their
-    anchor values ``starts`` and ``ends``."""
+    """Each block's m samples after its first, shape (n, m), from the dense
+    quantized coefficients ``q``, an (n, K(m) - 1) matrix, and float arrays
+    of the n blocks' anchor values ``starts`` and ``ends``.  The product
+    with the cosine columns is the one buffer: the division by m, the
+    average velocity, the running sum and the start apply to it in place."""
     if m < 1:
         raise ValueError("a block must contain at least one velocity")
     ac = cosine_basis(m, layout.budget(m))[:, 1:]
-    centered = (dequantize_array(q, layout.eps_f) @ ac.T) / m
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    out = np.empty((q.shape[0], m + 1))
-    out[:, 0] = starts
-    out[:, 1:] = starts[:, None] + np.cumsum(centered + ((ends - starts) / m)[:, None], axis=1)
+    out = dequantize_array(q, layout.eps_f) @ ac.T
+    out /= m  # the centered velocities
+    out += ((ends - starts) / m)[:, None]
+    np.cumsum(out, axis=1, out=out)
+    out += starts[:, None]
     out[:, -1] = ends  # sum of centered velocities is zero up to float dust
     return out
 
@@ -147,18 +149,17 @@ def decode_blocks(cols: BlockColumns, starts: np.ndarray, ends: np.ndarray, plan
     """Write every block's samples after its first into ``out``, the flat
     samples, from the block columns ``cols``, whose blocks hold at most
     K(m) - 1 coefficients each, and the blocks' anchor values, in block
-    order."""
+    order; each chunk of a batch is decoded by :func:`decode_rows`."""
     order = plan.order
     c_f = cols.c_f[order]
     coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]  # in ``order``
     at = np.concatenate(([0], c_f.cumsum())).tolist()
-    start, starts, ends = plan.start[order], starts[order], ends[order]
+    second, starts, ends = plan.start[order] + 1, starts[order], ends[order]
     for m, lo, hi in plan.batches():
         width = lay.budget(m) - 1
-        q = np.zeros((hi - lo, width), dtype=np.int64)
+        q = np.zeros((hi - lo, width))  # floats: dequantizing copies once, not twice
         q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
-        rows = decode_rows(q, m, starts[lo:hi], ends[lo:hi], lay)
-        _windows(out, m)[start[lo:hi] + 1] = rows[:, 1:]
+        _windows(out, m)[second[lo:hi]] = decode_rows(q, m, starts[lo:hi], ends[lo:hi], lay)
 
 
 def _windows(a: np.ndarray, m: int) -> np.ndarray:

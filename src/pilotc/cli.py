@@ -60,7 +60,7 @@ def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
     except ValueError:
         if rows is None:
             rows = path.read_text(encoding="utf-8").split("\n")[1:]
-        _raise_with_line_number(path, rows)
+        _raise_with_line_number(path, rows, len(columns))
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
     if data.shape[1] != len(columns):
@@ -79,17 +79,19 @@ def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
     return rec
 
 
-def _raise_with_line_number(path: Path, rows):
+def _raise_with_line_number(path: Path, rows, n_fields: int):
     """Name the first of ``rows``, the lines after the header, that does not
-    parse as numbers."""
+    parse as numbers or does not hold the header's ``n_fields`` fields."""
     for lineno, line in enumerate(rows, start=2):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         try:
-            [float(v) for v in text.split(",")]
+            n = len([float(v) for v in text.split(",")])
         except ValueError:
             raise DataError(f"{path}: line {lineno}: cannot parse '{line.strip()}'") from None
+        if n != n_fields:
+            raise DataError(f"{path}: line {lineno}: {n} fields, header has {n_fields}")
     raise DataError(f"{path}: malformed CSV")
 
 

@@ -14,14 +14,14 @@ seen.  :func:`pack_varints` writes a whole sequence of codes with array
 operations.  :func:`varint_reader` picks the reader for a body, and both
 readers decode with array operations: at ``chunk_bits >= 2`` every chunk is
 ``chunk_bits + 1`` bits, so :class:`ColumnarReader` splits the whole body
-into field codes up front, and a signed read maps the codes it takes; at
-``chunk_bits == 1`` a field's length depends on its type, so
-:class:`TableReader` tabulates, for every bit position, the code and the
-value of the field of either type that would start there, and a read only
-indexes lists.  Both readers fail alike: a field that cannot be read is
-``None`` in their tables, only a read that reaches it raises, with the error
-:func:`_field_error` names from the field's bits, and the reader stays in
-front of that field.
+into field codes up front, by Horner's rule one pass per chunk index, and a
+signed read maps the codes it takes; at ``chunk_bits == 1`` a field's length
+depends on its type, so :class:`TableReader` tabulates, for every bit
+position, the code and the value of the field of either type that would
+start there, and a read only indexes lists.  Both readers fail alike: a
+field that cannot be read is ``None`` in their tables, only a read that
+reaches it raises, with the error :func:`_field_error` names from the
+field's bits, and the reader stays in front of that field.
 """
 
 from __future__ import annotations
@@ -302,14 +302,17 @@ class ColumnarReader:
 
     Every chunk is l + 1 bits there, so a field ends at each chunk whose flag
     is 0 whatever the field's type.  The whole body is split into field
-    codes with array operations when the reader is built; an unsigned read
-    takes a code by index, and a signed read maps the codes of its slice to
-    their enhanced-zigzag values.  A field that cannot be read, and the
-    unterminated tail after the last field, is ``None`` in the code list,
-    and a read that reaches it raises :func:`_field_error`; a signed read of
-    the code 0 raises ``ValueError``.  A caller that finds fields by their
-    :attr:`codes` can move the reader with :attr:`index` and gather many
-    values at once with :meth:`unsigned_values` and :meth:`signed_values`.
+    codes with array operations when the reader is built, by Horner's rule
+    from each field's final chunk down: pass k shifts the codes of the fields
+    of more than k chunks by l bits and adds their payload k chunks earlier.
+    An unsigned read takes a code by index, and a signed read maps the codes
+    of its slice to their enhanced-zigzag values.  A field that cannot be
+    read, and the unterminated tail after the last field, is ``None`` in the
+    code list, and a read that reaches it raises :func:`_field_error`; a
+    signed read of the code 0 raises ``ValueError``.  A caller that finds
+    fields by their :attr:`codes` can move the reader with :attr:`index` and
+    gather many values at once with :meth:`unsigned_values` and
+    :meth:`signed_values`.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -321,30 +324,28 @@ class ColumnarReader:
         bits = np.unpackbits(self._data)
         rows = bits[:bits.size - bits.size % width].reshape(-1, width)
         final = np.flatnonzero(rows[:, 0] == 0)  # each field's final chunk
-        n_chunks = int(final[-1]) + 1 if final.size else 0
-        payload = np.zeros(n_chunks, dtype=np.uint64)
-        for t in range(1, width):
-            payload <<= np.uint64(1)
-            payload |= rows[:n_chunks, t]
-        first = np.zeros_like(final)  # each field's first chunk
-        first[1:] = final[:-1] + 1
-        # chunk k of a field holds the code's bits l*k .. l*k + l - 1
-        shift = l * (np.arange(n_chunks) - np.repeat(first, final + 1 - first))
-        top = shift[final]
-        too_long = top > l * (64 // l)
-        # only a final chunk can reach bit 64; at l = 2, 4, 8, 16 and 32 its
-        # shift can be 64 itself, which numpy's shift does not define
-        high = ~too_long & (top > 64 - l)
-        rest = np.clip(64 - top, 0, 63).astype(np.uint64)
-        over = high & ((payload[final] >> rest) != 0)
-        payload <<= np.minimum(shift, 63).astype(np.uint64)
-        codes = np.add.reduceat(payload, first)
-        del payload, shift
+        length = final - np.concatenate(([-1], final[:-1]))  # chunks per field
+        # each chunk's payload, in the narrowest unsigned type of l bits
+        payload = rows[:, 1].astype(np.min_scalar_type((1 << l) - 1))
+        for t in range(2, width):
+            payload <<= 1
+            payload |= rows[:, t]
+        # a field of 64 // l + 1 chunks has its final payload at bit l * (64 // l),
+        # so it must be below 2**(64 % l); a longer field never reads
+        most = 64 // l + 1
+        top = payload[final]
+        readable = (length < most) | ((length == most) & (top >> (64 % l) == 0))
+        codes, shift = top.astype(np.uint64), np.uint64(l)
+        idx, k = np.flatnonzero(readable & (length > 1)), 1
+        while idx.size:
+            codes[idx] = codes[idx] << shift | payload[final[idx] - k]
+            k += 1
+            idx = idx[length[idx] > k]
 
         self._code_array = codes
-        self._readable = ~(too_long | over)
+        self._readable = readable
         codes = codes.tolist()
-        for i in np.flatnonzero(~self._readable).tolist():
+        for i in np.flatnonzero(~readable).tolist():
             codes[i] = None
         codes.append(None)  # the tail, which has no final chunk
         self._codes = codes

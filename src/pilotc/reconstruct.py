@@ -126,6 +126,8 @@ class Reconstructor:
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""
         ts = np.atleast_1d(np.asarray(timestamps, dtype=float))
+        if ts.ndim != 1:
+            raise ValueError(f"timestamps must be a scalar or 1-D, got shape {ts.shape}")
         try:
             q_idx = time_index_array(ts, self.model.eps_t)
         except (OverflowError, ValueError):

@@ -7,7 +7,9 @@ dimension, and answers a query for a whole chunk of timestamps at once.
 These references do the same jobs the slow, obvious way: one block at a
 time with a full cosine sum, one varint at a time with a
 regular-expression scan, one fragment at a time, and one timestamp at a
-time, so tests can require the library to agree with them.  The paper's
+time, so tests can require the library to agree with them.  The batched
+block decode is here too, with every float step a fresh array, as the
+bitwise reference of the library's in-place decode.  The paper's
 closed-form error predictors live here too, since only tests use them.
 """
 
@@ -16,11 +18,13 @@ import re
 
 import numpy as np
 
+from pilotc.blocks import _windows, flat_ranges
 from pilotc.codec import dequantize_array, quantize_array, round_half_away
 from pilotc.errors import CorruptionError, QueryRangeError, TruncationError
 from pilotc.model import EncodedBlock
 from pilotc.params import Layout
 from pilotc.reconstruct import decompress_uniform
+from pilotc.transform import cosine_basis
 
 
 def enhanced_zigzag_unmap(u: int) -> int:
@@ -132,6 +136,40 @@ def block_decompress_ref(q_coeffs, m: int, start: float, end: float, layout) -> 
     out[1:] = start + np.cumsum(dct_inverse_ref(spectrum) + (end - start) / m)
     out[-1] = end
     return out
+
+
+def decode_rows_ref(q: np.ndarray, m: int, starts, ends, layout) -> np.ndarray:
+    """n blocks of m velocities, shape (n, m+1), from their dense quantized
+    coefficients ``q``, an (n, K(m) - 1) matrix, and their anchor values,
+    with each float operation a fresh array."""
+    if m < 1:
+        raise ValueError("a block must contain at least one velocity")
+    ac = cosine_basis(m, layout.budget(m))[:, 1:]
+    centered = (dequantize_array(q, layout.eps_f) @ ac.T) / m
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    out = np.empty((q.shape[0], m + 1))
+    out[:, 0] = starts
+    out[:, 1:] = starts[:, None] + np.cumsum(centered + ((ends - starts) / m)[:, None], axis=1)
+    out[:, -1] = ends
+    return out
+
+
+def decode_blocks_ref(cols, starts, ends, plan, lay, out) -> None:
+    """:func:`~pilotc.blocks.decode_blocks` through :func:`decode_rows_ref`:
+    the same batches, each scattered into ``out`` from an int64 coefficient
+    matrix and a full (n, m+1) block array."""
+    order = plan.order
+    c_f = cols.c_f[order]
+    coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]
+    at = np.concatenate(([0], c_f.cumsum())).tolist()
+    start, starts, ends = plan.start[order], starts[order], ends[order]
+    for m, lo, hi in plan.batches():
+        width = lay.budget(m) - 1
+        q = np.zeros((hi - lo, width), dtype=np.int64)
+        q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
+        rows = decode_rows_ref(q, m, starts[lo:hi], ends[lo:hi], lay)
+        _windows(out, m)[start[lo:hi] + 1] = rows[:, 1:]
 
 
 def encode_series_ref(values, layout, eps_p: float):

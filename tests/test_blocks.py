@@ -1,14 +1,17 @@
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from codec_reference import decode_series_ref, encode_series_ref
+from codec_reference import decode_blocks_ref, decode_series_ref, encode_series_ref
 from model_gen import hand_built
+from test_golden import _CHUNK_BITS, _KINDS, _PROFILES, _container
 
 from pilotc import blocks, pipeline, reconstruct
 from pilotc.blocks import _BATCH_SAMPLES, decode_rows, encode_rows
+from pilotc.container import parse
 from pilotc.errors import CorruptionError
 from pilotc.model import EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES, Layout
@@ -35,9 +38,11 @@ def encode_one(samples, lay=LAY):
 
 
 def decode_one(q_coeffs, m, start, end, lay=LAY):
+    """The m+1 samples of one block: its start, then what decode_rows gives."""
     q = np.zeros((1, lay.budget(m) - 1), dtype=np.int64)
     q[0, :len(q_coeffs)] = q_coeffs
-    return decode_rows(q, m, [start], [end], lay)[0]
+    after = decode_rows(q, m, np.array([start]), np.array([end]), lay)[0]
+    return np.concatenate(([start], after))
 
 
 def test_velocity_construction_reference():
@@ -114,7 +119,7 @@ def test_quantization_error_stays_conservatively_bounded():
                        for _ in range(50)])
     s = np.cumsum(speeds, axis=1)
     back = decode_rows(encode_rows(s, lay)[0], 100, s[:, 0], s[:, -1], lay)
-    assert np.abs(back - s).max() <= lay.eps_f * np.sqrt(100)
+    assert np.abs(back - s[:, 1:]).max() <= lay.eps_f * np.sqrt(100)
 
 
 def test_variance_model_at_block_midpoint():
@@ -265,3 +270,38 @@ def test_block_codec_calls_do_not_grow_with_segments(monkeypatch):
     assert 0 < calls["encode_rows"] <= bound
     assert 0 < calls["decode_rows"] <= bound
     assert max(sizes) <= _BATCH_SAMPLES
+
+
+def corpus_models(name: str, tmp_path: Path, monkeypatch):
+    """(model, profile) pairs: the 48 golden-corpus containers parsed, or
+    the seed-1 corpus of the benchmark workload ``name``, compressed as the
+    benchmark compresses it (the CLI workload through ``pilotc compress``)."""
+    if name == "golden":
+        return [(parse(_container(p, kind, l), PROFILES[p]), PROFILES[p])
+                for p, kind, l in itertools.product(_PROFILES, _KINDS, _CHUNK_BITS)]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    w = workloads.WORKLOADS[name]
+    state = w.setup(1, False, tmp_path)
+    if name == "cli-files":
+        assert workloads._cli(*w._encode_args(state.root / "csv", state.root / "plc")) == 0
+        return [(parse(state.path("plc", n).read_bytes(), state.profile), state.profile)
+                for n in state.names]
+    return [(compress(t, state.params), state.profile) for t in state.trajs]
+
+
+@pytest.mark.parametrize("corpus", ["golden", "geolife2d-tight", "nuplan-longblock",
+                                    "geolife3d-short-l1", "cli-files"])
+def test_grid_decode_is_bitwise_equal_to_the_reference(corpus, tmp_path, monkeypatch):
+    # the in-place batch decode gives the very bits of the reference decode,
+    # which makes each float step a fresh array
+    models = corpus_models(corpus, tmp_path, monkeypatch)
+    assert len(models) == {"golden": 48, "nuplan-longblock": 4, "geolife3d-short-l1": 400,
+                           "cli-files": 8}.get(corpus, 1)
+    for model, profile in models:
+        grid = reconstruct._decode_grid(model, profile)[1]
+        with monkeypatch.context() as m:
+            m.setattr(reconstruct, "decode_blocks", decode_blocks_ref)
+            want = reconstruct._decode_grid(model, profile)[1]
+        assert grid.tobytes() == want.tobytes()

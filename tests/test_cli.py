@@ -116,33 +116,53 @@ def test_header_only_csv_has_no_data_rows(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def read_through_pipe(lines):
+    """``read_trajectory_csv`` of the text ``lines`` written into a pipe."""
+    r, w = os.pipe()
+
+    def write():
+        with os.fdopen(w, "w") as fh:
+            fh.write("\n".join(lines))
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read_trajectory_csv(f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
+
+
 def test_csv_reader_reads_a_pipe_once():
     # a pipe, as `pilotc compress /dev/stdin` reads one, cannot be opened
     # again at its start, so all its rows, well beyond one read buffer, come
     # through the one handle, and so does the line a parse error names
     table = np.column_stack([np.arange(5000), np.arange(5000) * 0.5, -np.arange(5000.0)])
     rows = [",".join(repr(v) for v in row) for row in table.tolist()]
-
-    def read(lines):
-        r, w = os.pipe()
-
-        def write():
-            with os.fdopen(w, "w") as fh:
-                fh.write("\n".join(lines))
-
-        writer = threading.Thread(target=write)
-        writer.start()
-        try:
-            return read_trajectory_csv(f"/dev/fd/{r}")
-        finally:
-            writer.join()
-            os.close(r)
-
-    traj = read(["t,x,y", *rows])
+    traj = read_through_pipe(["t,x,y", *rows])
     assert traj.times.tobytes() == table[:, 0].tobytes()
     assert traj.points.tobytes() == np.ascontiguousarray(table[:, 1:]).tobytes()
     with pytest.raises(DataError, match="line 4002: cannot parse '4000,zzz,0'"):
-        read(["t,x,y", *rows[:4000], "4000,zzz,0", *rows[4001:]])
+        read_through_pipe(["t,x,y", *rows[:4000], "4000,zzz,0", *rows[4001:]])
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("row, count", [("1,2", 2), ("1,2,3,4", 4)])
+def test_csv_rows_of_another_field_count_name_the_line(row, count, source, tmp_path, capsys):
+    # a row with fewer or more fields than the header, between good rows
+    lines = ["t,x,y", "# a comment", "0,1,2", row, "2,3,4"]
+    match = f"line 4: {count} fields, header has 3"
+    with pytest.raises(DataError, match=match):
+        if source == "file":
+            path = tmp_path / "ragged.csv"
+            path.write_text("\n".join(lines) + "\n")
+            read_trajectory_csv(path)
+        else:
+            read_through_pipe(lines)
+    if source == "file":  # and the command says so, with the data exit code
+        out = tmp_path / "ragged.plc"
+        assert main(["compress", str(path), "-o", str(out), "--epsilon", "5"]) == EXIT_DATA
+        assert match in capsys.readouterr().err
 
 
 def test_duplicate_timestamps_rejected_without_dedup(tmp_path):

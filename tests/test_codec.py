@@ -413,6 +413,66 @@ def test_reader_failure_matches_reference(l):
             assert signeds_outcome(reader, data, l, len(good) + 2)[0] is ValueError
 
 
+def field_outcomes(data, l):
+    """Each field of the columnar reader's code list, read alone: its code
+    or the error's class; then which fields the list holds as ``None``."""
+    r = ColumnarReader(data, l)
+    out = []
+    for i in range(len(r.codes)):
+        r.index = i
+        try:
+            out.append(r.unsigned())
+        except (CorruptionError, TruncationError) as exc:
+            out.append(type(exc))
+    return out, [c is None for c in r.codes]
+
+
+def field_outcomes_ref(data, l):
+    """The same through the reference reader, started at each field's first
+    bit: a field ends with every chunk whose flag is 0, and the tail after
+    the last such chunk comes last."""
+    bits, width = bits_of(data), l + 1
+    starts = [0] + [width * (c + 1) for c in range(len(bits) // width) if bits[width * c] == "0"]
+    out = []
+    for start in starts:
+        r = VarintReader(data, l)
+        r.pos = start
+        try:
+            out.append(r.unsigned())
+        except (CorruptionError, TruncationError) as exc:
+            out.append(type(exc))
+    return out, [isinstance(o, type) for o in out]
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 8, 16, 31, 32])
+def test_columnar_reader_matches_reference_field_by_field(l):
+    # valid streams with the codes at each chunk count's edges, their cuts,
+    # and random bodies dense enough in 1 bits to hold fields with too many
+    # flagged chunks and codes of 2**64 or more
+    rng = np.random.default_rng(l)
+    edges = [0, 2**64 - 1] + [v for k in range(1, 64 // l + 1)
+                              for v in (2**(l * k) - 1, 2**(l * k), 2**(l * k) + 1) if v < 2**64]
+    bodies = []
+    for _ in range(12):
+        randoms = [int(v) >> int(rng.integers(64))
+                   for v in rng.integers(0, 2**64 - 1, 8, dtype=np.uint64, endpoint=True)]
+        codes = [(edges + randoms)[i] for i in rng.permutation(len(edges) + len(randoms))]
+        data = pack_varints(codes, [False] * len(codes), l)
+        assert field_outcomes(data, l)[0][:len(codes)] == codes
+        bodies += [data, data[:int(rng.integers(len(data)))]]
+    # the longest code below 2**64, the shortest code of as many chunks that
+    # reaches 2**64, and one flagged chunk too many before a zero payload
+    for n_flagged, top in ((64 // l, 2**(64 % l) - 1), (64 // l, 2**(64 % l)), (64 // l + 1, 0)):
+        bits = ("1" + "0" * l) * n_flagged + "0" + format(top, f"0{l}b")
+        bodies.append(bits_to_bytes(bits + "0" * (l + 1)))
+    for p in (0.5, 0.9, 0.97):
+        for _ in range(12):
+            bits = rng.random(8 * int(rng.integers(1, 64))) < p
+            bodies.append(np.packbits(bits).tobytes())
+    for data in bodies:
+        assert field_outcomes(data, l) == field_outcomes_ref(data, l)
+
+
 @settings(max_examples=300)
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(1, 8))
 def test_signed_varint_round_trip_property(n, l):

@@ -664,6 +664,29 @@ def test_table_reader_memory_is_bounded_by_its_window():
     assert (n_corrections, last) == (70_000, -(2**62))
 
 
+_BIG_L2_BODY = """
+from test_container import crafted
+# 90,000 corrections of a 64-bit signed field each: a 1.1 MB body at l = 2
+n = 90_000
+fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1), ("s", -(2**62))] * n
+payload = crafted(fields, chunk_bits=2)
+try:
+    back = parse(payload, geo)
+    answer = [len(payload), len(back.corrections), int(back.corrections.values[-1, 0])]
+except PilotCError as exc:
+    answer = [len(payload), type(exc).__name__]
+print(json.dumps(answer))
+"""
+
+
+def test_columnar_reader_memory_is_bounded_by_the_body():
+    # the l >= 2 reader splits the whole body into codes when it is built;
+    # its arrays, a few bytes per chunk and per field, fit under the cap
+    size, n_corrections, last = run_capped(_BIG_L2_BODY)
+    assert size >= 1 << 20
+    assert (n_corrections, last) == (90_000, -(2**62))
+
+
 def test_huge_block_size_builds_no_full_block_batch():
     # a segment shorter than b_s is one tail block: at eps = 1e7 (b_s = 5e6)
     # and 1e12 (5e11) neither side may build the empty batch of full blocks,

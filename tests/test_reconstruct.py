@@ -152,6 +152,19 @@ def test_scalar_and_single_queries(compressed):
     np.testing.assert_array_equal(one, rec.query(traj.times[5:6])[0])
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (1, 4), (2, 2, 1)])
+def test_query_of_more_than_one_dimension_names_the_shape(compressed, shape):
+    # a scalar and a 1-D sequence are queries; a column or a row of a 2-D
+    # array is not, and the error names its shape
+    traj, params, model = compressed
+    rec = Reconstructor(model, params)
+    ts = traj.times[:4]
+    with pytest.raises(ValueError, match=rf"shape \({', '.join(map(str, shape))},?\)"):
+        rec.query(ts.reshape(shape))
+    assert rec.query(ts).tobytes() == rec.query(list(ts)).tobytes()
+    assert rec.query(ts[0]).tobytes() == rec.query(ts[:1]).tobytes()
+
+
 def test_end_delta_chain_beyond_int64_keeps_its_sign():
     # two end deltas of 2**62 sum past the int64 range; the chain must not wrap
     blocks = ((EncodedBlock((), 2**62), EncodedBlock((), 2**62)),)
