@@ -75,9 +75,11 @@ def time_index_array(t, eps_t: float) -> np.ndarray:
 
 
 def _round_index(x, unit: float, what: str) -> np.ndarray:
-    """Index of the nearest multiple of ``unit``, ties away from zero, as int64."""
+    """Index of the nearest multiple of ``unit``, ties away from zero, as int64
+    (a numpy scalar for a scalar or 0-d ``x``).  The rounding runs in place
+    in one float buffer, never the caller's array."""
     v = np.asarray(x, dtype=float)
-    size = np.abs(v)
+    size = np.abs(v, out=np.empty(v.shape))
     if v.size:
         # NaN and inf propagate to the max; the range is checked in Python
         # floats, so a huge value cannot overflow in numpy
@@ -86,7 +88,11 @@ def _round_index(x, unit: float, what: str) -> np.ndarray:
             raise ValueError(f"cannot quantize a non-finite {what}")
         if top / unit + 0.5 >= _EXACT_FLOAT:
             raise OverflowError(f"{what} index exceeds the exact integer range of float64")
-    return (np.sign(v) * np.floor(size / unit + 0.5)).astype(np.int64)
+    size /= unit
+    size += 0.5
+    np.floor(size, out=size)
+    np.copysign(size, v, out=size)
+    return size.astype(np.int64)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,17 @@ quantized time index matches one, otherwise to the sub-trajectory whose
 grid span contains it (the later one winning ties), where the position is
 linearly interpolated between the two bracketing uniform samples and any
 matching correction entry is added on top.
+
+A query is answered chunk by chunk, in time order, where the timestamps
+that resolve to one segment form one run (see :meth:`Reconstructor._fill`);
+a chunk out of order is sorted by a stable argsort, answered by the same
+code and scattered back.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from itertools import accumulate
 
 import numpy as np
@@ -77,25 +84,19 @@ def decompress_uniform(model: CompressedTrajectory,
             for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
 
 
-def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray, ordered: bool):
-    """Where the query time indices equal a time index of the entry ``table``,
-    its time indices and dequantized values, as positions in ``q_idx``, and
-    the values of the matched entries.
-
-    With ``ordered`` (``q_idx`` does not decrease), each entry within the
-    range of ``q_idx`` finds its run of equal query indices by two
-    searches; otherwise every query index is searched in the entries."""
+def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray):
+    """Where the non-decreasing query time indices ``q_idx`` equal a time
+    index of the entry ``table``, its time indices and dequantized values,
+    as increasing positions in ``q_idx``, and the values of the matched
+    entries.  Each entry within the range of ``q_idx`` finds its run of
+    equal query indices by two searches."""
     idx, values = table
     if not idx.size:
         return np.zeros(0, dtype=np.intp), values
-    if ordered:
-        lo, hi = np.searchsorted(idx, q_idx[0]), np.searchsorted(idx, q_idx[-1], side="right")
-        first = np.searchsorted(q_idx, idx[lo:hi])
-        runs = np.searchsorted(q_idx, idx[lo:hi], side="right") - first
-        return flat_ranges(first, runs), values[lo:hi].repeat(runs, axis=0)
-    pos = np.minimum(np.searchsorted(idx, q_idx), idx.size - 1)
-    rows = (idx[pos] == q_idx).nonzero()[0]
-    return rows, values[pos[rows]]
+    lo, hi = idx.searchsorted(q_idx[0]), idx.searchsorted(q_idx[-1], "right")
+    first = q_idx.searchsorted(idx[lo:hi])
+    runs = q_idx.searchsorted(idx[lo:hi], "right") - first
+    return flat_ranges(first, runs), values[lo:hi].repeat(runs, axis=0)
 
 
 class Reconstructor:
@@ -111,13 +112,17 @@ class Reconstructor:
         # covers t0 quantization (eps_t / 2) plus float dust on long time axes
         tol = 0.5 * model.eps_t + 1e-9 * max([1.0, *map(abs, starts + ends)])
         self._starts = np.array(starts)
-        # indexed by how many segments start at or before a time: the reach
-        # of the segment before it and of the segment after it
+        # row s bounds segment s's run in a sorted chunk (row S: no segment):
+        # just past the reach of segment s - 1 after its end (the next float,
+        # so that a search for the first time at or after it finds the first
+        # one beyond the reach), the start of segment s's reach before its
+        # start, and its start
         with np.errstate(over="ignore"):  # a reach beyond float64 is infinite
-            self._reach_before = np.array([-np.inf, *ends]) + tol
-            self._reach_after = np.array([*starts, np.inf]) - tol
+            past = np.nextafter(np.array([-np.inf, *ends]) + tol, np.inf)
+            near = np.array([*starts, np.inf]) - tol
+        self._bounds = np.stack([past, near, np.append(self._starts, np.inf)], axis=1)
         counts = np.array(n_samples, dtype=np.int64)
-        self._last = counts - 2  # each segment's last interval
+        self._last = (counts - 2).astype(float)  # each segment's last interval
         self._offsets = counts.cumsum() - counts
         out, cor = model.outliers, model.corrections
         self._outliers = out.t_index, dequantize_array(out.values, lay.eps_out)
@@ -125,9 +130,45 @@ class Reconstructor:
 
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""
-        ts = np.atleast_1d(np.asarray(timestamps, dtype=float))
+        try:
+            ts = np.atleast_1d(np.asarray(timestamps, dtype=float))
+        except OverflowError:
+            # only a number beyond float64 fails to convert; it lies out of
+            # every segment's reach, on the side its sign says
+            big = next(t for t in np.ravel(np.asarray(timestamps, dtype=object))
+                       if abs(t) > sys.float_info.max)
+            raise QueryRangeError(math.inf if big > 0 else -math.inf) from None
         if ts.ndim != 1:
             raise ValueError(f"timestamps must be a scalar or 1-D, got shape {ts.shape}")
+        out = np.empty((ts.shape[0], self.model.dim))
+        # long queries go in chunks, so every temporary stays cache-sized;
+        # a chunk out of order is filled in order and scattered back
+        for lo in range(0, ts.shape[0], _QUERY_CHUNK):
+            chunk, part = ts[lo:lo + _QUERY_CHUNK], out[lo:lo + _QUERY_CHUNK]
+            if (chunk[1:] >= chunk[:-1]).all():
+                self._fill(part, chunk, None)
+            else:
+                order = chunk.argsort(kind="stable")
+                ordered = np.empty_like(part)
+                self._fill(ordered, chunk[order], order)
+                part[order] = ordered
+        return out
+
+    def _fill(self, out: np.ndarray, ts: np.ndarray, order) -> None:
+        """Positions at the non-decreasing timestamps ``ts``, into ``out``.
+
+        The timestamps that resolve to one segment form a run of ``ts``: from
+        where its reach before its start begins, but not before the previous
+        segment's reach after its end has passed, to where its own reach has
+        passed or the next segment starts.  One search in ``ts`` of those
+        bounds of the segments whose reach the chunk touches places every
+        run.  Between the runs lie the timestamps out of every reach, which
+        only an outlier hit may resolve; ``order`` maps positions in ``ts``
+        to query order (None: they are in query order), so that the error
+        names the first miss in query order.  Each timestamp takes its
+        segment's start, last interval and grid offset from one repeat per
+        column over the runs.
+        """
         try:
             q_idx = time_index_array(ts, self.model.eps_t)
         except (OverflowError, ValueError):
@@ -135,47 +176,57 @@ class Reconstructor:
             # cannot match anything
             bad = ts[~np.isfinite(ts)] if not np.all(np.isfinite(ts)) else ts
             raise QueryRangeError(float(bad[np.argmax(np.abs(bad))])) from None
-        out = np.empty((ts.shape[0], self.model.dim))
-        # long queries go in chunks, so every temporary stays cache-sized
-        for lo in range(0, ts.shape[0], _QUERY_CHUNK):
-            hi = lo + _QUERY_CHUNK
-            self._fill(out[lo:hi], ts[lo:hi], q_idx[lo:hi])
-        return out
-
-    def _fill(self, out: np.ndarray, ts: np.ndarray, q_idx: np.ndarray) -> None:
-        # queries at the original timestamps arrive sorted; in a sorted
-        # chunk the few segment starts and entries are searched in the
-        # chunk, rather than every timestamp in them
-        ordered = bool((ts[1:] >= ts[:-1]).all())
-        hit, found = _match(self._outliers, q_idx, ordered)
-        # a time in reach of the last segment starting at or before it
-        # belongs to that one, otherwise to the next one if in its reach;
-        # k counts the segments starting at or before each time
-        if ordered:
-            lo, hi = np.searchsorted(self._starts, ts[[0, -1]], side="right")
-            first = np.searchsorted(ts, self._starts[lo:hi])
-            k = lo + np.bincount(first, minlength=ts.size).cumsum()
-        else:
-            k = np.searchsorted(self._starts, ts, side="right")
-        in_cur = ts <= self._reach_before[k]
-        missed = ~(in_cur | (ts >= self._reach_after[k]))
-        missed[hit] = False
-        if missed.any():
-            raise QueryRangeError(float(ts[missed.argmax()]))
+        n = ts.size
+        hit, found = _match(self._outliers, q_idx)
+        # a time belongs to the last segment starting at or before it if in
+        # its reach, otherwise to the next one if in its reach; so the chunk
+        # may resolve to the segments lo - 1 .. hi, where lo and hi count the
+        # segments starting at or before its first and last time
+        lo, hi = self._starts.searchsorted(ts[[0, -1]], "right").tolist()
+        s0, s1 = max(lo - 1, 0), min(hi + 1, self._starts.size)
+        past, near, begun = ts.searchsorted(self._bounds[s0:s1 + 1].ravel()).reshape(-1, 3).T
+        # segment s's run is run_lo[s] .. run_hi[s] - 1; the row after the
+        # window's last segment bounds no run, and the chunk ends there
+        run_lo = np.minimum(np.maximum(near, past), begun)
+        run_hi = np.minimum(past[1:], begun[1:])
+        run_lo[-1] = n
+        if (run_hi - run_lo[:-1]).sum() < n:  # some times lie between the runs
+            gap = np.append(0, run_hi)
+            missed = np.zeros(n, dtype=bool)
+            missed[flat_ranges(gap, run_lo - gap)] = True
+            missed[hit] = False
+            if missed.any():
+                at = missed.nonzero()[0]
+                first = at[0] if order is None else at[order[at].argmin()]
+                raise QueryRangeError(float(ts[first]))
         if self._starts.size:
-            # an outlier hit out of every segment's reach takes the last
-            # segment here and is overwritten below
-            seg = np.minimum(k - in_cur, self._starts.size - 1)
+            # a time between the runs, an outlier hit, takes the segment of
+            # the run before it (the first one before the first run); its
+            # position is overwritten below
+            run_lo[0] = 0
+            counts = run_lo[1:] - run_lo[:-1]
+            u = self._starts[s0:s1].repeat(counts)
+            last = self._last[s0:s1].repeat(counts)
+            base = self._offsets[s0:s1].repeat(counts)
             # a tiny dt can put u beyond int64, or make it infinite, at a
             # query inside the tolerance; both clip to the segment's ends
             with np.errstate(over="ignore"):
-                u = (ts - self._starts[seg]) / self.model.dt
+                np.subtract(ts, u, out=u)
+                u /= self.model.dt
             # truncating u clipped to [0, last] is its floor clipped alike
-            j = np.clip(u, 0, self._last[seg]).astype(np.int64)
-            frac = np.clip(u - j, 0.0, 1.0)
-            base, keep = self._offsets[seg] + j, 1.0 - frac
-            for d, row in enumerate(self._grid):
-                out[:, d] = row[base] * keep + row[1:][base] * frac
-            rows, residual = _match(self._corrections, q_idx, ordered)
+            j = np.minimum(np.maximum(u, 0.0), last, out=last).astype(np.int64)
+            u -= j
+            frac = np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+            keep = 1.0 - frac
+            base += j
+            # every axis at once: the samples at and after each base; the
+            # grid is C-contiguous, so take copies only what it gathers
+            lower = self._grid.take(base, axis=1)
+            lower *= keep
+            base += 1
+            upper = self._grid.take(base, axis=1)
+            upper *= frac
+            np.add(lower, upper, out=out.T)
+            rows, residual = _match(self._corrections, q_idx)
             out[rows] += residual
         out[hit] = found

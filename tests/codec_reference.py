@@ -35,6 +35,14 @@ def enhanced_zigzag_unmap(u: int) -> int:
     return (u - 1) // 2 if u % 2 == 1 else -(u // 2)
 
 
+def round_index_ref(x, unit: float):
+    """Index of the nearest multiple of ``unit``, ties away from zero, as
+    int64, by the formula ``sign(v) * floor(|v| / unit + 0.5)`` in fresh
+    arrays; for values whose index fits the exact float64 integer range."""
+    v = np.asarray(x, dtype=float)
+    return (np.sign(v) * np.floor(np.abs(v) / unit + 0.5)).astype(np.int64)
+
+
 class VarintReader:
     """Reads, in order, the varints that ``pack_varints`` wrote.
 

@@ -3,7 +3,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from codec_reference import VarintReader, enhanced_zigzag_unmap
+from codec_reference import VarintReader, enhanced_zigzag_unmap, round_index_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,6 +75,33 @@ def test_time_index_uses_single_step():
     assert time_index_array(10.26, 0.1) == 103
     assert time_index_array(10.26, 0.1) * 0.1 == pytest.approx(10.3)
     assert abs(10.26 - time_index_array(10.26, 0.1) * 0.1) <= 0.05 + 1e-12
+
+
+@pytest.mark.parametrize("unit", [1.0, 0.02, 2.0 * 0.37, 1e-3])
+def test_round_index_is_bitwise_the_reference_formula(unit):
+    # ties at k + 1/2 units, signed zeros, random values, and values whose
+    # index lies just under the exact float64 integer range, in every shape
+    limit = float(1 << 53)
+    k = np.arange(-6, 7)
+    near_limit = [sign * np.nextafter(m * unit, 0.0) for m in (limit - 2, limit - 4, 2.0**52)
+                  for sign in (1, -1)]
+    near_limit = [v for v in near_limit if abs(v) / unit + 0.5 < limit]
+    assert len(near_limit) >= 4
+    rng = np.random.default_rng(0)
+    values = np.concatenate([[0.0, -0.0], (k + 0.5) * unit, -(k + 0.5) * unit, k * unit,
+                             near_limit, rng.normal(0.0, 1e4, 200)])
+    even = values[:values.size // 6 * 6]
+    inputs = [values, even.reshape(-1, 2), values[::3], even.reshape(-1, 3)[:, 1:],
+              np.array(values[5]), -0.0, 2.5 * unit, int(7), np.float64(-3.5 * unit)]
+    for x in inputs:
+        before = np.array(x, copy=True)
+        got, want = codec._round_index(x, unit, "value"), round_index_ref(x, unit)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.int64
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.array(x).tobytes() == before.tobytes()  # the input is untouched
+    assert type(time_index_array(1.26, 0.1)) is np.int64
+    assert type(quantize_array(np.array(3.0), 0.5)) is np.int64
 
 
 def test_time_index_rejects_a_bad_time_precision_without_warning():

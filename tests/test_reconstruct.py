@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,3 +304,90 @@ def test_query_matches_scalar_reference_on_hand_built_models():
     outliers_only = hand_built(**header, outliers=((5, (1, 1)), (900, (2, 3))))
     ts = probe_times(outliers_only, rng)
     assert assert_query_matches_reference(outliers_only, ts, rng) == (6, 2)
+
+
+def _resolves(model, t) -> bool:
+    try:
+        query_ref(model, GEO, [t])
+        return True
+    except QueryRangeError:
+        return False
+
+
+def test_many_short_segments_in_one_chunk_match_the_reference():
+    # about 40 short segments, each touching the one before, overlapping it
+    # by one time index, or after a gap that holds one outlier; corrections
+    # sit on the segments' starts and ends, where runs open and close
+    rng = np.random.default_rng(16)
+    header = dict(dim=2, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2)
+    segments, outliers, boundaries = [], [], set()
+    t0 = 0
+    for i in range(40):
+        n = int(rng.integers(2, 6))
+        segments.append(flat_segment(t0, n, (i, -i)))
+        end = segment_end_index(t0, n, header["dt"], header["eps_t"])
+        boundaries |= {t0, end}
+        kind = i % 3
+        if kind == 0:
+            t0 = end
+        elif kind == 1:
+            t0 = end - 1
+        else:
+            gap = int(rng.integers(5, 300))
+            outliers.append((end + gap // 2 + 1, (100 + i, 200 + i)))
+            t0 = end + gap
+    corrections = [(t, (1 + t % 5, -(t % 7))) for t in sorted(boundaries)]
+    model = hand_built(**header, segments=tuple(segments), outliers=tuple(outliers),
+                       corrections=tuple(corrections))
+    ts = probe_times(model, rng)
+    good, bad = assert_query_matches_reference(model, ts, rng)
+    assert good > 500 and bad > 50
+    # a sparse query leaves most segments' runs empty, and an outlier's
+    # neighbours only: the out-of-reach intervals hold outlier hits alone
+    sparse = np.sort(ts[rng.random(ts.size) < 0.1])
+    hits = np.array([t for t, _ in outliers]) * model.eps_t
+    assert_query_matches_reference(model, np.concatenate([sparse, hits]), rng)
+    # chunks of a few timestamps open and close runs at every chunk boundary
+    resolves = np.sort(np.concatenate([ts[[_resolves(model, t) for t in ts]], hits]))
+    want = query_ref(model, GEO, resolves)
+    rec = Reconstructor(model, GEO)
+    for chunk in (1, 2, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruct, "_QUERY_CHUNK", chunk)
+            assert rec.query(resolves).tobytes() == want.tobytes()
+
+
+def test_query_beyond_float64_is_a_range_error(compressed):
+    # an integer timestamp too large for float64 lies out of every reach
+    traj, params, model = compressed
+    rec = Reconstructor(model, params)
+    for big, want in ((10**400, math.inf), (-10**400, -math.inf)):
+        for ts in (big, [big], [float(traj.times[0]), big]):
+            with pytest.raises(QueryRangeError) as exc:
+                rec.query(ts)
+            assert exc.value.timestamp == want
+
+
+def _peak_above_output(rec, ts) -> int:
+    """The peak traced allocation of one query, less its output array."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = rec.query(ts)
+        return tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_query_memory_is_bounded_by_the_chunk(compressed):
+    # a query eight times as long, in order or shuffled, allocates at its
+    # peak little more than the shorter one beyond the positions it returns
+    traj, params, model = compressed
+    rec = Reconstructor(model, params)
+    rng = np.random.default_rng(17)
+    for shuffled in (False, True):
+        peaks = []
+        for n in (2**17, 2**20):
+            ts = np.sort(rng.choice(traj.times, n))
+            peaks.append(_peak_above_output(rec, rng.permutation(ts) if shuffled else ts))
+        assert peaks[1] <= 1.25 * peaks[0], (shuffled, peaks)
