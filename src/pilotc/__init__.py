@@ -23,14 +23,10 @@ from .errors import (
     TruncationError,
 )
 from .metrics import EvalReport, max_sed, mean_sed, raw_size_bytes, var_delta_s
-from .model import (
-    CompressedTrajectory,
-    TrajectoryRecord,
-    UniformSeries,
-)
+from .model import CompressedTrajectory, TrajectoryRecord
 from .params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile
 from .pipeline import choose_dt, compress, resample, segment, validate_and_correct
-from .reconstruct import Reconstructor, decompress_uniform
+from .reconstruct import Reconstructor
 from .synth import synthetic_trajectory
 
 __version__ = "0.1.0"
@@ -50,10 +46,8 @@ __all__ = [
     "Reconstructor",
     "TrajectoryRecord",
     "TruncationError",
-    "UniformSeries",
     "choose_dt",
     "compress",
-    "decompress_uniform",
     "max_sed",
     "mean_sed",
     "parse",

@@ -28,7 +28,7 @@ from .errors import (
 from .model import TrajectoryRecord
 from .params import DEFAULT_PROFILE, PROFILES, CodecParams, Profile
 from .pipeline import compress
-from .reconstruct import Reconstructor, decompress_uniform
+from .reconstruct import Reconstructor
 from .synth import synthetic_trajectory
 
 EXIT_OK = 0
@@ -219,10 +219,9 @@ def _cmd_decompress(args) -> int:
     data = Path(args.input).read_bytes()
     model = container.parse(data, profile)
     if args.grid:
-        series = decompress_uniform(model, profile)
-        times = np.concatenate([s.grid_times() for s in series]) if series else np.zeros(0)
-        points = (np.concatenate([s.values for s in series])
-                  if series else np.zeros((0, model.dim)))
+        grids = list(Reconstructor(model, profile).segment_grids())
+        times = np.concatenate([t for t, _ in grids] or [np.zeros(0)])
+        points = np.concatenate([v for _, v in grids] or [np.zeros((0, model.dim))])
     else:
         times = _read_timestamps(Path(args.at))
         points = Reconstructor(model, profile).query(times)
@@ -232,13 +231,26 @@ def _cmd_decompress(args) -> int:
 
 
 def _read_timestamps(path: Path) -> np.ndarray:
+    """Read one timestamp per line; blank lines and '#' comments are skipped,
+    so a file of neither holds no timestamps."""
     try:
-        values = np.loadtxt(path, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, ndmin=2)
+        if values.shape[1] == 1:
+            return values.ravel()
     except ValueError:
-        raise DataError(f"{path}: timestamps file must hold one number per line") from None
-    if values.ndim != 1:
-        raise DataError(f"{path}: timestamps file must hold one number per line")
-    return values
+        pass
+    text = path.read_text(encoding="utf-8", errors="replace")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split("#", 1)[0].split()
+        try:
+            ok = len([float(v) for v in fields]) <= 1
+        except ValueError:
+            ok = False
+        if not ok:
+            raise DataError(f"{path}: line {lineno}: expected one number, got '{line.strip()}'")
+    raise DataError(f"{path}: timestamps file must hold one number per line")
 
 
 def _cmd_eval(args) -> int:

@@ -1,4 +1,4 @@
-"""Data model: raw trajectories, uniform series, and the compressed form.
+"""Data model: raw trajectories and the compressed form.
 
 ``CompressedTrajectory`` mirrors the serialized container field for field,
 so that a parse of a serialize compares equal.  It holds the header values
@@ -68,22 +68,6 @@ class TrajectoryRecord:
         if self.n_points > 1 and not np.all(np.diff(self.times) > 0.0):
             raise DataError("timestamps must be strictly increasing")
         return self
-
-
-@dataclass
-class UniformSeries:
-    """Per-fragment resampled signal on a fixed dt grid."""
-
-    t0: float
-    dt: float
-    values: np.ndarray  # shape (n_samples, dim); sample j sits at t0 + j*dt
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    def grid_times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
 
 
 class BlockColumns:

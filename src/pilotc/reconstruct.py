@@ -1,4 +1,5 @@
-"""Decompression: rebuild uniform series and answer timestamp queries.
+"""Decompression: :class:`Reconstructor`, the one decoder, rebuilds every
+segment's uniform samples as one grid and answers timestamp queries from it.
 
 Original timestamps are not stored in the container; the decompressor is a
 query API.  A query timestamp resolves to an outlier entry when its
@@ -17,38 +18,31 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate
+from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import BlockPlan, decode_blocks, flat_ranges
+from .blocks import decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
 from .container import check_columns, model_layout
 from .errors import CorruptionError, QueryRangeError
-from .model import CompressedTrajectory, UniformSeries
+from .model import CompressedTrajectory
 from .params import DEFAULT_PROFILE, Layout
 
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
 
-def _checked(model: CompressedTrajectory, constants) -> tuple[Layout, BlockPlan]:
-    """The layout of ``model`` under the dataset ``constants`` and the plan
-    of its blocks, once :func:`~pilotc.container.model_layout` and
-    :func:`~pilotc.container.check_columns` pass, with a broken rule, which
-    a model built by hand can hold, raised as :class:`CorruptionError`."""
+def _decode_grid(model: CompressedTrajectory, constants) -> tuple[Layout, np.ndarray]:
+    """The layout of ``model`` under the dataset ``constants`` and every
+    segment's uniform samples as one C-contiguous (dim, samples) grid, decoded
+    in one batch per block length (see :class:`~pilotc.blocks.BlockPlan`); a
+    broken column rule, which a model built by hand can hold, is corruption."""
     try:
         lay = model_layout(model, constants)
-        return lay, check_columns(model, lay)
+        plan = check_columns(model, lay)
     except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
-
-
-def _decode_grid(model: CompressedTrajectory, constants):
-    """The layout of ``model``, then every segment's uniform samples, decoded
-    in one batch per block length (see :class:`~pilotc.blocks.BlockPlan`),
-    as one C-contiguous (dim, samples) grid; then the segments' t0 time
-    indices and sample counts."""
-    lay, plan = _checked(model, constants)
     segments = model.segments
     cols = segments.store
     p0 = dequantize_array(segments.p0_q.ravel(), model.eps_p)
@@ -66,22 +60,7 @@ def _decode_grid(model: CompressedTrajectory, constants):
     flat = np.empty(sum(segments.n_samples) * model.dim)
     flat[plan.chain_row] = p0
     decode_blocks(cols, starts, ends, plan, lay, flat)
-    return lay, flat.reshape(model.dim, -1), segments.t0_index, segments.n_samples
-
-
-def decompress_uniform(model: CompressedTrajectory,
-                       constants=DEFAULT_PROFILE) -> list[UniformSeries]:
-    """Rebuild every sub-trajectory's uniform series.
-
-    ``constants`` is any object carrying the dataset constants ``a, b, c, d``
-    (a :class:`~pilotc.params.Profile` or :class:`~pilotc.params.CodecParams`),
-    matching the ones used at compression time.  Every segment decodes at
-    once, into the one (dim, samples) grid that :class:`Reconstructor` keeps;
-    each series' values are a transposed column slice of it.
-    """
-    _, grid, t0_index, n_samples = _decode_grid(model, constants)
-    return [UniformSeries(t0 * model.eps_t, model.dt, grid[:, row:row + n].T)
-            for t0, n, row in zip(t0_index, n_samples, accumulate(n_samples, initial=0))]
+    return lay, flat.reshape(model.dim, -1)
 
 
 def _match(table: tuple[np.ndarray, np.ndarray], q_idx: np.ndarray):
@@ -106,9 +85,9 @@ class Reconstructor:
 
     def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
         self.model = model
-        lay, self._grid, t0_index, n_samples = _decode_grid(model, constants)
-        starts = [t0 * model.eps_t for t0 in t0_index]
-        ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, n_samples)]
+        lay, self._grid = _decode_grid(model, constants)
+        starts = [t0 * model.eps_t for t0 in model.segments.t0_index]
+        ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, model.segments.n_samples)]
         # covers t0 quantization (eps_t / 2) plus float dust on long time axes
         tol = 0.5 * model.eps_t + 1e-9 * max([1.0, *map(abs, starts + ends)])
         self._starts = np.array(starts)
@@ -121,12 +100,20 @@ class Reconstructor:
             past = np.nextafter(np.array([-np.inf, *ends]) + tol, np.inf)
             near = np.array([*starts, np.inf]) - tol
         self._bounds = np.stack([past, near, np.append(self._starts, np.inf)], axis=1)
-        counts = np.array(n_samples, dtype=np.int64)
+        counts = np.array(model.segments.n_samples, dtype=np.int64)
         self._last = (counts - 2).astype(float)  # each segment's last interval
         self._offsets = counts.cumsum() - counts
         out, cor = model.outliers, model.corrections
         self._outliers = out.t_index, dequantize_array(out.values, lay.eps_out)
         self._corrections = cor.t_index, dequantize_array(cor.values, lay.eps_d)
+
+    def segment_grids(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each segment's grid times and its (n_samples, dim) uniform
+        samples, a view of the one grid, in segment order."""
+        dt = self.model.dt
+        for t0, row, n in zip(self._starts.tolist(), self._offsets.tolist(),
+                              self.model.segments.n_samples):
+            yield t0 + dt * np.arange(n), self._grid[:, row:row + n].T
 
     def query(self, timestamps) -> np.ndarray:
         """Positions at the given timestamps, shape (len(timestamps), dim)."""
@@ -230,3 +217,18 @@ class Reconstructor:
             rows, residual = _match(self._corrections, q_idx)
             out[rows] += residual
         out[hit] = found
+
+
+class UniformSeries(NamedTuple):
+    """One segment's samples, shape (n_samples, dim); sample j sits at t0 + j * dt."""
+
+    t0: float
+    dt: float
+    values: np.ndarray
+
+
+def decompress_uniform(model: CompressedTrajectory,
+                       constants=DEFAULT_PROFILE) -> list[UniformSeries]:
+    """Every segment's :meth:`Reconstructor.segment_grids` as a :class:`UniformSeries`."""
+    return [UniformSeries(times[0], model.dt, values)
+            for times, values in Reconstructor(model, constants).segment_grids()]

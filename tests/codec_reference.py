@@ -15,6 +15,7 @@ closed-form error predictors live here too, since only tests use them.
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from pilotc.codec import dequantize_array, quantize_array, round_half_away
 from pilotc.errors import CorruptionError, QueryRangeError, TruncationError
 from pilotc.model import EncodedBlock
 from pilotc.params import Layout
-from pilotc.reconstruct import decompress_uniform
+from pilotc.reconstruct import Reconstructor
 from pilotc.transform import cosine_basis
 
 
@@ -253,11 +254,25 @@ def resample_ref(times, points, dt: float) -> np.ndarray:
     return values
 
 
-def query_tolerance_ref(series, eps_t: float) -> float:
+class Span(NamedTuple):
+    """One segment's uniform grid: sample j of ``values`` sits at t0 + j * dt."""
+
+    t0: float
+    n_samples: int
+    values: np.ndarray
+
+
+def spans(model, constants) -> list[Span]:
+    """Every segment's grid, read through :meth:`Reconstructor.segment_grids`."""
+    return [Span(float(times[0]), len(times), values)
+            for times, values in Reconstructor(model, constants).segment_grids()]
+
+
+def query_tolerance_ref(series, dt: float, eps_t: float) -> float:
     """How far outside its grid span a timestamp may lie and still belong to
     a segment: half a time step of the t0 quantization plus float dust that
     grows with the largest span end."""
-    extreme = max((abs(v) for s in series for v in (s.t0, s.t0 + (s.n_samples - 1) * s.dt)),
+    extreme = max((abs(v) for s in series for v in (s.t0, s.t0 + (s.n_samples - 1) * dt)),
                   default=0.0)
     return 0.5 * eps_t + 1e-9 * max(1.0, extreme)
 
@@ -276,13 +291,13 @@ def query_ref(model, constants, timestamps) -> np.ndarray:
     timestamp, in input order, that belongs nowhere raises
     :class:`QueryRangeError`.  Segments must start in time order.
     """
-    series = decompress_uniform(model, constants)
+    series = spans(model, constants)
     lay = Layout.derive(model.eps, model.eps_p, model.dim, constants)
     outliers, corrections = ({t: dequantize_array(v, step) for t, v in
                               zip(entries.t_index.tolist(), entries.values)}
                              for entries, step in ((model.outliers, lay.eps_out),
                                                    (model.corrections, lay.eps_d)))
-    tol = query_tolerance_ref(series, model.eps_t)
+    tol = query_tolerance_ref(series, model.dt, model.eps_t)
     out = np.empty((len(timestamps), model.dim))
     for i, t in enumerate(map(float, timestamps)):
         q = round_half_away(t / model.eps_t)

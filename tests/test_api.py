@@ -25,10 +25,8 @@ PUBLIC = {
     "Reconstructor": ["model", "constants"],
     "TrajectoryRecord": ["times", "points"],
     "TruncationError": None,
-    "UniformSeries": ["t0", "dt", "values"],
     "choose_dt": ["times", "lo", "hi", "eps_t", "default_dt"],
     "compress": ["traj", "params"],
-    "decompress_uniform": ["model", "constants"],
     "max_sed": ["original", "reconstructed"],
     "mean_sed": ["original", "reconstructed"],
     "parse": ["data", "profile"],

@@ -169,9 +169,8 @@ def test_malformed_blocks_rejected():
     seg = SubTrajectorySegment(0, (0,), 31, ((EncodedBlock(tuple(range(1, 12))),),))
     model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
                        segments=(seg,))
-    for decode in (Reconstructor, decompress_uniform):
-        with pytest.raises(CorruptionError, match="budget"):
-            decode(model, PROFILES["geolife"])
+    with pytest.raises(CorruptionError, match="budget"):
+        Reconstructor(model, PROFILES["geolife"])
 
 
 def test_block_params_validation():
@@ -203,7 +202,7 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
 
         model = hand_built(dim=2, dt=1.0, eps=eps, eps_t=1.0, eps_p=params.eps_p, chunk_bits=2)
         model = replace(model, segments=segs)
-        got = decompress_uniform(model, profile)[0].values
+        (_, got), = Reconstructor(model, profile).segment_grids()
         want = decode_series_ref(seg.p0_q, seg.blocks, n_samples, lay, params.eps_p)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
@@ -232,10 +231,12 @@ def test_segments_coded_together_match_per_block_reference(dim):
 
     model = replace(hand_built(dim=dim, dt=1.0, eps=10.0, eps_t=1.0, eps_p=params.eps_p,
                                chunk_bits=2), segments=segs)
-    for series, seg in zip(decompress_uniform(model, profile), segs):
+    grids = list(Reconstructor(model, profile).segment_grids())
+    assert len(grids) == len(segs)
+    for (times, values), seg in zip(grids, segs):
         want = decode_series_ref(seg.p0_q, seg.blocks, seg.n_samples, lay, params.eps_p)
-        assert series.t0 == seg.t0_index
-        np.testing.assert_allclose(series.values, want, rtol=0, atol=1e-9 * np.abs(want).max())
+        assert times.tolist() == list(range(seg.t0_index, seg.t0_index + seg.n_samples))
+        np.testing.assert_allclose(values, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
 
 def test_block_codec_calls_do_not_grow_with_segments(monkeypatch):
@@ -300,8 +301,24 @@ def test_grid_decode_is_bitwise_equal_to_the_reference(corpus, tmp_path, monkeyp
     assert len(models) == {"golden": 48, "nuplan-longblock": 4, "geolife3d-short-l1": 400,
                            "cli-files": 8}.get(corpus, 1)
     for model, profile in models:
-        grid = reconstruct._decode_grid(model, profile)[1]
+        got = [values.tobytes() for _, values in Reconstructor(model, profile).segment_grids()]
         with monkeypatch.context() as m:
             m.setattr(reconstruct, "decode_blocks", decode_blocks_ref)
-            want = reconstruct._decode_grid(model, profile)[1]
-        assert grid.tobytes() == want.tobytes()
+            want = [values.tobytes()
+                    for _, values in Reconstructor(model, profile).segment_grids()]
+        assert len(got) == len(model.segments) and got == want
+
+
+@pytest.mark.parametrize("corpus", ["golden", "geolife2d-tight", "nuplan-longblock",
+                                    "geolife3d-short-l1", "cli-files"])
+def test_decompress_uniform_is_the_decoder_grid_by_segment(corpus, tmp_path, monkeypatch):
+    # the benchmark reads decompress_uniform's series; each must hold the
+    # very bits of the decoder's segment grid and start at its first time
+    for model, profile in corpus_models(corpus, tmp_path, monkeypatch):
+        series = decompress_uniform(model, profile)
+        grids = list(Reconstructor(model, profile).segment_grids())
+        assert len(series) == len(grids) == len(model.segments)
+        for s, (times, values) in zip(series, grids):
+            assert np.float64(s.t0).tobytes() == times[:1].tobytes() and s.dt == model.dt
+            assert s.values.shape == values.shape
+            assert s.values.tobytes() == values.tobytes()

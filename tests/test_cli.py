@@ -243,6 +243,38 @@ def test_decompress_out_of_range_timestamp(tmp_path, capsys):
     assert "999999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, code, report", [
+    ("", EXIT_OK, "0 rows"),
+    ("# none yet\n\n", EXIT_OK, "0 rows"),
+    ("0.5\n# a comment\n\n1.5 # a tail comment\n", EXIT_OK, "2 rows"),
+    ("0.5\n\nabc\n2.0\n", EXIT_DATA, "line 3: expected one number, got 'abc'"),
+    ("0.5 1.5\n", EXIT_DATA, "line 1: expected one number, got '0.5 1.5'"),
+    ("0.5\n1.5 2.5\n", EXIT_DATA, "line 2: expected one number, got '1.5 2.5'"),
+], ids=["empty", "comments only", "comments and numbers", "not a number", "two numbers",
+        "two numbers on a later line"])
+def test_decompress_timestamps_file(tmp_path, capsys, text, code, report):
+    # a file without numbers holds no timestamps, and a bad line is named;
+    # numpy's own warnings never reach the user
+    t = np.arange(300.0)
+    src = tmp_path / "line.csv"
+    write_positions_csv(src, t, np.stack([2.0 * t, 100.0 - t], axis=1))
+    plc = tmp_path / "line.plc"
+    assert main(["compress", str(src), "-o", str(plc), "--epsilon", "10"]) == EXIT_OK
+    ts = tmp_path / "ts.txt"
+    ts.write_text(text)
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompress", str(plc), "-o", str(out), "--at", str(ts)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert report in captured.out and captured.err == ""
+        assert len(out.read_text().splitlines()) == 1 + int(report.split()[0])
+    else:
+        assert report in captured.err and not out.exists()
+
+
 def test_truncated_container_is_format_error(tmp_path, capsys):
     src = tmp_path / "s.csv"
     traj = synthetic_trajectory(400, dim=2, seed=4)

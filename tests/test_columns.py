@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from model_gen import hand_built, random_model
 
-from pilotc import Reconstructor, compress, decompress_uniform, parse, serialize
+from pilotc import Reconstructor, compress, parse, serialize
 from pilotc.blocks import BlockPlan
 from pilotc.container import check_columns
 from pilotc.errors import CorruptionError
@@ -84,8 +84,9 @@ def test_read_out_rebuilds_an_equal_model(name, model, traj):
     assert serialize(copy, GEO) == payload
     back = parse(payload, GEO)
     assert back == model and serialize(back, GEO) == payload
-    got, want = decompress_uniform(model, GEO), decompress_uniform(copy, GEO)
-    assert [s.values.tobytes() for s in got] == [s.values.tobytes() for s in want]
+    got, want = ([values.tobytes() for _, values in Reconstructor(m, GEO).segment_grids()]
+                 for m in (model, copy))
+    assert got == want
     times = query_times(model, traj)
     assert (Reconstructor(model, GEO).query(times).tobytes()
             == Reconstructor(copy, GEO).query(times).tobytes())
@@ -234,8 +235,6 @@ def test_store_meets_the_rule_of_the_constants_and_lengths_it_is_used_with():
                 serialize(bad, constants)
             with pytest.raises(CorruptionError, match="retention budget"):
                 Reconstructor(bad, constants)
-            with pytest.raises(CorruptionError, match="retention budget"):
-                decompress_uniform(bad, constants)
 
 
 def test_round_trip_lays_out_each_model_once(monkeypatch):
@@ -274,15 +273,11 @@ def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
                        segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
     with pytest.raises(CorruptionError):
         Reconstructor(model, GEO)
-    with pytest.raises(CorruptionError):
-        decompress_uniform(model, GEO)
     # below the range too: one sample has no velocity to partition into blocks
     model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
                        segments=(SubTrajectorySegment(0, (0,), 1, ((EncodedBlock(()),),)),))
     with pytest.raises(CorruptionError, match="at least one velocity"):
         Reconstructor(model, GEO)
-    with pytest.raises(CorruptionError, match="at least one velocity"):
-        decompress_uniform(model, GEO)
     with pytest.raises(ValueError, match="sample count 1"):
         serialize(model, GEO)
 
@@ -316,8 +311,6 @@ def test_entry_columns_of_unequal_length_are_rejected(field):
         serialize(broken, GEO)
     with pytest.raises(CorruptionError, match="one time index per row"):
         Reconstructor(broken, GEO)
-    with pytest.raises(CorruptionError, match="one time index per row"):
-        decompress_uniform(broken, GEO)
 
 
 @pytest.mark.parametrize("store", [
@@ -368,8 +361,6 @@ def test_header_that_breaks_the_rule_in_a_model_built_by_hand_is_corruption(fiel
         serialize(broken, GEO)
     with pytest.raises(CorruptionError, match=f"{field} must be positive and finite"):
         Reconstructor(broken, GEO).query(0.05)
-    with pytest.raises(CorruptionError, match=f"{field} must be positive and finite"):
-        decompress_uniform(broken, GEO)
 
 
 def test_columns_take_only_values_that_int64_holds():
@@ -401,4 +392,4 @@ def test_decoder_leaves_the_dimension_limit_to_the_container():
         serialize(model, GEO)
     rec = Reconstructor(model, GEO)
     assert np.abs(rec.query(traj.times) - traj.points).max() <= 10.0
-    assert len(decompress_uniform(model, GEO)) == len(model.segments.t0_index)
+    assert len(list(rec.segment_grids())) == len(model.segments.t0_index)

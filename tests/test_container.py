@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from codec_reference import VarintReader
 from model_gen import hand_built, random_model
+from test_golden import _CHUNK_BITS, _KINDS, _PROFILES, _container
 
 import pilotc
 from pilotc import Reconstructor, container
@@ -523,6 +525,35 @@ def test_columnar_parse_matches_per_field_reader(chunk_bits, monkeypatch):
             per_field = [parse_outcome(case) for case in cases]
         assert columnar[0] == model
         assert columnar == per_field
+
+
+def test_every_valid_container_parses_through_the_chase(monkeypatch):
+    # parse falls back to the field walk whenever the chase raises, so a
+    # fault in the chase would only slow parse down; no valid container at
+    # l >= 2 may take the walk (entry sums near the int64 limit would, by
+    # design, and none of these holds one)
+    walks = []
+    walk = container._walk
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(container, "_walk", counting)
+    parse(serialize(random_model(np.random.default_rng(0), chunk_bits=1), GEO), GEO)
+    assert len(walks) == 1  # the spy sees the walk that l = 1 always takes
+    walks.clear()
+    parsed = 0
+    for chunk_bits in (2, 3, 5, 8, 16):
+        for seed in range(30):
+            model = random_model(np.random.default_rng(seed), chunk_bits=chunk_bits)
+            assert parse(serialize(model, GEO), GEO) == model
+            parsed += 1
+    for name, kind, chunk_bits in itertools.product(_PROFILES, _KINDS, _CHUNK_BITS):
+        if chunk_bits >= 2:
+            parse(_container(name, kind, chunk_bits), PROFILES[name])
+            parsed += 1
+    assert parsed == 182 and walks == []
 
 
 # Run in a child process that caps its own address space 512 MiB above what

@@ -10,7 +10,6 @@ from pilotc import (
     CodecParams,
     Reconstructor,
     compress,
-    decompress_uniform,
     parse,
     serialize,
     synthetic_trajectory,
@@ -22,7 +21,7 @@ from pilotc.errors import QueryRangeError
 from pilotc.model import EncodedBlock, SubTrajectorySegment
 from pilotc.params import Layout
 
-from codec_reference import query_ref, query_tolerance_ref
+from codec_reference import query_ref, query_tolerance_ref, spans
 from model_gen import hand_built, random_model
 
 GEO = PROFILES["geolife"]
@@ -39,13 +38,10 @@ def compressed(request):
 def test_linear_trajectory_reconstructs_linearly(linear_2d):
     params = GEO.params(10.0)
     model = compress(linear_2d, params)
-    series = decompress_uniform(model, params)
-    assert len(series) == 1
-    s = series[0]
+    (t, values), = Reconstructor(model, params).segment_grids()
     # anchors are quantized, so samples hug the true line within eps_p per dim
-    t = s.grid_times()
     for d, (slope, inter) in enumerate(((3.0, 10.0), (-1.5, 7.0))):
-        assert np.abs(s.values[:, d] - (slope * t + inter)).max() <= params.eps_p
+        assert np.abs(values[:, d] - (slope * t + inter)).max() <= params.eps_p
     approx = Reconstructor(model, params).query(linear_2d.times)
     err = np.linalg.norm(linear_2d.points - approx, axis=1)
     assert err.max() <= params.eps_p * np.sqrt(2.0)
@@ -54,17 +50,16 @@ def test_linear_trajectory_reconstructs_linearly(linear_2d):
 def test_query_at_grid_points_returns_samples(compressed):
     _, params, model = compressed
     rec = Reconstructor(model, params)
-    s = decompress_uniform(model, params)[0]
-    ts = s.grid_times()[:50]
-    np.testing.assert_allclose(rec.query(ts), s.values[:50], atol=1e-9)
+    times, values = next(rec.segment_grids())
+    np.testing.assert_allclose(rec.query(times[:50]), values[:50], atol=1e-9)
 
 
 def test_query_midway_is_arithmetic_mean(compressed):
     _, params, model = compressed
     rec = Reconstructor(model, params)
-    s = decompress_uniform(model, params)[0]
-    mid = s.t0 + s.dt * (np.arange(20) + 0.5)
-    expected = 0.5 * (s.values[:20] + s.values[1:21])
+    times, values = next(rec.segment_grids())
+    mid = times[0] + model.dt * (np.arange(20) + 0.5)
+    expected = 0.5 * (values[:20] + values[1:21])
     np.testing.assert_allclose(rec.query(mid), expected, atol=1e-9)
 
 
@@ -98,19 +93,20 @@ def test_query_out_of_range_identifies_timestamp(compressed):
 def test_decompress_matches_pipeline_reconstruction(compressed):
     traj, params, model = compressed
     back = parse(serialize(model, params), params)
-    a = decompress_uniform(model, params)
-    b = decompress_uniform(back, params)
-    for sa, sb in zip(a, b):
-        np.testing.assert_array_equal(sa.values, sb.values)
-        assert sa.t0 == sb.t0 and sa.dt == sb.dt
+    a = list(Reconstructor(model, params).segment_grids())
+    b = list(Reconstructor(back, params).segment_grids())
+    assert len(a) == len(b) == len(model.segments)
+    for (ta, va), (tb, vb) in zip(a, b):
+        np.testing.assert_array_equal(va, vb)
+        np.testing.assert_array_equal(ta, tb)
 
 
 def test_zero_coefficients_give_piecewise_linear_series(linear_2d):
     params = GEO.params(10.0)
     model = compress(linear_2d, params)
     assert not model.segments.store.c_f.any()
-    s = decompress_uniform(model, params)[0]
-    second_diff = np.diff(s.values, n=2, axis=0)
+    (_, values), = Reconstructor(model, params).segment_grids()
+    second_diff = np.diff(values, n=2, axis=0)
     # piecewise linear through block endpoints: curvature only at block joints
     b_s = params.layout(2).b_s
     interior = np.ones(second_diff.shape[0], dtype=bool)
@@ -171,7 +167,7 @@ def test_end_delta_chain_beyond_int64_keeps_its_sign():
     blocks = ((EncodedBlock((), 2**62), EncodedBlock((), 2**62)),)
     model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=4,
                        segments=(SubTrajectorySegment(0, (0,), 61, blocks),))
-    values = decompress_uniform(parse(serialize(model, GEO), GEO), GEO)[0].values
+    (_, values), = Reconstructor(parse(serialize(model, GEO), GEO), GEO).segment_grids()
     assert values[-1, 0] == pytest.approx(2.0**63 * 2.0 * 5.0)
 
 
@@ -213,14 +209,15 @@ def probe_times(model, rng):
     """Timestamps that test every query rule: at and one float step past
     each segment's reach, on its span ends and grid samples, between them,
     and at, near and just past every entry's time index."""
-    series = decompress_uniform(model, GEO)
-    tol = query_tolerance_ref(series, model.eps_t)
+    series = spans(model, GEO)
+    tol = query_tolerance_ref(series, model.dt, model.eps_t)
     ts = []
     for s in series:
-        end = s.t0 + (s.n_samples - 1) * s.dt
+        end = s.t0 + (s.n_samples - 1) * model.dt
         for edge, outward in ((s.t0 - tol, -np.inf), (end + tol, np.inf)):
             ts += [edge, np.nextafter(edge, outward), np.nextafter(edge, -outward)]
-        ts += [s.t0, end, *s.grid_times()[:5], *rng.uniform(s.t0, end, 20)]
+        grid = s.t0 + model.dt * np.arange(min(s.n_samples, 5))
+        ts += [s.t0, end, *grid, *rng.uniform(s.t0, end, 20)]
     for t_index in (*model.outliers.t_index.tolist(), *model.corrections.t_index.tolist()):
         t = t_index * model.eps_t
         ts += [t, t + 0.3 * model.eps_t, t - 0.3 * model.eps_t, t + 0.6 * model.eps_t]
