@@ -17,8 +17,12 @@ store keeps, lets :func:`encode_blocks` and :func:`decode_blocks` code
 them all at once:
 one batch per block length (every full block shares b_s, and each distinct
 tail length gets its own), cut into chunks of at most ``_BATCH_SAMPLES``
-samples so that the temporaries stay small whatever the input size.  Both
-work on int64 block columns in block order: :func:`encode_blocks` returns
+samples so that the temporaries stay small whatever the input size.  The
+plan lists those chunks once, when a coder first asks, so the encoder and
+the validation that decodes its blocks share one list; it computes the
+blocks' coefficient limits only when a block rule check first reads them
+(see :class:`BlockPlan`).  Both coders work on int64 block columns in
+block order: :func:`encode_blocks` returns
 each block's coefficient count and all coefficients one block after the
 other, gathered from each batch's quantized matrix, and
 :func:`decode_blocks` scatters a :class:`~pilotc.model.BlockColumns` store
@@ -27,6 +31,8 @@ the cosine columns :func:`decode_rows` turns into samples in place.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,10 +53,11 @@ def encode_rows(samples, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
     m = s.shape[1] - 1
     if m < 1:
         raise ValueError("a block must contain at least two samples")
-    centered = np.diff(s, axis=1) - ((s[:, -1] - s[:, 0]) / m)[:, None]
+    centered = s[:, 1:] - s[:, :-1]
+    centered -= ((s[:, -1] - s[:, 0]) / m)[:, None]
     ac = cosine_basis(m, layout.budget(m))[:, 1:]
     q = quantize_array(2.0 * (centered @ ac), layout.eps_f)
-    return q, ((q != 0) * np.arange(1, q.shape[1] + 1)).max(axis=1, initial=0)
+    return q, np.maximum.reduce((q != 0) * np.arange(1, q.shape[1] + 1), axis=1, initial=0)
 
 
 def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarray:
@@ -61,11 +68,11 @@ def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarr
     average velocity, the running sum and the start apply to it in place."""
     if m < 1:
         raise ValueError("a block must contain at least one velocity")
-    ac = cosine_basis(m, layout.budget(m))[:, 1:]
+    ac = cosine_basis(m, q.shape[1] + 1)[:, 1:]
     out = dequantize_array(q, layout.eps_f) @ ac.T
     out /= m  # the centered velocities
     out += ((ends - starts) / m)[:, None]
-    np.cumsum(out, axis=1, out=out)
+    out.cumsum(axis=1, out=out)
     out += starts[:, None]
     out[:, -1] = ends  # sum of centered velocities is zero up to float dust
     return out
@@ -74,8 +81,8 @@ def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarr
 def flat_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The indices of the ranges ``first[i]`` .. ``first[i] + counts[i] - 1``,
     one range after the other."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first - (ends - counts), counts)
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (first - (ends - counts)).repeat(counts)
 
 
 class BlockPlan:
@@ -88,10 +95,12 @@ class BlockPlan:
     block.  A chain holds its full blocks of b_s velocities from its first
     sample on, then the tail (see :meth:`~pilotc.params.Layout.partition`);
     adjacent blocks share their boundary sample.  Each block's ``limit`` is
-    K(m) - 1 for its m velocities (see :meth:`~pilotc.params.Layout.budget`).
-    The plan's key is ``lay``, ``n_samples`` (one count per segment, maybe
-    none) and ``dim``; a :class:`~pilotc.model.BlockColumns` store keeps
-    the plan it was checked under.
+    K(m) - 1 for its m velocities (see :meth:`~pilotc.params.Layout.budget`);
+    it is computed when a block rule check first reads it, which an
+    encoder's plan never does.  The plan's key is ``lay``, ``n_samples``
+    (one count per segment, maybe none) and ``dim``; a
+    :class:`~pilotc.model.BlockColumns` store keeps the plan it was checked
+    under, so encode and validation share one plan and one list of batches.
     """
 
     def __init__(self, n_samples, dim: int, lay: Layout):
@@ -104,26 +113,35 @@ class BlockPlan:
         ends = self.per_chain.cumsum()
         self.chain_start = ends - self.per_chain  # each chain's first block
         k = np.arange(self.per_chain.sum()) - self.chain_start.repeat(self.per_chain)  # index in chain
-        # per block: its first sample, its velocity count and its coefficient limit
+        # per block: its first sample and its velocity count
         self.start = self.chain_row.repeat(self.per_chain) + lay.b_s * k
         self.length = np.full(k.size, lay.b_s, dtype=np.int64)
         self.length[ends - 1] = tail.repeat(dim)
-        self.limit = np.full(k.size, lay.budget(lay.b_s) - 1, dtype=np.int64)
-        self.limit[ends - 1] = np.repeat([lay.budget(m) - 1 for m in tail.tolist()], dim)
+        self._tails = ends - 1, tail  # each chain's last block, and each segment's tail
         self.order = self.length.argsort(kind="stable")
 
-    def batches(self):
-        """Yield (m, lo, hi) for chunks ``order[lo:hi]`` of the blocks of m
+    @functools.cached_property
+    def limit(self) -> np.ndarray:
+        """Each block's coefficient limit K(m) - 1, int64, in block order."""
+        lay, (last, tail) = self.lay, self._tails
+        limit = np.full(self.length.size, lay.budget(lay.b_s) - 1, dtype=np.int64)
+        limit[last] = np.repeat([lay.budget(m) - 1 for m in tail.tolist()], self.dim)
+        return limit
+
+    @functools.cached_property
+    def batches(self) -> list[tuple[int, int, int]]:
+        """(m, lo, hi) for chunks ``order[lo:hi]`` of the blocks of m
         velocities, at most ``_BATCH_SAMPLES`` samples (and at least one
         block) each; ``order`` lists the blocks by length, stably."""
         lengths = self.length[self.order]
         cuts = ((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist()
         first = [0, *cuts][:lengths.size]  # each length's first block; none without blocks
+        out = []
         for lo, hi in zip(first, [*cuts, lengths.size]):
             m = int(lengths[lo])
             step = max(1, _BATCH_SAMPLES // (m + 1))
-            for i in range(lo, hi, step):
-                yield m, i, min(i + step, hi)
+            out += [(m, i, min(i + step, hi)) for i in range(lo, hi, step)]
+        return out
 
 
 def encode_blocks(x: np.ndarray, plan: BlockPlan, lay: Layout) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +151,7 @@ def encode_blocks(x: np.ndarray, plan: BlockPlan, lay: Layout) -> tuple[np.ndarr
     start = plan.start[plan.order]
     none = np.zeros(0, dtype=np.int64)  # the columns of a plan without blocks
     counts, coeffs = [none], [none]
-    for m, lo, hi in plan.batches():
+    for m, lo, hi in plan.batches:
         q, kept = encode_rows(_windows(x, m + 1)[start[lo:hi]], lay)
         counts.append(kept)
         coeffs.append(q[np.arange(q.shape[1]) < kept[:, None]])
@@ -155,7 +173,7 @@ def decode_blocks(cols: BlockColumns, starts: np.ndarray, ends: np.ndarray, plan
     coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]  # in ``order``
     at = np.concatenate(([0], c_f.cumsum())).tolist()
     second, starts, ends = plan.start[order] + 1, starts[order], ends[order]
-    for m, lo, hi in plan.batches():
+    for m, lo, hi in plan.batches:
         width = lay.budget(m) - 1
         q = np.zeros((hi - lo, width))  # floats: dequantizing copies once, not twice
         q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]

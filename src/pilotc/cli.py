@@ -44,22 +44,22 @@ EXIT_FORMAT = 3
 def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
     """Read a 't,x,y[,z]' CSV with strictly increasing timestamps."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().strip().lower().replace(" ", "")
+    with path.open("rb") as fh:
+        header = _decoded(path, fh.readline()).strip().lower().replace(" ", "")
         columns = header.split(",")
         if len(columns) < 2 or columns[0] != "t":
             raise DataError(f"{path}: line 1: expected header 't,x,y[,z]', got '{header}'")
         # loadtxt parses a path faster than lines, but only a regular file
         # can be opened again at its start; a pipe's rows are read here, once
-        rows = None if path.is_file() else fh.read().split("\n")
+        rows = None if path.is_file() else _decoded(path, fh.read(), 2).split("\n")
     try:
         with warnings.catch_warnings():  # a file without rows is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             data = np.loadtxt(path if rows is None else rows, delimiter=",", ndmin=2,
                               skiprows=1 if rows is None else 0, encoding="utf-8")
-    except ValueError:
+    except ValueError:  # a decode error too
         if rows is None:
-            rows = path.read_text(encoding="utf-8").split("\n")[1:]
+            rows = _decoded(path, path.read_bytes()).split("\n")[1:]
         _raise_with_line_number(path, rows, len(columns))
     if data.size == 0:
         raise DataError(f"{path}: no data rows")
@@ -77,6 +77,18 @@ def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
         hint = " (rerun with --dedup)" if "strictly increasing" in str(exc) and not dedup else ""
         raise DataError(f"{path}: {exc}{hint}") from exc
     return rec
+
+
+def _decoded(path: Path, raw: bytes, first_line: int = 1) -> str:
+    """``raw``, the bytes of ``path`` from line ``first_line`` on, as UTF-8
+    text with universal newlines, as text mode reads it; a byte that is not
+    UTF-8, even in a comment, is a data error that names its line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + raw.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}: line {line}: not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _raise_with_line_number(path: Path, rows, n_fields: int):
@@ -241,8 +253,7 @@ def _read_timestamps(path: Path) -> np.ndarray:
             return values.ravel()
     except ValueError:
         pass
-    text = path.read_text(encoding="utf-8", errors="replace")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_decoded(path, path.read_bytes()).splitlines(), start=1):
         fields = line.split("#", 1)[0].split()
         try:
             ok = len([float(v) for v in fields]) <= 1

@@ -52,7 +52,7 @@ def round_half_away(v: float) -> int:
 def quantize_array(x, step: float) -> np.ndarray:
     """Map each value to the index of the nearest multiple of ``2 * step``,
     ties away from zero; returns int64 indices."""
-    if step <= 0.0 or not math.isfinite(step):
+    if not 0.0 < step < math.inf:
         raise ValueError(f"quantization step must be positive and finite, got {step}")
     return _round_index(x, 2.0 * step, "value")
 
@@ -69,7 +69,7 @@ def dequantize_array(q, step: float) -> np.ndarray:
 def time_index_array(t, eps_t: float) -> np.ndarray:
     """Index of the nearest multiple of ``eps_t``, ties away from zero;
     index ``i`` stands for the time ``i * eps_t``."""
-    if not (eps_t > 0.0 and math.isfinite(eps_t)):
+    if not 0.0 < eps_t < math.inf:
         raise ValueError(f"time precision must be positive and finite, got {eps_t}")
     return _round_index(t, eps_t, "time")
 
@@ -79,15 +79,16 @@ def _round_index(x, unit: float, what: str) -> np.ndarray:
     (a numpy scalar for a scalar or 0-d ``x``).  The rounding runs in place
     in one float buffer, never the caller's array."""
     v = np.asarray(x, dtype=float)
+    if not v.size:
+        return np.zeros(v.shape, dtype=np.int64)
     size = np.abs(v, out=np.empty(v.shape))
-    if v.size:
-        # NaN and inf propagate to the max; the range is checked in Python
-        # floats, so a huge value cannot overflow in numpy
-        top = float(size.max())
-        if not math.isfinite(top):
-            raise ValueError(f"cannot quantize a non-finite {what}")
-        if top / unit + 0.5 >= _EXACT_FLOAT:
-            raise OverflowError(f"{what} index exceeds the exact integer range of float64")
+    # NaN and inf propagate to the max; the range is checked in Python
+    # floats, so a huge value cannot overflow in numpy
+    top = float(np.maximum.reduce(size, axis=None))
+    if not top < math.inf:
+        raise ValueError(f"cannot quantize a non-finite {what}")
+    if top / unit + 0.5 >= _EXACT_FLOAT:
+        raise OverflowError(f"{what} index exceeds the exact integer range of float64")
     size /= unit
     size += 0.5
     np.floor(size, out=size)
@@ -106,9 +107,9 @@ def enhanced_zigzag_map(values):
         n = np.asarray(values, dtype=np.int64)
     except OverflowError:
         raise OverflowError("enhanced zigzag code exceeds 64 bits") from None
-    u = n.astype(np.uint64)  # two's complement, so -u is |n| where n < 0
-    codes = np.where(n < 0, -u << np.uint64(1), (u << np.uint64(1)) | np.uint64(1))
-    if (codes == 0).any():  # only -2**63 wraps, its code being 2**64
+    # one more than the zigzag code 2n or 2|n| - 1, in two's complement
+    codes = ((n.view(np.uint64) << np.uint64(1)) ^ (n >> 63).view(np.uint64)) + np.uint64(1)
+    if not codes.all():  # only -2**63 wraps, its code being 2**64
         raise OverflowError("enhanced zigzag code exceeds 64 bits")
     return codes[()]
 
@@ -135,28 +136,31 @@ def pack_varints(codes, signed, chunk_bits: int) -> bytes:
 def _varint_bits(codes, signed: np.ndarray, l: int) -> np.ndarray:
     """The stored bits of a nonempty batch of codes, one uint8 per bit."""
     try:
-        u = np.array(codes, dtype=np.uint64)
+        u = np.asarray(codes, dtype=np.uint64)
     except OverflowError:
         if min(codes) < 0:
             raise ValueError("varint codes must be non-negative") from None
         raise OverflowError("varint code exceeds 64 bits") from None
-    if (u[signed] == 0).any():
+    if not u[signed].all():
         raise ValueError("a signed field needs an enhanced zigzag code >= 1")
     # n chunks hold the codes in 2**(l*(n-1)) .. 2**(l*n) - 1
     steps = np.left_shift(np.uint64(1), np.arange(l, 64, l, dtype=np.uint64))
-    n_chunks = 1 + np.searchsorted(steps, u, side="right")
-    last = np.cumsum(n_chunks) - 1  # chunk index of each code's final chunk
-    shift = l * (np.arange(last[-1] + 1) - np.repeat(last + 1 - n_chunks, n_chunks))
+    n_chunks = 1 + steps.searchsorted(u, side="right")
+    last = n_chunks.cumsum() - 1  # chunk index of each code's final chunk
+    shift = l * (np.arange(last[-1] + 1) - (last + 1 - n_chunks).repeat(n_chunks))
     mask = (1 << l) - 1
-    word = ((np.repeat(u, n_chunks) >> shift.astype(np.uint64)) & mask) | (1 << l)
+    word = ((u.repeat(n_chunks) >> shift.astype(np.uint64)) & mask) | (1 << l)
     word[last] &= mask  # the final chunk's flag is 0
     # one row per chunk: the flag, then the payload MSB first
     rows = np.empty((word.size, l + 1), dtype=np.uint8)
     for t in range(l + 1):
         rows[:, t] = (word >> (l - t)) & 1
-    keep = np.ones(rows.shape, dtype=bool)
-    keep[last[signed & (l == 1)], l] = False
-    return rows[keep]
+    bits = rows.ravel()
+    if l == 1:  # a signed field's final payload bit is implied
+        keep = np.ones(bits.size, dtype=bool)
+        keep[2 * last[signed] + 1] = False
+        bits = bits[keep]
+    return bits
 
 
 def _field_error(data: np.ndarray, pos: int, l: int, final_bits: int) -> PilotCError:
@@ -287,20 +291,27 @@ class TableReader:
             payload = payload[:-2 * k] | (payload[2 * k:] << np.uint64(k))
         top = np.left_shift(np.uint64(1), np.minimum(span >> 1, 63).astype(np.uint64))
         # from 63 flagged chunks on, the mask wraps to all 64 bits
-        codes = (payload & ((top << np.uint64(1)) - np.uint64(1))).tolist()
+        codes = payload & ((top << np.uint64(1)) - np.uint64(1))
         # a code is below 2**64 if n_flagged < 64, or if n_flagged = 64 and
         # its final payload bit, bit 64, is 0
         final_bit = np.take(bits, end + 1, mode="clip")
-        for i in np.flatnonzero((span + final_bit > 128) | (end + 2 > n)).tolist():
-            codes[i] = None
         signed_codes = (payload & (top - np.uint64(1))) | top
         half = (signed_codes >> np.uint64(1)).astype(np.int64)
-        values = np.where(signed_codes & np.uint64(1), half, -half).tolist()
-        for i in np.flatnonzero((span > 126) | (end >= n)).tolist():
-            values[i] = None
+        values = np.where(signed_codes & np.uint64(1), half, -half)
         self._spans = span.tolist()
-        self._codes = codes
-        self._values = values
+        self._codes = _listed(codes, (span + final_bit > 128) | (end + 2 > n))
+        self._values = _listed(values, (span > 126) | (end >= n))
+
+
+def _listed(values: np.ndarray, unreadable: np.ndarray) -> list:
+    """``values`` as a list of ints, ``None`` where ``unreadable``.  Fields
+    that run past a window's bits make the unreadable ones mostly a tail,
+    so only the part from the first of them goes through objects."""
+    out = values.tolist()
+    if unreadable.any():
+        k = int(unreadable.argmax())
+        out[k:] = np.where(unreadable[k:], None, values[k:]).tolist()
+    return out
 
 
 class ColumnarReader:
@@ -350,9 +361,7 @@ class ColumnarReader:
 
         self._code_array = codes
         self._readable = readable
-        codes = codes.tolist()
-        for i in np.flatnonzero(~readable).tolist():
-            codes[i] = None
+        codes = _listed(codes, ~readable)
         codes.append(None)  # the tail, which has no final chunk
         self._codes = codes
         self._bit_end = (final + 1) * width

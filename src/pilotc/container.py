@@ -114,7 +114,7 @@ def _check_limits(dim: int, chunk_bits: int) -> None:
 
 def _check_scales(dt: float, eps: float, eps_t: float, eps_p: float) -> None:
     for name, v in (("dt", dt), ("eps", eps), ("eps_t", eps_t), ("eps_p", eps_p)):
-        if not (v > 0.0 and math.isfinite(v)):
+        if not 0.0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
@@ -283,7 +283,7 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
     is_signed[3:n_before:dim + 1] = False  # entry time steps
     is_signed[at[first] - 1] = False  # sample counts
     is_signed[at + 1] = False  # coefficient counts
-    codes[~is_signed] = body[~is_signed]
+    codes = np.where(is_signed, codes, body.view(np.uint64))
     return (MAGIC + bytes((VERSION, dim, 0, model.chunk_bits))  # flags reserved
             + struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p)
             + pack_varints(codes, is_signed, model.chunk_bits))

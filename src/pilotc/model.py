@@ -63,9 +63,10 @@ class TrajectoryRecord:
             raise DataError("trajectory must contain at least one point")
         if self.dim < 1:
             raise DataError("trajectory must have at least one spatial dimension")
-        if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.points)):
+        t = self.times
+        if not (np.isfinite(t).all() and np.isfinite(self.points).all()):
             raise DataError("timestamps and coordinates must be finite")
-        if self.n_points > 1 and not np.all(np.diff(self.times) > 0.0):
+        if not (t[1:] > t[:-1]).all():
             raise DataError("timestamps must be strictly increasing")
         return self
 
@@ -87,7 +88,7 @@ class BlockColumns:
         self.end_delta = _frozen(end_delta)
         self.coeffs = _frozen(coeffs)
         self.offsets = np.zeros(self.c_f.size + 1, dtype=np.int64)
-        np.cumsum(self.c_f, out=self.offsets[1:])
+        self.c_f.cumsum(out=self.offsets[1:])
         self.offsets.flags.writeable = False
 
     def __eq__(self, other):

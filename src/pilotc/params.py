@@ -11,6 +11,10 @@ A block of m velocities keeps K(m) = max(1, ceil(m * r_ret)) low-frequency
 slots, so at most K(m) - 1 AC coefficients.  Block end values and
 corrections use the per-dimension step eps_p / sqrt(dim), outliers the step
 eps / sqrt(dim).  :class:`Layout` is the one place these rules are written.
+:meth:`Layout.derive` computes a layout once per distinct eps, eps_p,
+dimension and constants (it keeps the last 64) and hands that frozen
+layout to every later caller, so compress, validation, serialize, parse
+and the decoder of one track share one derivation.
 
 The constants ``a, b, c, d`` are dataset-dependent; ``PROFILES`` ships the
 tuned sets.  A container must be decoded with the same constants it was
@@ -19,6 +23,7 @@ encoded with (they are deliberately not stored in the file).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -41,18 +46,9 @@ class Layout:
     @classmethod
     def derive(cls, eps: float, eps_p: float, dim: int, constants) -> "Layout":
         """``constants`` is any object carrying ``a, b, c, d`` (a
-        :class:`Profile` or :class:`CodecParams`)."""
-        size = constants.b * eps + constants.c
-        if not size < 2.0 ** 63:
-            raise ValueError(f"block size b_s = round(b * eps + c) = {size:.6g} at "
-                             f"eps={eps} is out of range of int64")
-        return cls(
-            b_s=round_half_away(max(size, 2.0)),
-            eps_f=eps / constants.a,
-            r_ret=min(1.0, constants.d / math.sqrt(eps)),
-            eps_d=eps_p / math.sqrt(dim),
-            eps_out=eps / math.sqrt(dim),
-        )
+        :class:`Profile` or :class:`CodecParams`); equal arguments return
+        the one layout derived first."""
+        return _derive(eps, eps_p, dim, constants.a, constants.b, constants.c, constants.d)
 
     def budget(self, m: int) -> int:
         """Retained slot count K of a block of m velocities; slots 1..K-1
@@ -68,6 +64,22 @@ class Layout:
             raise ValueError("a block partition needs at least one velocity")
         n_full = (n_velocities - 1) // self.b_s
         return n_full, n_velocities - n_full * self.b_s
+
+
+@functools.lru_cache(maxsize=64)
+def _derive(eps: float, eps_p: float, dim: int, a: float, b: float, c: float,
+            d: float) -> Layout:
+    size = b * eps + c
+    if not size < 2.0 ** 63:
+        raise ValueError(f"block size b_s = round(b * eps + c) = {size:.6g} at "
+                         f"eps={eps} is out of range of int64")
+    return Layout(
+        b_s=round_half_away(max(size, 2.0)),
+        eps_f=eps / a,
+        r_ret=min(1.0, d / math.sqrt(eps)),
+        eps_d=eps_p / math.sqrt(dim),
+        eps_out=eps / math.sqrt(dim),
+    )
 
 
 def _check_constants(k) -> None:

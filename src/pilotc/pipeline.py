@@ -52,15 +52,16 @@ def segment(traj: TrajectoryRecord, params: CodecParams, default_dt: float) -> n
     b_s = params.layout(traj.dim).b_s
     boundaries = [0]
     if n > 1:
-        gaps = np.diff(t)
+        gaps = t[1:] - t[:-1]
+        p = traj.points
         # a jump too large for float64 is infinite, and so always a split
         with np.errstate(over="ignore"):
-            dists = row_norms(np.diff(traj.points, axis=0))
+            dists = row_norms(p[1:] - p[:-1])
         speed_split = dists > gaps * params.v_max
         # the time condition needs at least b_s * min(gap); prefilter so the
         # sequential scan only visits points that could possibly split
         threshold = b_s * min(float(gaps.min()), default_dt)
-        candidates = np.flatnonzero(speed_split | (gaps > threshold)) + 1
+        candidates = (speed_split | (gaps > threshold)).nonzero()[0] + 1
         start = 0
         for j in candidates:
             count = j - start
@@ -160,21 +161,22 @@ def compress(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajector
 
 
 def _uncorrected_model(traj: TrajectoryRecord, params: CodecParams) -> CompressedTrajectory:
-    q_t = time_index_array(traj.times, params.eps_t)
-    if traj.n_points > 1 and not np.all(np.diff(q_t) > 0):
+    t = traj.times
+    q_t = time_index_array(t, params.eps_t)
+    if not (q_t[1:] > q_t[:-1]).all():
         raise DataError(
             f"time precision eps_t={params.eps_t} is coarser than the sampling; "
             "distinct points would collide, use a smaller --eps-t"
         )
 
-    default_dt = _median(np.diff(traj.times)) if traj.n_points > 1 else params.eps_t
+    default_dt = _median(t[1:] - t[:-1]) if traj.n_points > 1 else params.eps_t
     bounds = segment(traj, params, default_dt)
-    runs = np.diff(bounds)
+    runs = bounds[1:] - bounds[:-1]
     kept = runs >= _MIN_FRAGMENT_POINTS
     lo, hi = bounds[:-1][kept], bounds[1:][kept]
-    out = np.flatnonzero(np.repeat(~kept, runs))  # every point outside a fragment
+    out = (~kept).repeat(runs).nonzero()[0]  # every point outside a fragment
 
-    dt = choose_dt(traj.times, lo, hi, params.eps_t, default_dt)
+    dt = choose_dt(t, lo, hi, params.eps_t, default_dt)
     values, n_samples = resample(traj, lo, hi, dt)
     segments = _encode_segments(values, n_samples, q_t[lo].tolist(), params)
     out_q = quantize_array(traj.points[out], params.layout(traj.dim).eps_out)
@@ -190,5 +192,8 @@ def _median(x: np.ndarray) -> float:
     """``np.median`` of the nonempty finite array ``x``, to the bit: the
     mean of its middle value or two.  A sort is faster than the partition
     ``np.median`` makes, and, unlike a partition at one index, stays fast
-    on gaps with many repeats, as a fixed sampling rate gives."""
-    return float(np.sort(x)[(x.size - 1) // 2:x.size // 2 + 1].mean())
+    on gaps with many repeats, as a fixed sampling rate gives.  The mean of
+    two values is their sum over 2, as ``np.mean`` computes it."""
+    n = x.size
+    s = np.sort(x)
+    return float(s[n // 2]) if n % 2 else (float(s[n // 2 - 1]) + float(s[n // 2])) / 2

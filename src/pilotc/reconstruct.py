@@ -86,8 +86,9 @@ class Reconstructor:
     def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
         self.model = model
         lay, self._grid = _decode_grid(model, constants)
-        starts = [t0 * model.eps_t for t0 in model.segments.t0_index]
-        ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, model.segments.n_samples)]
+        segments = model.segments
+        starts = [t0 * model.eps_t for t0 in segments.t0_index]
+        ends = [t0 + (n - 1) * model.dt for t0, n in zip(starts, segments.n_samples)]
         # covers t0 quantization (eps_t / 2) plus float dust on long time axes
         tol = 0.5 * model.eps_t + 1e-9 * max([1.0, *map(abs, starts + ends)])
         self._starts = np.array(starts)
@@ -96,11 +97,16 @@ class Reconstructor:
         # so that a search for the first time at or after it finds the first
         # one beyond the reach), the start of segment s's reach before its
         # start, and its start
+        self._bounds = bounds = np.empty((len(starts) + 1, 3))
+        past, near = bounds[:, 0], bounds[:, 1]
+        past[0], past[1:] = -np.inf, ends
+        near[:-1] = bounds[:-1, 2] = starts
+        near[-1] = bounds[-1, 2] = np.inf
         with np.errstate(over="ignore"):  # a reach beyond float64 is infinite
-            past = np.nextafter(np.array([-np.inf, *ends]) + tol, np.inf)
-            near = np.array([*starts, np.inf]) - tol
-        self._bounds = np.stack([past, near, np.append(self._starts, np.inf)], axis=1)
-        counts = np.array(model.segments.n_samples, dtype=np.int64)
+            past += tol
+            np.nextafter(past, np.inf, out=past)
+            near -= tol
+        counts = np.array(segments.n_samples, dtype=np.int64)
         self._last = (counts - 2).astype(float)  # each segment's last interval
         self._offsets = counts.cumsum() - counts
         out, cor = model.outliers, model.corrections

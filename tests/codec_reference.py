@@ -173,7 +173,7 @@ def decode_blocks_ref(cols, starts, ends, plan, lay, out) -> None:
     coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]
     at = np.concatenate(([0], c_f.cumsum())).tolist()
     start, starts, ends = plan.start[order], starts[order], ends[order]
-    for m, lo, hi in plan.batches():
+    for m, lo, hi in plan.batches:
         width = lay.budget(m) - 1
         q = np.zeros((hi - lo, width), dtype=np.int64)
         q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]

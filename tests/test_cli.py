@@ -275,6 +275,31 @@ def test_decompress_timestamps_file(tmp_path, capsys, text, code, report):
         assert report in captured.err and not out.exists()
 
 
+@pytest.mark.parametrize("reader", ["csv", "timestamps"])
+def test_input_that_is_not_utf8_names_its_file_and_line(reader, tmp_path, capsys):
+    # a byte that is not UTF-8, Latin-1's e-acute in a comment, fails either
+    # reader with the file and the line, not with the codec's message
+    t = np.arange(300.0)
+    src = tmp_path / "line.csv"
+    write_positions_csv(src, t, np.stack([2.0 * t, 100.0 - t], axis=1))
+    plc = tmp_path / "line.plc"
+    out = tmp_path / "o.csv"
+    if reader == "csv":
+        header, rows = src.read_bytes().split(b"\n", 1)
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(header + b"\n# caf\xe9\n" + rows)
+        args, line, target = ["compress", str(bad), "-o", str(plc), "--epsilon", "10"], 2, plc
+    else:
+        assert main(["compress", str(src), "-o", str(plc), "--epsilon", "10"]) == EXIT_OK
+        bad = tmp_path / "ts.txt"
+        bad.write_bytes(b"0.5\n1.5\n# caf\xe9\n2.5\n")
+        args, line, target = ["decompress", str(plc), "-o", str(out), "--at", str(bad)], 3, out
+    capsys.readouterr()
+    assert main(args) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: not UTF-8\n"
+    assert not target.exists()
+
+
 def test_truncated_container_is_format_error(tmp_path, capsys):
     src = tmp_path / "s.csv"
     traj = synthetic_trajectory(400, dim=2, seed=4)

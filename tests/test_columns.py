@@ -7,6 +7,8 @@ every rule to them.  Both compare by their columns, serialize to the same
 bytes and decode to the same bits; the library's own path never makes a
 record, which only the segments' read-out does."""
 
+import cProfile
+import pstats
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +265,26 @@ def test_round_trip_lays_out_each_model_once(monkeypatch):
     assert np.linalg.norm(positions - traj.points, axis=1).max() <= params.eps
     assert len(model.segments) > 10
     assert totals == [1, 1, 2, 2]
+
+
+def test_compress_and_serialize_keep_their_call_budget():
+    # the per-track set-up that short tracks pay, pinned as the calls that
+    # cProfile counts, Python and C alike, in compress and serialize of one
+    # 500-point 3-D track at the short-track benchmark's settings; with
+    # numpy 2.4.6 on CPython 3.11 this reads 472 calls (766 before the
+    # set-up was trimmed), and the bound leaves 5% for other versions
+    profile = replace(PROFILES["geolife3d"], eps_t=0.01, chunk_bits=1)
+    params = profile.params(20.0)
+    traj = synthetic_trajectory(500, dim=3, seed=1, **MIXED)
+    payload = serialize(compress(traj, params), profile)  # fills the caches
+    counter = cProfile.Profile()
+    counter.enable()
+    try:
+        again = serialize(compress(traj, params), profile)
+    finally:
+        counter.disable()
+    assert again == payload
+    assert pstats.Stats(counter).total_calls <= 472 * 1.05
 
 
 def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
