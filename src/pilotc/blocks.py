@@ -18,10 +18,10 @@ them all at once:
 one batch per block length (every full block shares b_s, and each distinct
 tail length gets its own), cut into chunks of at most ``_BATCH_SAMPLES``
 samples so that the temporaries stay small whatever the input size.  The
-plan lists those chunks once, when a coder first asks, so the encoder and
-the validation that decodes its blocks share one list; it computes the
-blocks' coefficient limits only when a block rule check first reads them
-(see :class:`BlockPlan`).  Both coders work on int64 block columns in
+plan lists those chunks once, when it is made, so the encoder and the
+validation that decodes its blocks share one list; it computes the
+blocks' coefficient limits only when a block rule check reads them (see
+:class:`BlockPlan`).  Both coders work on int64 block columns in
 block order: :func:`encode_blocks` returns
 each block's coefficient count and all coefficients one block after the
 other, gathered from each batch's quantized matrix, and
@@ -31,8 +31,6 @@ the cosine columns :func:`decode_rows` turns into samples in place.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -96,9 +94,9 @@ class BlockPlan:
     sample on, then the tail (see :meth:`~pilotc.params.Layout.partition`);
     adjacent blocks share their boundary sample.  Each block's ``limit`` is
     K(m) - 1 for its m velocities (see :meth:`~pilotc.params.Layout.budget`);
-    it is computed when a block rule check first reads it, which an
-    encoder's plan never does.  The plan's key is ``lay``, ``n_samples``
-    (one count per segment, maybe none) and ``dim``; a
+    it is computed each time it is read, once by each block rule check,
+    which an encoder's plan never makes.  The plan's key is ``lay``,
+    ``n_samples`` (one count per segment, maybe none) and ``dim``; a
     :class:`~pilotc.model.BlockColumns` store keeps the plan it was checked
     under, so encode and validation share one plan and one list of batches.
     """
@@ -107,29 +105,36 @@ class BlockPlan:
         n_seg = np.array(n_samples, dtype=np.int64)
         self.lay, self.n_samples, self.dim = lay, n_seg.tolist(), dim
         n_full, tail = lay.partition(n_seg - 1)
+        rows = n_seg.cumsum()
         # each chain's first sample: its segment's row in its dimension's run
-        self.chain_row = np.add.outer(n_seg.cumsum() - n_seg, n_seg.sum() * np.arange(dim)).ravel()
+        total = rows[-1] if rows.size else 0
+        self.chain_row = np.add.outer(rows - n_seg, total * np.arange(dim)).ravel()
         self.per_chain = (n_full + 1).repeat(dim)  # blocks per chain
         ends = self.per_chain.cumsum()
         self.chain_start = ends - self.per_chain  # each chain's first block
-        k = np.arange(self.per_chain.sum()) - self.chain_start.repeat(self.per_chain)  # index in chain
-        # per block: its first sample and its velocity count
-        self.start = self.chain_row.repeat(self.per_chain) + lay.b_s * k
-        self.length = np.full(k.size, lay.b_s, dtype=np.int64)
+        # per block: its first sample, b_s on from the one before in its
+        # chain, and its velocity count
+        n_blocks = ends[-1] if ends.size else 0
+        self.start = lay.b_s * np.arange(n_blocks) + (
+            self.chain_row - lay.b_s * self.chain_start).repeat(self.per_chain)
+        self.length = np.empty(n_blocks, dtype=np.int64)
+        self.length.fill(lay.b_s)
         self.length[ends - 1] = tail.repeat(dim)
         self._tails = ends - 1, tail  # each chain's last block, and each segment's tail
         self.order = self.length.argsort(kind="stable")
+        self.batches = self._batches()
 
-    @functools.cached_property
+    @property
     def limit(self) -> np.ndarray:
         """Each block's coefficient limit K(m) - 1, int64, in block order."""
         lay, (last, tail) = self.lay, self._tails
-        limit = np.full(self.length.size, lay.budget(lay.b_s) - 1, dtype=np.int64)
-        limit[last] = np.repeat([lay.budget(m) - 1 for m in tail.tolist()], self.dim)
+        limit = np.empty(self.length.size, dtype=np.int64)
+        limit.fill(lay.budget(lay.b_s) - 1)
+        limit[last] = np.array([lay.budget(m) - 1 for m in tail.tolist()],
+                               dtype=np.int64).repeat(self.dim)
         return limit
 
-    @functools.cached_property
-    def batches(self) -> list[tuple[int, int, int]]:
+    def _batches(self) -> list[tuple[int, int, int]]:
         """(m, lo, hi) for chunks ``order[lo:hi]`` of the blocks of m
         velocities, at most ``_BATCH_SAMPLES`` samples (and at least one
         block) each; ``order`` lists the blocks by length, stably."""

@@ -45,7 +45,9 @@ def read_trajectory_csv(path, dedup: bool = False) -> TrajectoryRecord:
     """Read a 't,x,y[,z]' CSV with strictly increasing timestamps."""
     path = Path(path)
     with path.open("rb") as fh:
-        header = _decoded(path, fh.readline()).strip().lower().replace(" ", "")
+        # one UTF-8 byte order mark, as spreadsheets write, may open the file
+        header = _decoded(path, fh.readline()).removeprefix("\ufeff")
+        header = header.strip().lower().replace(" ", "")
         columns = header.split(",")
         if len(columns) < 2 or columns[0] != "t":
             raise DataError(f"{path}: line 1: expected header 't,x,y[,z]', got '{header}'")

@@ -17,11 +17,12 @@ readers decode with array operations: at ``chunk_bits >= 2`` every chunk is
 into field codes up front, by Horner's rule one pass per chunk index, and a
 signed read maps the codes it takes; at ``chunk_bits == 1`` a field's length
 depends on its type, so :class:`TableReader` tabulates, for every bit
-position, the code and the value of the field of either type that would
-start there, and a read only indexes lists.  Both readers fail alike: a
-field that cannot be read is ``None`` in their tables, only a read that
-reaches it raises, with the error :func:`_field_error` names from the
-field's bits, and the reader stays in front of that field.
+position of a window, only the span of the field that would start there,
+which ``container``'s walk hops through, and decodes the signed fields the
+walk marks in one array operation per window.  Both readers fail alike:
+only a read that reaches a field that cannot be read raises, with the error
+:func:`_field_error` names from the field's bits, and the reader stays in
+front of that field.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ def pack_varints(codes, signed, chunk_bits: int) -> bytes:
     """
     if not 1 <= chunk_bits <= 32:
         raise ValueError(f"chunk length must be in 1..32, got {chunk_bits}")
+    # a signed integer array would wrap into uint64 codes; Python ints are checked below
+    if type(codes) is np.ndarray and codes.dtype.kind == "i" and (codes < 0).any():
+        raise ValueError("varint codes must be non-negative")
     signed = np.asarray(signed, dtype=bool)
     parts = [_varint_bits(codes[i:i + _PACK_BATCH], signed[i:i + _PACK_BATCH], chunk_bits)
              for i in range(0, len(codes), _PACK_BATCH)]
@@ -191,14 +195,27 @@ class TableReader:
     ``0x`` if unsigned, a bare ``0`` if signed, whose payload bit 1 is
     implied.  So a field that starts at bit p ends at the first 0 flag among
     bits p, p + 2, p + 4, ... whatever its type, and its code comes from the
-    payload bits before that flag.  For every start position of a window the
-    reader tabulates with array operations that end (as the span of bits
-    before it), the unsigned code and the enhanced-zigzag value; a read is
-    then one lookup for the end and one for the value.  A window holds
-    ``_WINDOW`` start positions and is built when the reads reach it, so
-    memory is bounded by the window, not the body.  A field that cannot be
-    read is ``None`` in the code and value tables, and a read that reaches
-    it raises :func:`_field_error`.
+    payload bits before that flag.  For every start offset of a window the
+    reader tabulates with array operations only that end, as the span of
+    bits before it.  The payload bits of the fields that start at even and
+    at odd offsets are two streams, the window's odd and even bits, which
+    it keeps as two Python ints.  A window holds ``_WINDOW`` start offsets
+    and is built when the reads reach it, so memory is bounded by the
+    window, not the body.
+
+    ``container``'s walk hops through :attr:`spans` itself.  A field at
+    offset i whose entry s is at most 126 is readable as either type: the
+    next field starts at i + s + 1 after a signed one and at i + s + 2
+    after an unsigned one, whose code is the low s / 2 + 1 bits of
+    ``payload[i & 1] >> (i >> 1)``.  A signed field it marks in
+    :attr:`marks` with a nonzero kind is decoded with the window's other
+    marked fields in one array operation when the reads leave the window;
+    :meth:`decoded` hands them over in field order.  An entry above 126
+    (64 or more flagged chunks, a final flag at the body's last bit, an
+    offset past the window) sends the read to :meth:`read`, which moves to
+    the next window, reads the field, or raises the error
+    :func:`_field_error` names from the field's bits, with the reader in
+    front of that field; the per-field reads go through it too.
     """
 
     def __init__(self, data: bytes, chunk_bits: int) -> None:
@@ -206,12 +223,12 @@ class TableReader:
             raise ValueError(f"table reader chunk length must be 1, got {chunk_bits}")
         self._data = np.frombuffer(data, dtype=np.uint8)
         self._n_bits = 8 * self._data.size
-        self._base = self._i = 0  # the window's first bit, and the offset into it
-        # per start offset in the window: the bits before the final flag,
-        # the unsigned code and the enhanced-zigzag value
-        self._spans: list[int] = []
-        self._codes: list[int | None] = []
-        self._values: list[int | None] = []
+        # the window's lists, refilled in place so that the walk's names stay valid
+        self.spans = bytearray()  # per start offset, then _REACH offsets past the window
+        self.payload = [0, 0]  # the payload streams of even and of odd offsets
+        self.marks = bytearray()  # per start offset, the kind of a marked signed field
+        self._decoded: list[tuple[np.ndarray, np.ndarray]] = []  # flushed windows' fields
+        self._i = self._window(0)  # the offset of the next read in the window
 
     @property
     def pos(self) -> int:
@@ -221,92 +238,162 @@ class TableReader:
     def remaining_bits(self) -> int:
         return self._n_bits - self.pos
 
+    def remaining(self, i: int) -> int:
+        """The bits from offset ``i`` of the window to the end of the body."""
+        return self._n_bits - self._base - i
+
     def unsigned(self) -> int:
-        i = self._i
-        try:
-            v = self._codes[i]
-        except IndexError:
-            self._next_window(1)
-            return self.unsigned()
-        if v is None:
-            raise _field_error(self._data, self.pos, 1, 1)
-        self._i = i + self._spans[i] + 2
+        v, self._i = self.read(self._i, False)
         return v
 
     def signed(self) -> int:
-        i = self._i
-        try:
-            v = self._values[i]
-        except IndexError:
-            self._next_window(0)
-            return self.signed()
-        if v is None:
-            raise _field_error(self._data, self.pos, 1, 0)
-        self._i = i + self._spans[i] + 1
+        v, self._i = self.read(self._i, True)
         return v
 
     def signeds(self, n: int) -> tuple[int, ...]:
-        spans, values, i = self._spans, self._values, self._i
-        out = []
-        try:
-            for _ in range(n):
-                v = values[i]
-                if v is None:
-                    break
-                out.append(v)
-                i += spans[i] + 1
-        except IndexError:
-            pass
-        self._i = i
-        if len(out) < n:  # the rest starts in a later window, or fails
-            out.extend([self.signed() for _ in range(n - len(out))])
-        return tuple(out)
+        return tuple([self.signed() for _ in range(n)])
 
-    def _next_window(self, final_bits: int) -> None:
-        """Tabulate the fields that start in the window at the current
-        position, or raise the error of reading there."""
-        start = self.pos
-        if start >= self._n_bits:
-            raise _field_error(self._data, start, 1, final_bits)
+    def read(self, i: int, signed: bool, mark: int = 0) -> tuple[int, int]:
+        """The value of the field at offset ``i``, read as signed or
+        unsigned, and the offset after it, in the window that then holds
+        the field: past this window, the next one is built.  ``mark``, when
+        nonzero, marks the field for :meth:`decoded`.  Raises the error of
+        reading a field that cannot be read, with the reader in front of
+        it."""
+        if i >= self._m:
+            start = self._base + i
+            if start >= self._n_bits:
+                self._i = i
+                raise _field_error(self._data, start, 1, 0 if signed else 1)
+            self._flush()
+            i = self._window(start)
+        s = self.spans[i]
+        if s == _REACH:  # where the walk stops; the array holds the true span
+            s = int(self._span[i])
+        k = s >> 1  # flagged chunks
+        code = self.payload[i & 1] >> (i >> 1)
+        if signed:
+            readable = s <= 126
+            code = code & ((1 << k) - 1) | 1 << k
+        else:  # the final payload bit must be stored, and 0 after 64 flagged chunks
+            readable = s <= 128 and i + s + 2 <= self._n
+            code = code & ((2 << k) - 1) if readable else 0
+            readable = readable and not code >> 64
+        if not readable:
+            self._i = i
+            raise _field_error(self._data, self._base + i, 1, 0 if signed else 1)
+        if mark:
+            self.marks[i] = mark
+        if signed:
+            return code >> 1 if code & 1 else -(code >> 1), i + s + 1
+        return code, i + s + 2
+
+    def decoded(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The kinds, uint8, and the values, int64, of the fields marked
+        since the last call, in field order; the reader then stands at
+        offset ``i``."""
+        self._flush()
+        self._i = i
+        chunks, self._decoded = self._decoded, []
+        if len(chunks) == 1:
+            return chunks[0]
+        if not chunks:
+            return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+        kinds, values = zip(*chunks)
+        return np.concatenate(kinds), np.concatenate(values)
+
+    def _window(self, start: int) -> int:
+        """Tabulate the window of the fields that start from bit ``start``
+        on; returns the offset of ``start`` in it."""
         base = self._base = start - start % 8
-        self._i = start - base
-        # a field spans at most 64 flagged chunks and a final one, 130 bits
-        bits = np.unpackbits(self._data[base // 8:(base + _WINDOW + 137) // 8])
-        n = bits.size
-        m = min(_WINDOW, n)  # start offsets
-        # the first 0 flag at or after each offset, at the same parity; one
-        # out of reach where there is none
-        zero_at = np.where(bits, np.int32(n + 130), np.arange(n, dtype=np.int32))
-        next_zero = np.empty(n, dtype=np.int32)
-        for q in (0, 1):
-            next_zero[q::2] = np.minimum.accumulate(zero_at[q::2][::-1])[::-1]
-        end = next_zero[:m]
-        span = end - np.arange(m, dtype=np.int32)  # twice the flagged chunks
-        # payload[p] = the sum over k < 64 of bit p + 2k + 1 shifted left by k,
-        # in six doubling steps; its bit n_flagged is the final payload bit
-        payload = np.zeros(m + 126, dtype=np.uint64)
-        stored = bits[1:payload.size + 1]
-        payload[:stored.size] = stored
-        for k in (1, 2, 4, 8, 16, 32):
-            payload = payload[:-2 * k] | (payload[2 * k:] << np.uint64(k))
-        top = np.left_shift(np.uint64(1), np.minimum(span >> 1, 63).astype(np.uint64))
-        # from 63 flagged chunks on, the mask wraps to all 64 bits
-        codes = payload & ((top << np.uint64(1)) - np.uint64(1))
-        # a code is below 2**64 if n_flagged < 64, or if n_flagged = 64 and
-        # its final payload bit, bit 64, is 0
-        final_bit = np.take(bits, end + 1, mode="clip")
-        signed_codes = (payload & (top - np.uint64(1))) | top
-        half = (signed_codes >> np.uint64(1)).astype(np.int64)
-        values = np.where(signed_codes & np.uint64(1), half, -half)
-        self._spans = span.tolist()
-        self._codes = _listed(codes, (span + final_bit > 128) | (end + 2 > n))
-        self._values = _listed(values, (span > 126) | (end >= n))
+        data = self._data[base // 8:(base + _WINDOW + 137) // 8]
+        n = self._n = 8 * data.size
+        # a field spans at most 64 flagged chunks and a final one, 130 bits;
+        # zero bits after the data let every start offset see as many
+        bits = np.unpackbits(data, count=n + _REACH)
+        m = self._m = min(_WINDOW, n)  # start offsets
+        # the first 0 flag at or after each offset, at the same parity (a
+        # column of the reversed bit pairs), or _REACH bits on from the
+        # offset or a later 1 flag, whichever comes first: a span past 128
+        # reads as _REACH
+        offsets = np.arange(n, dtype=np.int32)
+        zero_at = np.where(bits[:n], offsets + _REACH, offsets)
+        end = np.minimum.accumulate(zero_at[::-1].reshape(-1, 2), axis=0).ravel()[::-1][:m]
+        self._span = end - offsets[:m]  # twice the flagged chunks
+        # the walk reads a field itself only when its final payload bit is stored
+        self.spans[:] = np.where(end < n - 1, self._span, _REACH).astype(np.uint8).tobytes()
+        self.spans += _PAST_WINDOW
+        # payload bit t of a field at offset p is bit p // 2 + t of stream p % 2:
+        # the window's bits 1, 3, 5, ... or 2, 4, 6, ..., the two columns of
+        # its bit pairs from bit 1 on, each read as an int
+        streams = np.packbits(bits[1:n + 1].reshape(-1, 2).T, axis=1, bitorder="little").tobytes()
+        size = len(streams) // 2
+        self.payload[:] = [int.from_bytes(streams[:size], "little"),
+                           int.from_bytes(streams[size:], "little")]
+        # row p: the first 64 payload bits of the field at offset p
+        self._payload_bits = np.ndarray((m, 64), np.uint8, bits, 1, (1, 2))
+        self.marks[:] = bytes(m)
+        return start - base
+
+    def _flush(self) -> None:
+        """Decode the window's marked fields, all signed, in one array
+        operation, and clear their marks."""
+        marks = np.frombuffer(self.marks, dtype=np.uint8)
+        at = marks.nonzero()[0]
+        if not at.size:
+            return
+        span = self._span[at]
+        bits = self._payload_bits[at, :int(np.maximum.reduce(span)) // 2 + 1]
+        # a code is its payload below bit span / 2, and a 1 there; the bits
+        # the product weighs from the final chunk on lie above the mask
+        half = (bits @ _HALF_WEIGHT[:bits.shape[1]]) & _HALF_MASK[span] | _TOP_HALF[span]
+        self._decoded.append((marks[at], np.where(bits[:, 0], half, -half)))
+        marks[at] = 0
+
+
+# by bit t of a code, its weight in the half of the code; by span, the
+# bits of the half below its top bit, and that top bit
+_HALF_WEIGHT = np.array([0] + [1 << t for t in range(63)], dtype=np.int64)
+_TOP_HALF = np.array([(1 << s // 2) >> 1 for s in range(127)], dtype=np.int64)
+_HALF_MASK = np.maximum(_TOP_HALF - 1, 0)
+_REACH = 130  # the bits a field can span; the span entry where the walk stops
+_PAST_WINDOW = bytes([_REACH]) * _REACH  # the span entries of the offsets past a window
+
+
+class FieldReads:
+    """The walk's view of a reader that reads one field per call, as the
+    l >= 2 readers do: its one span entry sends every read to :meth:`read`,
+    whose offsets are all 0, and it keeps the values of the marked fields
+    as it reads them."""
+
+    spans = (_REACH,)
+    payload = marks = None
+
+    def __init__(self, reader) -> None:
+        self._reader = reader
+        self._kinds: list[int] = []
+        self._values: list[int] = []
+
+    def remaining(self, i: int) -> int:
+        return self._reader.remaining_bits
+
+    def read(self, i: int, signed: bool, mark: int = 0) -> tuple[int, int]:
+        value = self._reader.signed() if signed else self._reader.unsigned()
+        if mark:
+            self._kinds.append(mark)
+            self._values.append(value)
+        return value, 0
+
+    def decoded(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        out = np.array(self._kinds, dtype=np.uint8), np.array(self._values, dtype=np.int64)
+        self._kinds, self._values = [], []
+        return out
 
 
 def _listed(values: np.ndarray, unreadable: np.ndarray) -> list:
-    """``values`` as a list of ints, ``None`` where ``unreadable``.  Fields
-    that run past a window's bits make the unreadable ones mostly a tail,
-    so only the part from the first of them goes through objects."""
+    """``values`` as a list of ints, ``None`` where ``unreadable``.  The
+    unreadable fields are mostly a tail, so only the part from the first of
+    them goes through objects."""
     out = values.tolist()
     if unreadable.any():
         k = int(unreadable.argmax())
@@ -418,15 +505,15 @@ class ColumnarReader:
         return v
 
     def signed(self) -> int:
-        return self.signeds(1)[0]
+        i = self._next
+        c = self._codes[i]
+        if not c:  # None: unreadable, or the tail; 0: no zigzag code
+            self._fail(i)
+        self._next = i + 1
+        return c >> 1 if c & 1 else -(c >> 1)
 
     def signeds(self, n: int) -> tuple[int, ...]:
-        i = self._next
-        codes = self._codes[i:i + n]
-        if not all(codes):  # None: unreadable, or the tail; 0: no zigzag code
-            self._fail(i + next(k for k, c in enumerate(codes) if not c))
-        self._next = i + n
-        return tuple([c >> 1 if c & 1 else -(c >> 1) for c in codes])
+        return tuple([self.signed() for _ in range(n)])
 
     def _fail(self, i: int) -> None:
         """Move in front of field ``i`` and raise the error of reading it."""

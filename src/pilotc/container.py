@@ -38,11 +38,14 @@ coefficient count c at i + 1, so the next block starts at i + 2 + c.
 The chase visits two fields per block and two per head, and array
 operations then gather the columns and check them.  At l = 1 a signed
 field's final payload bit is implied, so a field's length depends on its
-type; the reader has tabulated the field of either type that starts at
-each bit position, and ``parse`` walks the body field by field into
-lists that become the columns.  Any failure of the chase sends ``parse``
-back to that walk, which raises the error of the first field or rule
-that fails.
+type; the reader has tabulated only the span of the field that starts at
+each bit position of a window, and ``parse`` walks the body by hopping
+through those spans: it decodes on the spot each field that a rule needs
+in field order and marks the other signed fields with their kind, whose
+values one array operation per window decodes; the marked values then
+become the columns by kind.  Any failure of the chase sends ``parse``
+back to that walk, which then reads the body field by field and raises
+the error of the first field or rule that fails.
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`:
@@ -85,6 +88,8 @@ import numpy as np
 from .blocks import BlockPlan, flat_ranges
 from .codec import (
     ColumnarReader,
+    FieldReads,
+    TableReader,
     enhanced_zigzag_map,
     pack_varints,
     round_half_away,
@@ -126,12 +131,11 @@ def _check_time_step(label: str, i: int, step: int) -> None:
                          f"strictly increasing, got a step of {step}")
 
 
-def _entry_arrays(label: str, t_index, values, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entry fit: time indices and values as int64 columns, the values of
-    shape (entries, dim); raises ``ValueError`` for one outside int64."""
+def _entry_column(label: str, values) -> np.ndarray:
+    """Entry fit: time indices or values as an int64 column; raises
+    ``ValueError`` for one outside int64."""
     try:
-        return (np.array(t_index, dtype=np.int64),
-                np.array(values, dtype=np.int64).reshape(len(t_index), dim))
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{label}s: a time index or value outside int64") from None
 
@@ -395,59 +399,110 @@ def _chase(r: ColumnarReader, dim: int, dt: float, eps_t: float, lay: Layout):
     return SegmentColumns(t0_index, p0_q, plan.n_samples, cols), *lists
 
 
+_ENTRY, _HEAD, _DELTA, _COEFF = 1, 2, 3, 4  # kinds of the signed fields the walk marks
+
+
 def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int):
     """The segments, outliers and corrections of the body that the reader
-    ``r`` holds, read field by field into lists that become columns once.
-    Raises the error of the first field or rule that fails."""
-    signed, unsigned, signeds = r.signed, r.unsigned, r.signeds
-    n_segments = unsigned()
-    n_outliers = unsigned()
-    n_corrections = unsigned()
-    lists = []
-    for label, count in (("outlier", n_outliers), ("correction", n_corrections)):
-        t_index, values = [], []
-        t, prev = 0, (0,) * dim
-        for i in range(count):
-            step = unsigned()
-            _check_time_step(label, i, step)
-            t += step
-            v = signeds(dim)
-            if label == "outlier":  # only outlier values chain
-                v = prev = tuple([p + x for p, x in zip(prev, v)])
-            t_index.append(t)
-            values.append(v)
-        lists.append(EntryColumns(*_entry_arrays(label, t_index, values, dim)))
+    ``r`` holds, read in field order.  Raises the error of the first field
+    or rule that fails.
 
-    t0_index, p0_q, n_samples = [], [], []
-    deltas, counts, coeffs = [], [], []
+    At l = 1 the walk hops through the spans of the
+    :class:`~pilotc.codec.TableReader`'s window itself.  It decodes on the
+    spot the fields that rules need in field order: each block's
+    coefficient count by itself, and the other counts, sample counts, entry
+    time steps and segment start deltas through ``read``.  It marks every
+    other signed field with its kind, and takes the values the window
+    decoded where it needs them: the outliers', which chain, after their
+    section, and the rest at the end.  Any other reader it reads field by
+    field through :class:`~pilotc.codec.FieldReads`."""
+    if not isinstance(r, TableReader):
+        r = FieldReads(r)
+    spans, payload, marks, read = r.spans, r.payload, r.marks, r.read
+    n_segments, i = read(0, False)
+    n_outliers, i = read(i, False)
+    n_corrections, i = read(i, False)
+    t_columns, outlier_values = [], np.zeros((0, dim), dtype=np.int64)
+    for label, count in (("outlier", n_outliers), ("correction", n_corrections)):
+        t_index, t = [], 0
+        for e in range(count):
+            step, i = read(i, False)
+            _check_time_step(label, e, step)
+            t += step
+            t_index.append(t)
+            for _ in range(dim):
+                s = spans[i]
+                if s > 126:
+                    i = read(i, True, _ENTRY)[1]
+                else:
+                    marks[i] = _ENTRY
+                    i += s + 1
+        t_columns.append(_entry_column(label, t_index))
+        if label == "outlier" and count:  # outlier values chain, summed in Python ints
+            steps = r.decoded(i)[1].reshape(count, dim)
+            outlier_values = _entry_column(label, steps.astype(object).cumsum(axis=0))
+
+    t0_index, n_samples = [], []
+    counts, j = [], 0  # the blocks' coefficient counts, j of them read
     prev_end, prev_t0 = 0, -math.inf
     try:
         for _ in range(n_segments):
-            t0 = prev_end + signed()
+            delta, i = read(i, True)
+            t0 = prev_end + delta
             _check_segment_order(t0, prev_t0)
             prev_t0 = t0
-            p0_q.append(signeds(dim))
-            n = unsigned()
+            for _ in range(dim):
+                s = spans[i]
+                if s > 126:
+                    i = read(i, True, _HEAD)[1]
+                else:
+                    marks[i] = _HEAD
+                    i += s + 1
+            n, i = read(i, False)
             prev_end = segment_end_index(t0, n, dt, eps_t)
             per_dim = lay.partition(n - 1)[0] + 1  # blocks per dimension
-            if dim * per_dim * min_block_bits > r.remaining_bits:
+            if dim * per_dim * min_block_bits > r.remaining(i):
                 raise TruncationError(
                     f"segment declares {per_dim} blocks per dimension, more than "
-                    f"the {r.remaining_bits} remaining bits can hold"
+                    f"the {r.remaining(i)} remaining bits can hold"
                 )
             t0_index.append(t0)
             n_samples.append(n)
+            counts += [0] * (dim * per_dim)
             for _ in range(dim * per_dim):
-                deltas.append(signed())
-                counts.append(unsigned())
-                coeffs += signeds(counts[-1])
+                s = spans[i]
+                if s > 126:
+                    i = read(i, True, _DELTA)[1]
+                else:
+                    marks[i] = _DELTA
+                    i += s + 1
+                s = spans[i]
+                if s > 126:
+                    c, i = read(i, False)
+                else:
+                    c = payload[i & 1] >> (i >> 1) & (2 << (s >> 1)) - 1
+                    i += s + 2
+                counts[j] = c
+                j += 1
+                for _ in range(c):
+                    s = spans[i]
+                    if s > 126:
+                        i = read(i, True, _COEFF)[1]
+                    else:
+                        marks[i] = _COEFF
+                        i += s + 1
     except (PilotCError, ValueError):
         # a broken block rule read before comes first
-        _check_blocks(counts, coeffs, BlockPlan(n_samples, dim, lay).limit[:len(counts)])
+        kinds, values = r.decoded(i)
+        _check_blocks(counts[:j], values[kinds == _COEFF],
+                      BlockPlan(n_samples, dim, lay).limit[:j])
         raise
+    kinds, values = r.decoded(i)
     plan = BlockPlan(n_samples, dim, lay)
-    # as int64 arrays, which the columns take without finding a list's dtype
-    cols = BlockColumns(*(np.array(c, dtype=np.int64) for c in (counts, deltas, coeffs)), plan)
+    cols = BlockColumns(np.array(counts, dtype=np.int64), values[kinds == _DELTA],
+                        values[kinds == _COEFF], plan)
     _check_blocks(cols.c_f, cols.coeffs, plan.limit)
-    p0_q = np.array(p0_q, dtype=np.int64).reshape(-1, dim)
-    return SegmentColumns(t0_index, p0_q, plan.n_samples, cols), *lists
+    p0_q = values[kinds == _HEAD].reshape(-1, dim)
+    return (SegmentColumns(t0_index, p0_q, plan.n_samples, cols),
+            EntryColumns(t_columns[0], outlier_values),
+            EntryColumns(t_columns[1], values[kinds == _ENTRY].reshape(-1, dim)))

@@ -165,6 +165,29 @@ def test_csv_rows_of_another_field_count_name_the_line(row, count, source, tmp_p
         assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_csv_header_may_follow_a_byte_order_mark(source, tmp_path):
+    # spreadsheets often open a UTF-8 CSV with a byte order mark; one is
+    # dropped from line 1, a second one is part of the header
+    lines = ["\ufefft,x,y", "0,0,0", "1,1,2", "2,3,4"]
+    if source == "file":
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        traj = read_trajectory_csv(path)
+        out = tmp_path / "bom.plc"
+        assert main(["compress", str(path), "-o", str(out), "--epsilon", "10"]) == EXIT_OK
+    else:
+        traj = read_through_pipe(lines)
+    assert traj.times.tolist() == [0.0, 1.0, 2.0]
+    assert traj.points.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(DataError, match="line 1: expected header"):
+        if source == "file":
+            path.write_text("\ufeff" + "\n".join(lines) + "\n", encoding="utf-8")
+            read_trajectory_csv(path)
+        else:
+            read_through_pipe(["\ufeff" + lines[0], *lines[1:]])
+
+
 def test_duplicate_timestamps_rejected_without_dedup(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("t,x,y\n0,0,0\n1,1,1\n1,2,2\n2,3,3\n")

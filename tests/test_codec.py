@@ -209,6 +209,19 @@ def test_bitstream_rejects_out_of_range_values():
             varint_reader(b"\x00", l)
 
 
+def test_pack_varints_rejects_negative_integer_arrays():
+    # a signed integer array would wrap a negative value into a 64-bit code;
+    # it is refused as a list of the same values is
+    for codes in ([3, -1], *(np.array([3, -1], dtype=t) for t in (np.int64, np.int32, np.int8))):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            pack_varints(codes, [False, False], 2)
+    # arrays of non-negative codes, signed or not, write what the list writes
+    for t in (np.int64, np.int32, np.uint64):
+        for l in (1, 2):
+            assert (pack_varints(np.array([3, 0, 5], dtype=t), [False, False, True], l)
+                    == pack_varints([3, 0, 5], [False, False, True], l))
+
+
 _FIELD = st.one_of(
     st.tuples(st.just(False), st.integers(0, 2**64 - 1)),
     st.tuples(st.just(True), st.integers(-(2**63 - 1), 2**63 - 1)),

@@ -13,7 +13,7 @@ from model_gen import hand_built, random_model
 from test_golden import _CHUNK_BITS, _KINDS, _PROFILES, _container
 
 import pilotc
-from pilotc import Reconstructor, container
+from pilotc import Reconstructor, codec, container
 from pilotc.codec import enhanced_zigzag_map, pack_varints
 from pilotc.container import MAGIC, VERSION, parse, serialize
 from pilotc.errors import CorruptionError, FormatError, PilotCError, TruncationError
@@ -525,6 +525,24 @@ def test_columnar_parse_matches_per_field_reader(chunk_bits, monkeypatch):
             per_field = [parse_outcome(case) for case in cases]
         assert columnar[0] == model
         assert columnar == per_field
+
+
+def test_parse_at_l1_across_many_windows(monkeypatch):
+    # windows of 16 start offsets cut the body of a model with outliers,
+    # corrections and two segments into over a hundred windows, so fields
+    # and runs of signed fields cross window ends, and each window decodes
+    # its marked fields on its own; the model and every truncation of its
+    # container parse as through the per-field reference reader
+    monkeypatch.setattr(codec, "_WINDOW", 16)
+    model = random_model(np.random.default_rng(7), dim=2, eps=50.0, chunk_bits=1)
+    assert (len(model.segments), len(model.outliers), len(model.corrections)) == (2, 3, 5)
+    payload = serialize(model, GEO)
+    assert 8 * (len(payload) - 40) > 100 * 16
+    cases = [payload[:cut] for cut in range(len(payload) + 1)]
+    library = [parse_outcome(case) for case in cases]
+    monkeypatch.setattr(container, "varint_reader", VarintReader)
+    assert library[-1] == model
+    assert library == [parse_outcome(case) for case in cases]
 
 
 def test_every_valid_container_parses_through_the_chase(monkeypatch):
