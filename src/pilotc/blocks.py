@@ -2,11 +2,16 @@
 
 Each row of a batch is one block of m+1 samples, m velocities, of one
 spatial dimension.  Compression zero-centers the velocities against the
-block's average velocity, transforms them, quantizes with step ``eps_f``,
-keeps the first ``K(m) - 1`` AC coefficients (see
-:meth:`~pilotc.params.Layout.budget`) and strips trailing zeros.  The DC coefficient is identically zero and
-never stored.  Only the K retained cosine columns are ever multiplied, so
-one (m, K-1) product codes the whole batch.
+block's average velocity, transforms them, quantizes with step ``eps_f``
+the first ``K(m) - 1`` AC coefficients (see
+:meth:`~pilotc.params.Layout.budget`) and keeps them up to the last nonzero
+one whose tail, it and every coefficient after it, can move a sample of
+the block by more than tau = ``_DROP`` * eps / sqrt(dim); the rest would
+move none by more than tau, and validation stores a correction for any
+point that dropping them, with the other rounding, takes past eps.  The
+DC coefficient is identically zero and never stored.  Only the K retained
+cosine columns are ever multiplied, so one (m, K-1) product codes the
+whole batch, and one running sum over its coefficients bounds every tail.
 
 Decompression is the exact mirror and anchors every block on externally
 supplied start and end values, so per-block errors never accumulate across
@@ -32,6 +37,8 @@ the cosine columns :func:`decode_rows` turns into samples in place.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .codec import dequantize_array, quantize_array
@@ -40,22 +47,43 @@ from .params import Layout
 from .transform import cosine_basis
 
 _BATCH_SAMPLES = 1 << 15  # samples per chunk of a batch, to keep its temporaries small
+_DROP = 0.5  # a block's dropped coefficients move a sample at most this times eps / sqrt(dim)
 
 
-def encode_rows(samples, layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+def encode_rows(samples, layout: Layout, tau: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Quantized AC coefficients of each row of ``samples``, shape (n, m+1):
     an int64 (n, K(m) - 1) matrix, and how many of each row's leading
-    coefficients the row keeps, one past its last nonzero one, so that
-    trailing zeros are dropped."""
+    coefficients the row keeps: one past its last nonzero coefficient
+    whose tail, that coefficient and all after it, can move the row's
+    samples by more than ``tau`` (see :func:`_reach`).  At ``tau`` = 0 that
+    is every nonzero one, so only trailing zeros are dropped."""
     s = np.asarray(samples, dtype=float)
     m = s.shape[1] - 1
     if m < 1:
         raise ValueError("a block must contain at least two samples")
     centered = s[:, 1:] - s[:, :-1]
     centered -= ((s[:, -1] - s[:, 0]) / m)[:, None]
-    ac = cosine_basis(m, layout.budget(m))[:, 1:]
+    k = layout.budget(m)
+    ac = cosine_basis(m, k)[:, 1:]
     q = quantize_array(2.0 * (centered @ ac), layout.eps_f)
-    return q, np.maximum.reduce((q != 0) * np.arange(1, q.shape[1] + 1), axis=1, initial=0)
+    # each tail's bound in units of 2 eps_f, summed from the last coefficient
+    # on: it never falls towards the first, and a zero adds exactly nothing,
+    # so the tails over the threshold are a prefix that ends in a nonzero
+    tails = (np.abs(q) * _reach(m, k))[:, ::-1].cumsum(axis=1)
+    return q, np.add.reduce(tails > tau / (2.0 * layout.eps_f), axis=1)
+
+
+@functools.lru_cache(maxsize=128)
+def _reach(m: int, k: int) -> np.ndarray:
+    """Read-only vector of the most that one unit of each AC coefficient
+    1..k-1 of a block of m velocities moves any of its samples.  Coefficient
+    j dequantizes to q_j * 2 eps_f and adds that times cosine column j, over
+    m, to the centered velocities, whose running sum the samples are; so
+    dropping coefficients c, c + 1, ... moves a sample by at most
+    2 eps_f * sum(|q_j| * reach_j for j >= c)."""
+    reach = np.abs(cosine_basis(m, k)[:, 1:].cumsum(axis=0)).max(axis=0, initial=0.0) / m
+    reach.setflags(write=False)
+    return reach
 
 
 def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarray:
@@ -152,12 +180,16 @@ class BlockPlan:
 def encode_blocks(x: np.ndarray, plan: BlockPlan, lay: Layout) -> tuple[np.ndarray, np.ndarray]:
     """The coefficient count of every block of ``plan``, and all blocks'
     coefficients one after the other, both int64 and in block order; ``x``
-    holds the samples in the plan's flat order."""
+    holds the samples in the plan's flat order.  Each block keeps its
+    coefficients up to the last nonzero one whose tail can move one of its
+    samples by more than tau = ``_DROP * lay.eps_out`` (see
+    :func:`encode_rows`), so what it drops moves none by more than tau."""
     start = plan.start[plan.order]
+    tau = _DROP * lay.eps_out
     none = np.zeros(0, dtype=np.int64)  # the columns of a plan without blocks
     counts, coeffs = [none], [none]
     for m, lo, hi in plan.batches:
-        q, kept = encode_rows(_windows(x, m + 1)[start[lo:hi]], lay)
+        q, kept = encode_rows(_windows(x, m + 1)[start[lo:hi]], lay, tau)
         counts.append(kept)
         coeffs.append(q[np.arange(q.shape[1]) < kept[:, None]])
     kept = np.concatenate(counts)  # in ``order``, like ``coeffs``

@@ -409,9 +409,9 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
 
     At l = 1 the walk hops through the spans of the
     :class:`~pilotc.codec.TableReader`'s window itself.  It decodes on the
-    spot the fields that rules need in field order: each block's
-    coefficient count by itself, and the other counts, sample counts, entry
-    time steps and segment start deltas through ``read``.  It marks every
+    spot the fields that rules need in field order: each entry's time step
+    and each block's coefficient count by itself, and the other counts,
+    sample counts and segment start deltas through ``read``.  It marks every
     other signed field with its kind, and takes the values the window
     decoded where it needs them: the outliers', which chain, after their
     section, and the rest at the end.  Any other reader it reads field by
@@ -426,8 +426,14 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
     for label, count in (("outlier", n_outliers), ("correction", n_corrections)):
         t_index, t = [], 0
         for e in range(count):
-            step, i = read(i, False)
-            _check_time_step(label, e, step)
+            s = spans[i]
+            if s > 126:
+                step, i = read(i, False)
+            else:
+                step = payload[i & 1] >> (i >> 1) & (2 << (s >> 1)) - 1
+                i += s + 2
+            if step < (e > 0):
+                _check_time_step(label, e, step)
             t += step
             t_index.append(t)
             for _ in range(dim):

@@ -125,15 +125,32 @@ def dct_inverse_ref(coeffs) -> np.ndarray:
     return (c @ _cosines(c.shape[-1]).T) / c.shape[-1]
 
 
-def block_compress_ref(samples, layout) -> tuple[int, ...]:
-    """Coefficients of one block of m+1 samples."""
+def tail_bound_ref(q_coeffs, k: int, m: int, layout) -> float:
+    """The most that dropping AC coefficients k, k+1, ... (0-based, slot
+    k + 1 on) of a block of m velocities moves any of its samples:
+    sum over j >= k of |q_j| * 2 eps_f * reach_j / m, where reach_j is the
+    largest running sum, in magnitude, of cosine column j + 1."""
+    cos = _cosines(m)
+    bound = 0.0
+    for j in range(k, len(q_coeffs)):
+        reach = max(abs(v) for v in np.cumsum(cos[:, j + 1]))
+        bound += abs(int(q_coeffs[j])) * 2.0 * layout.eps_f * reach / m
+    return bound
+
+
+def block_compress_ref(samples, layout, tau: float) -> tuple[int, ...]:
+    """Coefficients of one block of m+1 samples: the quantized spectrum up to
+    its last nonzero coefficient whose tail bound (:func:`tail_bound_ref`)
+    exceeds ``tau``, found by a loop over k from the last coefficient down."""
     s = np.asarray(samples, dtype=float)
     m = s.shape[0] - 1
     centered = np.diff(s) - (s[-1] - s[0]) / m
     spectrum = dct_forward_ref(centered)
-    q = quantize_array(spectrum[1:layout.budget(m)], layout.eps_f)
-    nonzero = np.flatnonzero(q)
-    return tuple(int(v) for v in q[: nonzero[-1] + 1]) if nonzero.size else ()
+    q = [int(v) for v in quantize_array(spectrum[1:layout.budget(m)], layout.eps_f)]
+    for k in range(len(q), 0, -1):
+        if q[k - 1] and tail_bound_ref(q, k - 1, m, layout) > tau:
+            return tuple(q[:k])
+    return ()
 
 
 def block_decompress_ref(q_coeffs, m: int, start: float, end: float, layout) -> np.ndarray:
@@ -181,8 +198,9 @@ def decode_blocks_ref(cols, starts, ends, plan, lay, out) -> None:
         _windows(out, m)[start[lo:hi] + 1] = rows[:, 1:]
 
 
-def encode_series_ref(values, layout, eps_p: float):
-    """Per-block encoding of a uniform series: (p0_q, blocks[dim][block])."""
+def encode_series_ref(values, layout, eps_p: float, drop: float):
+    """Per-block encoding of a uniform series: (p0_q, blocks[dim][block]),
+    each block's dropped tail bounded by ``drop * layout.eps_out``."""
     sizes = _block_sizes(values.shape[0] - 1, layout.b_s)
     ends = np.cumsum(sizes)
     p0_q, per_dim = [], []
@@ -192,7 +210,8 @@ def encode_series_ref(values, layout, eps_p: float):
         deltas = np.diff(quantize_array(x[ends] - p0, layout.eps_d), prepend=0)
         blks, pos = [], 0
         for m, delta in zip(sizes, deltas):
-            blks.append(EncodedBlock(block_compress_ref(x[pos:pos + m + 1], layout), int(delta)))
+            q_coeffs = block_compress_ref(x[pos:pos + m + 1], layout, drop * layout.eps_out)
+            blks.append(EncodedBlock(q_coeffs, int(delta)))
             pos += m
         p0_q.append(q0)
         per_dim.append(tuple(blks))

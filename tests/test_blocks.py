@@ -5,12 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from codec_reference import decode_blocks_ref, decode_series_ref, encode_series_ref
+from codec_reference import (
+    decode_blocks_ref,
+    decode_series_ref,
+    encode_series_ref,
+    tail_bound_ref,
+)
 from model_gen import hand_built
 from test_golden import _CHUNK_BITS, _KINDS, _PROFILES, _container
 
 from pilotc import blocks, pipeline, reconstruct
-from pilotc.blocks import _BATCH_SAMPLES, decode_rows, encode_rows
+from pilotc.blocks import _BATCH_SAMPLES, _DROP, decode_rows, encode_rows
 from pilotc.container import parse
 from pilotc.errors import CorruptionError
 from pilotc.model import EncodedBlock, SubTrajectorySegment
@@ -198,7 +203,7 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
         values = np.cumsum(rng.normal(3.0, 2.0, (n_samples, 2)), axis=0)
         segs = _encode_segments(values, [n_samples], [0], params)
         seg, = segs
-        assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p)
+        assert (seg.p0_q, seg.blocks) == encode_series_ref(values, lay, params.eps_p, _DROP)
 
         model = hand_built(dim=2, dt=1.0, eps=eps, eps_t=1.0, eps_p=params.eps_p, chunk_bits=2)
         model = replace(model, segments=segs)
@@ -206,6 +211,36 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
         want = decode_series_ref(seg.p0_q, seg.blocks, n_samples, lay, params.eps_p)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
+
+
+@pytest.mark.parametrize("profile_name", list(_PROFILES))
+def test_each_block_drops_only_what_its_error_budget_allows(profile_name):
+    # every tail length 1..b_s behind one full block, in the golden corpus's
+    # dimension: a block keeps its coefficients up to the last nonzero one
+    # whose tail can move a sample by more than tau = eps / (2 sqrt(dim)),
+    # so the dropped tail's bound is at most tau and the kept one's is not
+    eps, dim = _PROFILES[profile_name]
+    params = PROFILES[profile_name].params(eps)
+    lay = params.layout(dim)
+    tau = 0.5 * eps / math.sqrt(dim)
+    rng = np.random.default_rng(12)
+    dropped = 0
+    for tail in range(1, lay.b_s + 1):
+        n_samples = lay.b_s + tail + 1
+        values = np.cumsum(rng.normal(3.0, 0.3 * eps, (n_samples, dim)), axis=0)
+        seg, = _encode_segments(values, [n_samples], [0], params)
+        full = encode_series_ref(values, lay, params.eps_p, 0.0)[1]
+        for blks, whole in zip(seg.blocks, full):
+            for blk, ref, m in zip(blks, whole, (lay.b_s, tail)):
+                kept = len(blk.q_coeffs)
+                assert kept <= lay.budget(m) - 1
+                assert kept == 0 or blk.q_coeffs[-1] != 0
+                assert blk.q_coeffs == ref.q_coeffs[:kept]
+                assert tail_bound_ref(ref.q_coeffs, kept, m, lay) <= tau
+                if kept:
+                    assert tail_bound_ref(ref.q_coeffs, kept - 1, m, lay) > tau
+                dropped += len(ref.q_coeffs) - kept
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -227,7 +262,7 @@ def test_segments_coded_together_match_per_block_reference(dim):
     segs = _encode_segments(np.concatenate(values), list(map(len, values)), t0s, params)
     assert [(s.t0_index, s.n_samples) for s in segs] == [(t, len(v)) for t, v in zip(t0s, values)]
     for seg, v in zip(segs, values):
-        assert (seg.p0_q, seg.blocks) == encode_series_ref(v, lay, params.eps_p)
+        assert (seg.p0_q, seg.blocks) == encode_series_ref(v, lay, params.eps_p, _DROP)
 
     model = replace(hand_built(dim=dim, dt=1.0, eps=10.0, eps_t=1.0, eps_p=params.eps_p,
                                chunk_bits=2), segments=segs)

@@ -291,8 +291,10 @@ def test_compress_and_serialize_keep_their_call_budget():
 def test_parse_and_decode_keep_their_call_budget():
     # the read side of the same track: parse, the decoder's set-up and one
     # query of its timestamps; with numpy 2.4.6 on CPython 3.11 this reads
-    # 290 calls (786 when the l = 1 reader made one call per field and
-    # tabulated every bit position), and the bound leaves 5% for other versions
+    # 286 calls for its 11 corrections (786 when the l = 1 reader made one
+    # call per field and tabulated every bit position, 290 for 5 corrections
+    # before coefficient selection), and the bound leaves 5% over 290 for
+    # other versions
     profile = replace(PROFILES["geolife3d"], eps_t=0.01, chunk_bits=1)
     traj = synthetic_trajectory(500, dim=3, seed=1, **MIXED)
     payload = serialize(compress(traj, profile.params(20.0)), profile)

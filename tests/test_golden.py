@@ -29,33 +29,33 @@ _CHUNK_BITS = (1, 2, 4)
 _POINTS = 1200
 
 GOLDEN = {
-    "geolife/smooth/l1": "d63e427610c650302c0afdae794be9fec1231ac0424a4b92945f8ea4f2a714bd",
-    "geolife/smooth/l2": "af1c80a1c1c79c1b987d34315b31dc44eb49b39abf486276abd3300293add8e8",
-    "geolife/smooth/l4": "c5b2ffc7bcc9afd669fd32ff05e33de1a3d81c56258c1b55803a97501d9f27bf",
-    "geolife/jittery/l1": "6c0b3faa3e2a12e53aff3db065aacec1fa4dea1a985ea3bf428af4e5f7bc0477",
-    "geolife/jittery/l2": "e12ca07c5d81dcc136e8fa6f63e78d0aa88a959c349a2bced06ff4cfedef4d65",
-    "geolife/jittery/l4": "1b590c10d93a4cfb9ce9283611a7cb4fc6280ca0dca728df88a627187ee5067e",
-    "geolife/nonuniform/l1": "90ba80bd951ad945710dbefa6980bd963cd05039c58b5711806bde9705b89170",
-    "geolife/nonuniform/l2": "012a3aab7f394384b53db48bda1bb2ac4796bfc27df98f6bf0aaa002e3707596",
-    "geolife/nonuniform/l4": "b009956bfb13a9dabfde738ab75acb6e03ec404319f2e91782dee49254ea7f6d",
-    "geolife/mixed/l1": "938e61718f6f51113ab18059c87d3c5fa27b46780613b4f0a9db8fa37c9774eb",
-    "geolife/mixed/l2": "0c1f3510496f1dd053560e2999998777717bc5bc716810d4d086d681ec048559",
-    "geolife/mixed/l4": "19ac5847e63e5b57a1cca4b38e06c9c7519ac4e3a49def139f62cbc26bc560ba",
-    "geolife3d/smooth/l1": "83daf948dc8ea0e8af12677870b66e46c8b057c955b764c858faa773496b5bc1",
-    "geolife3d/smooth/l2": "260d6637706f8a8822631720c22ba64817c1dac93358de910f896b2958086c97",
-    "geolife3d/smooth/l4": "52af6cd7184dfe06e523895ae084e2768f333d15309a6ea0a5320cdf684d5d59",
-    "geolife3d/jittery/l1": "3a89d71bcd60173bc22233c64c1587a3fddc1c29a72ca58b8d63af56a16a83f0",
-    "geolife3d/jittery/l2": "45ae5923a4b7ad56bbd656d593aee67da2a1374835d5def596ebfbe3879cd484",
-    "geolife3d/jittery/l4": "9e65dcea2cd0fd97ef51be19bec4c368b7415736563d7536de5630842645efc3",
-    "geolife3d/nonuniform/l1": "0b692d06bbd2e14feca6f29ab7827d615de4d371384b889d6a28c2fef8b4cba8",
-    "geolife3d/nonuniform/l2": "6081e16a1ebd70ece1e2b7c5b7fb8d6a25a1622a2b1a2d72a48e1274bf415f7e",
-    "geolife3d/nonuniform/l4": "43b7993cdce4a99afb01fb2c4d76d26b6af708730245fe47e9deeabb9956c0b4",
-    "geolife3d/mixed/l1": "df7d09f3c963c0a63ce47b7839e7886b6d9cfb70448f5205c9b9eca8a19d6647",
-    "geolife3d/mixed/l2": "f9d8dc590e2952c87f09a1a2aa444aac1e010936e079f0f8de696a7bc6282074",
-    "geolife3d/mixed/l4": "b37e594f0910581ae0976aef2e4aa7b0b28bc4af5b4cb3b1274ef705d9e06c1e",
-    "nuplan/smooth/l1": "63898ccdfff93546c9d10e85b90092c598da91de95618b46da7a1964b6700095",
-    "nuplan/smooth/l2": "9baecbb67e63364fe9491c5d90949079234b92c7024c6c90d54b63391be2a09f",
-    "nuplan/smooth/l4": "a201fd231b0fbb375b0cbcd6c2e37b8949f1b804ee73ecfb0d83391d64eef816",
+    "geolife/smooth/l1": "2ad408fc9f5d6f56fb3e641e1672dd49289acc067b10144a18d525535a546710",
+    "geolife/smooth/l2": "23f963c898c0fade34a2d7f884539fd0eb07b6f86c673c5469770dd6e021528e",
+    "geolife/smooth/l4": "f8806c0c1e1642a9fd18ade9c122b7e12e84b1e09bfd0901ee8787d841826939",
+    "geolife/jittery/l1": "c219f0a309707e2f551145f35992314ae34e4d4a7b1f8f4ceb94f588bb845a37",
+    "geolife/jittery/l2": "bed1103e3942109b5c275201aa406f17c39bae969a7b7a9ae582ce6b5c65e52a",
+    "geolife/jittery/l4": "f4ebef966720f47b956397d8da1c0ba3764829456b114984161a6323d581dbb2",
+    "geolife/nonuniform/l1": "6442db8708f9b2b4b79846ef5794384acfd7927a689101226fa62d049572bf8c",
+    "geolife/nonuniform/l2": "998348103c1c8f7dd4e5531665ac32db6be0215c3572776128e97e7cf32acc75",
+    "geolife/nonuniform/l4": "3c66e7173e7bac0574c97e39ff09de71f8a1559be25a733ce1ef3399c86a6339",
+    "geolife/mixed/l1": "49582892079591917a9fe05004b2a688d5483b6f3dc9bf4c0147d529e6922368",
+    "geolife/mixed/l2": "3af372fbbdd0bbeed797a38af213de70edb959c7a44a6495d4d554935d04bb16",
+    "geolife/mixed/l4": "66ba488ea96b52ea7f357b51fca4a784c711a5e980969ebcc304132a288ad313",
+    "geolife3d/smooth/l1": "a43c40ff3ea23f89f6948303dacc619a6646dcf0664b90b995e211131354f563",
+    "geolife3d/smooth/l2": "cea245b777d3ebc8c89352abcfbddc31fdcb510e6e854991ff67583c5d7b33e6",
+    "geolife3d/smooth/l4": "7f8515eb12af5eb46e6b74310f30566557dbeecca226dc9c84aaf695d2a0952b",
+    "geolife3d/jittery/l1": "f280ef215b37583c4b791a92bdece7d0d13b586c10e1ed6b45db29df3a9cf920",
+    "geolife3d/jittery/l2": "7213ccb1580aec1d515eaf4362a9f4f3e09d7d7db4356c9bb97312aa6a87e003",
+    "geolife3d/jittery/l4": "234fc89e79de4aa8221ac13c9b3de500ce0227a8b330458e86a78fad7f832fe2",
+    "geolife3d/nonuniform/l1": "a662ec314b976a81a9172203bdc754a05d2fb2761560efab17d57b6aa2932822",
+    "geolife3d/nonuniform/l2": "1f05e3abc593b6ff6d910ba1bc4ad873e90133fdff29f82d5eaa602bbb0e7a83",
+    "geolife3d/nonuniform/l4": "eea094fc278674addf6ca7eb8ffbf425189282a2d1b34f3bc091a19150fa4d78",
+    "geolife3d/mixed/l1": "b24bee11449de2417204105e091532a15ca7a003e5c0f32d6878a813e3089727",
+    "geolife3d/mixed/l2": "59c91d7808b8c15d5ae69d97efb8dae86bcef97631bbb95894fc0c9efd88aee6",
+    "geolife3d/mixed/l4": "7c13a8044d080ba8069dc0ed8f33596cc25265d316e20a8a8cb8ea4d851272ad",
+    "nuplan/smooth/l1": "5b9e55bcd0a8ad74f8bd93dab15a1711e98b22c809169386cf2cff2c7888e512",
+    "nuplan/smooth/l2": "360d1108925bac7e43c89a0d3683b51105f36881caad52ef0ecc0f0093ec6510",
+    "nuplan/smooth/l4": "6b17d7a7281c3b28744224815f4f9e9ed44ce734c4b7727aef80faf09891b292",
     "nuplan/jittery/l1": "6d13ed8a980c1377a1e439ebe5375a0c8176513b28b932b5c0e5d29ba7120329",
     "nuplan/jittery/l2": "302bef6e24bebb490f7e3c0c8f149a7c7de67e88c15168efac456ea67effaf5e",
     "nuplan/jittery/l4": "931b6e6b9fe47293f34326c8ff485706bb24afa32c0aedb7fd8f04633b5e456a",
@@ -65,18 +65,18 @@ GOLDEN = {
     "nuplan/mixed/l1": "8758cf695217df81853f8c93da1e2a8588020bd24f227f9f1168347869c3ed3c",
     "nuplan/mixed/l2": "a54505aed74fde2da7bf8e81ac6d10f3e1e55db4aaf49009e9c7e0b76c8324d6",
     "nuplan/mixed/l4": "90d2d0b3e47cdeeb651d779fe7018baf2266410a17c6f3657975cb3d0a1723ef",
-    "mopsi/smooth/l1": "4ca854f2ee7988e7daed7f6150c107219fc70a65cb3da46c0122caedb10d8edb",
-    "mopsi/smooth/l2": "4f69983c0f497f367332aff011e9c6f98b0f3584453078a7d153430cace9c49d",
-    "mopsi/smooth/l4": "472f17513700941f6e21b47ac0408e8fb1352220518d693fb284ebab766c279a",
-    "mopsi/jittery/l1": "f3afaad7ccc3d313d6ed1939fab11524f3b550d106309aeac5fe736fa2533352",
-    "mopsi/jittery/l2": "ece7eb6a56f0a584fc6766fc066ad13844aaf26017e1a4e145f62db2e7ee4d4f",
-    "mopsi/jittery/l4": "e3745a9b970c860f670105fb89c26e927094f35cc92b74c4bc1c9a50d9f569b8",
-    "mopsi/nonuniform/l1": "d3f8b13621c2a11405cf60d03808fbd2ab3355d6290bb4bffb16c27401c5249c",
-    "mopsi/nonuniform/l2": "3178874d903fc1a955b6a31114a261bf94f5e0ddcbbcfb51d52720d07be8e1b0",
-    "mopsi/nonuniform/l4": "e319c0b58e90803de56164847a35ead1c6e35f8c8fb85a9a3274757e891f99ba",
-    "mopsi/mixed/l1": "8c04916dada0e72cd5cd96a25e31d3df4c1a41a1f2fafb475abe70d8dc0f7f83",
-    "mopsi/mixed/l2": "f0676ca2bea6315a1ed9c0fe41d55d97cbabd34228b81b7716ebcf0a7e1cac7c",
-    "mopsi/mixed/l4": "27c9b2caebced4212979e4df6175e6206c34680ea655908e010acfadb354544d",
+    "mopsi/smooth/l1": "3bf2f3f58f3d1626829f0ef330eb44cabdcd665867c9e793104784c6f58fa454",
+    "mopsi/smooth/l2": "c9c4101b59d6aace468550f950090947ef162bde14c1b2da8027a79ed57b8179",
+    "mopsi/smooth/l4": "15f17d4a8e9e146896c3dbb664cd7d82219b235635fb49cf69b0eb517d56c980",
+    "mopsi/jittery/l1": "d87f6cd512818203732b5b57ed77986170706b68af62bf2fa687dab5e59bfc8b",
+    "mopsi/jittery/l2": "ebe12fa77454e1fc6ab7340c5b93c85caf381389c344acb78e4c460ca7ff79e7",
+    "mopsi/jittery/l4": "22a49655068299d5565a5107af7adb4955b28e6980425bcb1bb716a07e72a0a1",
+    "mopsi/nonuniform/l1": "bf421b907f36ca5a634f44fb6bc23db83b574314ca249ecaa03965b44a909ccc",
+    "mopsi/nonuniform/l2": "16af018ded98a753b690087ac2fd7f052db768944595958f487941d469722f29",
+    "mopsi/nonuniform/l4": "426ad34aa2df0ab993230e7c5b68eae92c11f62b639f73ec3c59620ec9637759",
+    "mopsi/mixed/l1": "c369a21a3ef27ee88f90d352fe212b41b09c2b675b95344eae0a680f504acd37",
+    "mopsi/mixed/l2": "4dc2a032e04c11aae77ff2364f70a7e06d5e03c6160f82586dca8a8c2dc62d68",
+    "mopsi/mixed/l4": "ee2a52346176aeaca4b3bc3a42dfdf9aca484d7fa33d483067996ca58f9457ea",
 }
 
 

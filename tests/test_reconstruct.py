@@ -15,7 +15,7 @@ from pilotc import (
     synthetic_trajectory,
 )
 from pilotc import reconstruct
-from pilotc.codec import dequantize_array
+from pilotc.codec import dequantize_array, time_index_array
 from pilotc.container import segment_end_index
 from pilotc.errors import QueryRangeError
 from pilotc.model import EncodedBlock, SubTrajectorySegment
@@ -48,10 +48,18 @@ def test_linear_trajectory_reconstructs_linearly(linear_2d):
 
 
 def test_query_at_grid_points_returns_samples(compressed):
+    # a grid time that is also a corrected original timestamp returns its
+    # sample plus the correction
     _, params, model = compressed
     rec = Reconstructor(model, params)
     times, values = next(rec.segment_grids())
-    np.testing.assert_allclose(rec.query(times[:50]), values[:50], atol=1e-9)
+    lay = params.layout(model.dim)
+    expected = values[:50].copy()
+    t_index = time_index_array(times[:50], model.eps_t)
+    corrected = np.isin(t_index, model.corrections.t_index)
+    rows = np.searchsorted(model.corrections.t_index, t_index[corrected])
+    expected[corrected] += dequantize_array(model.corrections.values[rows], lay.eps_d)
+    np.testing.assert_allclose(rec.query(times[:50]), expected, atol=1e-9)
 
 
 def test_query_midway_is_arithmetic_mean(compressed):
