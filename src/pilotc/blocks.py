@@ -13,9 +13,16 @@ DC coefficient is identically zero and never stored.  Only the K retained
 cosine columns are ever multiplied, so one (m, K-1) product codes the
 whole batch, and one running sum over its coefficients bounds every tail.
 
-Decompression is the exact mirror and anchors every block on externally
-supplied start and end values, so per-block errors never accumulate across
-a trajectory.
+Decompression anchors every block on externally supplied start and end
+values, so per-block errors never accumulate across a trajectory.  Every
+step of it is linear: the inverse transform of the coefficients, the
+average velocity (end - start) / m added, the running sum from the start.
+So one (n, K+1) by (K+1, m) product decodes a chunk of n blocks: each row
+holds a block's dequantized coefficients, its end step and its start, and
+the synthesis matrix, cached per (m, K), holds the running sums of the
+cosine columns over m, the ramp (i + 1) / m and ones (see
+:func:`_synthesis`).  Its running-sum rows also give the encoder each
+coefficient's reach (see :func:`_reach`).
 
 A :class:`BlockPlan`, the one layout of a model's blocks, which the block
 store keeps, lets :func:`encode_blocks` and :func:`decode_blocks` code
@@ -31,8 +38,8 @@ block order: :func:`encode_blocks` returns
 each block's coefficient count and all coefficients one block after the
 other, gathered from each batch's quantized matrix, and
 :func:`decode_blocks` scatters a :class:`~pilotc.model.BlockColumns` store
-back into one dense float coefficient matrix per chunk, whose product with
-the cosine columns :func:`decode_rows` turns into samples in place.
+back into one row per block of each chunk's synthesis input, whose product
+with the synthesis :func:`decode_rows` takes.
 """
 
 from __future__ import annotations
@@ -77,30 +84,43 @@ def encode_rows(samples, layout: Layout, tau: float = 0.0) -> tuple[np.ndarray, 
 def _reach(m: int, k: int) -> np.ndarray:
     """Read-only vector of the most that one unit of each AC coefficient
     1..k-1 of a block of m velocities moves any of its samples.  Coefficient
-    j dequantizes to q_j * 2 eps_f and adds that times cosine column j, over
-    m, to the centered velocities, whose running sum the samples are; so
-    dropping coefficients c, c + 1, ... moves a sample by at most
+    j dequantizes to q_j * 2 eps_f and adds that times row j - 1 of the
+    block's synthesis (see :func:`_synthesis`) to its samples; so dropping
+    coefficients c, c + 1, ... moves a sample by at most
     2 eps_f * sum(|q_j| * reach_j for j >= c)."""
-    reach = np.abs(cosine_basis(m, k)[:, 1:].cumsum(axis=0)).max(axis=0, initial=0.0) / m
+    reach = np.abs(_synthesis(m, k)[:k - 1]).max(axis=1, initial=0.0)
     reach.setflags(write=False)
     return reach
 
 
-def decode_rows(q: np.ndarray, m: int, starts, ends, layout: Layout) -> np.ndarray:
-    """Each block's m samples after its first, shape (n, m), from the dense
-    quantized coefficients ``q``, an (n, K(m) - 1) matrix, and float arrays
-    of the n blocks' anchor values ``starts`` and ``ends``.  The product
-    with the cosine columns is the one buffer: the division by m, the
-    average velocity, the running sum and the start apply to it in place."""
+@functools.lru_cache(maxsize=128)
+def _synthesis(m: int, k: int) -> np.ndarray:
+    """Read-only (k + 1, m) matrix whose product with a block's row of its
+    dequantized AC coefficients 1..k-1, its end step (end - start) and its
+    start is the block's m samples after its first: rows 0..k-2 hold the
+    running sums of cosine columns 1..k-1 over m, row k-1 the ramp
+    (i + 1) / m and row k ones.  It is built from cosines that are not
+    cached, so a decoder caches this one matrix per (m, k) and no basis."""
+    syn = np.empty((k + 1, m))
+    np.cumsum(cosine_basis.__wrapped__(m, k)[:, 1:], axis=0, out=syn[:k - 1].T)
+    syn[:k - 1] /= m
+    syn[k - 1] = np.arange(1, m + 1) / m
+    syn[k] = 1.0
+    syn.setflags(write=False)
+    return syn
+
+
+def decode_rows(a: np.ndarray, m: int, ends: np.ndarray) -> np.ndarray:
+    """Each block's m samples after its first, shape (n, m), from ``a``, an
+    (n, K(m) + 1) matrix whose rows hold each block's dequantized AC
+    coefficients 1..K(m)-1, its end step (end - start) and its start, and
+    the n blocks' end values ``ends``: one product with the synthesis (see
+    :func:`_synthesis`), whose last sample, which float dust leaves near the
+    end value, is then set to it."""
     if m < 1:
         raise ValueError("a block must contain at least one velocity")
-    ac = cosine_basis(m, q.shape[1] + 1)[:, 1:]
-    out = dequantize_array(q, layout.eps_f) @ ac.T
-    out /= m  # the centered velocities
-    out += ((ends - starts) / m)[:, None]
-    out.cumsum(axis=1, out=out)
-    out += starts[:, None]
-    out[:, -1] = ends  # sum of centered velocities is zero up to float dust
+    out = a @ _synthesis(m, a.shape[1] - 1)
+    out[:, -1] = ends
     return out
 
 
@@ -207,14 +227,17 @@ def decode_blocks(cols: BlockColumns, starts: np.ndarray, ends: np.ndarray, plan
     order; each chunk of a batch is decoded by :func:`decode_rows`."""
     order = plan.order
     c_f = cols.c_f[order]
-    coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]  # in ``order``
+    coeffs = dequantize_array(cols.coeffs[flat_ranges(cols.offsets[order], c_f)], lay.eps_f)
     at = np.concatenate(([0], c_f.cumsum())).tolist()
     second, starts, ends = plan.start[order] + 1, starts[order], ends[order]
+    steps = ends - starts
     for m, lo, hi in plan.batches:
-        width = lay.budget(m) - 1
-        q = np.zeros((hi - lo, width))  # floats: dequantizing copies once, not twice
-        q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
-        _windows(out, m)[second[lo:hi]] = decode_rows(q, m, starts[lo:hi], ends[lo:hi], lay)
+        k = lay.budget(m)
+        a = np.zeros((hi - lo, k + 1))  # coefficients 1..k-1, end step, start
+        a[np.arange(k + 1) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
+        a[:, -2] = steps[lo:hi]
+        a[:, -1] = starts[lo:hi]
+        _windows(out, m)[second[lo:hi]] = decode_rows(a, m, ends[lo:hi])
 
 
 def _windows(a: np.ndarray, m: int) -> np.ndarray:

@@ -59,8 +59,10 @@ class Layout:
         """The count of full blocks of b_s velocities, and the length of
         the tail block after them, which always exists and holds 1..b_s;
         of one count, or elementwise of an int64 array of them."""
-        too_few = n_velocities < 1
-        if too_few.any() if isinstance(too_few, np.ndarray) else too_few:
+        # an array's least count by one C reduce, which ndarray.any is not
+        least = n_velocities if isinstance(n_velocities, int) else np.minimum.reduce(
+            n_velocities, axis=None, initial=1)
+        if least < 1:
             raise ValueError("a block partition needs at least one velocity")
         n_full = (n_velocities - 1) // self.b_s
         return n_full, n_velocities - n_full * self.b_s

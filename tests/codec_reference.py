@@ -8,8 +8,10 @@ These references do the same jobs the slow, obvious way: one block at a
 time with a full cosine sum, one varint at a time with a
 regular-expression scan, one fragment at a time, and one timestamp at a
 time, so tests can require the library to agree with them.  The batched
-block decode is here too, with every float step a fresh array, as the
-bitwise reference of the library's in-place decode.  The paper's
+block decode is here twice, with every float step a fresh array: as one
+synthesis product, the bitwise reference of the library's decode, and as
+the running sum that decoders before the product computed, which files
+written by earlier builds were validated against.  The paper's
 closed-form error predictors live here too, since only tests use them.
 """
 
@@ -164,10 +166,12 @@ def block_decompress_ref(q_coeffs, m: int, start: float, end: float, layout) -> 
     return out
 
 
-def decode_rows_ref(q: np.ndarray, m: int, starts, ends, layout) -> np.ndarray:
+def decode_rows_cumsum_ref(q: np.ndarray, m: int, starts, ends, layout) -> np.ndarray:
     """n blocks of m velocities, shape (n, m+1), from their dense quantized
-    coefficients ``q``, an (n, K(m) - 1) matrix, and their anchor values,
-    with each float operation a fresh array."""
+    coefficients ``q``, an (n, K(m) - 1) matrix, and their anchor values, as
+    the decoder computed them before its synthesis product: the centered
+    velocities, plus the average velocity, summed from the start, with each
+    float operation a fresh array."""
     if m < 1:
         raise ValueError("a block must contain at least one velocity")
     ac = cosine_basis(m, layout.budget(m))[:, 1:]
@@ -181,21 +185,50 @@ def decode_rows_ref(q: np.ndarray, m: int, starts, ends, layout) -> np.ndarray:
     return out
 
 
-def decode_blocks_ref(cols, starts, ends, plan, lay, out) -> None:
-    """:func:`~pilotc.blocks.decode_blocks` through :func:`decode_rows_ref`:
-    the same batches, each scattered into ``out`` from an int64 coefficient
+def decode_rows_synthesis_ref(q: np.ndarray, m: int, starts, ends, layout) -> np.ndarray:
+    """The same blocks as one product, with each float operation a fresh
+    array: each block's row of its dequantized coefficients, end step and
+    start times the rows of the running sums of cosine columns 1..K(m)-1
+    over m, the ramp (i + 1) / m and ones."""
+    if m < 1:
+        raise ValueError("a block must contain at least one velocity")
+    ac = cosine_basis(m, layout.budget(m))[:, 1:]
+    # C-contiguous, as the library lays both out: the product's last bits
+    # depend on the layout of its operands
+    synthesis = np.ascontiguousarray(np.vstack([
+        np.cumsum(ac, axis=0).T / m, np.arange(1, m + 1)[None, :] / m, np.ones((1, m))]))
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    rows = np.ascontiguousarray(np.hstack([
+        dequantize_array(q, layout.eps_f), (ends - starts)[:, None], starts[:, None]]))
+    out = np.empty((q.shape[0], m + 1))
+    out[:, 0] = starts
+    out[:, 1:] = rows @ synthesis
+    out[:, -1] = ends
+    return out
+
+
+def _decode_blocks_ref(decode_rows_ref):
+    """:func:`~pilotc.blocks.decode_blocks` through ``decode_rows_ref``: the
+    same batches, each scattered into ``out`` from an int64 coefficient
     matrix and a full (n, m+1) block array."""
-    order = plan.order
-    c_f = cols.c_f[order]
-    coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]
-    at = np.concatenate(([0], c_f.cumsum())).tolist()
-    start, starts, ends = plan.start[order], starts[order], ends[order]
-    for m, lo, hi in plan.batches:
-        width = lay.budget(m) - 1
-        q = np.zeros((hi - lo, width), dtype=np.int64)
-        q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
-        rows = decode_rows_ref(q, m, starts[lo:hi], ends[lo:hi], lay)
-        _windows(out, m)[start[lo:hi] + 1] = rows[:, 1:]
+    def decode_blocks(cols, starts, ends, plan, lay, out) -> None:
+        order = plan.order
+        c_f = cols.c_f[order]
+        coeffs = cols.coeffs[flat_ranges(cols.offsets[order], c_f)]
+        at = np.concatenate(([0], c_f.cumsum())).tolist()
+        start, starts, ends = plan.start[order], starts[order], ends[order]
+        for m, lo, hi in plan.batches:
+            width = lay.budget(m) - 1
+            q = np.zeros((hi - lo, width), dtype=np.int64)
+            q[np.arange(width) < c_f[lo:hi, None]] = coeffs[at[lo]:at[hi]]
+            rows = decode_rows_ref(q, m, starts[lo:hi], ends[lo:hi], lay)
+            _windows(out, m)[start[lo:hi] + 1] = rows[:, 1:]
+    return decode_blocks
+
+
+decode_blocks_cumsum_ref = _decode_blocks_ref(decode_rows_cumsum_ref)
+decode_blocks_synthesis_ref = _decode_blocks_ref(decode_rows_synthesis_ref)
 
 
 def encode_series_ref(values, layout, eps_p: float, drop: float):

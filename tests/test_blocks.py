@@ -1,12 +1,14 @@
 import itertools
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from codec_reference import (
-    decode_blocks_ref,
+    decode_blocks_cumsum_ref,
+    decode_blocks_synthesis_ref,
     decode_series_ref,
     encode_series_ref,
     tail_bound_ref,
@@ -15,15 +17,16 @@ from model_gen import hand_built
 from test_golden import _CHUNK_BITS, _KINDS, _PROFILES, _container
 
 from pilotc import blocks, pipeline, reconstruct
-from pilotc.blocks import _BATCH_SAMPLES, _DROP, decode_rows, encode_rows
-from pilotc.container import parse
+from pilotc.blocks import _BATCH_SAMPLES, _DROP, _reach, decode_rows, encode_rows
+from pilotc.codec import dequantize_array
+from pilotc.container import parse, serialize
 from pilotc.errors import CorruptionError
 from pilotc.model import EncodedBlock, SubTrajectorySegment
 from pilotc.params import PROFILES, Layout
 from pilotc.pipeline import _encode_segments, compress
 from pilotc.reconstruct import Reconstructor, decompress_uniform
 from pilotc.synth import synthetic_trajectory
-from pilotc.transform import dct_forward
+from pilotc.transform import cosine_basis, dct_forward
 
 
 def layout(eps_f, r_ret, b_s):
@@ -42,11 +45,18 @@ def encode_one(samples, lay=LAY):
     return kept_rows(*encode_rows(np.asarray(samples)[None, :], lay))[0]
 
 
+def decode_dense(q, m, starts, ends, lay=LAY):
+    """decode_rows of blocks of m velocities from their dense quantized
+    coefficients ``q``, an (n, K(m) - 1) matrix, and their anchor values."""
+    a = np.column_stack([dequantize_array(q, lay.eps_f), ends - starts, starts])
+    return decode_rows(a, m, ends)
+
+
 def decode_one(q_coeffs, m, start, end, lay=LAY):
     """The m+1 samples of one block: its start, then what decode_rows gives."""
     q = np.zeros((1, lay.budget(m) - 1), dtype=np.int64)
     q[0, :len(q_coeffs)] = q_coeffs
-    after = decode_rows(q, m, np.array([start]), np.array([end]), lay)[0]
+    after = decode_dense(q, m, np.array([start]), np.array([end]), lay)[0]
     return np.concatenate(([start], after))
 
 
@@ -123,7 +133,7 @@ def test_quantization_error_stays_conservatively_bounded():
     speeds = np.stack([np.convolve(rng.normal(3.0, 1.0, 120), np.ones(20) / 20, "valid")
                        for _ in range(50)])
     s = np.cumsum(speeds, axis=1)
-    back = decode_rows(encode_rows(s, lay)[0], 100, s[:, 0], s[:, -1], lay)
+    back = decode_dense(encode_rows(s, lay)[0], 100, s[:, 0], s[:, -1], lay)
     assert np.abs(back - s[:, 1:]).max() <= lay.eps_f * np.sqrt(100)
 
 
@@ -211,6 +221,19 @@ def test_batched_codec_matches_per_block_reference(profile_name, eps):
         want = decode_series_ref(seg.p0_q, seg.blocks, n_samples, lay, params.eps_p)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
+
+
+def test_reach_reads_the_running_sums_of_the_synthesis():
+    # the encoder's reach comes from the decoder's synthesis rows; dividing
+    # by m commutes with the largest magnitude, so it keeps the very bits of
+    # the running sums of the cosine columns, largest in magnitude, over m
+    pairs = 0
+    for m in range(1, 260):
+        for k in {1, 2, 3, max(1, m // 7), max(1, m // 3), m}:
+            cumsum = cosine_basis(m, k)[:, 1:].cumsum(axis=0)
+            assert _reach(m, k).tobytes() == (np.abs(cumsum).max(axis=0, initial=0.0) / m).tobytes()
+            pairs += 1
+    assert pairs > 1500
 
 
 @pytest.mark.parametrize("profile_name", list(_PROFILES))
@@ -308,44 +331,104 @@ def test_block_codec_calls_do_not_grow_with_segments(monkeypatch):
     assert max(sizes) <= _BATCH_SAMPLES
 
 
-def corpus_models(name: str, tmp_path: Path, monkeypatch):
-    """(model, profile) pairs: the 48 golden-corpus containers parsed, or
-    the seed-1 corpus of the benchmark workload ``name``, compressed as the
-    benchmark compresses it (the CLI workload through ``pilotc compress``)."""
+_CORPORA = ["golden", "geolife2d-tight", "nuplan-longblock", "geolife3d-short-l1", "cli-files"]
+
+
+def corpus_compressor(name: str, tmp_path: Path, monkeypatch):
+    """A function that compresses a corpus and returns its (container,
+    profile) pairs: the 48 golden-corpus containers, or the seed-1 corpus of
+    the benchmark workload ``name``, set up now and compressed as the
+    benchmark compresses it (the CLI workload through ``pilotc compress``,
+    into a fresh directory on each call)."""
     if name == "golden":
-        return [(parse(_container(p, kind, l), PROFILES[p]), PROFILES[p])
-                for p, kind, l in itertools.product(_PROFILES, _KINDS, _CHUNK_BITS)]
+        return lambda: [(_container(p, kind, l), PROFILES[p])
+                        for p, kind, l in itertools.product(_PROFILES, _KINDS, _CHUNK_BITS)]
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
     import workloads
 
     w = workloads.WORKLOADS[name]
     state = w.setup(1, False, tmp_path)
     if name == "cli-files":
-        assert workloads._cli(*w._encode_args(state.root / "csv", state.root / "plc")) == 0
-        return [(parse(state.path("plc", n).read_bytes(), state.profile), state.profile)
-                for n in state.names]
-    return [(compress(t, state.params), state.profile) for t in state.trajs]
+        def compress_files():
+            out = Path(tempfile.mkdtemp(dir=tmp_path))
+            assert workloads._cli(*w._encode_args(state.root / "csv", out)) == 0
+            return [((out / f"{n}.plc").read_bytes(), state.profile) for n in state.names]
+        return compress_files
+    return lambda: [(serialize(compress(t, state.params), state.profile), state.profile)
+                    for t in state.trajs]
 
 
-@pytest.mark.parametrize("corpus", ["golden", "geolife2d-tight", "nuplan-longblock",
-                                    "geolife3d-short-l1", "cli-files"])
+def corpus_models(name: str, tmp_path: Path, monkeypatch):
+    """(model, profile) pairs: the containers of :func:`corpus_compressor`, parsed."""
+    return [(parse(payload, profile), profile)
+            for payload, profile in corpus_compressor(name, tmp_path, monkeypatch)()]
+
+
+def segment_grids(model, profile, decode_blocks=None):
+    """Each segment's decoded samples, through ``decode_blocks`` if given."""
+    if decode_blocks is None:
+        return [values for _, values in Reconstructor(model, profile).segment_grids()]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(reconstruct, "decode_blocks", decode_blocks)
+        return segment_grids(model, profile)
+
+
+@pytest.mark.parametrize("corpus", _CORPORA)
 def test_grid_decode_is_bitwise_equal_to_the_reference(corpus, tmp_path, monkeypatch):
-    # the in-place batch decode gives the very bits of the reference decode,
-    # which makes each float step a fresh array
+    # the batch decode gives the very bits of the reference synthesis
+    # product, which makes each float step a fresh array
     models = corpus_models(corpus, tmp_path, monkeypatch)
     assert len(models) == {"golden": 48, "nuplan-longblock": 4, "geolife3d-short-l1": 400,
                            "cli-files": 8}.get(corpus, 1)
     for model, profile in models:
-        got = [values.tobytes() for _, values in Reconstructor(model, profile).segment_grids()]
-        with monkeypatch.context() as m:
-            m.setattr(reconstruct, "decode_blocks", decode_blocks_ref)
-            want = [values.tobytes()
-                    for _, values in Reconstructor(model, profile).segment_grids()]
+        got = [values.tobytes() for values in segment_grids(model, profile)]
+        want = [values.tobytes()
+                for values in segment_grids(model, profile, decode_blocks_synthesis_ref)]
         assert len(got) == len(model.segments) and got == want
 
 
-@pytest.mark.parametrize("corpus", ["golden", "geolife2d-tight", "nuplan-longblock",
-                                    "geolife3d-short-l1", "cli-files"])
+@pytest.mark.parametrize("corpus", _CORPORA)
+def test_grid_decode_stays_within_float_dust_of_the_running_sum(corpus, tmp_path, monkeypatch):
+    # the synthesis product sums in another order than the running sum that
+    # decoders before it computed; every sample stays within 4 ulps of its
+    # segment's largest magnitude of the running sum's (2 at most measured)
+    for model, profile in corpus_models(corpus, tmp_path, monkeypatch):
+        got = segment_grids(model, profile)
+        want = segment_grids(model, profile, decode_blocks_cumsum_ref)
+        for values, ref in zip(got, want, strict=True):
+            assert np.abs(values - ref).max() <= 4 * np.spacing(np.abs(ref).max())
+
+
+@pytest.mark.parametrize("corpus", _CORPORA)
+def test_validation_decodes_the_grid_the_reader_decodes(corpus, tmp_path, monkeypatch):
+    # the eps bound rests on validation and the reader decoding the same
+    # bits: a point that validation finds just under eps stays so only if
+    # the reader rebuilds the very grid.  And compress validating against
+    # the running sum, as builds before the synthesis product did, writes
+    # the same bytes, so their files also decode within eps here
+    grids = []
+
+    def spy(model, constants):
+        lay, grid = decode_grid(model, constants)
+        grids.append(grid.tobytes())
+        return lay, grid
+
+    decode_grid = reconstruct._decode_grid
+    compress_corpus = corpus_compressor(corpus, tmp_path, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(reconstruct, "_decode_grid", spy)
+        containers = compress_corpus()
+    assert len(grids) == len(containers)
+    read = [Reconstructor(parse(payload, profile), profile)._grid.tobytes()
+            for payload, profile in containers]
+    assert sorted(read) == sorted(grids)
+    with monkeypatch.context() as m:
+        m.setattr(reconstruct, "decode_blocks", decode_blocks_cumsum_ref)
+        before = compress_corpus()
+    assert before == containers
+
+
+@pytest.mark.parametrize("corpus", _CORPORA)
 def test_decompress_uniform_is_the_decoder_grid_by_segment(corpus, tmp_path, monkeypatch):
     # the benchmark reads decompress_uniform's series; each must hold the
     # very bits of the decoder's segment grid and start at its first time
