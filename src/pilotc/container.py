@@ -48,10 +48,12 @@ back to that walk, which then reads the body field by field and raises
 the error of the first field or rule that fails.
 
 Both directions apply one set of rules, each a function below that raises
-``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`:
+``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`.
+:func:`check_columns`, the one model check of ``serialize`` and the decoder,
+applies all but the header's byte limits, the signed field and outlier steps:
 
-- header: dimension 1..255, chunk length 1..32, and dt, eps, eps_t and
-  eps_p positive and finite;
+- header: dimension 1..255 (:func:`check_columns` applies the floor),
+  chunk length 1..32, and dt, eps, eps_t and eps_p positive and finite;
 - columns: each holder's columns have the shapes it names, with one row
   of dim values per entry or segment and one end delta and c_f
   coefficients per block (:func:`check_columns`); ``parse`` also checks
@@ -97,7 +99,7 @@ from .codec import (
 )
 from .errors import CorruptionError, FormatError, PilotCError, TruncationError
 from .model import BlockColumns, CompressedTrajectory, EntryColumns, SegmentColumns
-from .params import DEFAULT_PROFILE, Layout
+from .params import Layout
 
 MAGIC = b"PLTC"
 VERSION = 1
@@ -182,68 +184,56 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         raise ValueError("block ends in a zero coefficient")
 
 
-def model_layout(model: CompressedTrajectory, constants) -> Layout:
-    """The layout that ``model``'s eps, eps_p and dimension derive under the
-    dataset ``constants``, once its dt, eps, eps_t and eps_p are positive
-    and finite; raises ``ValueError`` otherwise."""
+def check_columns(model: CompressedTrajectory, constants) -> tuple[BlockPlan, list[int]]:
+    """Apply every model rule to ``model`` under the dataset ``constants``:
+    the header's scales and dimension floor, which derive its layout, the
+    shapes of its columns, the entry order and the segment rule and, unless
+    its block store keeps the plan of that layout, the model's sample counts
+    and dimension, the block count and the block rule.  Returns the plan of
+    the model's blocks, the store's own or a new one, whose ``lay`` is the
+    layout, and each segment's grid-end time index.  Raises ``ValueError``
+    for a broken rule."""
     _check_scales(model.dt, model.eps, model.eps_t, model.eps_p)
-    return Layout.derive(model.eps, model.eps_p, model.dim, constants)
-
-
-def check_columns(model: CompressedTrajectory, lay: Layout) -> BlockPlan:
-    """Apply every column rule to ``model`` under the layout ``lay``: the
-    shapes of its columns, the entry order and the segment order, and,
-    unless its block store keeps the plan of ``lay``, the model's sample
-    counts and dimension, the block count and the block rule.  Returns the
-    plan of the model's blocks, the store's own or a new one.  Raises
-    ``ValueError`` for a broken rule."""
     dim = model.dim
+    lay = Layout.derive(model.eps, model.eps_p, dim, constants)
     for label, entries in (("outlier", model.outliers), ("correction", model.corrections)):
         t_index, values = entries.t_index, entries.values
         if t_index.ndim != 1 or values.shape != (t_index.size, dim):
             raise ValueError(f"{label} columns of shapes {t_index.shape} and {values.shape}, "
                              f"not one time index per row of {dim} values")
         if t_index.size and (t_index[0] < 0 or (t_index[1:] <= t_index[:-1]).any()):
-            steps = np.diff(t_index, prepend=0)
-            i = int(np.flatnonzero(steps < (np.arange(steps.size) > 0))[0])
-            _check_time_step(label, i, int(steps[i]))
+            # the first entry out of order; its step in Python ints, which cannot wrap
+            i = 0 if t_index[0] < 0 else int((t_index[1:] <= t_index[:-1]).argmax()) + 1
+            _check_time_step(label, i, int(t_index[i]) - (int(t_index[i - 1]) if i else 0))
     segments = model.segments
     n_samples = segments.n_samples
     if segments.p0_q.shape != (len(segments), dim) or len(n_samples) != len(segments):
         raise ValueError(f"{len(segments)} segment start indices, start values of shape "
                          f"{segments.p0_q.shape} and {len(n_samples)} sample counts, "
                          f"not one start value per dimension and one count per segment")
-    prev_t0 = -math.inf
-    for t0 in segments.t0_index:
+    ends = []
+    for t0, prev_t0, n in zip(segments.t0_index, [-math.inf, *segments.t0_index], n_samples):
         _check_segment_order(t0, prev_t0)
-        prev_t0 = t0
+        ends.append(segment_end_index(t0, n, model.dt, model.eps_t))
     cols, plan = segments.store, segments.store.plan
     if plan is not None and (plan.lay, plan.n_samples, plan.dim) == (lay, n_samples, dim):
-        return plan
-    try:
-        plan = BlockPlan(n_samples, dim, lay)
-    except OverflowError:
-        raise ValueError("a segment sample count beyond int64") from None
+        return plan, ends
+    plan = BlockPlan(n_samples, dim, lay)  # the segment rule keeps the counts in int64
     if not (cols.c_f.shape == cols.end_delta.shape == plan.length.shape
             and cols.c_f.min(initial=0) >= 0 and cols.coeffs.shape == (cols.offsets[-1],)):
         raise ValueError(f"block columns of shapes {cols.c_f.shape}, {cols.end_delta.shape} and "
                          f"{cols.coeffs.shape}, not a count and an end delta for each of the "
                          f"{plan.length.size} blocks laid out and c_f coefficients each")
     _check_blocks(cols.c_f, cols.coeffs, plan.limit)
-    return plan
+    return plan, ends
 
 
-def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
+def serialize(model: CompressedTrajectory, profile) -> bytes:
     """Serialize a model; ``profile`` supplies the dataset constants a, b, c, d."""
     dim = model.dim
     _check_limits(dim, model.chunk_bits)
-    lay = model_layout(model, profile)
+    plan, ends = check_columns(model, profile)
     segments = model.segments
-    t0_delta, prev_end = [], 0
-    for t0, n in zip(segments.t0_index, segments.n_samples):
-        t0_delta.append(t0 - prev_end)
-        prev_end = segment_end_index(t0, n, model.dt, model.eps_t)
-    plan = check_columns(model, lay)
     cols = segments.store
     out_t, out_v = model.outliers.t_index, model.outliers.values
     cor_t, cor_v = model.corrections.t_index, model.corrections.values
@@ -252,7 +242,7 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
         n_out = out_t.size
         n_before = 3 + (n_out + cor_t.size) * (dim + 1)  # the counts and the entries
         heads = np.empty((len(segments), dim + 2), dtype=np.int64)
-        heads[:, 0] = t0_delta
+        heads[:, 0] = [t0 - end for t0, end in zip(segments.t0_index, [0, *ends])]
         heads[:, 1:-1] = segments.p0_q
         heads[:, -1] = segments.n_samples
         # each segment's head goes in front of its first block
@@ -293,7 +283,7 @@ def serialize(model: CompressedTrajectory, profile=DEFAULT_PROFILE) -> bytes:
             + pack_varints(codes, is_signed, model.chunk_bits))
 
 
-def parse(data: bytes, profile=DEFAULT_PROFILE) -> CompressedTrajectory:
+def parse(data: bytes, profile) -> CompressedTrajectory:
     """Inverse of :func:`serialize`; same ``profile`` constants required."""
     if len(data) < len(MAGIC):
         raise TruncationError(f"container too short for magic: {len(data)} bytes")

@@ -71,6 +71,8 @@ class Layout:
 @functools.lru_cache(maxsize=64)
 def _derive(eps: float, eps_p: float, dim: int, a: float, b: float, c: float,
             d: float) -> Layout:
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     size = b * eps + c
     if not size < 2.0 ** 63:
         raise ValueError(f"block size b_s = round(b * eps + c) = {size:.6g} at "

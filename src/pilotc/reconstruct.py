@@ -25,10 +25,10 @@ import numpy as np
 
 from .blocks import decode_blocks, flat_ranges
 from .codec import dequantize_array, time_index_array
-from .container import check_columns, model_layout
+from .container import check_columns
 from .errors import CorruptionError, QueryRangeError
 from .model import CompressedTrajectory
-from .params import DEFAULT_PROFILE, Layout
+from .params import Layout
 
 _QUERY_CHUNK = 1 << 16  # timestamps per pass of Reconstructor.query
 
@@ -37,26 +37,30 @@ def _decode_grid(model: CompressedTrajectory, constants) -> tuple[Layout, np.nda
     """The layout of ``model`` under the dataset ``constants`` and every
     segment's uniform samples as one C-contiguous (dim, samples) grid, decoded
     in one batch per block length (see :class:`~pilotc.blocks.BlockPlan`); a
-    broken column rule, which a model built by hand can hold, is corruption."""
+    broken model rule, as a model built by hand can hold, or a block start,
+    end or end step beyond float64 is corruption."""
     try:
-        lay = model_layout(model, constants)
-        plan = check_columns(model, lay)
+        plan = check_columns(model, constants)[0]
     except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
-    segments = model.segments
+    lay, segments = plan.lay, model.segments
     cols = segments.store
-    p0 = dequantize_array(segments.p0_q.ravel(), model.eps_p)
     # a chain's end indices are the running sum less its value before the
     # chain; float sums are exact while the sum stays below 2**53, and
     # unlike int64 they cannot wrap
     deltas = cols.end_delta.astype(float)
     total = deltas.cumsum()
     first = plan.chain_start
-    ends = p0.repeat(plan.per_chain) + dequantize_array(
-        total - (total[first] - deltas[first]).repeat(plan.per_chain), lay.eps_d)
-    starts = np.empty_like(ends)
-    starts[1:] = ends[:-1]
-    starts[first] = p0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        p0 = dequantize_array(segments.p0_q.ravel(), model.eps_p)
+        ends = p0.repeat(plan.per_chain) + dequantize_array(
+            total - (total[first] - deltas[first]).repeat(plan.per_chain), lay.eps_d)
+        starts = np.empty_like(ends)
+        starts[1:] = ends[:-1]
+        starts[first] = p0
+        # each start value starts a block, so finite steps mean finite anchors
+        if not np.logical_and.reduce(np.isfinite(ends - starts)):  # one C reduce
+            raise CorruptionError("a block's start, end or end step is beyond float64")
     flat = np.empty(sum(segments.n_samples) * model.dim)
     flat[plan.chain_row] = p0
     decode_blocks(cols, starts, ends, plan, lay, flat)
@@ -83,7 +87,7 @@ class Reconstructor:
     (dim, samples) grid that the decoder fills; a query interpolates a whole
     chunk before it applies corrections and outliers."""
 
-    def __init__(self, model: CompressedTrajectory, constants=DEFAULT_PROFILE):
+    def __init__(self, model: CompressedTrajectory, constants):
         self.model = model
         lay, self._grid = _decode_grid(model, constants)
         segments = model.segments
@@ -102,16 +106,20 @@ class Reconstructor:
         past[0], past[1:] = -np.inf, ends
         near[:-1] = bounds[:-1, 2] = starts
         near[-1] = bounds[-1, 2] = np.inf
-        with np.errstate(over="ignore"):  # a reach beyond float64 is infinite
+        out, cor = model.outliers, model.corrections
+        with np.errstate(over="ignore", invalid="ignore"):  # a reach or an entry may overflow
             past += tol
             np.nextafter(past, np.inf, out=past)
             near -= tol
+            self._outliers = out.t_index, dequantize_array(out.values, lay.eps_out)
+            self._corrections = cor.t_index, dequantize_array(cor.values, lay.eps_d)
+        # an entry value beyond float64 is corruption; one C reduce each, which .all is not
+        if not (np.logical_and.reduce(np.isfinite(self._outliers[1]), axis=None)
+                and np.logical_and.reduce(np.isfinite(self._corrections[1]), axis=None)):
+            raise CorruptionError("an outlier or correction value is beyond float64")
         counts = np.array(segments.n_samples, dtype=np.int64)
         self._last = (counts - 2).astype(float)  # each segment's last interval
         self._offsets = counts.cumsum() - counts
-        out, cor = model.outliers, model.corrections
-        self._outliers = out.t_index, dequantize_array(out.values, lay.eps_out)
-        self._corrections = cor.t_index, dequantize_array(cor.values, lay.eps_d)
 
     def segment_grids(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each segment's grid times and its (n_samples, dim) uniform
@@ -233,8 +241,7 @@ class UniformSeries(NamedTuple):
     values: np.ndarray
 
 
-def decompress_uniform(model: CompressedTrajectory,
-                       constants=DEFAULT_PROFILE) -> list[UniformSeries]:
+def decompress_uniform(model: CompressedTrajectory, constants) -> list[UniformSeries]:
     """Every segment's :meth:`Reconstructor.segment_grids` as a :class:`UniformSeries`."""
     return [UniformSeries(times[0], model.dt, values)
             for times, values in Reconstructor(model, constants).segment_grids()]

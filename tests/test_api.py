@@ -5,6 +5,7 @@ this file."""
 import inspect
 
 import pilotc
+from pilotc import reconstruct
 
 # name -> parameter names; None for a value, or for an exception class that
 # takes Exception's message arguments
@@ -56,3 +57,12 @@ def test_public_names():
 
 def test_public_signatures():
     assert {name: parameters(getattr(pilotc, name)) for name in pilotc.__all__} == PUBLIC
+
+
+def test_dataset_constants_have_no_default():
+    # a container decodes only with the constants it was encoded with, and a
+    # wrong profile decodes without an error, so no caller gets one unasked
+    for fn, name in ((pilotc.serialize, "profile"), (pilotc.parse, "profile"),
+                     (pilotc.Reconstructor, "constants"),
+                     (reconstruct.decompress_uniform, "constants")):
+        assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty, fn

@@ -8,7 +8,9 @@ bytes and decode to the same bits; the library's own path never makes a
 record, which only the segments' read-out does."""
 
 import cProfile
+import math
 import pstats
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +20,7 @@ from model_gen import hand_built, random_model
 from pilotc import Reconstructor, compress, parse, serialize
 from pilotc.blocks import BlockPlan
 from pilotc.container import check_columns
-from pilotc.errors import CorruptionError
+from pilotc.errors import CorruptionError, PilotCError
 from pilotc.model import (
     BlockColumns,
     EncodedBlock,
@@ -76,10 +78,9 @@ def test_read_out_rebuilds_an_equal_model(name, model, traj):
     assert copy.segments.store.plan is None
     assert model == copy and copy == model
     assert not (model != copy or copy != model)
-    lay = Layout.derive(model.eps, model.eps_p, model.dim, GEO)
-    plan = check_columns(model, lay)
+    plan = check_columns(model, GEO)[0]
     assert plan is model.segments.store.plan
-    fresh = check_columns(copy, lay)
+    fresh = check_columns(copy, GEO)[0]
     for column in ("chain_start", "per_chain", "length", "limit"):
         assert np.array_equal(getattr(fresh, column), getattr(plan, column)), column
     payload = serialize(model, GEO)
@@ -94,9 +95,9 @@ def test_read_out_rebuilds_an_equal_model(name, model, traj):
             == Reconstructor(copy, GEO).query(times).tobytes())
 
 
-def _changed(model, column=None):
+def _changed(model, column=None, value=None):
     """A copy of ``model`` made of new column holders; with ``column``, the
-    last value of that column is one larger."""
+    last value of that column is ``value``, or one larger without one."""
     segments, store = model.segments, model.segments.store
     cols = {
         "t0_index": segments.t0_index, "p0_q": segments.p0_q, "n_samples": segments.n_samples,
@@ -107,7 +108,7 @@ def _changed(model, column=None):
     }
     cols = {k: np.array(v) for k, v in cols.items()}
     if column:
-        cols[column].flat[-1] += 1
+        cols[column].flat[-1] = cols[column].flat[-1] + 1 if value is None else value
     return replace(
         model,
         segments=SegmentColumns(cols["t0_index"].tolist(), cols["p0_q"],
@@ -317,10 +318,11 @@ def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():
                        segments=(SubTrajectorySegment(0, (0,), 2**63, blocks),))
     with pytest.raises(CorruptionError):
         Reconstructor(model, GEO)
-    # below the range too: one sample has no velocity to partition into blocks
+    # below the range too: one sample has no velocity to partition into
+    # blocks, which the segment rule names before any layout of blocks
     model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
                        segments=(SubTrajectorySegment(0, (0,), 1, ((EncodedBlock(()),),)),))
-    with pytest.raises(CorruptionError, match="at least one velocity"):
+    with pytest.raises(CorruptionError, match="sample count 1"):
         Reconstructor(model, GEO)
     with pytest.raises(ValueError, match="sample count 1"):
         serialize(model, GEO)
@@ -366,9 +368,8 @@ def test_block_columns_that_disagree_are_rejected(store):
     # one block per dimension for 11 samples at eps = 10 (b_s = 30)
     model = hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2)
     broken = replace(model, segments=SegmentColumns([0], [[0]], [11], store))
-    lay = Layout.derive(10.0, 5.0, 1, GEO)
     with pytest.raises(ValueError, match="blocks|block columns"):
-        check_columns(broken, lay)
+        check_columns(broken, GEO)
     with pytest.raises(ValueError):
         serialize(broken, GEO)
     with pytest.raises(CorruptionError):
@@ -385,6 +386,55 @@ def test_segment_heads_that_disagree_are_rejected():
             serialize(broken, GEO)
         with pytest.raises(CorruptionError, match="segment start"):
             Reconstructor(broken, GEO)
+
+
+_SCALES = (0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308, math.inf, math.nan)
+_EDGE_COLUMNS = ("t0_index", "p0_q", "c_f", "end_delta", "coeffs", "outlier t_index",
+                 "outlier values", "correction t_index", "correction values")
+_HAND_CHANGES = {
+    **{f"{field}={v}": ("header", field, v)
+       for field in ("dt", "eps", "eps_t", "eps_p") for v in _SCALES},
+    **{f"dim={v}": ("header", "dim", v) for v in (0, -1)},
+    **{f"first start {sign}10**400": ("first start", None, int(f"{sign}1" + "0" * 400))
+       for sign in "+-"},
+    **{f"sample count {v}": ("column", "n_samples", v) for v in (-2**63, 0, 1)},
+    **{f"{column} {v}": ("column", column, v)
+       for column in _EDGE_COLUMNS for v in (-2**63, 2**63 - 1)},
+}
+
+
+@pytest.mark.parametrize("kind, key, value", _HAND_CHANGES.values(), ids=_HAND_CHANGES)
+def test_a_model_changed_by_hand_decodes_or_is_corruption(kind, key, value, full_model):
+    # one value of a compress model changed by hand to the edge of its
+    # range: the decoder and one query answer without a warning or raise a
+    # PilotCError, and a model rule that serialize names is corruption
+    # there.  Left out: the wire's own rules (a dimension above 255, a
+    # signed field or outlier step beyond +-(2**63 - 1)) and sample counts
+    # from 2**62 up, whose grids no memory holds
+    traj, model = full_model
+    if kind == "header":
+        changed = replace(model, **{key: value})
+    elif kind == "column":
+        changed = _changed(model, key, value)
+    else:
+        s = model.segments
+        changed = replace(model, segments=SegmentColumns(
+            [value, *s.t0_index[1:]], s.p0_q, s.n_samples, s.store))
+    try:
+        serialize(changed, GEO)
+        rule = None
+    except ValueError as exc:
+        rule = None if "signed field" in str(exc) else str(exc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if rule is not None:
+            with pytest.raises(CorruptionError):
+                Reconstructor(changed, GEO)
+        else:
+            try:
+                Reconstructor(changed, GEO).query(traj.times)
+            except PilotCError:
+                pass
 
 
 _BROKEN_HEADERS = {"eps=0": ("eps", 0.0), "eps=nan": ("eps", float("nan")),

@@ -334,6 +334,27 @@ def test_parse_maps_segment_end_overflow_to_corruption():
         serialize(model, GEO)
 
 
+def test_values_beyond_float64_fail_the_decode():
+    # a start value of 1 at eps_p = 1e308 dequantizes to inf, and so does a
+    # correction value of 2 at eps_p = 1e308 in two dimensions; the bytes
+    # meet every rule, so they parse and serialize back, but the decoder
+    # meets the values and calls them corruption, before a grid or a query
+    # turns them into NaN
+    start = one_segment(3)
+    start[4] = ("s", 1)
+    correction = ([("u", 1), ("u", 0), ("u", 1), ("u", 1), ("s", 2), ("s", 0)]
+                  + [("s", 0), ("s", 0), ("s", 0), ("u", 3)] + [("s", 0), ("u", 0)] * 2)
+    payloads = crafted(start, eps_p=1e308), crafted(correction, dim=2, eps_p=1e308)
+    assert len(payloads[0]) == 43
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for payload in payloads:
+            model = parse(payload, GEO)
+            assert serialize(model, GEO) == payload
+            with pytest.raises(CorruptionError, match="beyond float64"):
+                Reconstructor(model, GEO).query([0, 1, 2])
+
+
 def test_sample_count_beyond_int64_is_rejected_on_both_sides():
     # b_s = 9e18 at eps = 1.8e19 makes it two blocks, so the bits suffice
     payload = crafted(one_segment(2**63 + 10) + [("s", 0), ("u", 0)],

@@ -52,6 +52,14 @@ def test_block_size_must_fit_int64():
             DEFAULT_PROFILE.params(eps)
 
 
+def test_layout_needs_a_dimension():
+    # the per-dimension steps divide by sqrt(dim), so the one place that
+    # makes layouts turns a dimension below 1 away
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            CodecParams(eps=10.0).layout(dim)
+
+
 def test_eps_split_over_dimensions():
     p = PROFILES["geolife"].params(10.0)
     assert p.layout(2).eps_d == pytest.approx(5.0 / math.sqrt(2.0))
