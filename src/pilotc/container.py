@@ -1,6 +1,6 @@
 """Bit-exact container serialization (.plc).
 
-Layout, version 1:
+Layout, version 2:
 
     magic "PLTC" | version u8 | dim u8 | flags u8 (0) | chunk_bits u8
     dt, eps, eps_t, eps_p as little-endian float64
@@ -13,9 +13,19 @@ Layout, version 1:
                  segment's grid-end index (0 before the first segment),
                  per dim an enhanced-zigzag varint quantized start value,
                  varint sample count, then per dim and per block:
-                 enhanced-zigzag varint end delta, varint coefficient
-                 count, that many enhanced-zigzag varint coefficients
+                 enhanced-zigzag varint end-delta field, varint
+                 coefficient count, that many enhanced-zigzag varint
+                 coefficients
     zero padding to a byte boundary
+
+A block's end delta is its quantized displacement, its mean velocity times
+its m velocities.  A moving object keeps its velocity from one block to
+the next, so in each chain (one segment in one dimension) the first block
+and the tail store their end delta, and every block between them, a full
+block of b_s velocities, stores its step from the end delta of the block
+before; ``parse`` sums the steps back (see :func:`_wire_end_deltas`).
+Version 1 stored every end delta as it stands; ``parse`` reads version 2
+only.
 
 All varints use the header's chunk length l, so after the 40-byte header
 the body is one flat run of chunked varints (see ``codec``).  A model
@@ -23,10 +33,11 @@ holds its fields as int64 columns (see ``model``), which ``serialize``
 and the decoder read directly, once :func:`check_columns` has applied
 the rules below to them.  ``serialize`` lays the fields out with array
 operations: entry time steps and outlier steps come from differences of
-the columns, each block's first field sits at a running sum of the
-fields before it, end delta, count and coefficients, with each segment's
-head in front of its first block; it then maps the signed fields to
-their codes in one array operation and writes every code with a single
+the columns, end-delta steps from one array operation over the chains,
+each block's first field sits at a running sum of the fields before it,
+end delta, count and coefficients, with each segment's head in front of
+its first block; it then maps the signed fields to their codes in one
+array operation and writes every code with a single
 :func:`~pilotc.codec.pack_varints` call.  ``parse`` reads through the
 reader :func:`~pilotc.codec.varint_reader` picks, which decodes with
 array operations.  At l >= 2 every chunk is l + 1 bits, so the reader
@@ -45,7 +56,9 @@ in field order and marks the other signed fields with their kind, whose
 values one array operation per window decodes; the marked values then
 become the columns by kind.  Any failure of the chase sends ``parse``
 back to that walk, which then reads the body field by field and raises
-the error of the first field or rule that fails.
+the error of the first field or rule that fails.  Either reader turns the
+end-delta fields back into end deltas with one running sum over the
+chains (:func:`_end_deltas`) just before it builds the block columns.
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`.
@@ -63,6 +76,9 @@ applies all but the header's byte limits, the signed field and outlier steps:
 - signed field: each enhanced-zigzag field lies within +-(2**63 - 1), so
   its code is below 2**64; ``serialize`` checks it where it maps the
   fields, and ``parse`` meets it by construction;
+- end delta: a middle block's step from the block before is a signed
+  field, which ``serialize`` checks for wrap as it does outlier steps, and
+  ``parse`` rejects a running sum of the steps that leaves int64;
 - segment: 2 to 2**63 - 1 samples, start and end times finite in float64,
   and a start index above the previous segment's (grid spans may overlap);
 - block: as many blocks as the segments' sample counts lay out, each with
@@ -102,7 +118,7 @@ from .model import BlockColumns, CompressedTrajectory, EntryColumns, SegmentColu
 from .params import Layout
 
 MAGIC = b"PLTC"
-VERSION = 1
+VERSION = 2
 _HEADER_LEN = 8
 _FLOAT_FIELDS = 4
 
@@ -182,6 +198,46 @@ def _check_blocks(c_f, coeffs, limit) -> None:
         last = last[:-1]
     if last.size and (np.asarray(coeffs)[last] == 0).any():
         raise ValueError("block ends in a zero coefficient")
+
+
+def _wire_end_deltas(end_delta: np.ndarray, plan: BlockPlan) -> np.ndarray:
+    """The end-delta field of each block of ``plan``: the end delta of a
+    chain's first block and of its tail, and for every block between them,
+    a full block of b_s velocities, its step from the end delta of the block
+    before.  Raises ``OverflowError`` for a step beyond int64."""
+    middle = np.ones(end_delta.size, dtype=bool)
+    middle[plan.chain_start] = False
+    middle[plan.chain_start + plan.per_chain - 1] = False
+    i = middle.nonzero()[0]
+    a, b = end_delta[i], end_delta[i - 1]
+    step = a - b
+    if (((a ^ b) & (a ^ step)) < 0).any():
+        raise OverflowError("an end-delta step beyond int64")
+    wire = end_delta.copy()
+    wire[i] = step
+    return wire
+
+
+def _end_deltas(wire: np.ndarray, plan: BlockPlan) -> np.ndarray:
+    """Inverse of :func:`_wire_end_deltas`: a running sum of each chain's
+    wire values up to its tail, which keeps its own.  When their magnitudes
+    sum to 2**62 or more, it sums in Python ints, so nothing wraps; raises
+    ``ValueError`` for an end delta outside int64."""
+    last = plan.chain_start + plan.per_chain - 1
+    run = wire.copy()
+    run[last] = 0
+    exact = np.add.reduce(np.abs(run), dtype=float) >= 2.0**62
+    if exact:
+        run = run.astype(object)
+    total = run.cumsum()
+    out = total - (total - run)[plan.chain_start].repeat(plan.per_chain)
+    out[last] = wire[last]
+    if exact:
+        try:
+            out = np.array(out, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a block end delta outside int64") from None
+    return out
 
 
 def check_columns(model: CompressedTrajectory, constants) -> tuple[BlockPlan, list[int]]:
@@ -265,7 +321,7 @@ def serialize(model: CompressedTrajectory, profile) -> bytes:
             raise OverflowError("an outlier step beyond int64")
         body[at[first, None] + np.arange(dim + 2)] = heads
         at[first] += dim + 2
-        body[at] = cols.end_delta
+        body[at] = _wire_end_deltas(cols.end_delta, plan)
         body[at + 1] = cols.c_f
         body[flat_ranges(at + 2, cols.c_f)] = cols.coeffs
         # one array operation maps the signed fields and applies their rule
@@ -382,7 +438,7 @@ def _chase(r: ColumnarReader, dim: int, dt: float, eps_t: float, lay: Layout):
     at = np.array(starts, dtype=np.int64)
     counts = r.unsigned_values(at + 1).astype(np.int64)
     plan = BlockPlan(n_samples, dim, lay)
-    cols = BlockColumns(counts, r.signed_values(at),
+    cols = BlockColumns(counts, _end_deltas(r.signed_values(at), plan),
                         r.signed_values(flat_ranges(at + 2, counts)), plan)
     _check_blocks(cols.c_f, cols.coeffs, plan.limit)
     p0_q = r.signed_values(np.array(heads, dtype=np.int64)[:, None] + np.arange(1, dim + 1))
@@ -495,9 +551,9 @@ def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int
         raise
     kinds, values = r.decoded(i)
     plan = BlockPlan(n_samples, dim, lay)
-    cols = BlockColumns(np.array(counts, dtype=np.int64), values[kinds == _DELTA],
-                        values[kinds == _COEFF], plan)
-    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
+    c_f, coeffs = np.array(counts, dtype=np.int64), values[kinds == _COEFF]
+    _check_blocks(c_f, coeffs, plan.limit)
+    cols = BlockColumns(c_f, _end_deltas(values[kinds == _DELTA], plan), coeffs, plan)
     p0_q = values[kinds == _HEAD].reshape(-1, dim)
     return (SegmentColumns(t0_index, p0_q, plan.n_samples, cols),
             EntryColumns(t_columns[0], outlier_values),

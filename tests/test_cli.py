@@ -335,6 +335,23 @@ def test_truncated_container_is_format_error(tmp_path, capsys):
     assert main(["decompress", str(plc), "-o", str(out), "--grid"]) == EXIT_FORMAT
 
 
+def test_version_1_container_is_format_error(tmp_path, capsys):
+    # no reader of version 1 is kept: such a file is compressed again from its source
+    src = tmp_path / "s.csv"
+    traj = synthetic_trajectory(400, dim=2, seed=4)
+    write_positions_csv(src, traj.times, traj.points)
+    plc = tmp_path / "s.plc"
+    assert main(["compress", str(src), "-o", str(plc), "--epsilon", "10"]) == EXIT_OK
+    payload = bytearray(plc.read_bytes())
+    payload[4] = 1
+    plc.write_bytes(payload)
+    capsys.readouterr()
+    out = tmp_path / "o.csv"
+    assert main(["decompress", str(plc), "-o", str(out), "--grid"]) == EXIT_FORMAT
+    assert capsys.readouterr().err == "error: unsupported container version 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, message", [("--eps-t", "eps_t"), ("--vmax", "v_max")])
 def test_compress_rejects_nan_setting_as_usage(tmp_path, capsys, option, message):
     # NaN passes a "<= 0" check; a NaN eps_t used to reach an int cast, and a

@@ -76,6 +76,10 @@ def test_bad_version_and_flags():
     payload[4] = 99
     with pytest.raises(FormatError):
         parse(bytes(payload), GEO)
+    # version 1 stored every end delta as it stands; no reader of it is kept
+    payload[4] = 1
+    with pytest.raises(FormatError, match="unsupported container version 1$"):
+        parse(bytes(payload), GEO)
     payload = bytearray(serialize(empty_model(), GEO))
     payload[6] = 1
     with pytest.raises(FormatError):
@@ -301,6 +305,77 @@ def one_segment(n_samples):
     # count, then one block: end delta and an empty coefficient list
     return [("u", 1), ("u", 0), ("u", 0), ("s", 0), ("s", 0), ("u", n_samples),
             ("s", 0), ("u", 0)]
+
+
+def segment_of_chains(n_samples, chains):
+    """One segment's fields: its head, then per chain (dimension) the wire
+    end-delta field of each block, with no coefficient."""
+    head = [("s", 0)] + [("s", 0)] * len(chains) + [("u", n_samples)]
+    return head + [f for wire in chains for v in wire for f in (("s", v), ("u", 0))]
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2, 4])
+def test_middle_blocks_store_the_step_of_their_end_delta(chunk_bits):
+    # geolife at eps = 10 lays out b_s = 30: 121 samples make three full
+    # blocks and a tail of 30 velocities, 61 samples two blocks and 31 one.
+    # A chain's first block and its tail store their end delta; each block
+    # between them stores its step from the end delta of the block before,
+    # and no step runs from one chain into the next
+    one_d = ([("u", 3), ("u", 0), ("u", 0)] + segment_of_chains(121, [[5, 3, -2, 7]])
+             + segment_of_chains(61, [[-9, 11]]) + segment_of_chains(31, [[4]]))
+    two_d = ([("u", 2), ("u", 0), ("u", 0)]
+             + segment_of_chains(121, [[5, 3, -2, 7], [-1, -4, 6, 0]])
+             + segment_of_chains(61, [[-9, 11], [2, -3]]))
+    for fields, dim, end_delta in ((one_d, 1, [5, 8, 6, 7, -9, 11, 4]),
+                                   (two_d, 2, [5, 8, 6, 7, -1, -5, 1, 0, -9, 11, 2, -3])):
+        payload = crafted(fields, dim=dim, chunk_bits=chunk_bits)
+        model = parse(payload, GEO)
+        assert model.segments.store.end_delta.tolist() == end_delta
+        assert serialize(model, GEO) == payload
+
+
+def middle_end_deltas(a, b):
+    """A 1-D model of one 121-sample segment whose two middle blocks end on
+    the deltas ``a`` and ``b``."""
+    blocks = tuple(EncodedBlock((), d) for d in (0, a, b, 0))
+    return hand_built(dim=1, dt=1.0, eps=10.0, eps_t=1.0, eps_p=5.0, chunk_bits=2,
+                      segments=(SubTrajectorySegment(0, (0,), 121, (blocks,)),))
+
+
+def test_an_end_delta_step_beyond_the_signed_range_is_rejected():
+    # the step b - a is a signed field: it wraps int64 for the first two
+    # pairs and is -2**63 for the third; one more and it is in range
+    for a, b in ((2**62, -2**62 - 1), (-2**62 - 1, 2**62), (2**62, -2**62)):
+        with pytest.raises(ValueError, match="a signed field outside"):
+            serialize(middle_end_deltas(a, b), GEO)
+    model = middle_end_deltas(2**62, -2**62 + 1)
+    assert parse(serialize(model, GEO), GEO) == model
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_end_delta_steps_that_sum_past_int64_are_corruption(sign, chunk_bits, monkeypatch):
+    # every field is in range, and the second middle block's end delta, the
+    # sum of the first three, lies on the edge of int64, which the chase sums
+    # to exactly; one step more and it lies past it, which the chase leaves to
+    # the walk to name
+    walks = []
+    walk = container._walk
+    monkeypatch.setattr(container, "_walk", lambda *args: walks.append(args) or walk(*args))
+    edge = 2**63 - 1 if sign > 0 else -2**63
+    wire = [7, sign * 2**62, edge - 7 - sign * 2**62, 0]
+    payload = crafted([("u", 1), ("u", 0), ("u", 0)] + segment_of_chains(121, [wire]),
+                      chunk_bits=chunk_bits)
+    model = parse(payload, GEO)
+    assert model.segments.store.end_delta.tolist() == [7, 7 + sign * 2**62, edge, 0]
+    assert serialize(model, GEO) == payload
+    assert len(walks) == (chunk_bits == 1)
+    walks.clear()
+    wire[2] += sign
+    with pytest.raises(CorruptionError, match="end delta outside int64"):
+        parse(crafted([("u", 1), ("u", 0), ("u", 0)] + segment_of_chains(121, [wire]),
+                      chunk_bits=chunk_bits), GEO)
+    assert len(walks) == 1
 
 
 def test_parse_rejects_more_blocks_than_bits_before_allocating():

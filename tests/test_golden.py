@@ -29,54 +29,54 @@ _CHUNK_BITS = (1, 2, 4)
 _POINTS = 1200
 
 GOLDEN = {
-    "geolife/smooth/l1": "2ad408fc9f5d6f56fb3e641e1672dd49289acc067b10144a18d525535a546710",
-    "geolife/smooth/l2": "23f963c898c0fade34a2d7f884539fd0eb07b6f86c673c5469770dd6e021528e",
-    "geolife/smooth/l4": "f8806c0c1e1642a9fd18ade9c122b7e12e84b1e09bfd0901ee8787d841826939",
-    "geolife/jittery/l1": "c219f0a309707e2f551145f35992314ae34e4d4a7b1f8f4ceb94f588bb845a37",
-    "geolife/jittery/l2": "bed1103e3942109b5c275201aa406f17c39bae969a7b7a9ae582ce6b5c65e52a",
-    "geolife/jittery/l4": "f4ebef966720f47b956397d8da1c0ba3764829456b114984161a6323d581dbb2",
-    "geolife/nonuniform/l1": "6442db8708f9b2b4b79846ef5794384acfd7927a689101226fa62d049572bf8c",
-    "geolife/nonuniform/l2": "998348103c1c8f7dd4e5531665ac32db6be0215c3572776128e97e7cf32acc75",
-    "geolife/nonuniform/l4": "3c66e7173e7bac0574c97e39ff09de71f8a1559be25a733ce1ef3399c86a6339",
-    "geolife/mixed/l1": "49582892079591917a9fe05004b2a688d5483b6f3dc9bf4c0147d529e6922368",
-    "geolife/mixed/l2": "3af372fbbdd0bbeed797a38af213de70edb959c7a44a6495d4d554935d04bb16",
-    "geolife/mixed/l4": "66ba488ea96b52ea7f357b51fca4a784c711a5e980969ebcc304132a288ad313",
-    "geolife3d/smooth/l1": "a43c40ff3ea23f89f6948303dacc619a6646dcf0664b90b995e211131354f563",
-    "geolife3d/smooth/l2": "cea245b777d3ebc8c89352abcfbddc31fdcb510e6e854991ff67583c5d7b33e6",
-    "geolife3d/smooth/l4": "7f8515eb12af5eb46e6b74310f30566557dbeecca226dc9c84aaf695d2a0952b",
-    "geolife3d/jittery/l1": "f280ef215b37583c4b791a92bdece7d0d13b586c10e1ed6b45db29df3a9cf920",
-    "geolife3d/jittery/l2": "7213ccb1580aec1d515eaf4362a9f4f3e09d7d7db4356c9bb97312aa6a87e003",
-    "geolife3d/jittery/l4": "234fc89e79de4aa8221ac13c9b3de500ce0227a8b330458e86a78fad7f832fe2",
-    "geolife3d/nonuniform/l1": "a662ec314b976a81a9172203bdc754a05d2fb2761560efab17d57b6aa2932822",
-    "geolife3d/nonuniform/l2": "1f05e3abc593b6ff6d910ba1bc4ad873e90133fdff29f82d5eaa602bbb0e7a83",
-    "geolife3d/nonuniform/l4": "eea094fc278674addf6ca7eb8ffbf425189282a2d1b34f3bc091a19150fa4d78",
-    "geolife3d/mixed/l1": "b24bee11449de2417204105e091532a15ca7a003e5c0f32d6878a813e3089727",
-    "geolife3d/mixed/l2": "59c91d7808b8c15d5ae69d97efb8dae86bcef97631bbb95894fc0c9efd88aee6",
-    "geolife3d/mixed/l4": "7c13a8044d080ba8069dc0ed8f33596cc25265d316e20a8a8cb8ea4d851272ad",
-    "nuplan/smooth/l1": "5b9e55bcd0a8ad74f8bd93dab15a1711e98b22c809169386cf2cff2c7888e512",
-    "nuplan/smooth/l2": "360d1108925bac7e43c89a0d3683b51105f36881caad52ef0ecc0f0093ec6510",
-    "nuplan/smooth/l4": "6b17d7a7281c3b28744224815f4f9e9ed44ce734c4b7727aef80faf09891b292",
-    "nuplan/jittery/l1": "6d13ed8a980c1377a1e439ebe5375a0c8176513b28b932b5c0e5d29ba7120329",
-    "nuplan/jittery/l2": "302bef6e24bebb490f7e3c0c8f149a7c7de67e88c15168efac456ea67effaf5e",
-    "nuplan/jittery/l4": "931b6e6b9fe47293f34326c8ff485706bb24afa32c0aedb7fd8f04633b5e456a",
-    "nuplan/nonuniform/l1": "4af24162281cfb6a6f1928981700a82eb46ffabbc09b6fcdc5d4a0c482c9e44f",
-    "nuplan/nonuniform/l2": "2d54abf649b67ebc77b6df25ba699224c807037c0f26547ccc762ff5bf6e7453",
-    "nuplan/nonuniform/l4": "3d390ee1acdb35d96fca8c8cd662caff640f93dff4c54f6b3a26992c17354ceb",
-    "nuplan/mixed/l1": "8758cf695217df81853f8c93da1e2a8588020bd24f227f9f1168347869c3ed3c",
-    "nuplan/mixed/l2": "a54505aed74fde2da7bf8e81ac6d10f3e1e55db4aaf49009e9c7e0b76c8324d6",
-    "nuplan/mixed/l4": "90d2d0b3e47cdeeb651d779fe7018baf2266410a17c6f3657975cb3d0a1723ef",
-    "mopsi/smooth/l1": "3bf2f3f58f3d1626829f0ef330eb44cabdcd665867c9e793104784c6f58fa454",
-    "mopsi/smooth/l2": "c9c4101b59d6aace468550f950090947ef162bde14c1b2da8027a79ed57b8179",
-    "mopsi/smooth/l4": "15f17d4a8e9e146896c3dbb664cd7d82219b235635fb49cf69b0eb517d56c980",
-    "mopsi/jittery/l1": "d87f6cd512818203732b5b57ed77986170706b68af62bf2fa687dab5e59bfc8b",
-    "mopsi/jittery/l2": "ebe12fa77454e1fc6ab7340c5b93c85caf381389c344acb78e4c460ca7ff79e7",
-    "mopsi/jittery/l4": "22a49655068299d5565a5107af7adb4955b28e6980425bcb1bb716a07e72a0a1",
-    "mopsi/nonuniform/l1": "bf421b907f36ca5a634f44fb6bc23db83b574314ca249ecaa03965b44a909ccc",
-    "mopsi/nonuniform/l2": "16af018ded98a753b690087ac2fd7f052db768944595958f487941d469722f29",
-    "mopsi/nonuniform/l4": "426ad34aa2df0ab993230e7c5b68eae92c11f62b639f73ec3c59620ec9637759",
-    "mopsi/mixed/l1": "c369a21a3ef27ee88f90d352fe212b41b09c2b675b95344eae0a680f504acd37",
-    "mopsi/mixed/l2": "4dc2a032e04c11aae77ff2364f70a7e06d5e03c6160f82586dca8a8c2dc62d68",
-    "mopsi/mixed/l4": "ee2a52346176aeaca4b3bc3a42dfdf9aca484d7fa33d483067996ca58f9457ea",
+    "geolife/smooth/l1": "03a5112623fc900ea5a65422d082ba8fcb560c29f2f527c6f0ba2636ef2b4aba",
+    "geolife/smooth/l2": "60524cc4a81cbd40275029d16d3512fe85b56dc5d45b75337048a9c9ab99b7ca",
+    "geolife/smooth/l4": "ab5b564bad6deb8159c82f7ca6f9b8fb36b03fc2fd78475f7b36ff72d23c1b0f",
+    "geolife/jittery/l1": "1e79eadf402f2ccefe40386af032b6c041da95fcb2d8aa86e4c3820f3dd5c133",
+    "geolife/jittery/l2": "a58b24ece2021d23acdac835956fcf10694db207a18ac5a08fdb9f2af36f6458",
+    "geolife/jittery/l4": "8cbdb519ffa20147d479fa625c55e7d288b6488b1de4c7d3a5236692e54bb60c",
+    "geolife/nonuniform/l1": "89f66a3c1f0d97fceeee9548bfdb8e4fbcb3bce6cb516ba860d7c3a812c88ed4",
+    "geolife/nonuniform/l2": "94dc743e85c50393ab810f2764b22a2b3d1703686c96e6bb7cae8c3eecda7b7e",
+    "geolife/nonuniform/l4": "1ac3242dafa25cdb864362a07561d46974de7cf0bea0c58f644790d7a9d1fb57",
+    "geolife/mixed/l1": "1b0371779d940a4ebb6ab31a04e44d4fced6a3e9f0e05a344e6feea7147c2423",
+    "geolife/mixed/l2": "eea9c39a19c0d5d39584a6160d634c1330b530c4e610208ac1a6be57e8c18842",
+    "geolife/mixed/l4": "64250b3b8b069ee7c7f7e0cce48d90bb055553fc50a30a8b34a74cf2103181a9",
+    "geolife3d/smooth/l1": "18318d361595fa6d342aa6dce1f70d57a82cc81d17a9eea9583fef0685586d54",
+    "geolife3d/smooth/l2": "7b79f7f260d975bf69803477f436a0a7714388b916f5f96e173ec435af8619c6",
+    "geolife3d/smooth/l4": "a4491b285a4a9c3abd6f34b80d0644f605826e10ec9d29232148c9093418f851",
+    "geolife3d/jittery/l1": "75c6a94c09d951accc245b5ec0319090b45252716fa56ea6970ff5baf3e21a02",
+    "geolife3d/jittery/l2": "6431156af6f629b25e66d37c91d36454294fcc49e3cd46d2dd255f3d05ab3fe2",
+    "geolife3d/jittery/l4": "97acf44583100047036017825527de61a0c349ea5b9f38137e5974499c8f086c",
+    "geolife3d/nonuniform/l1": "5142aa87aa9cc2af69460545d9709079995a24915f2ab5592a318935d4879124",
+    "geolife3d/nonuniform/l2": "b4b76400b6a69a54bc5c52de36f129c67082669c494dad9de82314ff43e49535",
+    "geolife3d/nonuniform/l4": "06edb5f95547f7383d05b8bb5f6a4fbdffa7c3c496166ecf359c2c75f4e1eb35",
+    "geolife3d/mixed/l1": "0595015a49a475a10266c28d2a8a57dbf554e8bdf0a7c09851905160f2656be9",
+    "geolife3d/mixed/l2": "5bb868913c717f8743a02b6455b3980ed959bf537e3a47150e526df513557b7a",
+    "geolife3d/mixed/l4": "f5b4daecc317b9abd4c28b46bd33361dee05da268cfaedbea45bc0bfd8fe19cb",
+    "nuplan/smooth/l1": "c03bd43cbc8c1f52256b852154255a6d3f529c79d6feab9b6eeb6781a3d545db",
+    "nuplan/smooth/l2": "a3a859e2eea4da949f6fb2c8bf6c7cf1bad928c9354e838f2400498f95b7bcf2",
+    "nuplan/smooth/l4": "761d43fa5a39869651ffe3677fac73ee082514ad913f9f8ae04851f32860ba41",
+    "nuplan/jittery/l1": "6f3a03f29e6b8dd165f8ee7ccf27f1a02af96f2c8504d40a04ec7ba2238e8410",
+    "nuplan/jittery/l2": "468ec128cd5b3d0b8f8d54af5b61ab583865e2ceb18c4778cbc69e870dd7e8f2",
+    "nuplan/jittery/l4": "c63744ed6d2d57511ce05797ed29010fdcf10763af3cfa410b45dbbc9c0a40de",
+    "nuplan/nonuniform/l1": "5cf8c11ecbdcd77a5500b26ac664061dadda241bcbc436ab0b6d0acf11ac0c62",
+    "nuplan/nonuniform/l2": "59c622a2705f0944ec5806ae61350cb00032d2d53ceaba995ed04cfa67c49d5d",
+    "nuplan/nonuniform/l4": "a2c0c333dbd4c79d5c8ef2929b49fb791390fb534fb128a5088a73745ef858cf",
+    "nuplan/mixed/l1": "731f1a68e2fdbf35fb35d030e5e381ffb9c60cacafd2a420a636c3bdc255407e",
+    "nuplan/mixed/l2": "b023dcc9f8b16e627a448c0571a341ffd8adc722fb61d156dd7e228c85a60561",
+    "nuplan/mixed/l4": "c9a5422261f11c2942e4e3a9bcafd35d772c9221ee306d07da3a897670e306ef",
+    "mopsi/smooth/l1": "a7f22881da8745caa1a2db182874bb9b8da8b148f75467fd18eecaceefca230f",
+    "mopsi/smooth/l2": "dbf2713393165af40157020d483f3a09357f0fbdcd47112aa76e88dca9f1f5e5",
+    "mopsi/smooth/l4": "2547d84d41dc4637830a827e2725955d5efe2fbf7686d97f151a8a5f508cf220",
+    "mopsi/jittery/l1": "473e10fc253b96d0c518a235db170d9d9143eaba2a7ea0eb3779d5e16cbcef35",
+    "mopsi/jittery/l2": "331439abcfb5e3730e5d4a93ff7befdbad59995f3cb5bd9b2d35cec85a1eb2d8",
+    "mopsi/jittery/l4": "e9856f5d122e76c60ea986df8afa18b441eda80369c23ac61848c3a2e15e0a7f",
+    "mopsi/nonuniform/l1": "fecd33e6752e6b74d6a0da689c9bb54ad7aa6d5359df41e181a3949c25d92c54",
+    "mopsi/nonuniform/l2": "095777e37a5b02996be13bd703471422a418356ae8214e1faa284fc28b7c8cb3",
+    "mopsi/nonuniform/l4": "22895052fd11bbf30d17d071ea93f7f07a58927a14463cbc01f358c0e904d75f",
+    "mopsi/mixed/l1": "540d051723ecb9ae13fe69e697df63a68d176f1b96d4a3418e806b2493eced44",
+    "mopsi/mixed/l2": "36759bef354b325237848bafa560d7f014b7a77e355f2de1fdeb90472b7bd2a1",
+    "mopsi/mixed/l4": "4c64f50e48245491f2459f33258353ad942bc7f6a9f707bdbd68f182861aa391",
 }
 
 
