@@ -1,22 +1,26 @@
 """Bit-exact container serialization (.plc).
 
-Layout, version 2:
+Layout, version 3:
 
     magic "PLTC" | version u8 | dim u8 | flags u8 (0) | chunk_bits u8
     dt, eps, eps_t, eps_p as little-endian float64
-    varint: segment count, outlier count, correction count
-    outliers:    per entry, varint time-index delta, then per dim an
-                 enhanced-zigzag varint coordinate-index delta
-    corrections: per entry, varint time-index delta, then per dim an
-                 enhanced-zigzag varint quantized residual
-    segments:    enhanced-zigzag varint t0-index delta from the previous
-                 segment's grid-end index (0 before the first segment),
-                 per dim an enhanced-zigzag varint quantized start value,
-                 varint sample count, then per dim and per block:
-                 enhanced-zigzag varint end-delta field, varint
-                 coefficient count, that many enhanced-zigzag varint
-                 coefficients
+    unsigned stream: segment count, outlier count, correction count;
+                     each outlier's time-index delta, then each
+                     correction's; each segment's sample count; each
+                     block's coefficient count
+    signed stream:   enhanced-zigzag varints: per outlier and dim its
+                     coordinate-index delta; per correction and dim its
+                     quantized residual; per segment its t0-index delta
+                     from the previous segment's grid-end index (0 before
+                     the first); per segment and dim its quantized start
+                     value; each block's end-delta field; then every
+                     block's coefficients, one block after the other
     zero padding to a byte boundary
+
+Blocks come in container order: segment, dimension, block.  Each section
+of a stream is one model column, or the three counts, and
+:data:`_SECTIONS` writes their order once: ``serialize`` concatenates the
+columns in it, and ``parse`` reads the sections in it.
 
 A block's end delta is its quantized displacement, its mean velocity times
 its m velocities.  A moving object keeps its velocity from one block to
@@ -24,41 +28,33 @@ the next, so in each chain (one segment in one dimension) the first block
 and the tail store their end delta, and every block between them, a full
 block of b_s velocities, stores its step from the end delta of the block
 before; ``parse`` sums the steps back (see :func:`_wire_end_deltas`).
-Version 1 stored every end delta as it stands; ``parse`` reads version 2
+Version 1 stored every end delta as it stands, and versions 1 and 2
+interleaved the field classes field by field; ``parse`` reads version 3
 only.
 
-All varints use the header's chunk length l, so after the 40-byte header
-the body is one flat run of chunked varints (see ``codec``).  A model
+All varints use the header's chunk length l (see ``codec``).  A model
 holds its fields as int64 columns (see ``model``), which ``serialize``
 and the decoder read directly, once :func:`check_columns` has applied
-the rules below to them.  ``serialize`` lays the fields out with array
-operations: entry time steps and outlier steps come from differences of
-the columns, end-delta steps from one array operation over the chains,
-each block's first field sits at a running sum of the fields before it,
-end delta, count and coefficients, with each segment's head in front of
-its first block; it then maps the signed fields to their codes in one
-array operation and writes every code with a single
-:func:`~pilotc.codec.pack_varints` call.  ``parse`` reads through the
-reader :func:`~pilotc.codec.varint_reader` picks, which decodes with
-array operations.  At l >= 2 every chunk is l + 1 bits, so the reader
-has split the whole body into fields, and ``parse`` reads the counts,
-the entries and the segment heads from their codes: the entries are
-1 + dim fields each, so array operations gather and check them, and a
-chase finds the heads and blocks: a block at field i holds its
-coefficient count c at i + 1, so the next block starts at i + 2 + c.
-The chase visits two fields per block and two per head, and array
-operations then gather the columns and check them.  At l = 1 a signed
-field's final payload bit is implied, so a field's length depends on its
-type; the reader has tabulated only the span of the field that starts at
-each bit position of a window, and ``parse`` walks the body by hopping
-through those spans: it decodes on the spot each field that a rule needs
-in field order and marks the other signed fields with their kind, whose
-values one array operation per window decodes; the marked values then
-become the columns by kind.  Any failure of the chase sends ``parse``
-back to that walk, which then reads the body field by field and raises
-the error of the first field or rule that fails.  Either reader turns the
-end-delta fields back into end deltas with one running sum over the
-chains (:func:`_end_deltas`) just before it builds the block columns.
+the rules below to them.  ``serialize`` takes the wire fields from the
+columns with array operations (entry time steps and outlier steps from
+their differences, end-delta steps from one array operation over the
+chains), maps the signed stream to its codes in one array operation and
+writes both streams with a single :func:`~pilotc.codec.pack_varints`
+call.  Each stream holds one field class, so ``parse`` splits it into
+fields with :func:`~pilotc.codec.split_varints` whatever l, a window of
+bits at a time, so its memory does not grow with the body beyond the
+model's own columns: at l >= 2 every chunk is l + 1 bits, and one split
+of a window serves both streams; at l = 1 a signed field's final chunk is
+a bare flag, so the bits after the unsigned stream are split again as
+signed fields.  ``parse`` reads the sections by their names in
+:data:`_SECTIONS`, in order, and checks each section's rules on its
+fields with array operations; a field that cannot be read raises its
+error only after the rules on the fields before it (see :class:`_Body`),
+so parse raises the error of the first field or rule that fails in
+stream order.
+The sample counts lay out every block in one
+:class:`~pilotc.blocks.BlockPlan`, and the end-delta fields become end
+deltas in one running sum over the chains (:func:`_end_deltas`).
 
 Both directions apply one set of rules, each a function below that raises
 ``ValueError``; ``parse`` turns a broken rule into :class:`CorruptionError`.
@@ -83,17 +79,18 @@ applies all but the header's byte limits, the signed field and outlier steps:
   and a start index above the previous segment's (grid spans may overlap);
 - block: as many blocks as the segments' sample counts lay out, each with
   at most K(m) - 1 coefficients for its m velocities and no trailing zero;
-  one array function checks every block of a model at once, in ``parse``
-  and in :func:`check_columns`, unless the store keeps the plan of the same
+  array functions check every block of a model at once, in ``parse`` and
+  in :func:`check_columns`, unless the store keeps the plan of the same
   layout, sample counts and dimension that it was checked under.
 
 A segment's blocks per dimension are :meth:`~pilotc.params.Layout.partition`
 of its velocities, and the block size derives from eps and the dataset
 constants, so a container decodes only with the constants it was encoded
-with.  ``parse`` raises :class:`TruncationError` when the bits run out or a
-segment declares more blocks than they can hold, and :class:`CorruptionError`
-for a bad varint, a zero signed code, an overflowing block size or segment
-end, and unread bytes or nonzero padding.
+with.  ``parse`` raises :class:`TruncationError` when the bits run out or
+the segments declare more blocks than the bits after their sample counts
+can hold, and :class:`CorruptionError` for a bad varint, a zero signed
+code, an overflowing block size or segment end, and unread bytes or
+nonzero padding.
 """
 
 from __future__ import annotations
@@ -103,24 +100,26 @@ import struct
 
 import numpy as np
 
-from .blocks import BlockPlan, flat_ranges
-from .codec import (
-    ColumnarReader,
-    FieldReads,
-    TableReader,
-    enhanced_zigzag_map,
-    pack_varints,
-    round_half_away,
-    varint_reader,
-)
-from .errors import CorruptionError, FormatError, PilotCError, TruncationError
+from .blocks import BlockPlan
+from .codec import _field_error, enhanced_zigzag_map, pack_varints, round_half_away, split_varints
+from .errors import CorruptionError, FormatError, TruncationError
 from .model import BlockColumns, CompressedTrajectory, EntryColumns, SegmentColumns
 from .params import Layout
 
 MAGIC = b"PLTC"
-VERSION = 2
+VERSION = 3
 _HEADER_LEN = 8
 _FLOAT_FIELDS = 4
+
+# bits split into fields at a time, far more than the 130 of the longest field
+_WINDOW = 1 << 18
+# the body's sections in stream order, and whether their fields are signed
+_SECTIONS = (
+    ("counts", False), ("outlier times", False), ("correction times", False),
+    ("sample counts", False), ("coefficient counts", False),
+    ("outlier values", True), ("correction values", True), ("segment starts", True),
+    ("start values", True), ("end deltas", True), ("coefficients", True),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +148,21 @@ def _check_time_step(label: str, i: int, step: int) -> None:
                          f"strictly increasing, got a step of {step}")
 
 
-def _entry_column(label: str, values) -> np.ndarray:
-    """Entry fit: time indices or values as an int64 column; raises
-    ``ValueError`` for one outside int64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{label}s: a time index or value outside int64") from None
+def _entry_times(steps: np.ndarray, label: str) -> np.ndarray:
+    """Entry order and fit, on the time steps of an entry column: returns
+    the time indices, int64."""
+    if 0 in steps[1:]:
+        _check_time_step(label, int(steps[1:].argmin()) + 1, 0)
+    return _running_sum(steps, f"{label}s: a time index or value")
+
+
+def _outlier_values(steps: np.ndarray, dim: int) -> np.ndarray:
+    """Entry fit, on the outliers' coordinate steps, dim per outlier, which
+    may stop short, as a section cut short does: returns the coordinates,
+    one row per outlier."""
+    rows = np.zeros((-(-steps.size // dim), dim), dtype=np.int64)
+    rows.flat[:steps.size] = steps
+    return _running_sum(rows, "outliers: a time index or value")
 
 
 def segment_end_index(t0_index: int, n_samples: int, dt: float, eps_t: float) -> int:
@@ -180,24 +187,48 @@ def _check_segment_order(t0_index: int, prev_t0_index: float) -> None:
                          f"previous segment's start {prev_t0_index}")
 
 
-def _check_blocks(c_f, coeffs, limit) -> None:
-    """The block rule, on every block at once: block i holds at most
-    ``limit[i]`` = K(m) - 1 coefficients for its m velocities, and the last
-    of them is not zero.  ``c_f`` holds the blocks' coefficient counts and
-    ``coeffs`` their coefficients one block after the other; a block whose
-    coefficients run past the end of ``coeffs`` is checked for its count
-    only."""
-    c_f = np.asarray(c_f)
-    over = c_f > limit
-    if over.any():
-        i = int(over.argmax())
+def _check_counts(c_f: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """The block rule's counts: block i holds at most ``limit[i]`` =
+    K(m) - 1 coefficients for its m velocities; ``c_f`` may stop short.
+    Returns the counts, int64."""
+    over = (c_f > limit[:c_f.size]).nonzero()[0]
+    if over.size:
+        i = over[0]
         raise ValueError(f"block declares {c_f[i]} coefficients, over its retention "
-                         f"budget of {int(limit[i])}")
+                         f"budget of {limit[i]}")
+    return c_f.astype(np.int64, copy=False)
+
+
+def _check_coeffs(coeffs: np.ndarray, c_f: np.ndarray) -> np.ndarray:
+    """The block rule's coefficients: no block ends in a zero one.
+    ``coeffs`` holds the blocks' coefficients one block after the other; a
+    block whose coefficients run past its end is not checked.  Returns
+    ``coeffs``."""
     last = c_f.cumsum()[c_f > 0] - 1  # each nonempty block's last coefficient
-    if last.size and last[-1] >= len(coeffs):  # only the last block can be unread
-        last = last[:-1]
-    if last.size and (np.asarray(coeffs)[last] == 0).any():
+    if 0 in coeffs[last[last < coeffs.size]]:
         raise ValueError("block ends in a zero coefficient")
+    return coeffs
+
+
+def _running_sum(steps: np.ndarray, what: str, plan: BlockPlan | None = None) -> np.ndarray:
+    """The running sums of ``steps`` along their first axis, as int64,
+    started again at each chain of ``plan`` if given.  While the steps'
+    magnitudes sum below 2**62 nothing can wrap, so they are summed in
+    int64, and from there on in Python ints; raises ``ValueError`` for a
+    sum outside int64."""
+    if not steps.size:
+        return steps.astype(np.int64)
+    exact = np.add.reduce(np.abs(steps), axis=None, dtype=float) >= 2.0**62
+    run = steps.astype(object if exact else np.int64)
+    total = run.cumsum(axis=0)
+    if plan is not None:
+        total -= (total - run)[plan.chain_start].repeat(plan.per_chain)
+    if exact:
+        try:
+            total = np.array(total, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{what} outside int64") from None
+    return total
 
 
 def _wire_end_deltas(end_delta: np.ndarray, plan: BlockPlan) -> np.ndarray:
@@ -220,23 +251,16 @@ def _wire_end_deltas(end_delta: np.ndarray, plan: BlockPlan) -> np.ndarray:
 
 def _end_deltas(wire: np.ndarray, plan: BlockPlan) -> np.ndarray:
     """Inverse of :func:`_wire_end_deltas`: a running sum of each chain's
-    wire values up to its tail, which keeps its own.  When their magnitudes
-    sum to 2**62 or more, it sums in Python ints, so nothing wraps; raises
-    ``ValueError`` for an end delta outside int64."""
+    wire values up to its tail, which keeps its own; raises ``ValueError``
+    for an end delta outside int64.  ``wire`` may stop short, as a section
+    cut short does; the blocks after it read as 0."""
     last = plan.chain_start + plan.per_chain - 1
-    run = wire.copy()
+    run = np.zeros(plan.length.size, dtype=np.int64)
+    run[:wire.size] = wire
+    tails = run[last]
     run[last] = 0
-    exact = np.add.reduce(np.abs(run), dtype=float) >= 2.0**62
-    if exact:
-        run = run.astype(object)
-    total = run.cumsum()
-    out = total - (total - run)[plan.chain_start].repeat(plan.per_chain)
-    out[last] = wire[last]
-    if exact:
-        try:
-            out = np.array(out, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("a block end delta outside int64") from None
+    out = _running_sum(run, "a block end delta", plan)
+    out[last] = tails
     return out
 
 
@@ -280,7 +304,8 @@ def check_columns(model: CompressedTrajectory, constants) -> tuple[BlockPlan, li
         raise ValueError(f"block columns of shapes {cols.c_f.shape}, {cols.end_delta.shape} and "
                          f"{cols.coeffs.shape}, not a count and an end delta for each of the "
                          f"{plan.length.size} blocks laid out and c_f coefficients each")
-    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
+    _check_counts(cols.c_f, plan.limit)
+    _check_coeffs(cols.coeffs, cols.c_f)
     return plan, ends
 
 
@@ -292,58 +317,50 @@ def serialize(model: CompressedTrajectory, profile) -> bytes:
     segments = model.segments
     cols = segments.store
     out_t, out_v = model.outliers.t_index, model.outliers.values
-    cor_t, cor_v = model.corrections.t_index, model.corrections.values
-
+    cor_t = model.corrections.t_index
     try:
-        n_out = out_t.size
-        n_before = 3 + (n_out + cor_t.size) * (dim + 1)  # the counts and the entries
-        heads = np.empty((len(segments), dim + 2), dtype=np.int64)
-        heads[:, 0] = [t0 - end for t0, end in zip(segments.t0_index, [0, *ends])]
-        heads[:, 1:-1] = segments.p0_q
-        heads[:, -1] = segments.n_samples
-        # each segment's head goes in front of its first block
-        first = plan.chain_start[::dim]
-        size = 2 + cols.c_f  # fields per block: end delta, count, coefficients
-        size[first] += dim + 2
-        at = n_before + size.cumsum() - size  # each block's first field
-        body = np.empty(n_before + int(size.sum()), dtype=np.int64)
-        body[:3] = len(segments), n_out, cor_t.size
-        # per entry a time step and its values; outlier values travel as
-        # steps along their chain, which must not wrap
-        entries = body[3:n_before].reshape(-1, dim + 1)
-        entries[:n_out, 0], entries[n_out:, 0] = out_t, cor_t
-        entries[:n_out, 1:], entries[n_out:, 1:] = out_v, cor_v
-        entries[1:n_out, 0] -= out_t[:-1]
-        entries[n_out + 1:, 0] -= cor_t[:-1]
-        steps = entries[1:n_out, 1:]
-        steps -= out_v[:-1]
-        if (((out_v[1:] ^ out_v[:-1]) & (out_v[1:] ^ steps)) < 0).any():
+        # outlier values travel as steps along their chain, which must not wrap
+        out_steps = _steps(out_v)
+        if (((out_v[1:] ^ out_v[:-1]) & (out_v[1:] ^ out_steps[1:])) < 0).any():
             raise OverflowError("an outlier step beyond int64")
-        body[at[first, None] + np.arange(dim + 2)] = heads
-        at[first] += dim + 2
-        body[at] = _wire_end_deltas(cols.end_delta, plan)
-        body[at + 1] = cols.c_f
-        body[flat_ranges(at + 2, cols.c_f)] = cols.coeffs
-        # one array operation maps the signed fields and applies their rule
-        codes = enhanced_zigzag_map(body)
+        columns = {
+            "counts": [len(segments), out_t.size, cor_t.size],
+            "outlier times": _steps(out_t),
+            "correction times": _steps(cor_t),
+            "sample counts": np.array(segments.n_samples, dtype=np.int64),
+            "coefficient counts": cols.c_f,
+            "outlier values": out_steps,
+            "correction values": model.corrections.values,
+            "segment starts": np.array([t0 - end for t0, end in zip(segments.t0_index, [0, *ends])],
+                                       dtype=np.int64),
+            "start values": segments.p0_q,
+            "end deltas": _wire_end_deltas(cols.end_delta, plan),
+            "coefficients": cols.coeffs,
+        }
+        unsigned, signed = (np.concatenate([columns[name] for name, is_signed in _SECTIONS
+                                            if is_signed is stream], axis=None, dtype=np.int64)
+                            for stream in (False, True))
+        # one array operation maps the signed stream and applies its rule
+        codes = np.concatenate((unsigned.view(np.uint64), enhanced_zigzag_map(signed)))
     except OverflowError:
         raise ValueError("a signed field outside +-(2**63 - 1)") from None
-    is_signed = np.ones(body.size, dtype=bool)
-    is_signed[:3] = False  # the counts
-    is_signed[3:n_before:dim + 1] = False  # entry time steps
-    is_signed[at[first] - 1] = False  # sample counts
-    is_signed[at + 1] = False  # coefficient counts
-    codes = np.where(is_signed, codes, body.view(np.uint64))
     return (MAGIC + bytes((VERSION, dim, 0, model.chunk_bits))  # flags reserved
             + struct.pack("<dddd", model.dt, model.eps, model.eps_t, model.eps_p)
-            + pack_varints(codes, is_signed, model.chunk_bits))
+            + pack_varints(codes, np.arange(codes.size) >= unsigned.size, model.chunk_bits))
+
+
+def _steps(column: np.ndarray) -> np.ndarray:
+    """Each row's step from the row before, the first row's from 0."""
+    steps = column.copy()
+    steps[1:] -= column[:-1]
+    return steps
 
 
 def parse(data: bytes, profile) -> CompressedTrajectory:
     """Inverse of :func:`serialize`; same ``profile`` constants required."""
-    if len(data) < len(MAGIC):
-        raise TruncationError(f"container too short for magic: {len(data)} bytes")
     if data[: len(MAGIC)] != MAGIC:
+        if len(data) < len(MAGIC):
+            raise TruncationError(f"container too short for magic: {len(data)} bytes")
         raise FormatError("bad magic, not a PLTC container")
     if len(data) < _HEADER_LEN + 8 * _FLOAT_FIELDS:
         raise TruncationError("container truncated inside the fixed header")
@@ -353,30 +370,20 @@ def parse(data: bytes, profile) -> CompressedTrajectory:
     if flags != 0:
         raise FormatError(f"unsupported flags byte {flags:#04x}")
     dt, eps, eps_t, eps_p = struct.unpack_from("<dddd", data, _HEADER_LEN)
-    # a block stores at least a signed end delta and an unsigned count of one
-    # chunk each; at l = 1 the end delta's final payload bit is implied
-    min_block_bits = 2 * (l + 1) - (l == 1)
 
     try:
         _check_limits(dim, l)
         _check_scales(dt, eps, eps_t, eps_p)
-        r = varint_reader(data[_HEADER_LEN + 8 * _FLOAT_FIELDS:], l)
         lay = Layout.derive(eps, eps_p, dim, profile)
-        body = None
-        if isinstance(r, ColumnarReader):
-            try:
-                body = _chase(r, dim, dt, eps_t, lay)
-            except (PilotCError, ValueError, ArithmeticError, LookupError, TypeError):
-                r.index = 0  # a walk raises the first error in field order
-        if body is None:
-            body = _walk(r, dim, dt, eps_t, lay, min_block_bits)
-        segments, outliers, corrections = body
-    except ValueError as exc:  # a broken rule, or a signed decode of a zero code
+        body = _Body(np.frombuffer(data, dtype=np.uint8, offset=_HEADER_LEN + 8 * _FLOAT_FIELDS), l)
+        segments, outliers, corrections = _read(body, dim, dt, eps_t, lay)
+    except ValueError as exc:  # a broken rule, or a signed field of the code 0
         raise CorruptionError(str(exc)) from exc
 
-    if r.remaining_bits >= 8:
-        raise CorruptionError(f"{r.remaining_bits} unread bits after the payload")
-    if data[-1] & ((1 << r.remaining_bits) - 1):
+    rest = 8 * body.data.size - body.pos
+    if rest >= 8:
+        raise CorruptionError(f"{rest} unread bits after the payload")
+    if data[-1] & ((1 << rest) - 1):
         raise CorruptionError("nonzero padding bits at end of container")
 
     return CompressedTrajectory(
@@ -385,176 +392,152 @@ def parse(data: bytes, profile) -> CompressedTrajectory:
     )
 
 
-def _chase(r: ColumnarReader, dim: int, dt: float, eps_t: float, lay: Layout):
-    """The segments, outliers and corrections of the body that the columnar
-    reader ``r`` holds, read from its field codes: array operations gather
-    the entries at their fixed fields, and a chase finds each segment head
-    and block.  It raises wherever a walk would, though not always the same
-    error, and also on entry sums near the edge of int64, which only the
-    walk's Python ints tell apart."""
-    codes = r.codes
-    n_segments, n_outliers, n_corrections = codes[:3]
-    n_entries = n_outliers + n_corrections
-    i = 3 + n_entries * (dim + 1)  # the first segment's first field
-    if i >= len(codes):
-        raise LookupError("the entries run past the fields")
-    rows = np.arange(3, i, dim + 1)
-    steps = r.unsigned_values(rows)
-    values = r.signed_values(rows[:, None] + np.arange(1, dim + 1))
-    lists = []
-    for chained, lo, hi in ((True, 0, n_outliers), (False, n_outliers, n_entries)):
-        step, v = steps[lo:hi], values[lo:hi]
-        # a later step of 0, or a sum that may leave int64, is the walk's to report
-        if not step[1:].all() or step.sum(dtype=float) >= 2.0**62:
-            raise LookupError("entry steps the walk checks")
-        if chained:  # only outlier values chain
-            if np.abs(v).sum(dtype=float) >= 2.0**62:
-                raise LookupError("outlier values the walk checks")
-            v = v.cumsum(axis=0)
-        lists.append(EntryColumns(step.astype(np.int64).cumsum(), v))
+class _Body:
+    """A container body, read one section of :data:`_SECTIONS` at a time.
 
-    heads, t0_index, n_samples, starts = [], [], [], []
-    prev_end, prev_t0 = 0, -math.inf
-    for _ in range(n_segments):
-        c = codes[i]
-        if not c:
-            raise LookupError("no signed field there")
-        t0 = prev_end + (c >> 1 if c & 1 else -(c >> 1))
-        _check_segment_order(t0, prev_t0)
-        prev_t0 = t0
-        n = codes[i + dim + 1]
-        prev_end = segment_end_index(t0, n, dt, eps_t)
-        n_blocks = dim * (lay.partition(n - 1)[0] + 1)
-        heads.append(i)
-        t0_index.append(t0)
-        n_samples.append(n)
-        i += dim + 2
-        if 2 * n_blocks > len(codes) - i:
-            raise LookupError("more blocks than fields")
-        for _ in range(n_blocks):
-            starts.append(i)
-            i += codes[i + 1] + 2
-    r.index = i
-    at = np.array(starts, dtype=np.int64)
-    counts = r.unsigned_values(at + 1).astype(np.int64)
-    plan = BlockPlan(n_samples, dim, lay)
-    cols = BlockColumns(counts, _end_deltas(r.signed_values(at), plan),
-                        r.signed_values(flat_ranges(at + 2, counts)), plan)
-    _check_blocks(cols.c_f, cols.coeffs, plan.limit)
-    p0_q = r.signed_values(np.array(heads, dtype=np.int64)[:, None] + np.arange(1, dim + 1))
-    return SegmentColumns(t0_index, p0_q, plan.n_samples, cols), *lists
+    The body is split into fields :data:`_WINDOW` bits at a time, each
+    window from the bit after the last field taken, so the arrays of a split
+    keep their size however long the body.  At l >= 2 one split serves both
+    streams, whose chunks are alike; at l = 1 the bits after the unsigned
+    stream read there as nonsense fields, and are split again as signed ones
+    when the first signed section is taken."""
 
+    def __init__(self, data: np.ndarray, l: int) -> None:
+        self.data, self.l = data, l
+        self._k = 0  # the next section
+        self.pos = 0  # the bit after the fields taken
+        self._signed = False
+        self._split()
 
-_ENTRY, _HEAD, _DELTA, _COEFF = 1, 2, 3, 4  # kinds of the signed fields the walk marks
+    def _split(self, bits: np.ndarray | None = None) -> None:
+        """Split into fields ``bits``, which start at the bit after the
+        fields taken and end where the window does, or else the next window."""
+        start = self.pos
+        if bits is None:
+            window = self.data[start // 8:start // 8 + _WINDOW // 8]
+            self._last = start // 8 + window.size == self.data.size  # the window ends the body
+            bits = np.unpackbits(window)[start % 8:]
+        self._bits, self._start, self._i = bits, start, 0
+        codes, self._readable, ends = split_varints(bits, self.l, self._signed and self.l == 1)
+        self._codes, self._ends = codes, ends + start
+        if self._signed:
+            self._to_values()
+        else:
+            self._fields = codes
+            bad = (~self._readable).nonzero()[0]  # the first field that cannot be read
+            self._bad = int(bad[0]) if bad.size else codes.size
 
+    def _to_values(self) -> None:
+        """Read the window's fields as values.  A code 0 maps to no value,
+        so from the next field on, it cannot be read either."""
+        i, codes = self._i, self._codes
+        self._fields = (codes >> 1).astype(np.int64)
+        np.negative(self._fields, out=self._fields, where=(codes & 1) == 0)
+        bad = (~self._readable[i:] | (codes[i:] == 0)).nonzero()[0]
+        self._bad = i + int(bad[0]) if bad.size else codes.size
 
-def _walk(r, dim: int, dt: float, eps_t: float, lay: Layout, min_block_bits: int):
-    """The segments, outliers and corrections of the body that the reader
-    ``r`` holds, read in field order.  Raises the error of the first field
-    or rule that fails.
-
-    At l = 1 the walk hops through the spans of the
-    :class:`~pilotc.codec.TableReader`'s window itself.  It decodes on the
-    spot the fields that rules need in field order: each entry's time step
-    and each block's coefficient count by itself, and the other counts,
-    sample counts and segment start deltas through ``read``.  It marks every
-    other signed field with its kind, and takes the values the window
-    decoded where it needs them: the outliers', which chain, after their
-    section, and the rest at the end.  Any other reader it reads field by
-    field through :class:`~pilotc.codec.FieldReads`."""
-    if not isinstance(r, TableReader):
-        r = FieldReads(r)
-    spans, payload, marks, read = r.spans, r.payload, r.marks, r.read
-    n_segments, i = read(0, False)
-    n_outliers, i = read(i, False)
-    n_corrections, i = read(i, False)
-    t_columns, outlier_values = [], np.zeros((0, dim), dtype=np.int64)
-    for label, count in (("outlier", n_outliers), ("correction", n_corrections)):
-        t_index, t = [], 0
-        for e in range(count):
-            s = spans[i]
-            if s > 126:
-                step, i = read(i, False)
+    def take(self, name: str, n: int, rule=None, *args) -> np.ndarray:
+        """The ``n`` fields of section ``name``, the next one in
+        :data:`_SECTIONS`: their uint64 codes, or their int64 values in a
+        signed section, or what ``rule(fields, *args)`` returns.  If one of
+        them cannot be read, ``rule`` gets the fields before it, and then its
+        error is raised.  :attr:`ends` then holds the bit after each field
+        taken."""
+        section, signed = _SECTIONS[self._k]
+        assert name == section, f"section {name!r} read where {section!r} lies"
+        self._k += 1
+        if signed and not self._signed:
+            self._signed = True
+            if self.l == 1:  # the rest of the window again, where a final chunk is a bare flag
+                self._split(self._bits[self.pos - self._start:])
             else:
-                step = payload[i & 1] >> (i >> 1) & (2 << (s >> 1)) - 1
-                i += s + 2
-            if step < (e > 0):
-                _check_time_step(label, e, step)
-            t += step
-            t_index.append(t)
-            for _ in range(dim):
-                s = spans[i]
-                if s > 126:
-                    i = read(i, True, _ENTRY)[1]
-                else:
-                    marks[i] = _ENTRY
-                    i += s + 1
-        t_columns.append(_entry_column(label, t_index))
-        if label == "outlier" and count:  # outlier values chain, summed in Python ints
-            steps = r.decoded(i)[1].reshape(count, dim)
-            outlier_values = _entry_column(label, steps.astype(object).cumsum(axis=0))
+                self._to_values()
+        i = self._i
+        if i + n <= self._bad:  # in the window
+            fields, self.ends, self._i, short = self._fields[i:i + n], self._ends[i:i + n], i + n, 0
+        else:
+            fields, short = self._gather(n)
+        if self.ends.size:
+            self.pos = int(self.ends[-1])
+        if rule is not None:
+            fields = rule(fields, *args)
+        if short:
+            if self._i < self._codes.size and self._readable[self._i]:
+                raise ValueError("enhanced zigzag code must be >= 1, got 0")
+            raise _field_error(self.data, self.pos, self.l, 0 if signed and self.l == 1 else self.l)
+        return fields
 
-    t0_index, n_samples = [], []
-    counts, j = [], 0  # the blocks' coefficient counts, j of them read
-    prev_end, prev_t0 = 0, -math.inf
-    try:
-        for _ in range(n_segments):
-            delta, i = read(i, True)
-            t0 = prev_end + delta
-            _check_segment_order(t0, prev_t0)
-            prev_t0 = t0
-            for _ in range(dim):
-                s = spans[i]
-                if s > 126:
-                    i = read(i, True, _HEAD)[1]
-                else:
-                    marks[i] = _HEAD
-                    i += s + 1
-            n, i = read(i, False)
-            prev_end = segment_end_index(t0, n, dt, eps_t)
-            per_dim = lay.partition(n - 1)[0] + 1  # blocks per dimension
-            if dim * per_dim * min_block_bits > r.remaining(i):
-                raise TruncationError(
-                    f"segment declares {per_dim} blocks per dimension, more than "
-                    f"the {r.remaining(i)} remaining bits can hold"
-                )
-            t0_index.append(t0)
-            n_samples.append(n)
-            counts += [0] * (dim * per_dim)
-            for _ in range(dim * per_dim):
-                s = spans[i]
-                if s > 126:
-                    i = read(i, True, _DELTA)[1]
-                else:
-                    marks[i] = _DELTA
-                    i += s + 1
-                s = spans[i]
-                if s > 126:
-                    c, i = read(i, False)
-                else:
-                    c = payload[i & 1] >> (i >> 1) & (2 << (s >> 1)) - 1
-                    i += s + 2
-                counts[j] = c
-                j += 1
-                for _ in range(c):
-                    s = spans[i]
-                    if s > 126:
-                        i = read(i, True, _COEFF)[1]
-                    else:
-                        marks[i] = _COEFF
-                        i += s + 1
-    except (PilotCError, ValueError):
-        # a broken block rule read before comes first
-        kinds, values = r.decoded(i)
-        _check_blocks(counts[:j], values[kinds == _COEFF],
-                      BlockPlan(n_samples, dim, lay).limit[:j])
-        raise
-    kinds, values = r.decoded(i)
-    plan = BlockPlan(n_samples, dim, lay)
-    c_f, coeffs = np.array(counts, dtype=np.int64), values[kinds == _COEFF]
-    _check_blocks(c_f, coeffs, plan.limit)
-    cols = BlockColumns(c_f, _end_deltas(values[kinds == _DELTA], plan), coeffs, plan)
-    p0_q = values[kinds == _HEAD].reshape(-1, dim)
-    return (SegmentColumns(t0_index, p0_q, plan.n_samples, cols),
-            EntryColumns(t_columns[0], outlier_values),
-            EntryColumns(t_columns[1], values[kinds == _ENTRY].reshape(-1, dim)))
+    def _gather(self, n: int) -> tuple[np.ndarray, int]:
+        """The next ``n`` fields, as far as they can be read, from as many
+        windows as they span, and how many fall short."""
+        fields, ends = [], []
+        while True:
+            i = self._i
+            k = min(n, self._bad - i)
+            fields.append(self._fields[i:i + k])
+            ends.append(self._ends[i:i + k])
+            self._i, n = i + k, n - k
+            # go on while the fields run to the end of a window before the last
+            if not n or self._i < self._codes.size or self._last or not self._codes.size:
+                break
+            self.pos = int(self._ends[-1])
+            self._split()
+        self.ends = np.concatenate(ends)
+        return np.concatenate(fields), n
+
+
+def _read(body: _Body, dim: int, dt: float, eps_t: float, lay: Layout):
+    """The segments, outliers and corrections of ``body``, read section by
+    section in the order of :data:`_SECTIONS`, each section's rules checked
+    on its fields."""
+    n_segments, n_outliers, n_corrections = body.take("counts", 3).tolist()
+    out_t = body.take("outlier times", n_outliers, _entry_times, "outlier")
+    cor_t = body.take("correction times", n_corrections, _entry_times, "correction")
+    plan = BlockPlan(body.take("sample counts", n_segments, _sample_counts, body, dim, lay),
+                     dim, lay)
+    c_f = body.take("coefficient counts", plan.length.size, _check_counts, plan.limit)
+    out_v = body.take("outlier values", n_outliers * dim, _outlier_values, dim)
+    cor_v = body.take("correction values", n_corrections * dim).reshape(-1, dim)
+    t0_index = body.take("segment starts", n_segments, _segment_starts, plan, dt, eps_t)
+    p0_q = body.take("start values", n_segments * dim).reshape(-1, dim)
+    end_delta = body.take("end deltas", plan.length.size, _end_deltas, plan)
+    coeffs = body.take("coefficients", int(np.add.reduce(c_f)), _check_coeffs, c_f)
+    return (SegmentColumns(t0_index, p0_q, plan.n_samples,
+                           BlockColumns(c_f, end_delta, coeffs, plan)),
+            EntryColumns(out_t, out_v), EntryColumns(cor_t, cor_v))
+
+
+def _sample_counts(n: np.ndarray, body: _Body, dim: int, lay: Layout) -> np.ndarray:
+    """The segment rule's sample counts, and room for the blocks they lay
+    out: the blocks of a segment and of those before it must fit, at their
+    fewest bits, in the bits after its sample count.  A block stores at
+    least a count of one chunk and a signed end delta of one chunk, whose
+    final payload bit is implied at l = 1.  Returns the counts, int64."""
+    counts = n.astype(np.int64)  # a count of 2**63 or more wraps below 2
+    wrong = (counts < 2).nonzero()[0]
+    k = wrong[0] if wrong.size else n.size
+    counts = counts[:k]
+    # in float64, where dim times a segment's blocks per chain cannot wrap as in int64
+    blocks = ((lay.partition(counts - 1)[0] + 1) * float(dim)).cumsum()
+    room = 8 * body.data.size - body.ends[:k]
+    l = body.l
+    short = (blocks * (2 * (l + 1) - (l == 1)) > room).nonzero()[0]
+    if short.size:
+        i = short[0]
+        raise TruncationError(f"segments 0..{i} declare {blocks[i]:.0f} blocks, more than "
+                              f"the {room[i]} remaining bits can hold")
+    if k < n.size:  # the segment rule fails on the count before it reads the span
+        segment_end_index(0, int(n[k]), 1.0, 1.0)
+    return counts
+
+
+def _segment_starts(deltas: np.ndarray, plan: BlockPlan, dt: float, eps_t: float) -> list:
+    """The segment rule, on each segment's start delta from the grid end of
+    the segment before (0 before the first): returns the start indices."""
+    t0_index, prev_end, prev_t0 = [], 0, -math.inf
+    for delta, n in zip(deltas.tolist(), plan.n_samples):
+        t0 = prev_end + delta
+        _check_segment_order(t0, prev_t0)
+        prev_end, prev_t0 = segment_end_index(t0, n, dt, eps_t), t0
+        t0_index.append(t0)
+    return t0_index

@@ -1,13 +1,15 @@
 """Shared test helper: plain reference implementations of the codec.
 
 The library codes every block of a series in one batched, truncated
-cosine product, reads varints from tables built with array operations,
+cosine product, splits a container body into varints with array
+operations and checks each section of it at once,
 resamples every fragment of a trajectory in one interpolation per
 dimension, and answers a query for a whole chunk of timestamps at once.
 These references do the same jobs the slow, obvious way: one block at a
 time with a full cosine sum, one varint at a time with a
-regular-expression scan, one fragment at a time, and one timestamp at a
-time, so tests can require the library to agree with them.  The batched
+regular-expression scan, a container field by field, one fragment at a
+time, and one timestamp at a time, so tests can require the library to
+agree with them.  The batched
 block decode is here twice, with every float step a fresh array: as one
 synthesis product, the bitwise reference of the library's decode, and as
 the running sum that decoders before the product computed, which files
@@ -17,14 +19,22 @@ closed-form error predictors live here too, since only tests use them.
 
 import math
 import re
+import struct
 from typing import NamedTuple
 
 import numpy as np
 
 from pilotc.blocks import _windows, flat_ranges
 from pilotc.codec import dequantize_array, quantize_array, round_half_away
-from pilotc.errors import CorruptionError, QueryRangeError, TruncationError
-from pilotc.model import EncodedBlock
+from pilotc.container import MAGIC, VERSION, segment_end_index
+from pilotc.errors import CorruptionError, FormatError, QueryRangeError, TruncationError
+from pilotc.model import (
+    BlockColumns,
+    CompressedTrajectory,
+    EncodedBlock,
+    EntryColumns,
+    SegmentColumns,
+)
 from pilotc.params import Layout
 from pilotc.reconstruct import Reconstructor
 from pilotc.transform import cosine_basis
@@ -97,6 +107,109 @@ class VarintReader:
             raise CorruptionError(f"varint code {code} exceeds 64 bits")
         self.pos = stop
         return code
+
+
+def parse_ref(data: bytes, profile) -> CompressedTrajectory:
+    """A version 3 container read field by field through
+    :class:`VarintReader`, each rule checked at the field that completes it,
+    so the first field or rule that fails in stream order names the error:
+    :class:`TruncationError` when the bits run out, or when the segments up
+    to a sample count declare more blocks than the bits after it can hold,
+    at two chunks each, the end delta's final payload bit implied at l = 1;
+    :class:`CorruptionError` for a broken rule or field; and
+    :class:`FormatError` for a bad magic, version or flags byte."""
+    if len(data) < 4:
+        raise TruncationError("no magic")
+    if data[:4] != MAGIC:
+        raise FormatError("bad magic")
+    if len(data) < 40:
+        raise TruncationError("no header")
+    version, dim, flags, l = data[4:8]
+    if version != VERSION or flags:
+        raise FormatError("unsupported version or flags")
+    dt, eps, eps_t, eps_p = struct.unpack_from("<dddd", data, 8)
+    try:
+        if not (1 <= dim <= 255 and 1 <= l <= 32
+                and all(0.0 < v < math.inf for v in (dt, eps, eps_t, eps_p))):
+            raise ValueError("header out of range")
+        lay = Layout.derive(eps, eps_p, dim, profile)
+        r = VarintReader(data[40:], l)
+        model = _parse_body_ref(r, l, dim, dt, eps, eps_t, eps_p, lay)
+    except ValueError as exc:  # a broken rule, or a signed field of the code 0
+        raise CorruptionError(str(exc)) from exc
+    if r.remaining_bits >= 8 or data[-1] & ((1 << r.remaining_bits) - 1):
+        raise CorruptionError("unread bytes or nonzero padding")
+    return model
+
+
+def _fits(v: int) -> int:
+    if not -2**63 <= v < 2**63:
+        raise ValueError(f"{v} outside int64")
+    return v
+
+
+def _parse_body_ref(r: VarintReader, l, dim, dt, eps, eps_t, eps_p, lay) -> CompressedTrajectory:
+    n_segments, n_outliers, n_corrections = r.unsigned(), r.unsigned(), r.unsigned()
+    times = []
+    for count in (n_outliers, n_corrections):
+        t_index, t = [], 0
+        for e in range(count):
+            step = r.unsigned()
+            if e and not step:
+                raise ValueError("time indices must strictly increase")
+            t = _fits(t + step)
+            t_index.append(t)
+        times.append(t_index)
+    n_samples, lengths = [], []  # each block's velocity count, in container order
+    for _ in range(n_segments):
+        n = r.unsigned()
+        if not 2 <= n < 2**63:
+            raise ValueError(f"sample count {n}")
+        n_full, tail = lay.partition(n - 1)
+        if (len(lengths) + dim * (n_full + 1)) * (2 * (l + 1) - (l == 1)) > r.remaining_bits:
+            raise TruncationError("more blocks than bits")
+        n_samples.append(n)
+        lengths += ([lay.b_s] * n_full + [tail]) * dim
+    c_f = []
+    for m in lengths:
+        c = r.unsigned()
+        if c > lay.budget(m) - 1:
+            raise ValueError(f"{c} coefficients over the budget")
+        c_f.append(c)
+    # the signed stream
+    outliers, prev = [], [0] * dim
+    for _ in range(n_outliers):
+        prev = [_fits(p + r.signed()) for p in prev]
+        outliers.append(prev)
+    corrections = [r.signeds(dim) for _ in range(n_corrections)]
+    t0_index, prev_end = [], 0
+    for n in n_samples:
+        t0 = prev_end + r.signed()
+        if t0_index and t0 <= t0_index[-1]:
+            raise ValueError("segment does not start after the previous segment")
+        prev_end = segment_end_index(t0, n, dt, eps_t)
+        t0_index.append(t0)
+    p0_q = [r.signeds(dim) for _ in n_samples]
+    end_delta = []
+    for n in n_samples:
+        per_chain = lay.partition(n - 1)[0] + 1
+        for _ in range(dim):
+            run = 0
+            for j in range(per_chain):  # the first block and the tail store their own
+                run = r.signed() if j in (0, per_chain - 1) else _fits(run + r.signed())
+                end_delta.append(run)
+    coeffs = []
+    for c in c_f:
+        q = r.signeds(c)
+        if q and not q[-1]:
+            raise ValueError("block ends in a zero coefficient")
+        coeffs += q
+    return CompressedTrajectory(
+        dim=dim, dt=dt, eps=eps, eps_t=eps_t, eps_p=eps_p, chunk_bits=l,
+        segments=SegmentColumns(t0_index, np.array(p0_q, dtype=np.int64).reshape(-1, dim),
+                                n_samples, BlockColumns(c_f, end_delta, coeffs)),
+        outliers=EntryColumns(times[0], np.array(outliers, dtype=np.int64).reshape(-1, dim)),
+        corrections=EntryColumns(times[1], np.array(corrections, dtype=np.int64).reshape(-1, dim)))
 
 
 def _block_sizes(n_velocities: int, b_s: int) -> list[int]:

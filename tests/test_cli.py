@@ -336,20 +336,22 @@ def test_truncated_container_is_format_error(tmp_path, capsys):
 
 
 def test_version_1_container_is_format_error(tmp_path, capsys):
-    # no reader of version 1 is kept: such a file is compressed again from its source
+    # no reader of versions 1 and 2 is kept: such a file is compressed again
+    # from its source
     src = tmp_path / "s.csv"
     traj = synthetic_trajectory(400, dim=2, seed=4)
     write_positions_csv(src, traj.times, traj.points)
     plc = tmp_path / "s.plc"
     assert main(["compress", str(src), "-o", str(plc), "--epsilon", "10"]) == EXIT_OK
     payload = bytearray(plc.read_bytes())
-    payload[4] = 1
-    plc.write_bytes(payload)
-    capsys.readouterr()
-    out = tmp_path / "o.csv"
-    assert main(["decompress", str(plc), "-o", str(out), "--grid"]) == EXIT_FORMAT
-    assert capsys.readouterr().err == "error: unsupported container version 1\n"
-    assert not out.exists()
+    for version in (1, 2):
+        payload[4] = version
+        plc.write_bytes(payload)
+        capsys.readouterr()
+        out = tmp_path / "o.csv"
+        assert main(["decompress", str(plc), "-o", str(out), "--grid"]) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: unsupported container version {version}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("option, message", [("--eps-t", "eps_t"), ("--vmax", "v_max")])

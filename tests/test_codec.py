@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from pilotc import codec
 from pilotc.codec import (
-    ColumnarReader,
-    TableReader,
+    _field_error,
     dequantize_array,
     enhanced_zigzag_map,
     pack_varints,
     quantize_array,
     round_half_away,
+    split_varints,
     time_index_array,
-    varint_reader,
 )
 from pilotc.errors import CorruptionError, TruncationError
 
@@ -161,13 +160,58 @@ def test_zigzag_inverse_and_errors():
 
 
 # ---------------------------------------------------------------------------
-# varint writer and reader; the regular-expression reader of the tests is the
-# reference, and each chunk-length-1 case also runs through the library's
-# reader for that chunk length
+# varint writer and splitter; the regular-expression reader of the tests is
+# the reference, and each case also runs through the library's splitter
 # ---------------------------------------------------------------------------
 
-def readers(l):
-    return (VarintReader, varint_reader) if l == 1 else (VarintReader,)
+def split(data: bytes, l: int, signed: bool = False):
+    return split_varints(np.unpackbits(np.frombuffer(data, dtype=np.uint8)), l, signed)
+
+
+class SplitReader:
+    """Reads varints in order through :func:`~pilotc.codec.split_varints`,
+    as ``parse`` reads a body: the bits from the next field on are split
+    again whenever the class of field read changes, as ``parse`` splits
+    again where the signed stream starts at l = 1.  A read that reaches a
+    field that cannot be read raises the error that
+    :func:`~pilotc.codec._field_error` names, and the reader stays in front
+    of that field."""
+
+    def __init__(self, data: bytes, chunk_bits: int) -> None:
+        self._data = np.frombuffer(data, dtype=np.uint8)
+        self._bits = np.unpackbits(self._data)
+        self._l = chunk_bits
+        self._signed = None  # the class of the fields split
+        split_varints(self._bits[:0], chunk_bits)  # the chunk length's range
+        self.pos = 0
+
+    @property
+    def remaining_bits(self) -> int:
+        return self._bits.size - self.pos
+
+    def _read(self, signed: bool) -> int:
+        if signed is not self._signed:
+            self._codes, self._readable, ends = split_varints(self._bits[self.pos:], self._l, signed)
+            self._ends, self._i, self._signed = ends + self.pos, 0, signed
+        i = self._i
+        if i == self._codes.size or not self._readable[i]:
+            raise _field_error(self._data, self.pos, self._l, 0 if signed and self._l == 1 else self._l)
+        if signed and not self._codes[i]:
+            raise ValueError("enhanced zigzag code must be >= 1, got 0")
+        self._i, self.pos = i + 1, int(self._ends[i])
+        return int(self._codes[i])
+
+    def unsigned(self) -> int:
+        return self._read(False)
+
+    def signed(self) -> int:
+        return enhanced_zigzag_unmap(self._read(True))
+
+    def signeds(self, n: int) -> tuple[int, ...]:
+        return tuple([self.signed() for _ in range(n)])
+
+
+READERS = (VarintReader, SplitReader)
 
 
 def test_bitstream_byte_padding_is_zero():
@@ -187,7 +231,7 @@ def test_bitstream_exhaustion_raises_truncation():
         r.unsigned()
     with pytest.raises(TruncationError):
         VarintReader(b"\x80", 7).unsigned()  # a flagged chunk, then nothing
-    for reader in readers(1):
+    for reader in READERS:
         r = reader(b"\x01", 1)
         assert [r.signed() for _ in range(7)] == [0] * 7  # bare final flags, implied 1
         with pytest.raises(TruncationError):
@@ -203,10 +247,9 @@ def test_bitstream_rejects_out_of_range_values():
     for l in (0, 33):
         with pytest.raises(ValueError):
             pack_varints([1], [False], l)
-        with pytest.raises(ValueError):
-            VarintReader(b"\x00", l)
-        with pytest.raises(ValueError):
-            varint_reader(b"\x00", l)
+        for reader in READERS:
+            with pytest.raises(ValueError):
+                reader(b"\x00", l)
 
 
 def test_pack_varints_rejects_negative_integer_arrays():
@@ -230,12 +273,12 @@ _FIELD = st.one_of(
 
 @given(st.lists(_FIELD, max_size=40), st.integers(1, 32))
 def test_bitstream_mixed_round_trip(fields, l):
-    # through the per-field reader and through the reader a container body
-    # gets (the columnar one at l >= 2), field by field and in signed runs
+    # through the per-field reader and through the splitter, split again at
+    # each change of field class, field by field and in signed runs
     signed = [s for s, _ in fields]
     codes = [enhanced_zigzag_map(v) if s else v for s, v in fields]
     data = pack_varints(codes, signed, l)
-    for reader in (VarintReader, varint_reader):
+    for reader in READERS:
         r = reader(data, l)
         assert [r.signed() if s else r.unsigned() for s in signed] == [v for _, v in fields]
         assert r.remaining_bits < 8
@@ -266,7 +309,7 @@ def test_varint_455_omitted_final_bit():
     # chunks then a bare final flag, then seven zero pad bits
     data = pack_varints([455], [True], 1)
     assert bits_of(data) == "11" * 3 + "10" * 3 + "11" * 2 + "0" + "0" * 7
-    for reader in readers(1):
+    for reader in READERS:
         r = reader(data, 1)
         assert r.signed() == 227
         assert r.pos == 17
@@ -285,7 +328,7 @@ def test_varint_omission_preconditions():
 def test_varint_omitted_round_trip_dense():
     codes = range(1, 2**12)
     data = pack_varints(codes, [True] * len(codes), 1)
-    for reader in readers(1):
+    for reader in READERS:
         r = reader(data, 1)
         for u in codes:
             assert r.signed() == enhanced_zigzag_unmap(u)
@@ -296,7 +339,7 @@ def test_varint_bit_length_formula_and_monotonicity():
         prev = 0
         for u in (0, 1, 2, 3, 7, 8, 127, 128, 255, 1023, 2**16, 2**32 - 1):
             data = pack_varints([u], [False], l)
-            for reader in readers(l):
+            for reader in READERS:
                 r = reader(data, l)
                 assert r.unsigned() == u
                 chunks = max(1, -(-u.bit_length() // l))
@@ -307,7 +350,7 @@ def test_varint_bit_length_formula_and_monotonicity():
 
 
 def test_varint_corrupt_unterminated_flags():
-    for reader in readers(1):
+    for reader in READERS:
         with pytest.raises(CorruptionError):
             reader(b"\xff" * 40, 1).unsigned()
 
@@ -319,10 +362,10 @@ def test_varint_code_beyond_64_bits_is_corrupt():
         bits = ("1" + "0" * l) * n_flagged + "0" + "1" * l
         bits += "0" * (-len(bits) % 8)
         data = int(bits, 2).to_bytes(len(bits) // 8, "big")
-        for reader in readers(l):
+        for reader in READERS:
             with pytest.raises(CorruptionError):
                 reader(data, l).unsigned()
-    for reader in readers(1):
+    for reader in READERS:
         assert reader(pack_varints([2**64 - 1], [False], 1), 1).unsigned() == 2**64 - 1
 
 
@@ -343,13 +386,13 @@ def read_outcome(reader, data, l, signed=False):
 
 @pytest.mark.parametrize("l", [1, 2, 4, 32])
 def test_columnar_reader_64_bit_edges(l):
-    # the library reader for each chunk length (the table reader at l = 1)
-    # against the reference
+    # the splitter at each chunk length, signed fields split as a signed
+    # run, against the reference
     max_flagged = 64 // l
     flagged_zero = "1" + "0" * l
 
     def expect(data, outcome, signed=False):
-        assert read_outcome(varint_reader, data, l, signed) == outcome
+        assert read_outcome(SplitReader, data, l, signed) == outcome
         assert read_outcome(VarintReader, data, l, signed) == outcome
 
     expect(pack_varints([2**64 - 1, 0], [False, False], l), 2**64 - 1)
@@ -374,38 +417,39 @@ def test_columnar_reader_64_bit_edges(l):
 
 
 def test_columnar_reader_errors_are_lazy():
+    # the splitter marks a field that cannot be read and splits on past it;
     # fields before a bad one read normally, a zero code fails only as a
     # signed field, and the reader stops in front of the bad field
     data = pack_varints([8, 0, 5], [False, False, False], 2)
-    r = ColumnarReader(data, 2)
+    r = SplitReader(data, 2)
     assert r.signed() == -4
     assert r.unsigned() == 0
-    r = ColumnarReader(data, 2)
+    r = SplitReader(data, 2)
     with pytest.raises(ValueError):
         r.signeds(3)
     assert r.pos == 6  # in front of the zero code, which reads as unsigned
     assert r.unsigned() == 0
-    # a gather maps the codes alike, and fails on a zero code
-    assert r.signed_values(np.array([0, 2])).tolist() == [-4, 2]
-    with pytest.raises(LookupError):
-        r.signed_values(np.array([0, 1]))
+    # the split holds every code; only a signed read refuses the code 0
+    codes, readable, ends = split(data, 2)
+    assert (codes.tolist(), readable.tolist(), ends.tolist()) == (
+        [8, 0, 5], [True] * 3, [6, 9, 15])
     # 8 is "100" "010" at l = 2; then more flagged chunks than any code has
-    r = ColumnarReader(bits_to_bytes("100010" + "1" * 120), 2)
+    r = SplitReader(bits_to_bytes("100010" + "1" * 120), 2)
     assert r.signeds(1) == (-4,)
     with pytest.raises(CorruptionError):
         r.signeds(2)
     assert r.pos == 6
+    assert split(bits_to_bytes("100010" + "1" * 120), 2)[0].tolist() == [8]  # then a tail
     # an unreadable field's error comes first, before a later zero code's
-    r = ColumnarReader(bits_to_bytes("100010" + "101" * 33 + "000" + "000"), 2)
+    r = SplitReader(bits_to_bytes("100010" + "101" * 33 + "000" + "000"), 2)
     with pytest.raises(CorruptionError, match="longer"):
         r.signeds(3)
     assert r.pos == 6
-    with pytest.raises(LookupError):
-        r.signed_values(np.array([1]))
-    with pytest.raises(ValueError):
-        ColumnarReader(b"\x00", 1)
-    with pytest.raises(ValueError):
-        TableReader(b"\x00", 2)
+    codes, readable, ends = split(bits_to_bytes("100010" + "101" * 33 + "000" + "000"), 2)
+    assert readable.tolist() == [True, False, True] and ends.tolist() == [6, 108, 111]
+    for l in (0, 33):
+        with pytest.raises(ValueError):
+            split(b"\x00", l)
 
 
 def signeds_outcome(reader, data, l, n):
@@ -444,27 +488,24 @@ def test_reader_failure_matches_reference(l):
             expected = signeds_outcome(VarintReader, data, l, n)
             assert expected[0] in (CorruptionError, TruncationError), name
             assert expected[1] == len(head), name
-            assert signeds_outcome(varint_reader, data, l, n) == expected, name
+            assert signeds_outcome(SplitReader, data, l, n) == expected, name
     if l > 1:
         # the code 0 is no enhanced zigzag code
         codes = list(enhanced_zigzag_map(good))
         data = pack_varints(codes + [0] + codes, [True] * len(good) + [False] * 6, l)
-        for reader in (VarintReader, varint_reader):
+        for reader in READERS:
             assert signeds_outcome(reader, data, l, len(good) + 2)[0] is ValueError
 
 
 def field_outcomes(data, l):
-    """Each field of the columnar reader's code list, read alone: its code
-    or the error's class; then which fields the list holds as ``None``."""
-    r = ColumnarReader(data, l)
-    out = []
-    for i in range(len(r.codes)):
-        r.index = i
-        try:
-            out.append(r.unsigned())
-        except (CorruptionError, TruncationError) as exc:
-            out.append(type(exc))
-    return out, [c is None for c in r.codes]
+    """Each field the splitter finds, then its tail, read alone: its code or
+    the class of the error :func:`~pilotc.codec._field_error` names; then
+    which of them cannot be read."""
+    codes, readable, ends = split(data, l)
+    starts = [0, *ends.tolist()]
+    out = [int(c) if ok else type(_field_error(np.frombuffer(data, dtype=np.uint8), p, l, l))
+           for c, ok, p in zip(codes.tolist() + [0], readable.tolist() + [False], starts)]
+    return out, [not ok for ok in readable.tolist()] + [True]
 
 
 def field_outcomes_ref(data, l):
@@ -484,7 +525,7 @@ def field_outcomes_ref(data, l):
     return out, [isinstance(o, type) for o in out]
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 8, 16, 31, 32])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 7, 8, 16, 31, 32])
 def test_columnar_reader_matches_reference_field_by_field(l):
     # valid streams with the codes at each chunk count's edges, their cuts,
     # and random bodies dense enough in 1 bits to hold fields with too many
@@ -517,31 +558,30 @@ def test_columnar_reader_matches_reference_field_by_field(l):
 @given(st.integers(-(2**31), 2**31 - 1), st.integers(1, 8))
 def test_signed_varint_round_trip_property(n, l):
     data = pack_varints([abs(n), enhanced_zigzag_map(n)], [False, True], l)
-    for reader in (VarintReader, varint_reader):
+    for reader in READERS:
         r = reader(data, l)
         assert r.unsigned() == abs(n)
         assert r.signed() == n
 
 
-@pytest.mark.parametrize("window", [16, codec._WINDOW])
-def test_table_reader_across_windows(window, monkeypatch):
-    # the table reader builds its tables one window of start positions at a
-    # time; a body of more than three windows, read field by field and in
-    # signed runs, gives what the reference reads, and so do its cuts
-    monkeypatch.setattr(codec, "_WINDOW", window)
-    rng = np.random.default_rng(window)
-    # 2-bit zeros up to two bits before the first window ends, then a
-    # 130-bit field and a 127-bit signed one across the boundary
-    fields = [(False, 0)] * (window // 2 - 1) + [(False, 2**64 - 1), (True, -(2**62))]
-    while sum(2 * max(1, int(v).bit_length()) for _, v in fields) < 3 * window + 400:
-        size = int(rng.integers(0, 63))
-        value = int(rng.integers(-(2**size), 2**size)) if size else 0
+@pytest.mark.parametrize("size", [450, 25_000])
+def test_split_reads_of_long_bodies_match_the_reference(size):
+    # a body of the given bits at l = 1, which starts with a 130-bit field
+    # and a 127-bit signed one, read field by field and in signed runs,
+    # gives what the reference reads, and so do its cuts: at every bit of
+    # the shorter body, where the cut is filled to a byte with 1 bits, and
+    # at every 64th byte of the longer one
+    rng = np.random.default_rng(size)
+    fields = [(False, 0)] * 8 + [(False, 2**64 - 1), (True, -(2**62))]
+    while sum(2 * max(1, int(v).bit_length()) for _, v in fields) < size:
+        size_bits = int(rng.integers(0, 63))
+        value = int(rng.integers(-(2**size_bits), 2**size_bits)) if size_bits else 0
         is_signed = bool(rng.integers(2))
         fields.append((is_signed, value if is_signed else abs(value)))
     signed = [s for s, _ in fields]
     values = [v for _, v in fields]
     data = pack_varints([enhanced_zigzag_map(v) if s else v for s, v in fields], signed, 1)
-    assert 8 * len(data) > 3 * window
+    assert 8 * len(data) > size
 
     def walk(reader, body):
         r = reader(body, 1)
@@ -554,9 +594,13 @@ def test_table_reader_across_windows(window, monkeypatch):
             out.append(type(exc))
         return out, r.pos
 
-    r = varint_reader(data, 1)
+    r = SplitReader(data, 1)
     assert [r.signed() if s else r.unsigned() for s in signed] == values
     assert r.remaining_bits < 8
-    assert walk(varint_reader, data) == (values, r.pos)
-    for cut in range(0, len(data), max(1, window // 64)):
-        assert walk(varint_reader, data[:cut]) == walk(VarintReader, data[:cut])
+    assert walk(SplitReader, data) == (values, r.pos)
+    if size < 1000:
+        cuts = [bits_to_bytes(bits_of(data)[:cut]) for cut in range(8 * len(data))]
+    else:
+        cuts = [data[:cut] for cut in range(0, len(data), 64)]
+    for cut in cuts:
+        assert walk(SplitReader, cut) == walk(VarintReader, cut)

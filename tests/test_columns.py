@@ -272,9 +272,9 @@ def test_compress_and_serialize_keep_their_call_budget():
     # the per-track set-up that short tracks pay, pinned as the calls that
     # cProfile counts, Python and C alike, in compress and serialize of one
     # 500-point 3-D track at the short-track benchmark's settings; with
-    # numpy 2.4.6 on CPython 3.11 this reads 460 calls (766 before the
-    # set-up was trimmed, 472 before the block plan was), and the bound
-    # leaves 5% over 472 for other versions
+    # numpy 2.4.6 on CPython 3.11 this reads 475 calls (766 before the
+    # set-up was trimmed, 477 before each field class got its own stream),
+    # and the bound leaves 5% over 470 for other versions
     profile = replace(PROFILES["geolife3d"], eps_t=0.01, chunk_bits=1)
     params = profile.params(20.0)
     traj = synthetic_trajectory(500, dim=3, seed=1, **MIXED)
@@ -286,16 +286,16 @@ def test_compress_and_serialize_keep_their_call_budget():
     finally:
         counter.disable()
     assert again == payload
-    assert pstats.Stats(counter).total_calls <= 472 * 1.05
+    assert pstats.Stats(counter).total_calls <= 470 * 1.05
 
 
 def test_parse_and_decode_keep_their_call_budget():
     # the read side of the same track: parse, the decoder's set-up and one
     # query of its timestamps; with numpy 2.4.6 on CPython 3.11 this reads
-    # 286 calls for its 11 corrections (786 when the l = 1 reader made one
-    # call per field and tabulated every bit position, 290 for 5 corrections
-    # before coefficient selection), and the bound leaves 5% over 290 for
-    # other versions
+    # 297 calls for its 11 corrections (786 when the l = 1 reader made one
+    # call per field and tabulated every bit position, 299 before each field
+    # class got its own stream), and the bound leaves 5% over 288 for other
+    # versions
     profile = replace(PROFILES["geolife3d"], eps_t=0.01, chunk_bits=1)
     traj = synthetic_trajectory(500, dim=3, seed=1, **MIXED)
     payload = serialize(compress(traj, profile.params(20.0)), profile)
@@ -307,7 +307,7 @@ def test_parse_and_decode_keep_their_call_budget():
     finally:
         counter.disable()
     assert positions.tobytes() == expected.tobytes()
-    assert pstats.Stats(counter).total_calls <= 290 * 1.05
+    assert pstats.Stats(counter).total_calls <= 288 * 1.05
 
 
 def test_sample_count_beyond_int64_in_a_model_built_by_hand_is_corruption():

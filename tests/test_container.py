@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from codec_reference import VarintReader
+from codec_reference import parse_ref
 from model_gen import hand_built, random_model
 from test_golden import _CHUNK_BITS, _KINDS, _PROFILES, _container
 
 import pilotc
-from pilotc import Reconstructor, codec, container
+from pilotc import Reconstructor, container
 from pilotc.codec import enhanced_zigzag_map, pack_varints
 from pilotc.container import MAGIC, VERSION, parse, serialize
 from pilotc.errors import CorruptionError, FormatError, PilotCError, TruncationError
@@ -80,6 +80,10 @@ def test_bad_version_and_flags():
     payload[4] = 1
     with pytest.raises(FormatError, match="unsupported container version 1$"):
         parse(bytes(payload), GEO)
+    # version 2 interleaved the field classes; no reader of it is kept either
+    payload[4] = 2
+    with pytest.raises(FormatError, match="unsupported container version 2$"):
+        parse(bytes(payload), GEO)
     payload = bytearray(serialize(empty_model(), GEO))
     payload[6] = 1
     with pytest.raises(FormatError):
@@ -129,8 +133,7 @@ def test_serialize_rejects_trailing_zero_coefficient():
 def one_block_payload(q_coeffs):
     """The bytes of ``one_block_model(q_coeffs)``, written field by field so
     that no model check stands in the way."""
-    fields = one_segment(31)[:-1] + [("u", len(q_coeffs))]
-    return crafted(fields + [("s", c) for c in q_coeffs])
+    return crafted(one_segment(31, q_coeffs))
 
 
 def test_one_block_payload_matches_serialize():
@@ -150,12 +153,11 @@ def test_parse_rejects_trailing_zero_coefficient():
         parse(payload, GEO)
 
 
-@pytest.mark.parametrize("at", [3, 4, 6, 8],
+@pytest.mark.parametrize("at", [5, 6, 7, 8],
                          ids=["t0 delta", "start value", "end delta", "coefficient"])
 def test_parse_rejects_a_zero_code_in_a_signed_block_field(at):
-    # at l = 2 parse maps the t0 delta's code as it chases, and gathers
-    # the other fields as signed values after its chase
-    fields = one_segment(31)[:-1] + [("u", 2), ("s", 5), ("s", -2)]
+    # at l = 2 a signed field can hold the code 0, which no value maps to
+    fields = one_segment(31, (5, -2))
     fields[at] = ("u", 0)
     with pytest.raises(CorruptionError, match="zigzag"):
         parse(crafted(fields), GEO)
@@ -166,11 +168,12 @@ def test_parse_rejects_a_zero_code_in_a_signed_block_field(at):
                                            ((5, 0), "zero coefficient")])
 def test_parse_reports_a_broken_block_rule_before_a_later_failure(coeffs, match, chunk_bits):
     # a segment with one block that breaks the block rule, then a second
-    # segment that declares more blocks than the remaining bits can hold:
-    # the first broken rule in field order decides the error
-    fields = [("u", 2), ("u", 0), ("u", 0), ("s", 0), ("s", 0), ("u", 31),
-              ("s", 0), ("u", len(coeffs)), *[("s", c) for c in coeffs],
-              ("s", 1), ("s", 0), ("u", 10**6)]
+    # segment whose block declares one coefficient that the body lacks: the
+    # first broken rule in stream order decides the error, whether its
+    # block's count or its coefficients break it
+    fields = [("u", 2), ("u", 0), ("u", 0), ("u", 31), ("u", 31), ("u", len(coeffs)), ("u", 1),
+              ("s", 0), ("s", 1), ("s", 0), ("s", 0), ("s", 0), ("s", 0),
+              *[("s", c) for c in coeffs]]
     with pytest.raises(CorruptionError, match=match):
         parse(crafted(fields, chunk_bits=chunk_bits), GEO)
 
@@ -232,7 +235,7 @@ def test_parse_rejects_repeated_entry_time_index(entries):
     # counts, then two entries of time-index deltas 5 and 0, one coordinate each
     counts = [("u", 0), ("u", 2), ("u", 0)] if entries == "outliers" else [
         ("u", 0), ("u", 0), ("u", 2)]
-    payload = crafted(counts + [("u", 5), ("s", 1), ("u", 0), ("s", 2)])
+    payload = crafted(counts + [("u", 5), ("u", 0), ("s", 1), ("s", 2)])
     with pytest.raises(CorruptionError, match="strictly increasing"):
         parse(payload, GEO)
 
@@ -256,9 +259,6 @@ def test_segments_must_start_in_time_order():
             dim=1, dt=1.0, eps=10.0, eps_t=0.01, eps_p=5.0, chunk_bits=2,
             segments=[SubTrajectorySegment(t0, (0,), 11, blocks) for t0 in starts])
 
-    def segment_fields(t0_delta):
-        return [("s", t0_delta), ("s", 0), ("u", 11), ("s", 0), ("u", 0)]
-
     for starts in ((0, 1000), (0, 1)):
         assert parse(serialize(model(*starts), GEO), GEO) == model(*starts)
     for a, b in ((1000, 0), (1000, 1000)):
@@ -268,8 +268,8 @@ def test_segments_must_start_in_time_order():
             Reconstructor(model(a, b), GEO)
         # the bytes of a writer without the rule: each t0 is a delta from the
         # previous segment's grid end
-        payload = crafted([("u", 2), ("u", 0), ("u", 0)] + segment_fields(a)
-                          + segment_fields(b - (a + 1000)), eps_t=0.01)
+        payload = crafted([("u", 2), ("u", 0), ("u", 0), ("u", 11), ("u", 11), ("u", 0), ("u", 0),
+                           ("s", a), ("s", b - (a + 1000))] + [("s", 0)] * 4, eps_t=0.01)
         with pytest.raises(CorruptionError, match="previous segment"):
             parse(payload, GEO)
 
@@ -292,26 +292,31 @@ def test_parse_needs_matching_constants():
 
 
 def crafted(fields, dt=1.0, eps=10.0, chunk_bits=2, dim=1, eps_t=1.0, eps_p=5.0):
-    """A container with the given header and body fields, where each field
-    is ("u", value) or ("s", value) for an unsigned or signed one."""
+    """A container with the given header and body fields, in stream order:
+    the unsigned stream, then the signed one.  Each field is ("u", value)
+    or ("s", value) for an unsigned or signed one."""
     codes = [enhanced_zigzag_map(v) if kind == "s" else v for kind, v in fields]
     return (MAGIC + bytes((VERSION, dim, 0, chunk_bits))
             + struct.pack("<dddd", dt, eps, eps_t, eps_p)
             + pack_varints(codes, [kind == "s" for kind, _ in fields], chunk_bits))
 
 
-def one_segment(n_samples):
-    # counts (1 segment, no outliers or corrections), t0 delta, p0, sample
-    # count, then one block: end delta and an empty coefficient list
-    return [("u", 1), ("u", 0), ("u", 0), ("s", 0), ("s", 0), ("u", n_samples),
-            ("s", 0), ("u", 0)]
+def one_segment(n_samples, q_coeffs=()):
+    # counts (1 segment, no outliers or corrections), sample count, the one
+    # block's coefficient count; then t0 delta, p0, the block's end delta and
+    # its coefficients
+    return ([("u", 1), ("u", 0), ("u", 0), ("u", n_samples), ("u", len(q_coeffs)),
+             ("s", 0), ("s", 0), ("s", 0)] + [("s", c) for c in q_coeffs])
 
 
-def segment_of_chains(n_samples, chains):
-    """One segment's fields: its head, then per chain (dimension) the wire
-    end-delta field of each block, with no coefficient."""
-    head = [("s", 0)] + [("s", 0)] * len(chains) + [("u", n_samples)]
-    return head + [f for wire in chains for v in wire for f in (("s", v), ("u", 0))]
+def segments_of_chains(*segments):
+    """The fields of a body of the given segments and no entries, each
+    segment (n_samples, chains) with, per chain (dimension), the wire
+    end-delta field of each block; no block holds a coefficient."""
+    wire = [v for _, chains in segments for chain in chains for v in chain]
+    heads = sum(1 + len(chains) for _, chains in segments)  # t0 deltas and start values
+    return ([("u", len(segments)), ("u", 0), ("u", 0)] + [("u", n) for n, _ in segments]
+            + [("u", 0)] * len(wire) + [("s", 0)] * heads + [("s", v) for v in wire])
 
 
 @pytest.mark.parametrize("chunk_bits", [1, 2, 4])
@@ -321,11 +326,9 @@ def test_middle_blocks_store_the_step_of_their_end_delta(chunk_bits):
     # A chain's first block and its tail store their end delta; each block
     # between them stores its step from the end delta of the block before,
     # and no step runs from one chain into the next
-    one_d = ([("u", 3), ("u", 0), ("u", 0)] + segment_of_chains(121, [[5, 3, -2, 7]])
-             + segment_of_chains(61, [[-9, 11]]) + segment_of_chains(31, [[4]]))
-    two_d = ([("u", 2), ("u", 0), ("u", 0)]
-             + segment_of_chains(121, [[5, 3, -2, 7], [-1, -4, 6, 0]])
-             + segment_of_chains(61, [[-9, 11], [2, -3]]))
+    one_d = segments_of_chains((121, [[5, 3, -2, 7]]), (61, [[-9, 11]]), (31, [[4]]))
+    two_d = segments_of_chains((121, [[5, 3, -2, 7], [-1, -4, 6, 0]]),
+                               (61, [[-9, 11], [2, -3]]))
     for fields, dim, end_delta in ((one_d, 1, [5, 8, 6, 7, -9, 11, 4]),
                                    (two_d, 2, [5, 8, 6, 7, -1, -5, 1, 0, -9, 11, 2, -3])):
         payload = crafted(fields, dim=dim, chunk_bits=chunk_bits)
@@ -352,30 +355,21 @@ def test_an_end_delta_step_beyond_the_signed_range_is_rejected():
     assert parse(serialize(model, GEO), GEO) == model
 
 
-@pytest.mark.parametrize("chunk_bits", [1, 2])
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_end_delta_steps_that_sum_past_int64_are_corruption(sign, chunk_bits, monkeypatch):
+def test_end_delta_steps_that_sum_past_int64_are_corruption(sign, chunk_bits):
     # every field is in range, and the second middle block's end delta, the
-    # sum of the first three, lies on the edge of int64, which the chase sums
-    # to exactly; one step more and it lies past it, which the chase leaves to
-    # the walk to name
-    walks = []
-    walk = container._walk
-    monkeypatch.setattr(container, "_walk", lambda *args: walks.append(args) or walk(*args))
+    # sum of the first three, lies on the edge of int64, which parse sums to
+    # exactly; one step more and it lies past it
     edge = 2**63 - 1 if sign > 0 else -2**63
     wire = [7, sign * 2**62, edge - 7 - sign * 2**62, 0]
-    payload = crafted([("u", 1), ("u", 0), ("u", 0)] + segment_of_chains(121, [wire]),
-                      chunk_bits=chunk_bits)
+    payload = crafted(segments_of_chains((121, [wire])), chunk_bits=chunk_bits)
     model = parse(payload, GEO)
     assert model.segments.store.end_delta.tolist() == [7, 7 + sign * 2**62, edge, 0]
     assert serialize(model, GEO) == payload
-    assert len(walks) == (chunk_bits == 1)
-    walks.clear()
     wire[2] += sign
     with pytest.raises(CorruptionError, match="end delta outside int64"):
-        parse(crafted([("u", 1), ("u", 0), ("u", 0)] + segment_of_chains(121, [wire]),
-                      chunk_bits=chunk_bits), GEO)
-    assert len(walks) == 1
+        parse(crafted(segments_of_chains((121, [wire])), chunk_bits=chunk_bits), GEO)
 
 
 def test_parse_rejects_more_blocks_than_bits_before_allocating():
@@ -385,6 +379,13 @@ def test_parse_rejects_more_blocks_than_bits_before_allocating():
     payload = crafted(one_segment(2**62))
     with pytest.raises(TruncationError, match="blocks"):
         parse(payload, GEO)
+    # 30 * (2**58 - 1) + 2 samples lay out 2**58 blocks per dimension, so 32
+    # and 64 dimensions lay out 2**63 and 2**64 blocks, which wrap in int64
+    for dim in (32, 64):
+        payload = crafted(one_segment(30 * (2**58 - 1) + 2), dim=dim)
+        with pytest.raises(TruncationError, match="blocks"):
+            parse(payload, GEO)
+        assert parse_outcome(payload, parse_ref) is TruncationError
 
 
 def test_parse_maps_segment_end_overflow_to_corruption():
@@ -394,12 +395,12 @@ def test_parse_maps_segment_end_overflow_to_corruption():
         parse(payload, GEO)
     # the index fits, but its time 2 * eps_t is inf for eps_t = 1e308
     fields = one_segment(3)
-    fields[3] = ("s", 2)
+    fields[5] = ("s", 2)
     with pytest.raises(CorruptionError, match="out of range"):
         parse(crafted(fields, eps_t=1e308), GEO)
     # the second of two 2-sample segments starts at the first one's end,
     # about 1e308, so its own end index cannot be converted to a float
-    fields = [("u", 2), ("u", 0), ("u", 0)] + [("s", 0), ("s", 0), ("u", 2), ("s", 0), ("u", 0)] * 2
+    fields = [("u", 2), ("u", 0), ("u", 0)] + [("u", 2)] * 2 + [("u", 0)] * 2 + [("s", 0)] * 6
     with pytest.raises(CorruptionError, match="out of range"):
         parse(crafted(fields, dt=1e308), GEO)
     blocks = ((EncodedBlock(()),),)
@@ -416,9 +417,9 @@ def test_values_beyond_float64_fail_the_decode():
     # meets the values and calls them corruption, before a grid or a query
     # turns them into NaN
     start = one_segment(3)
-    start[4] = ("s", 1)
-    correction = ([("u", 1), ("u", 0), ("u", 1), ("u", 1), ("s", 2), ("s", 0)]
-                  + [("s", 0), ("s", 0), ("s", 0), ("u", 3)] + [("s", 0), ("u", 0)] * 2)
+    start[6] = ("s", 1)
+    correction = ([("u", 1), ("u", 0), ("u", 1), ("u", 1), ("u", 3), ("u", 0), ("u", 0),
+                   ("s", 2), ("s", 0)] + [("s", 0)] * 5)
     payloads = crafted(start, eps_p=1e308), crafted(correction, dim=2, eps_p=1e308)
     assert len(payloads[0]) == 43
     with warnings.catch_warnings():
@@ -432,7 +433,8 @@ def test_values_beyond_float64_fail_the_decode():
 
 def test_sample_count_beyond_int64_is_rejected_on_both_sides():
     # b_s = 9e18 at eps = 1.8e19 makes it two blocks, so the bits suffice
-    payload = crafted(one_segment(2**63 + 10) + [("s", 0), ("u", 0)],
+    fields = one_segment(2**63 + 10)
+    payload = crafted(fields[:5] + [("u", 0)] + fields[5:] + [("s", 0)],
                       eps=1.8e19, eps_p=9e18, dt=1e-300)
     assert len(payload) == 56
     with pytest.raises(CorruptionError, match="sample count"):
@@ -445,14 +447,14 @@ def test_sample_count_beyond_int64_is_rejected_on_both_sides():
 
 
 ENTRIES_BEYOND_INT64 = {
-    # the three counts, then per entry a time step and one value (dim 1);
-    # outlier coordinates chain, so the first case's second one is 2**63
+    # the three counts, then per entry a time step, then per entry one value
+    # (dim 1); outlier coordinates chain, so the first case's second one is 2**63
     "outlier coordinate": [("u", 0), ("u", 2), ("u", 0),
-                           ("u", 0), ("s", 2**62), ("u", 1), ("s", 2**62)],
+                           ("u", 0), ("u", 1), ("s", 2**62), ("s", 2**62)],
     "outlier time index": [("u", 0), ("u", 2), ("u", 0),
-                           ("u", 2**63), ("s", 0), ("u", 2**63), ("s", 0)],
+                           ("u", 2**63), ("u", 2**63), ("s", 0), ("s", 0)],
     "correction time index": [("u", 0), ("u", 0), ("u", 2),
-                              ("u", 2**63), ("s", 0), ("u", 2**63), ("s", 0)],
+                              ("u", 2**63), ("u", 2**63), ("s", 0), ("s", 0)],
 }
 
 
@@ -463,63 +465,56 @@ def test_parse_rejects_entries_beyond_int64(fields):
         parse(crafted(fields), GEO)
 
 
-# the three counts, then per entry a time step and one value (dim 1)
+# the three counts, then per entry a time step, then per entry one value (dim 1)
 ENTRY_REGION = {
-    "later step of 0": ([("u", 0), ("u", 0), ("u", 2), ("u", 5), ("s", 1), ("u", 0), ("s", 2)],
+    "later step of 0": ([("u", 0), ("u", 0), ("u", 2), ("u", 5), ("u", 0), ("s", 1), ("s", 2)],
                         CorruptionError),
     "time index sum at 2**63": ([("u", 0), ("u", 0), ("u", 2),
-                                 ("u", 2**62), ("s", 1), ("u", 2**62), ("s", 2)],
+                                 ("u", 2**62), ("u", 2**62), ("s", 1), ("s", 2)],
                                 CorruptionError),
-    "outlier coordinates leave int64": ([("u", 0), ("u", 3), ("u", 0), ("u", 0), ("s", 5),
-                                         ("u", 1), ("s", 2**62), ("u", 1), ("s", 2**62)],
+    "outlier coordinates leave int64": ([("u", 0), ("u", 3), ("u", 0), ("u", 0), ("u", 1),
+                                         ("u", 1), ("s", 5), ("s", 2**62), ("s", 2**62)],
                                         CorruptionError),
-    "truncated inside the entries": ([("u", 0), ("u", 1), ("u", 2), ("u", 3), ("s", 2**40),
-                                      ("u", 4), ("s", -7), ("u", 9), ("s", 2**50)],
+    "truncated inside the entries": ([("u", 0), ("u", 1), ("u", 2), ("u", 3), ("u", 4),
+                                      ("u", 9), ("s", 2**40), ("s", -7), ("s", 2**50)],
                                      TruncationError),
-    # sums past 2**62, which the columnar path leaves to the walk
+    # sums past 2**62, which parse sums in Python ints
     "time index sum below 2**63": ([("u", 0), ("u", 0), ("u", 2),
-                                    ("u", 2**62), ("s", 1), ("u", 2**61), ("s", 2)], None),
+                                    ("u", 2**62), ("u", 2**61), ("s", 1), ("s", 2)], None),
     "outlier coordinates near int64": ([("u", 0), ("u", 2), ("u", 0), ("u", 0),
-                                        ("s", 2**62), ("u", 1), ("s", 2**62 - 1)], None),
+                                        ("u", 1), ("s", 2**62), ("s", 2**62 - 1)], None),
 }
 
 
 @pytest.mark.parametrize("fields, error", ENTRY_REGION.values(), ids=ENTRY_REGION)
-def test_parse_entry_region_agrees_at_every_chunk_length(fields, error, monkeypatch):
-    # the columnar path gathers the entries as arrays; each case must give
-    # the same outcome at l = 1, through it at l = 2 and 3, and through the
-    # walk at l = 2 and 3
-    def outcome(chunk_bits):
+def test_parse_entry_region_agrees_at_every_chunk_length(fields, error):
+    # parse checks the entries as arrays; each case must give the same
+    # outcome at l = 1, 2 and 3, and the outcome of the per-field reference
+    def outcomes(chunk_bits):
         payload = crafted(fields, chunk_bits=chunk_bits)
         if error is TruncationError:
             payload = payload[:-3]
-        return parse_outcome(payload)
+        return parse_outcome(payload), parse_outcome(payload, parse_ref)
 
-    outcomes = [outcome(l) for l in (1, 2, 3)]
-    with monkeypatch.context() as m:
-        m.setattr(container, "_chase", lambda *args: 1 / 0)
-        outcomes += [outcome(l) for l in (2, 3)]
+    outcomes = [o for l in (1, 2, 3) for o in outcomes(l)]
     if error is None:
         assert all(isinstance(o, CompressedTrajectory) for o in outcomes), outcomes
         first = outcomes[0]
         assert all((o.outliers, o.corrections) == (first.outliers, first.corrections)
                    for o in outcomes)
     else:
-        assert outcomes == [error] * 5
+        assert outcomes == [error] * 6
 
 
 @pytest.mark.parametrize("chunk_bits", [2, 3])
-def test_parse_rejects_a_zero_code_in_an_entry_value(chunk_bits, monkeypatch):
+def test_parse_rejects_a_zero_code_in_an_entry_value(chunk_bits):
     # at l >= 2 a signed field can hold the code 0, which no value maps to;
     # at l = 1 its bits read as another code
-    fields = [("u", 0), ("u", 1), ("u", 1), ("u", 3), ("s", 4), ("u", 2), ("u", 0)]
+    fields = [("u", 0), ("u", 1), ("u", 1), ("u", 3), ("u", 2), ("s", 4), ("u", 0)]
     payload = crafted(fields, chunk_bits=chunk_bits)
     with pytest.raises(CorruptionError, match="zigzag"):
         parse(payload, GEO)
-    with monkeypatch.context() as m:
-        m.setattr(container, "_chase", lambda *args: 1 / 0)
-        with pytest.raises(CorruptionError, match="zigzag"):
-            parse(payload, GEO)
+    assert parse_outcome(payload, parse_ref) is CorruptionError
 
 
 _BEYOND_INT64 = {
@@ -562,9 +557,9 @@ def flips_and_truncations(payload):
     return cases
 
 
-def parse_outcome(case):
+def parse_outcome(case, parser=parse):
     try:
-        return parse(case, GEO)
+        return parser(case, GEO)
     except PilotCError as exc:
         return type(exc)
 
@@ -585,7 +580,7 @@ def test_query_before_a_tiny_dt_segment_is_warning_free(dt):
     # a query 0.1 before the start, inside the start tolerance, lies
     # -0.1 / dt samples into the segment: beyond int64, or beyond float64
     fields = one_segment(3)
-    fields[3] = ("s", 5)  # the segment starts at time 5
+    fields[5] = ("s", 5)  # the segment starts at time 5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rec = Reconstructor(parse(crafted(fields, dt=dt), GEO), GEO)
@@ -596,7 +591,7 @@ def test_reach_beyond_float64_is_warning_free():
     # a segment's reach, its end plus a tolerance of about eps_t / 2, can
     # overflow float64 even though its start and end time are finite
     fields = one_segment(2)
-    fields[3] = ("s", 1)  # the segment starts at time index 1
+    fields[5] = ("s", 1)  # the segment starts at time index 1
     payload = crafted(fields, eps_t=1.7976931348623157e308)
     assert len(payload) == 43
     with warnings.catch_warnings():
@@ -606,68 +601,73 @@ def test_reach_beyond_float64_is_warning_free():
 
 
 @pytest.mark.parametrize("chunk_bits", [1, 2, 3, 4, 7, 8, 16, 32])
-def test_columnar_parse_matches_per_field_reader(chunk_bits, monkeypatch):
-    # the library's reader (the table reader at l = 1, the columnar one
-    # above) must give the same model, or the same error class, as the
-    # per-field reference reader on every damaged copy of two containers
+def test_columnar_parse_matches_per_field_reader(chunk_bits):
+    # parse, which splits each stream into fields with array operations and
+    # checks each section at once, must give the same model, or the same
+    # error class, as the field-by-field reference on every damaged copy of
+    # two containers
     for seed in (36, 5):
         model = random_model(np.random.default_rng(seed), dim=2, eps=50.0,
                              chunk_bits=chunk_bits)
         payload = serialize(model, GEO)
         cases = [payload, *flips_and_truncations(payload)]
         columnar = [parse_outcome(case) for case in cases]
-        with monkeypatch.context() as m:
-            m.setattr(container, "varint_reader", VarintReader)
-            per_field = [parse_outcome(case) for case in cases]
+        per_field = [parse_outcome(case, parse_ref) for case in cases]
         assert columnar[0] == model
         assert columnar == per_field
 
 
-def test_parse_at_l1_across_many_windows(monkeypatch):
-    # windows of 16 start offsets cut the body of a model with outliers,
-    # corrections and two segments into over a hundred windows, so fields
-    # and runs of signed fields cross window ends, and each window decodes
-    # its marked fields on its own; the model and every truncation of its
-    # container parse as through the per-field reference reader
-    monkeypatch.setattr(codec, "_WINDOW", 16)
+def test_parse_at_l1_matches_the_reference_at_every_cut():
+    # a model with outliers, corrections and two segments at l = 1, whose
+    # body holds many fields of both streams; the model and every
+    # truncation of its container parse as through the per-field reference
     model = random_model(np.random.default_rng(7), dim=2, eps=50.0, chunk_bits=1)
     assert (len(model.segments), len(model.outliers), len(model.corrections)) == (2, 3, 5)
     payload = serialize(model, GEO)
     assert 8 * (len(payload) - 40) > 100 * 16
     cases = [payload[:cut] for cut in range(len(payload) + 1)]
     library = [parse_outcome(case) for case in cases]
-    monkeypatch.setattr(container, "varint_reader", VarintReader)
     assert library[-1] == model
-    assert library == [parse_outcome(case) for case in cases]
+    assert library == [parse_outcome(case, parse_ref) for case in cases]
 
 
-def test_every_valid_container_parses_through_the_chase(monkeypatch):
-    # parse falls back to the field walk whenever the chase raises, so a
-    # fault in the chase would only slow parse down; no valid container at
-    # l >= 2 may take the walk (entry sums near the int64 limit would, by
-    # design, and none of these holds one)
-    walks = []
-    walk = container._walk
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3])
+def test_parse_across_windows_matches_the_reference(chunk_bits, monkeypatch):
+    # with a window of 144 bits, which still holds the longest field, 130
+    # bits at l = 1, from any bit of its first byte, the streams, the turn
+    # from one to the other and the fields that cannot be read fall across
+    # windows; every cut and flip parses as through the per-field reference
+    monkeypatch.setattr(container, "_WINDOW", 144)
+    for seed in (36, 5):
+        model = random_model(np.random.default_rng(seed), dim=2, eps=50.0,
+                             chunk_bits=chunk_bits)
+        payload = serialize(model, GEO)
+        assert 8 * (len(payload) - 40) > 2 * 144
+        cases = [payload, *flips_and_truncations(payload)]
+        library = [parse_outcome(case) for case in cases]
+        assert library[0] == model
+        assert library == [parse_outcome(case, parse_ref) for case in cases]
 
-    def counting(*args):
-        walks.append(args)
-        return walk(*args)
 
-    monkeypatch.setattr(container, "_walk", counting)
-    parse(serialize(random_model(np.random.default_rng(0), chunk_bits=1), GEO), GEO)
-    assert len(walks) == 1  # the spy sees the walk that l = 1 always takes
-    walks.clear()
+def test_every_valid_container_parses_to_its_model():
+    # random models at l = 1 and at five chunk lengths above it, and the
+    # golden corpus at l >= 2: parse gives back the model, as the
+    # per-field reference does
     parsed = 0
+    model = random_model(np.random.default_rng(0), chunk_bits=1)
+    assert parse(serialize(model, GEO), GEO) == model
     for chunk_bits in (2, 3, 5, 8, 16):
         for seed in range(30):
             model = random_model(np.random.default_rng(seed), chunk_bits=chunk_bits)
-            assert parse(serialize(model, GEO), GEO) == model
+            payload = serialize(model, GEO)
+            assert parse(payload, GEO) == model == parse_ref(payload, GEO)
             parsed += 1
     for name, kind, chunk_bits in itertools.product(_PROFILES, _KINDS, _CHUNK_BITS):
         if chunk_bits >= 2:
-            parse(_container(name, kind, chunk_bits), PROFILES[name])
+            payload = _container(name, kind, chunk_bits)
+            assert parse(payload, PROFILES[name]) == parse_ref(payload, PROFILES[name])
             parsed += 1
-    assert parsed == 182 and walks == []
+    assert parsed == 182
 
 
 # Run in a child process that caps its own address space 512 MiB above what
@@ -786,14 +786,35 @@ print(json.dumps(answers))
 
 
 _BIG_L1_BODY = """
+import tracemalloc
 from test_container import crafted
 # 70,000 corrections of one 127-bit signed field each: a 1.1 MB body at l = 1
 n = 70_000
-fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1), ("s", -(2**62))] * n
+fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1)] * n + [("s", -(2**62))] * n
 payload = crafted(fields, chunk_bits=1)
+tracemalloc.start()
 try:
     back = parse(payload, geo)
-    answer = [len(payload), len(back.corrections), int(back.corrections.values[-1, 0])]
+    answer = [len(payload), len(back.corrections), int(back.corrections.values[-1, 0]),
+              tracemalloc.get_traced_memory()[1]]
+except PilotCError as exc:
+    answer = [len(payload), type(exc).__name__]
+print(json.dumps(answer))
+"""
+
+
+_BIG_L2_BODY = """
+import tracemalloc
+from test_container import crafted
+# 90,000 corrections of a 64-bit signed field each: a 1.1 MB body at l = 2
+n = 90_000
+fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1)] * n + [("s", -(2**62))] * n
+payload = crafted(fields, chunk_bits=2)
+tracemalloc.start()
+try:
+    back = parse(payload, geo)
+    answer = [len(payload), len(back.corrections), int(back.corrections.values[-1, 0]),
+              tracemalloc.get_traced_memory()[1]]
 except PilotCError as exc:
     answer = [len(payload), type(exc).__name__]
 print(json.dumps(answer))
@@ -801,35 +822,24 @@ print(json.dumps(answer))
 
 
 def test_table_reader_memory_is_bounded_by_its_window():
-    # the l = 1 reader tabulates one window of start positions at a time;
-    # tables over the whole body, a list entry and a few uint64s per bit,
-    # would not fit under the cap
-    size, n_corrections, last = run_capped(_BIG_L1_BODY)
+    # parse splits the body a window of bits at a time, so its arrays, a few
+    # bytes per bit, chunk and field of a window, do not grow with the body;
+    # under tracemalloc its peak reads 6.4 MiB at l = 1, about the model's
+    # own columns and one window's split, where splitting the whole body at
+    # once took 184 MiB
+    size, n_corrections, last, peak = run_capped(_BIG_L1_BODY)
     assert size >= 1 << 20
     assert (n_corrections, last) == (70_000, -(2**62))
-
-
-_BIG_L2_BODY = """
-from test_container import crafted
-# 90,000 corrections of a 64-bit signed field each: a 1.1 MB body at l = 2
-n = 90_000
-fields = [("u", 0), ("u", 0), ("u", n)] + [("u", 1), ("s", -(2**62))] * n
-payload = crafted(fields, chunk_bits=2)
-try:
-    back = parse(payload, geo)
-    answer = [len(payload), len(back.corrections), int(back.corrections.values[-1, 0])]
-except PilotCError as exc:
-    answer = [len(payload), type(exc).__name__]
-print(json.dumps(answer))
-"""
+    assert peak < 16 << 20
 
 
 def test_columnar_reader_memory_is_bounded_by_the_body():
-    # the l >= 2 reader splits the whole body into codes when it is built;
-    # its arrays, a few bytes per chunk and per field, fit under the cap
-    size, n_corrections, last = run_capped(_BIG_L2_BODY)
+    # the same at l = 2, where one split of each window serves both streams:
+    # 5.0 MiB, where splitting the whole body at once took 82 MiB
+    size, n_corrections, last, peak = run_capped(_BIG_L2_BODY)
     assert size >= 1 << 20
     assert (n_corrections, last) == (90_000, -(2**62))
+    assert peak < 16 << 20
 
 
 def test_huge_block_size_builds_no_full_block_batch():

@@ -1,8 +1,9 @@
 """Golden-byte gate: container bytes of a fixed seeded corpus never drift.
 
 Every case compresses one small seeded synthetic trajectory and pins the
-SHA-256 of its serialized container.  A change that alters any byte must
-declare and justify a format change and record new hashes here.
+SHA-256 and the byte length of its serialized container.  A change that
+alters any byte must declare and justify a format change and record new
+hashes here; one that only moves bits keeps every length.
 """
 
 import hashlib
@@ -29,54 +30,102 @@ _CHUNK_BITS = (1, 2, 4)
 _POINTS = 1200
 
 GOLDEN = {
-    "geolife/smooth/l1": "03a5112623fc900ea5a65422d082ba8fcb560c29f2f527c6f0ba2636ef2b4aba",
-    "geolife/smooth/l2": "60524cc4a81cbd40275029d16d3512fe85b56dc5d45b75337048a9c9ab99b7ca",
-    "geolife/smooth/l4": "ab5b564bad6deb8159c82f7ca6f9b8fb36b03fc2fd78475f7b36ff72d23c1b0f",
-    "geolife/jittery/l1": "1e79eadf402f2ccefe40386af032b6c041da95fcb2d8aa86e4c3820f3dd5c133",
-    "geolife/jittery/l2": "a58b24ece2021d23acdac835956fcf10694db207a18ac5a08fdb9f2af36f6458",
-    "geolife/jittery/l4": "8cbdb519ffa20147d479fa625c55e7d288b6488b1de4c7d3a5236692e54bb60c",
-    "geolife/nonuniform/l1": "89f66a3c1f0d97fceeee9548bfdb8e4fbcb3bce6cb516ba860d7c3a812c88ed4",
-    "geolife/nonuniform/l2": "94dc743e85c50393ab810f2764b22a2b3d1703686c96e6bb7cae8c3eecda7b7e",
-    "geolife/nonuniform/l4": "1ac3242dafa25cdb864362a07561d46974de7cf0bea0c58f644790d7a9d1fb57",
-    "geolife/mixed/l1": "1b0371779d940a4ebb6ab31a04e44d4fced6a3e9f0e05a344e6feea7147c2423",
-    "geolife/mixed/l2": "eea9c39a19c0d5d39584a6160d634c1330b530c4e610208ac1a6be57e8c18842",
-    "geolife/mixed/l4": "64250b3b8b069ee7c7f7e0cce48d90bb055553fc50a30a8b34a74cf2103181a9",
-    "geolife3d/smooth/l1": "18318d361595fa6d342aa6dce1f70d57a82cc81d17a9eea9583fef0685586d54",
-    "geolife3d/smooth/l2": "7b79f7f260d975bf69803477f436a0a7714388b916f5f96e173ec435af8619c6",
-    "geolife3d/smooth/l4": "a4491b285a4a9c3abd6f34b80d0644f605826e10ec9d29232148c9093418f851",
-    "geolife3d/jittery/l1": "75c6a94c09d951accc245b5ec0319090b45252716fa56ea6970ff5baf3e21a02",
-    "geolife3d/jittery/l2": "6431156af6f629b25e66d37c91d36454294fcc49e3cd46d2dd255f3d05ab3fe2",
-    "geolife3d/jittery/l4": "97acf44583100047036017825527de61a0c349ea5b9f38137e5974499c8f086c",
-    "geolife3d/nonuniform/l1": "5142aa87aa9cc2af69460545d9709079995a24915f2ab5592a318935d4879124",
-    "geolife3d/nonuniform/l2": "b4b76400b6a69a54bc5c52de36f129c67082669c494dad9de82314ff43e49535",
-    "geolife3d/nonuniform/l4": "06edb5f95547f7383d05b8bb5f6a4fbdffa7c3c496166ecf359c2c75f4e1eb35",
-    "geolife3d/mixed/l1": "0595015a49a475a10266c28d2a8a57dbf554e8bdf0a7c09851905160f2656be9",
-    "geolife3d/mixed/l2": "5bb868913c717f8743a02b6455b3980ed959bf537e3a47150e526df513557b7a",
-    "geolife3d/mixed/l4": "f5b4daecc317b9abd4c28b46bd33361dee05da268cfaedbea45bc0bfd8fe19cb",
-    "nuplan/smooth/l1": "c03bd43cbc8c1f52256b852154255a6d3f529c79d6feab9b6eeb6781a3d545db",
-    "nuplan/smooth/l2": "a3a859e2eea4da949f6fb2c8bf6c7cf1bad928c9354e838f2400498f95b7bcf2",
-    "nuplan/smooth/l4": "761d43fa5a39869651ffe3677fac73ee082514ad913f9f8ae04851f32860ba41",
-    "nuplan/jittery/l1": "6f3a03f29e6b8dd165f8ee7ccf27f1a02af96f2c8504d40a04ec7ba2238e8410",
-    "nuplan/jittery/l2": "468ec128cd5b3d0b8f8d54af5b61ab583865e2ceb18c4778cbc69e870dd7e8f2",
-    "nuplan/jittery/l4": "c63744ed6d2d57511ce05797ed29010fdcf10763af3cfa410b45dbbc9c0a40de",
-    "nuplan/nonuniform/l1": "5cf8c11ecbdcd77a5500b26ac664061dadda241bcbc436ab0b6d0acf11ac0c62",
-    "nuplan/nonuniform/l2": "59c622a2705f0944ec5806ae61350cb00032d2d53ceaba995ed04cfa67c49d5d",
-    "nuplan/nonuniform/l4": "a2c0c333dbd4c79d5c8ef2929b49fb791390fb534fb128a5088a73745ef858cf",
-    "nuplan/mixed/l1": "731f1a68e2fdbf35fb35d030e5e381ffb9c60cacafd2a420a636c3bdc255407e",
-    "nuplan/mixed/l2": "b023dcc9f8b16e627a448c0571a341ffd8adc722fb61d156dd7e228c85a60561",
-    "nuplan/mixed/l4": "c9a5422261f11c2942e4e3a9bcafd35d772c9221ee306d07da3a897670e306ef",
-    "mopsi/smooth/l1": "a7f22881da8745caa1a2db182874bb9b8da8b148f75467fd18eecaceefca230f",
-    "mopsi/smooth/l2": "dbf2713393165af40157020d483f3a09357f0fbdcd47112aa76e88dca9f1f5e5",
-    "mopsi/smooth/l4": "2547d84d41dc4637830a827e2725955d5efe2fbf7686d97f151a8a5f508cf220",
-    "mopsi/jittery/l1": "473e10fc253b96d0c518a235db170d9d9143eaba2a7ea0eb3779d5e16cbcef35",
-    "mopsi/jittery/l2": "331439abcfb5e3730e5d4a93ff7befdbad59995f3cb5bd9b2d35cec85a1eb2d8",
-    "mopsi/jittery/l4": "e9856f5d122e76c60ea986df8afa18b441eda80369c23ac61848c3a2e15e0a7f",
-    "mopsi/nonuniform/l1": "fecd33e6752e6b74d6a0da689c9bb54ad7aa6d5359df41e181a3949c25d92c54",
-    "mopsi/nonuniform/l2": "095777e37a5b02996be13bd703471422a418356ae8214e1faa284fc28b7c8cb3",
-    "mopsi/nonuniform/l4": "22895052fd11bbf30d17d071ea93f7f07a58927a14463cbc01f358c0e904d75f",
-    "mopsi/mixed/l1": "540d051723ecb9ae13fe69e697df63a68d176f1b96d4a3418e806b2493eced44",
-    "mopsi/mixed/l2": "36759bef354b325237848bafa560d7f014b7a77e355f2de1fdeb90472b7bd2a1",
-    "mopsi/mixed/l4": "4c64f50e48245491f2459f33258353ad942bc7f6a9f707bdbd68f182861aa391",
+    "geolife/smooth/l1":
+        ("104239309deb346a64f8b37a66186c37dc624be253097da2187ba4770059a71a", 342),
+    "geolife/smooth/l2":
+        ("ad2f57fc0218251cf19f62b8f53b726c3ff7974f7197bdc38408784fd8c68fe2", 354),
+    "geolife/smooth/l4":
+        ("83200f2fe04efd1f5f85677391a90874eef65713a86d90dea8f871bc25e6e1fb", 397),
+    "geolife/jittery/l1":
+        ("bb3e0d8ae96eaa132cead68ec9d50522c8601cb934e95caf86692909b85fac63", 435),
+    "geolife/jittery/l2":
+        ("33be246cd5a54699464f83f1971a36e574aec0e3fc97034e8c5c5d29b39935d5", 435),
+    "geolife/jittery/l4":
+        ("33f79704206925e2b81a21c64b1e8d55176d750c2e5110343477ba9daa1eb958", 475),
+    "geolife/nonuniform/l1":
+        ("c794a40f9ac474ce7e558f730ff7630ed59aa5973bd8afa0397b4ac6e930f19a", 440),
+    "geolife/nonuniform/l2":
+        ("6ba8f8bdddd6720d44977c836acb42cdb2cf403a6c60a5237705cb0c70adbf15", 441),
+    "geolife/nonuniform/l4":
+        ("da919c7208431d370319aa73dbff3d3986f203958b4068ccac7ba43ca98bf002", 468),
+    "geolife/mixed/l1":
+        ("3b739b775c15be02522c3bfbd824365c677e4d8d8818dcb5e921b40d503eee6c", 527),
+    "geolife/mixed/l2":
+        ("1e7db9ffbd1655289fba24720f6393cfd38a300a0517113e9db0c559035c7c7f", 516),
+    "geolife/mixed/l4":
+        ("3f1b964769e632443543630d5f28ad71be7bcef8d7fc78355165887d58ea213b", 552),
+    "geolife3d/smooth/l1":
+        ("43411588eb7d31a84c856f19f00a01243d3fa5b896d792d63b5702d110ed571c", 280),
+    "geolife3d/smooth/l2":
+        ("0fbad8ad2fd5afa9d2be1f700f3668e56ee59d5c96e3c01a193c4c6220172e76", 303),
+    "geolife3d/smooth/l4":
+        ("1781f0117021b1f55773bfacbd9044ba54d2ce59646e133c6da82845654d3423", 365),
+    "geolife3d/jittery/l1":
+        ("2dcdd284efc1defab0dda48b38cd4d368e3dee6dec2aa2821baaadfeca98e6bf", 365),
+    "geolife3d/jittery/l2":
+        ("188f565f3438b793e28331734c0ec8e15d206c00aaf33032d37bb3302fa78d02", 376),
+    "geolife3d/jittery/l4":
+        ("1f3f0c12e9cff5ad49bcb5b6396aeaef6d8ed0cb437b6ed9895be5bcec63b077", 441),
+    "geolife3d/nonuniform/l1":
+        ("4c99e3fe3bb75f8e82b5e7dd7e74b39d40255da2b7243cfda5fc951269e9726d", 338),
+    "geolife3d/nonuniform/l2":
+        ("81922d1b9b66c1889fa1e91266eb2aea564c6fa76ac434ff4e76e9f1c97aee26", 347),
+    "geolife3d/nonuniform/l4":
+        ("d9aeb6b14cded215b06b525ac519c0d01076f44b85872bad4162b2bc1fcc59e3", 414),
+    "geolife3d/mixed/l1":
+        ("b4c3f85194767a8149d8517510f6d8bf66769f8c6733c82b2d1fe0a9943ea17a", 389),
+    "geolife3d/mixed/l2":
+        ("99fcfbaf9c9c223630a7978f6c569241c76488b227eaa2cbca61bb448cfee2e0", 400),
+    "geolife3d/mixed/l4":
+        ("1b9f4ca0be5f9d0ede5da6abe8db6a7eb1c7d30a16b4ff0aedbecc4c5aa9022e", 461),
+    "nuplan/smooth/l1":
+        ("fa93b30b3fb6766114d520da74da5942fd3c1727c98aba033c50ea8e032405fd", 5901),
+    "nuplan/smooth/l2":
+        ("dcc5036490123a656991bb8619e3de568202b2e6d0ddbc120e500789c25f4f30", 4912),
+    "nuplan/smooth/l4":
+        ("1516984bce639dfb7516538f9c9abeec968cbd7c914808d0a98403a915b217f8", 4906),
+    "nuplan/jittery/l1":
+        ("186b243b52d9fbc4c50417b0a490bedd8a481d9f7cc200f9e218708af9b9a141", 5937),
+    "nuplan/jittery/l2":
+        ("95b44eb382a72251096c42723179d78dae555341d7ef2e77fd7f4c6ea0260e7b", 4953),
+    "nuplan/jittery/l4":
+        ("04a7742a83d7e2189a87546b19c0aba11f5658e6d541c32fb13a31372478e126", 4953),
+    "nuplan/nonuniform/l1":
+        ("3e906312e0b3dfd1a3daa2a2cf1a5906d71e12fb072afcffe2401e147b6dc7b3", 6526),
+    "nuplan/nonuniform/l2":
+        ("1e84bc3eeaaabf1a0d6a89d9ea365a934a49f50f394321027a76b4d86c4baee8", 5500),
+    "nuplan/nonuniform/l4":
+        ("bc39bc8d72d87faa019f836fc60ecf3199c4b49434cf5fe0f391b03d008f90ef", 5171),
+    "nuplan/mixed/l1":
+        ("e154621bf4d7358bcc6a81eb7e6937d4b86e6c7ee9ed6c1d87a3fc21b3ae5e04", 6473),
+    "nuplan/mixed/l2":
+        ("4fd55760b0626531bb1e480625c120f24b099d0504e0224f465e95b53a0171a6", 5450),
+    "nuplan/mixed/l4":
+        ("7875d395f210ac60d72d81f1c49d4f393c190e7fc7ab261106d17c2bd144f7c6", 5146),
+    "mopsi/smooth/l1":
+        ("aff723a6736e217b0ed301b76f9881810dc322c9c909f57140858f60db87d9aa", 4220),
+    "mopsi/smooth/l2":
+        ("96c7b1886297a84c61b7f0431ee28864dc5c5af362fed2a899ba1930e5a5960d", 3848),
+    "mopsi/smooth/l4":
+        ("10ba8ba21953e13d9bf9a4dab225037d5e214eea242ea67d080408799ec86e06", 3829),
+    "mopsi/jittery/l1":
+        ("3e647dad434121f9f7359554bc46742ad8ba4497478b50434e46b488508471f8", 6716),
+    "mopsi/jittery/l2":
+        ("2877857c5a142f1fac1da376fe17554325f7239c32eb3aa32756290f540b8500", 5892),
+    "mopsi/jittery/l4":
+        ("fb3f95d359e69e96182b8bd9c52239992ddd9933b27d9d9bb070567abf7a2377", 5887),
+    "mopsi/nonuniform/l1":
+        ("b6399d91afc5f659036944af1127bbd036849384fdede916451980ec8ccc57d9", 4517),
+    "mopsi/nonuniform/l2":
+        ("151f632386dcfda0ffc1d2fed6a61ab853758e059cde4d2f041af51ad1b7be24", 4102),
+    "mopsi/nonuniform/l4":
+        ("adb12e16930eedfade77589bec1ee0a3b6108236ac52d8ae429cefa2c78bd93c", 4020),
+    "mopsi/mixed/l1":
+        ("076c2953098d0764ef4d432a208da3a37d8feb8b9f942880902f9a2f30ab8c52", 6013),
+    "mopsi/mixed/l2":
+        ("3a352e567b326a0f3e73e9f97e77125a0bf854e66382fe9eae3d6b11a8eeab88", 5379),
+    "mopsi/mixed/l4":
+        ("2fc0297f3df4ee44f39d6e086b33141c849b69476748f17b26450832988d0241", 5250),
 }
 
 
@@ -94,5 +143,6 @@ def _container(profile_name: str, kind: str, chunk_bits: int) -> bytes:
 @pytest.mark.parametrize("profile_name", list(_PROFILES))
 def test_container_bytes_are_pinned(profile_name, kind, chunk_bits):
     payload = _container(profile_name, kind, chunk_bits)
-    digest = hashlib.sha256(payload).hexdigest()
-    assert digest == GOLDEN[f"{profile_name}/{kind}/l{chunk_bits}"]
+    digest, size = GOLDEN[f"{profile_name}/{kind}/l{chunk_bits}"]
+    assert len(payload) == size
+    assert hashlib.sha256(payload).hexdigest() == digest
